@@ -16,8 +16,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> tier-1 verify: cargo build --release"
 cargo build --release
 
-echo "==> tier-1 verify: cargo test -q"
+echo "==> tier-1 verify: cargo test -q (default-members: the whole workspace)"
 cargo test -q
+
+echo "==> fork gate: one TCP server, one call context, one JSON module"
+if grep -rn "TcpServer" crates src tests examples \
+    || grep -rn "thread_local!" crates/rmi \
+    || grep -rn "mod json" crates/lint; then
+    echo "a removed fork is back (see DESIGN.md, 'One path per job')"; exit 1
+fi
+# One line per escape site: exactly one, in the one JSON module.
+[ "$(grep -rnF '\\u{:04x}' crates | cut -d: -f1)" = "crates/obs/src/json.rs" ] \
+    || { echo "JSON string escaping belongs in crates/obs/src/json.rs, once"; exit 1; }
 
 echo "==> chaos soak: fault-injected session must match the fault-free baseline"
 cargo test --release -q --test chaos_session
@@ -33,12 +43,6 @@ VCAD_SHARDS=1,2,8 cargo test --release -q --test shard_differential
 
 echo "==> shard properties: fixed-seed random designs/partitions (rerun one with VCAD_PROP_SEED=<seed>)"
 cargo test --release -q --test shard_property
-
-echo "==> engine differential: compiled levelized engine must match the scalar evaluator bit for bit"
-cargo test --release -q -p vcad-engine --test differential
-
-echo "==> engine matrix: coverage, tables and fees invariant across engine × source × shard count"
-cargo test --release -q -p vcad-faults --test engine_differential
 
 echo "==> golden drift gate: canonical bench outputs must match tests/golden/ (update: VCAD_UPDATE_GOLDEN=1)"
 cargo test --release -q --test golden_outputs
@@ -58,8 +62,9 @@ cargo run --release -q -p vcad-obs --bin obs-report -- report \
     --require-no-orphans > target/tracesession/report.txt
 grep "^consistency:" target/tracesession/report.txt
 
-echo "==> obs overhead gate: traced run must stay within budget of baseline (BENCH_obs.json)"
-cargo run --release -q -p vcad-bench --bin obsbench -- --json BENCH_obs.json
+echo "==> obs overhead gate: traced run must stay within budget (committed trajectory: BENCH_obs.json)"
+mkdir -p target/bench
+cargo run --release -q -p vcad-bench --bin obsbench -- --json target/bench/BENCH_obs.json
 
 echo "==> campaign gate: heavy-chaos sweep, killed mid-run, must resume with zero lost cells"
 rm -rf target/campaign-gate
@@ -81,12 +86,12 @@ EOF
 cargo run --release -q -p vcad-bench --bin campaign -- examples/specs/campaign_ci.json \
     --checkpoint target/campaign-gate/staged.journal \
     --json target/campaign-gate/staged-report.json \
-    --bench BENCH_faultsim.json > /dev/null
+    --bench target/bench/BENCH_faultsim.json > /dev/null
 cmp target/campaign-gate/clean-report.json target/campaign-gate/staged-report.json
-echo "    resumed report is byte-identical; baseline in BENCH_faultsim.json"
+echo "    resumed report is byte-identical; this run's numbers in target/bench/BENCH_faultsim.json"
 
 echo "==> engine bench gate: compiled PPSFP must hold a ≥4× margin over the serial event-driven baseline"
-cargo run --release -q -p vcad-bench --bin faultscale -- --bench BENCH_faultsim.json
+cargo run --release -q -p vcad-bench --bin faultscale -- --bench target/bench/BENCH_faultsim.json
 
 echo "==> testability gate: lintgate reports must match the committed golden file"
 mkdir -p target/testability-gate
@@ -118,13 +123,13 @@ print(f"    {len(off)} cells: detected sets identical, pruned universes strictly
 EOF
 
 echo "==> testability bench gate: pruning must keep coverage bit-identical with a wall-clock win"
-cargo run --release -q -p vcad-bench --bin testability -- --bench BENCH_faultsim.json
+cargo run --release -q -p vcad-bench --bin testability -- --bench target/bench/BENCH_faultsim.json
 
 echo "==> loadgen gate: 200 concurrent tenant sessions — zero lost, fees exact, shed within budget"
 rm -rf target/loadgen-gate
 cargo run --release -q -p vcad-bench --bin loadgen -- \
     --out target/loadgen-gate \
-    --bench BENCH_loadgen.json
+    --bench target/bench/BENCH_loadgen.json
 cargo run --release -q -p vcad-obs --bin obs-report -- report \
     target/loadgen-gate/client.json \
     target/loadgen-gate/provider.json \

@@ -10,8 +10,7 @@
 //! provider-a.json provider-b.json` reconstructs a single causal tree
 //! with zero orphans even though every process kept its own clock.
 //!
-//! The client-provider links run through `FaultyTransport` (the
-//! `FaultConfig::heavy` schedule) under a `ResilientTransport`, so the
+//! The client-provider links run through `heavy_chaos_stack`, so the
 //! dumps also exercise the hostile case: dropped, corrupted, duplicated
 //! and delayed frames must surface as retried attempt spans — never as
 //! orphan or crossed parents.
@@ -30,8 +29,7 @@ use vcad_ip::{ClientSession, ComponentOffering, IpCache, ProviderServer};
 use vcad_logic::LogicVec;
 use vcad_obs::{chrome, Collector};
 use vcad_rmi::{
-    BreakerConfig, FaultConfig, FaultPlan, FaultyTransport, ResilientTransport, RetryPolicy,
-    TcpServer, TcpTimeouts, TcpTransport, Transport, VirtualClock,
+    heavy_chaos_stack, MuxServer, MuxServerConfig, TcpTimeouts, TcpTransport, Transport,
 };
 
 /// Far above any loopback round trip, far below a CI job timeout.
@@ -39,7 +37,7 @@ const SOCKET_BUDGET: Duration = Duration::from_secs(10);
 
 /// Connects one resilient, chaos-shaped session to `server`'s TCP port.
 fn connect(
-    tcp: &TcpServer,
+    tcp: &MuxServer,
     host: &str,
     seed: u64,
     obs: &Collector,
@@ -53,26 +51,7 @@ fn connect(
         )
         .expect("connect to provider"),
     );
-    // Injected latency and retry backoffs share one virtual clock:
-    // accounted, never slept — the bin finishes in wall-clock seconds.
-    let clock = Arc::new(VirtualClock::new());
-    let faulty = FaultyTransport::new(raw, FaultPlan::new(seed, FaultConfig::heavy()))
-        .with_clock(clock.clone())
-        .with_collector(obs);
-    let policy = RetryPolicy::default()
-        .with_max_attempts(12)
-        .with_deadline(Duration::from_secs(30))
-        .with_backoff(Duration::from_millis(1), Duration::from_millis(50));
-    let breaker = BreakerConfig {
-        failure_threshold: 16,
-        cooldown: Duration::from_secs(5),
-    };
-    let resilient: Arc<dyn Transport> = Arc::new(
-        ResilientTransport::new(Arc::new(faulty), policy)
-            .with_breaker(breaker)
-            .with_clock(clock)
-            .with_collector(obs),
-    );
+    let (resilient, _) = heavy_chaos_stack(raw, seed, obs);
     let session = match cache {
         Some(c) => ClientSession::connect_cached(resilient, host, c),
         None => ClientSession::connect(resilient, host),
@@ -126,7 +105,9 @@ fn main() {
         let server = ProviderServer::with_collector(*host, provider_obs.clone());
         server.offer(ComponentOffering::fast_low_power_multiplier());
         server.offer(ComponentOffering::baseline_multiplier());
-        let tcp = TcpServer::bind("127.0.0.1:0", server.dispatcher()).expect("bind provider");
+        let tcp = server
+            .serve_mux("127.0.0.1:0", MuxServerConfig::default())
+            .expect("bind provider");
         // The second provider's session memoizes calls client-side, so
         // the dumps (and `--health`) also show cache hit spans/ratios.
         let cache = (i == 1)

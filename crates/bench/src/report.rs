@@ -1,7 +1,6 @@
 //! Network-time accounting, table formatting, and the shared
 //! read-merge-write discipline for benchmark baseline files.
 
-use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
 
@@ -35,82 +34,6 @@ pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 
-/// Serializes a [`JsonValue`] back to text — the write half the
-/// workspace's read-only JSON parser deliberately omits. Objects render
-/// in key order (`BTreeMap`), so output is deterministic; integral
-/// numbers up to 2^53 print without a fraction and everything else uses
-/// Rust's shortest round-trip `f64` form.
-#[must_use]
-pub fn render_json(value: &JsonValue) -> String {
-    let mut out = String::new();
-    render_into(value, 0, &mut out);
-    out
-}
-
-fn render_into(value: &JsonValue, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent);
-    match value {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        JsonValue::Number(n) => {
-            if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-                let _ = write!(out, "{}", *n as i64);
-            } else {
-                let _ = write!(out, "{n}");
-            }
-        }
-        JsonValue::String(s) => render_string(s, out),
-        JsonValue::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                let _ = write!(out, "{pad}  ");
-                render_into(item, indent + 1, out);
-                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-            }
-            let _ = write!(out, "{pad}]");
-        }
-        JsonValue::Object(map) => {
-            if map.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            for (i, (key, item)) in map.iter().enumerate() {
-                let _ = write!(out, "{pad}  ");
-                render_string(key, out);
-                out.push_str(": ");
-                render_into(item, indent + 1, out);
-                out.push_str(if i + 1 < map.len() { ",\n" } else { "\n" });
-            }
-            let _ = write!(out, "{pad}}}");
-        }
-    }
-}
-
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Merges `updates` (a JSON object rendered as text) into the baseline
 /// file at `path`: existing top-level keys not named in `updates`
 /// survive, so independent bins can each own a section of one baseline
@@ -139,7 +62,7 @@ pub fn merge_bench_sections(path: &Path, updates: &str) {
     for (key, value) in updates {
         doc.insert(key, value);
     }
-    let mut rendered = render_json(&JsonValue::Object(doc));
+    let mut rendered = json::render(&JsonValue::Object(doc));
     rendered.push('\n');
     std::fs::write(path, rendered).expect("write bench baseline");
 }
@@ -191,19 +114,6 @@ mod tests {
         };
         let cpu = Duration::from_millis(100);
         assert!(modeled_real_time(cpu, &stats, &NetworkModel::local_host()) > cpu);
-    }
-
-    #[test]
-    fn render_json_round_trips_through_the_parser() {
-        let text = r#"{"bench": "campaign", "cells_per_sec": 12.5, "executed": 16,
-                       "nested": {"ok": true, "none": null},
-                       "list": [1, 2.75, "a\"b\\c"], "empty": [], "eo": {}}"#;
-        let parsed = vcad_obs::json::parse(text).unwrap();
-        let rendered = render_json(&parsed);
-        assert_eq!(vcad_obs::json::parse(&rendered).unwrap(), parsed);
-        // Integral numbers keep their integer spelling.
-        assert!(rendered.contains("\"executed\": 16"), "{rendered}");
-        assert!(rendered.contains("\"cells_per_sec\": 12.5"), "{rendered}");
     }
 
     #[test]

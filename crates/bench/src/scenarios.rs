@@ -22,10 +22,7 @@ use vcad_ip::{ClientSession, ComponentOffering, IpCache, IpComponentModule, Prov
 use vcad_netlist::generators;
 use vcad_obs::{Collector, MetricsSnapshot};
 use vcad_power::{PowerModel, TogglePowerEstimator};
-use vcad_rmi::{
-    BreakerConfig, FaultConfig, FaultPlan, FaultyTransport, InProcTransport, ResilientTransport,
-    RetryPolicy, Transport, TransportStats, VirtualClock,
-};
+use vcad_rmi::{heavy_chaos_stack, InProcTransport, Transport, TransportStats};
 
 /// The three deployment scenarios of Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,13 +138,9 @@ pub fn build_with_obs(
 
 /// Like [`build_with_obs`], optionally injecting deterministic network
 /// faults on the client–provider link: with `chaos_seed` set, the
-/// transport is wrapped in `FaultyTransport` (the
-/// [`FaultConfig::heavy`] schedule seeded by `chaos_seed`) under a
-/// `ResilientTransport` whose retry budget comfortably outlasts it, so
-/// the run's results match the fault-free rig bit for bit while the
-/// `rmi.chaos.*` / `rmi.retry.*` counters record the turbulence. Both
-/// layers share one virtual clock: injected latency and backoffs are
-/// accounted, never slept.
+/// transport is wrapped in [`heavy_chaos_stack`] seeded by `chaos_seed`,
+/// so the run's results match the fault-free rig bit for bit while the
+/// `rmi.chaos.*` / `rmi.retry.*` counters record the turbulence.
 #[must_use]
 pub fn build_with_obs_and_chaos(
     scenario: Scenario,
@@ -181,24 +174,7 @@ pub fn build_full(
         let Some(seed) = chaos_seed else {
             return transport;
         };
-        let clock = Arc::new(VirtualClock::new());
-        let faulty = FaultyTransport::new(transport, FaultPlan::new(seed, FaultConfig::heavy()))
-            .with_clock(clock.clone())
-            .with_collector(&obs);
-        let policy = RetryPolicy::default()
-            .with_max_attempts(12)
-            .with_deadline(Duration::from_secs(30))
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(50));
-        let breaker = BreakerConfig {
-            failure_threshold: 16,
-            cooldown: Duration::from_secs(5),
-        };
-        Arc::new(
-            ResilientTransport::new(Arc::new(faulty), policy)
-                .with_breaker(breaker)
-                .with_clock(clock)
-                .with_collector(&obs),
-        )
+        heavy_chaos_stack(transport, seed, &obs).0
     };
     let (mult_module, server): (Arc<dyn Module>, Option<ProviderServer>) = match scenario {
         Scenario::AllLocal => {

@@ -117,17 +117,8 @@ impl CellRecord {
         match &self.outcome {
             CellOutcome::Completed => s.push_str(",\"outcome\":\"completed\""),
             CellOutcome::Failed { error } => {
-                s.push_str(",\"outcome\":\"failed\",\"error\":\"");
-                for c in error.chars() {
-                    match c {
-                        '"' => s.push_str("\\\""),
-                        '\\' => s.push_str("\\\\"),
-                        '\n' => s.push_str("\\n"),
-                        c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => s.push(c),
-                    }
-                }
-                s.push('"');
+                s.push_str(",\"outcome\":\"failed\",\"error\":");
+                json::write_str(&mut s, error);
             }
         }
         // `fee_bits` is hex text, not a JSON number: f64 bit patterns

@@ -9,6 +9,8 @@
 
 use std::collections::BTreeMap;
 
+use vcad_obs::json;
+
 use crate::checkpoint::{CellOutcome, CellRecord};
 use crate::spec::{CampaignSpec, CellSpec, EstimatorTier};
 
@@ -221,7 +223,7 @@ impl CampaignReport {
             "{{\n  \"name\": {},\n  \"spec_digest\": \"{:032x}\",\n  \"cells\": {},\n  \
              \"completed\": {},\n  \"failed\": {},\n  \"fee_cents_bits\": \"{:016x}\",\n  \
              \"retries\": {},\n",
-            json_str(&self.name),
+            json::quote(&self.name),
             self.spec_digest,
             self.rows.len(),
             self.completed(),
@@ -234,7 +236,7 @@ impl CampaignReport {
             s.push_str(&format!(
                 "    {{\"provider\": {}, \"tier\": \"{}\", \"cells\": {}, \"total_faults\": {}, \
                  \"detected\": {}, \"coverage_bits\": \"{:016x}\"}}{}\n",
-                json_str(&t.provider),
+                json::quote(&t.provider),
                 t.tier.label(),
                 t.cells,
                 t.total_faults,
@@ -247,7 +249,7 @@ impl CampaignReport {
         for (i, d) in self.deltas.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"provider\": {}, \"pairs\": {}, \"detection_delta\": {}}}{}\n",
-                json_str(&d.provider),
+                json::quote(&d.provider),
                 d.pairs,
                 d.detection_delta,
                 if i + 1 < self.deltas.len() { "," } else { "" },
@@ -258,7 +260,7 @@ impl CampaignReport {
             let outcome = match &r.record.outcome {
                 CellOutcome::Completed => "\"completed\"".to_owned(),
                 CellOutcome::Failed { error } => {
-                    format!("{{\"failed\": {}}}", json_str(error))
+                    format!("{{\"failed\": {}}}", json::quote(error))
                 }
             };
             s.push_str(&format!(
@@ -269,7 +271,7 @@ impl CampaignReport {
                  \"fee_cents_bits\": \"{:016x}\", \"retries\": {}, \"chaos_injected\": {}}}{}\n",
                 r.cell.index,
                 r.cell.key,
-                json_str(&r.cell.provider.host),
+                json::quote(&r.cell.provider.host),
                 r.cell.model.label(),
                 r.cell.range.start,
                 r.cell.range.len,
@@ -352,20 +354,4 @@ impl CampaignReport {
         }
         s
     }
-}
-
-fn json_str(text: &str) -> String {
-    let mut s = String::with_capacity(text.len() + 2);
-    s.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-    s
 }

@@ -24,8 +24,8 @@ use crate::protocol::{catalog, component, decode_patterns};
 /// The provider's fee ledger: every chargeable call appends an entry.
 ///
 /// When a call arrives through a tenant-stamped frame (see
-/// [`vcad_rmi::CallFrame`]), the dispatcher publishes the tenant id for
-/// the duration of the call and the ledger attributes the fee to that
+/// [`vcad_rmi::CallFrame`]), the serving object passes
+/// [`ServerCtx::tenant`] along and the ledger attributes the fee to that
 /// tenant as well as to the global totals. Anonymous (v1) calls land in
 /// the global totals only.
 #[derive(Debug, Default)]
@@ -55,21 +55,20 @@ impl ServerLedger {
 
     /// Records a fee, in cents.
     ///
-    /// If the call carries a tenant id (published by the dispatcher via
-    /// [`vcad_rmi::current_tenant`]), the fee is additionally attributed
-    /// to that tenant's ledger and mirrored as
+    /// With a `tenant` (the paying call's [`ServerCtx::tenant`]), the fee
+    /// is additionally attributed to that tenant's ledger and mirrored as
     /// `tenant.<id>.fees_cents`.
-    pub fn charge(&self, what: impl Into<String>, cents: f64) {
+    pub fn charge(&self, tenant: Option<&str>, what: impl Into<String>, cents: f64) {
         if cents > 0.0 {
             let what = what.into();
             let m = self.obs.metrics();
             m.float_counter("ip.fees_cents").add(cents);
             m.counter("ip.charges").inc();
-            if let Some(tenant) = vcad_rmi::current_tenant() {
+            if let Some(tenant) = tenant {
                 m.float_counter(&format!("tenant.{tenant}.fees_cents"))
                     .add(cents);
                 let mut totals = self.tenant_totals.lock().unwrap();
-                let slot = totals.entry(tenant).or_insert((0, 0.0));
+                let slot = totals.entry(tenant.to_owned()).or_insert((0, 0.0));
                 slot.0 += 1;
                 slot.1 += cents;
             }
@@ -302,6 +301,7 @@ impl RemoteObject for CatalogObject {
                         })?
                 };
                 self.ledger.charge(
+                    ctx.tenant(),
                     format!("instantiate {name}"),
                     offering.prices().instantiation,
                 );
@@ -462,6 +462,7 @@ impl RemoteObject for ComponentObject {
                     }
                 }
                 self.ledger.charge(
+                    ctx.tenant(),
                     format!("{} power_toggle", self.name),
                     self.prices.toggle_power_per_pattern * (patterns.len() - 1) as f64,
                 );
@@ -490,6 +491,7 @@ impl RemoteObject for ComponentObject {
                     }
                 }
                 self.ledger.charge(
+                    ctx.tenant(),
                     format!("{} power_peak", self.name),
                     self.prices.toggle_power_per_pattern * (patterns.len() - 1) as f64,
                 );
@@ -524,6 +526,7 @@ impl RemoteObject for ComponentObject {
                     return Err(RmiError::application("input width mismatch"));
                 }
                 self.ledger.charge(
+                    ctx.tenant(),
                     format!("{} functional_eval", self.name),
                     self.prices.functional_eval,
                 );
@@ -550,6 +553,7 @@ impl RemoteObject for ComponentObject {
                     return Err(RmiError::application("input width mismatch"));
                 }
                 self.ledger.charge(
+                    ctx.tenant(),
                     format!("{} detection_table", self.name),
                     self.prices.detection_table,
                 );
@@ -737,6 +741,49 @@ mod tests {
         assert!(snap
             .counters
             .contains_key(&format!("rmi.method.{}.calls", component::POWER_TOGGLE)));
+    }
+
+    #[test]
+    fn frame_tenant_is_charged_through_the_call_context() {
+        use vcad_rmi::{CallFrame, Frame};
+        let (server, client) = rig();
+        let comp = client
+            .root()
+            .invoke_object(
+                catalog::INSTANTIATE,
+                vec![Value::Str("MultFastLowPower".into()), Value::I64(4)],
+            )
+            .unwrap();
+        let dispatcher = server.dispatcher();
+        let eval = |tenant: Option<&str>| {
+            let call = Frame::Call(CallFrame {
+                call_id: 1,
+                object: comp.id(),
+                method: component::FUNCTIONAL_EVAL.into(),
+                args: vec![Value::Vec(LogicVec::from_u64(8, 0x35))],
+                context: None,
+                tenant: tenant.map(str::to_owned),
+            });
+            match Frame::decode(&dispatcher.handle_bytes(&call.encode())).unwrap() {
+                Frame::Response(r) => assert!(r.result.is_ok(), "{:?}", r.result),
+                Frame::Call(_) => panic!("expected response"),
+            }
+        };
+        // A v3 (tenant-stamped) frame: the fee lands on that tenant.
+        eval(Some("acme"));
+        let fee = server.ledger().total_cents();
+        assert!(fee > 0.0);
+        assert_eq!(
+            server.ledger().tenant_totals(),
+            [("acme".to_owned(), 1, fee)]
+        );
+        // A v1 frame served next on the same thread pays no tenant's bill.
+        eval(None);
+        assert_eq!(server.ledger().entry_count(), 2);
+        assert_eq!(
+            server.ledger().tenant_totals(),
+            [("acme".to_owned(), 1, fee)]
+        );
     }
 
     #[test]

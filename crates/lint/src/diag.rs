@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use vcad_obs::json::{self, JsonValue};
+
 /// How much a finding matters.
 ///
 /// The ordering is total: `Allow < Warn < Deny`, so
@@ -353,24 +355,32 @@ impl LintReport {
     ///
     /// Returns a [`JsonError`] on malformed JSON or a schema mismatch.
     pub fn from_json(input: &str) -> Result<LintReport, JsonError> {
-        let value = json::parse(input)?;
-        let obj = value.as_object().ok_or(JsonError::Schema("root object"))?;
-        let design = json::get_str(obj, "design").ok_or(JsonError::Schema("design"))?;
-        let list = json::get(obj, "diagnostics")
-            .and_then(json::JsonValue::as_array)
+        let value = json::parse(input).map_err(|e| JsonError::Syntax(e.offset))?;
+        let field = |obj: &JsonValue, key: &str| {
+            obj.get(key).and_then(JsonValue::as_str).map(str::to_owned)
+        };
+        if value.as_object().is_none() {
+            return Err(JsonError::Schema("root object"));
+        }
+        let design = field(&value, "design").ok_or(JsonError::Schema("design"))?;
+        let list = value
+            .get("diagnostics")
+            .and_then(JsonValue::as_array)
             .ok_or(JsonError::Schema("diagnostics array"))?;
         let mut report = LintReport::new(design);
-        for item in list {
-            let d = item.as_object().ok_or(JsonError::Schema("diagnostic"))?;
-            let rule = json::get_str(d, "rule").ok_or(JsonError::Schema("rule"))?;
-            let severity = json::get_str(d, "severity")
+        for d in list {
+            if d.as_object().is_none() {
+                return Err(JsonError::Schema("diagnostic"));
+            }
+            let rule = field(d, "rule").ok_or(JsonError::Schema("rule"))?;
+            let severity = field(d, "severity")
                 .as_deref()
                 .and_then(Severity::parse)
                 .ok_or(JsonError::Schema("severity"))?;
-            let message = json::get_str(d, "message").ok_or(JsonError::Schema("message"))?;
-            let location = json::get_str(d, "module").map(|module| Location {
+            let message = field(d, "message").ok_or(JsonError::Schema("message"))?;
+            let location = field(d, "module").map(|module| Location {
                 module,
-                port: json::get_str(d, "port"),
+                port: field(d, "port"),
             });
             report.push(Diagnostic {
                 rule,
@@ -403,258 +413,6 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
-
-/// A minimal JSON reader/writer — just enough for the diagnostic schema,
-/// with full string escaping. No external dependencies by design.
-pub(crate) mod json {
-    use super::JsonError;
-
-    /// Writes `s` as a JSON string literal (with escaping) into `out`.
-    pub(crate) fn write_str(out: &mut String, s: &str) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub(crate) enum JsonValue {
-        Null,
-        Bool(bool),
-        Number(f64),
-        String(String),
-        Array(Vec<JsonValue>),
-        Object(Vec<(String, JsonValue)>),
-    }
-
-    impl JsonValue {
-        pub(crate) fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-            match self {
-                JsonValue::Object(o) => Some(o),
-                _ => None,
-            }
-        }
-
-        pub(crate) fn as_array(&self) -> Option<&[JsonValue]> {
-            match self {
-                JsonValue::Array(a) => Some(a),
-                _ => None,
-            }
-        }
-
-        pub(crate) fn as_str(&self) -> Option<&str> {
-            match self {
-                JsonValue::String(s) => Some(s),
-                _ => None,
-            }
-        }
-    }
-
-    pub(crate) fn get<'a>(obj: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonValue> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub(crate) fn get_str(obj: &[(String, JsonValue)], key: &str) -> Option<String> {
-        get(obj, key).and_then(|v| v.as_str().map(str::to_owned))
-    }
-
-    /// Parses one complete JSON document.
-    pub(crate) fn parse(input: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(JsonError::Syntax(p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn err<T>(&self) -> Result<T, JsonError> {
-            Err(JsonError::Syntax(self.pos))
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                self.err()
-            }
-        }
-
-        fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(value)
-            } else {
-                self.err()
-            }
-        }
-
-        fn value(&mut self) -> Result<JsonValue, JsonError> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(JsonValue::String(self.string()?)),
-                Some(b't') => self.literal("true", JsonValue::Bool(true)),
-                Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-                Some(b'n') => self.literal("null", JsonValue::Null),
-                Some(b'-' | b'0'..=b'9') => self.number(),
-                _ => self.err(),
-            }
-        }
-
-        fn object(&mut self) -> Result<JsonValue, JsonError> {
-            self.expect(b'{')?;
-            let mut entries = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(JsonValue::Object(entries));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let value = self.value()?;
-                entries.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(JsonValue::Object(entries));
-                    }
-                    _ => return self.err(),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<JsonValue, JsonError> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(JsonValue::Array(items));
-                    }
-                    _ => return self.err(),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, JsonError> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return self.err(),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok());
-                                match hex.and_then(char::from_u32) {
-                                    Some(c) => {
-                                        out.push(c);
-                                        self.pos += 4;
-                                    }
-                                    None => return self.err(),
-                                }
-                            }
-                            _ => return self.err(),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar, not one byte.
-                        let rest = &self.bytes[self.pos..];
-                        let s =
-                            std::str::from_utf8(rest).map_err(|_| JsonError::Syntax(self.pos))?;
-                        let c = s.chars().next().ok_or(JsonError::Syntax(self.pos))?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<JsonValue, JsonError> {
-            let start = self.pos;
-            while matches!(
-                self.peek(),
-                Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-            ) {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(JsonValue::Number)
-                .ok_or(JsonError::Syntax(start))
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -718,6 +476,14 @@ mod tests {
                  \"message\":\"m\"}]}"
             ),
             Err(JsonError::Schema(_))
+        ));
+    }
+
+    #[test]
+    fn from_json_bounds_nesting_depth() {
+        assert!(matches!(
+            LintReport::from_json(&"[".repeat(100_000)),
+            Err(JsonError::Syntax(_))
         ));
     }
 

@@ -13,8 +13,9 @@ use std::fmt::Write as _;
 
 use vcad_faults::{FaultStatus, FaultUniverse, TestabilityAnalysis, UNREACHABLE};
 use vcad_netlist::{generators, Netlist};
+use vcad_obs::json;
 
-use crate::diag::{json, rules, Diagnostic, LintReport, Severity};
+use crate::diag::{rules, Diagnostic, LintReport, Severity};
 
 /// SCOAP scores of one net, by name.
 #[derive(Clone, Debug, PartialEq, Eq)]

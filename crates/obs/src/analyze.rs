@@ -23,6 +23,7 @@ use std::fmt::Write as _;
 use crate::chrome::ProcessLane;
 use crate::collector::EventKind;
 use crate::context::{PARENT_ARG, SPAN_ARG, TRACE_ARG};
+use crate::json;
 use crate::summary::{fmt_ns, table};
 
 /// One traced span after stitching.
@@ -572,25 +573,9 @@ impl Analysis {
         out
     }
 
-    /// Renders the analysis as a JSON document (hand-rolled, like every
-    /// exporter in this crate).
+    /// Renders the analysis as a JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::new();
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let mut out = String::from("{");
         let _ = write!(
             out,
@@ -608,8 +593,8 @@ impl Analysis {
             }
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"pid\":{},\"spans\":{},\"offset_ns\":{},\"anchored\":{}}}",
-                esc(&l.name),
+                "{{\"name\":{},\"pid\":{},\"spans\":{},\"offset_ns\":{},\"anchored\":{}}}",
+                json::quote(&l.name),
                 l.pid,
                 l.spans,
                 l.offset_ns,
@@ -623,9 +608,9 @@ impl Analysis {
             }
             let _ = write!(
                 out,
-                "{{\"process\":\"{}\",\"span\":\"{}\",\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-                esc(&t.process),
-                esc(&t.name),
+                "{{\"process\":{},\"span\":{},\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
+                json::quote(&t.process),
+                json::quote(&t.name),
                 t.count,
                 t.mean_ns,
                 t.p50_ns,
@@ -641,8 +626,8 @@ impl Analysis {
             }
             let _ = write!(
                 out,
-                "{{\"method\":\"{}\",\"count\":{},\"total_ns\":{},\"client_ns\":{},\"wire_ns\":{},\"provider_ns\":{},\"ledger_ns\":{}}}",
-                esc(&b.method),
+                "{{\"method\":{},\"count\":{},\"total_ns\":{},\"client_ns\":{},\"wire_ns\":{},\"provider_ns\":{},\"ledger_ns\":{}}}",
+                json::quote(&b.method),
                 b.count,
                 b.total_ns,
                 b.client_ns,
@@ -658,10 +643,10 @@ impl Analysis {
             }
             let _ = write!(
                 out,
-                "{{\"depth\":{},\"process\":\"{}\",\"span\":\"{}\",\"dur_ns\":{},\"self_ns\":{}}}",
+                "{{\"depth\":{},\"process\":{},\"span\":{},\"dur_ns\":{},\"self_ns\":{}}}",
                 c.depth,
-                esc(&c.process),
-                esc(&c.name),
+                json::quote(&c.process),
+                json::quote(&c.name),
                 c.dur_ns,
                 c.self_ns
             );

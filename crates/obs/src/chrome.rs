@@ -23,23 +23,6 @@ use std::io;
 use crate::collector::{ArgValue, EventKind, Trace, TraceEvent};
 use crate::json::{self, JsonValue};
 
-/// Escapes `s` into `out` as JSON string contents (no quotes).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn write_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
@@ -55,20 +38,15 @@ fn write_arg_value(out: &mut String, v: &ArgValue) {
             let _ = write!(out, "{n}");
         }
         ArgValue::F64(x) => write_json_f64(out, *x),
-        ArgValue::Str(s) => {
-            out.push('"');
-            escape_into(out, s);
-            out.push('"');
-        }
+        ArgValue::Str(s) => json::write_str(out, s),
     }
 }
 
 fn write_event(out: &mut String, e: &TraceEvent, pid: u32) {
-    out.push_str("{\"name\":\"");
-    escape_into(out, &e.name);
-    out.push_str("\",\"cat\":\"");
-    escape_into(out, &e.category);
-    out.push('"');
+    out.push_str("{\"name\":");
+    json::write_str(out, &e.name);
+    out.push_str(",\"cat\":");
+    json::write_str(out, &e.category);
     let ts_us = e.wall_ns as f64 / 1_000.0;
     match e.kind {
         EventKind::Span { dur_ns } => {
@@ -95,9 +73,8 @@ fn write_event(out: &mut String, e: &TraceEvent, pid: u32) {
                 out.push(',');
             }
             first = false;
-            out.push('"');
-            escape_into(out, k);
-            out.push_str("\":");
+            json::write_str(out, k);
+            out.push(':');
             write_arg_value(out, v);
         }
         out.push('}');
@@ -108,9 +85,9 @@ fn write_event(out: &mut String, e: &TraceEvent, pid: u32) {
 fn write_process_meta(out: &mut String, pid: u32, name: &str) {
     out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
     let _ = write!(out, "{pid}");
-    out.push_str(",\"tid\":0,\"args\":{\"name\":\"");
-    escape_into(out, name);
-    out.push_str("\"}}");
+    out.push_str(",\"tid\":0,\"args\":{\"name\":");
+    json::write_str(out, name);
+    out.push_str("}}");
 }
 
 /// Renders `trace` as a Chrome trace-event JSON document.

@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::collector::Collector;
+use crate::json;
 use crate::metrics::MetricsSnapshot;
 use crate::summary::{fmt_ns, table};
 
@@ -378,20 +379,6 @@ impl HealthSnapshot {
     /// Renders the snapshot as a JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::new();
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         fn json_f64(v: f64) -> String {
             if v.is_finite() {
                 format!("{v}")
@@ -404,21 +391,25 @@ impl HealthSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{v}", esc(k));
+            let _ = write!(out, "{}:{v}", json::quote(k));
         }
         out.push_str("},\"float_counters\":{");
         for (i, (k, v)) in self.float_counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", esc(k), json_f64(*v));
+            let _ = write!(out, "{}:{}", json::quote(k), json_f64(*v));
         }
         out.push_str("},\"gauges\":{");
         for (i, (k, v, hw)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{{\"value\":{v},\"high_water\":{hw}}}", esc(k));
+            let _ = write!(
+                out,
+                "{}:{{\"value\":{v},\"high_water\":{hw}}}",
+                json::quote(k)
+            );
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
@@ -427,8 +418,8 @@ impl HealthSnapshot {
             }
             let _ = write!(
                 out,
-                "\"{}\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-                esc(k),
+                "{}:{{\"count\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
+                json::quote(k),
                 h.count,
                 json_f64(h.mean),
                 h.p50,
@@ -442,7 +433,7 @@ impl HealthSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":\"{}\"", esc(&b.metric), esc(&b.state));
+            let _ = write!(out, "{}:{}", json::quote(&b.metric), json::quote(&b.state));
         }
         out.push('}');
         match self.cache_hit_ratio {
@@ -464,9 +455,9 @@ impl HealthSnapshot {
             }
             let _ = write!(
                 out,
-                "\"{}\":{{\"admitted\":{},\"shed\":{},\"quota_denied\":{},\
+                "{}:{{\"admitted\":{},\"shed\":{},\"quota_denied\":{},\
                  \"sessions\":{},\"sessions_high_water\":{},\"fees_cents\":{}}}",
-                esc(&t.tenant),
+                json::quote(&t.tenant),
                 t.admitted,
                 t.shed,
                 t.quota_denied,

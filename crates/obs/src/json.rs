@@ -1,14 +1,16 @@
-//! A minimal JSON value model and recursive-descent parser.
+//! The workspace's one JSON module: a minimal value model, a
+//! depth-capped recursive-descent parser, the string escaper every
+//! exporter writes through, and a tree renderer.
 //!
-//! The workspace hand-rolls all JSON *output*; this module adds the read
-//! side so `obs-report` can load the Chrome trace dumps the exporter wrote
-//! without pulling in a dependency. It supports exactly the JSON the
-//! exporter produces (objects, arrays, strings with `\uXXXX` escapes,
-//! finite numbers, booleans, null) and rejects everything else with a
-//! byte-offset error message.
+//! No dependency is available offline, so this is hand-rolled — once.
+//! The parser supports exactly the JSON the exporters produce (objects,
+//! arrays, strings with `\uXXXX` escapes, finite numbers, booleans, null)
+//! and rejects everything else with a byte-offset error message;
+//! exporters that format their documents by hand still emit every string
+//! through [`write_str`], so what one side writes the other side reads.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -336,6 +338,94 @@ impl Parser<'_> {
     }
 }
 
+/// Appends `s` to `out` as a quoted JSON string literal. `"`, `\\` and
+/// every character below `0x20` are escaped (`\n`, `\r`, `\t` by their
+/// short forms, the rest as `\u00XX`), so [`parse`] reads back exactly
+/// `s`.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// `s` as a quoted JSON string literal — [`write_str`] for `format!`
+/// arguments.
+#[must_use]
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_str(&mut out, s);
+    out
+}
+
+/// Serializes a [`JsonValue`] back to text. Objects render in key order
+/// (`BTreeMap`), so output is deterministic; integral numbers up to 2^53
+/// print without a fraction and everything else uses Rust's shortest
+/// round-trip `f64` form.
+#[must_use]
+pub fn render(value: &JsonValue) -> String {
+    let mut out = String::new();
+    render_into(value, 0, &mut out);
+    out
+}
+
+fn render_into(value: &JsonValue, indent: usize, out: &mut String) {
+    let pad = "  ".repeat(indent);
+    match value {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => {
+            let _ = write!(out, "{b}");
+        }
+        JsonValue::Number(n) => {
+            if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
+                let _ = write!(out, "{}", *n as i64);
+            } else {
+                let _ = write!(out, "{n}");
+            }
+        }
+        JsonValue::String(s) => write_str(out, s),
+        JsonValue::Array(items) => {
+            if items.is_empty() {
+                out.push_str("[]");
+                return;
+            }
+            out.push_str("[\n");
+            for (i, item) in items.iter().enumerate() {
+                let _ = write!(out, "{pad}  ");
+                render_into(item, indent + 1, out);
+                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+            }
+            let _ = write!(out, "{pad}]");
+        }
+        JsonValue::Object(map) => {
+            if map.is_empty() {
+                out.push_str("{}");
+                return;
+            }
+            out.push_str("{\n");
+            for (i, (key, item)) in map.iter().enumerate() {
+                let _ = write!(out, "{pad}  ");
+                write_str(out, key);
+                out.push_str(": ");
+                render_into(item, indent + 1, out);
+                out.push_str(if i + 1 < map.len() { ",\n" } else { "\n" });
+            }
+            let _ = write!(out, "{pad}}}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,6 +466,29 @@ mod tests {
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn every_escaped_char_parses_back_to_itself() {
+        let mut input: String = (0u8..0x20).map(char::from).collect();
+        input.push_str("\"\\ plain caffè");
+        let mut literal = String::new();
+        write_str(&mut literal, &input);
+        assert!(literal.chars().all(|c| c as u32 >= 0x20), "{literal}");
+        assert_eq!(parse(&literal).unwrap().as_str(), Some(input.as_str()));
+    }
+
+    #[test]
+    fn render_round_trips_through_the_parser() {
+        let text = r#"{"bench": "campaign", "cells_per_sec": 12.5, "executed": 16,
+                       "nested": {"ok": true, "none": null},
+                       "list": [1, 2.75, "a\"b\\c"], "empty": [], "eo": {}}"#;
+        let parsed = parse(text).unwrap();
+        let rendered = render(&parsed);
+        assert_eq!(parse(&rendered).unwrap(), parsed);
+        // Integral numbers keep their integer spelling.
+        assert!(rendered.contains("\"executed\": 16"), "{rendered}");
+        assert!(rendered.contains("\"cells_per_sec\": 12.5"), "{rendered}");
     }
 
     #[test]

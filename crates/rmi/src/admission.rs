@@ -366,39 +366,6 @@ impl Default for AdmissionControl {
     }
 }
 
-thread_local! {
-    static CURRENT_TENANT: std::cell::RefCell<Vec<String>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Makes `tenant` ambient for the current thread until the guard drops —
-/// the dispatcher wraps each tenant-stamped call in one of these so
-/// server-side fee accounting ([`ServerLedger`](../vcad_ip) et al.) can
-/// attribute charges without threading the id through every call.
-#[must_use]
-pub fn push_tenant(tenant: &str) -> TenantGuard {
-    CURRENT_TENANT.with(|stack| stack.borrow_mut().push(tenant.to_owned()));
-    TenantGuard { _priv: () }
-}
-
-/// The tenant ambient on this thread, if any.
-#[must_use]
-pub fn current_tenant() -> Option<String> {
-    CURRENT_TENANT.with(|stack| stack.borrow().last().cloned())
-}
-
-/// Pops the ambient tenant on drop. See [`push_tenant`].
-pub struct TenantGuard {
-    _priv: (),
-}
-
-impl Drop for TenantGuard {
-    fn drop(&mut self) {
-        CURRENT_TENANT.with(|stack| {
-            stack.borrow_mut().pop();
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,19 +462,5 @@ mod tests {
             snap.gauges.get("tenant.acme.sessions").map(|g| g.value),
             Some(2)
         );
-    }
-
-    #[test]
-    fn ambient_tenant_nests_and_pops() {
-        assert_eq!(current_tenant(), None);
-        let g1 = push_tenant("outer");
-        assert_eq!(current_tenant().as_deref(), Some("outer"));
-        {
-            let _g2 = push_tenant("inner");
-            assert_eq!(current_tenant().as_deref(), Some("inner"));
-        }
-        assert_eq!(current_tenant().as_deref(), Some("outer"));
-        drop(g1);
-        assert_eq!(current_tenant(), None);
     }
 }

@@ -21,7 +21,9 @@ use vcad_obs::{Collector, Counter, Histogram};
 use vcad_prng::Rng;
 
 use crate::error::RmiError;
-use crate::resilience::ResilienceClock;
+use crate::resilience::{
+    BreakerConfig, ResilienceClock, ResilientTransport, RetryPolicy, VirtualClock,
+};
 use crate::transport::{Transport, TransportStats};
 
 /// Fault rates and magnitudes of a [`FaultPlan`].
@@ -435,6 +437,43 @@ impl Transport for FaultyTransport {
     fn stats(&self) -> TransportStats {
         self.inner.stats()
     }
+}
+
+/// The chaos rig every bench, example and soak test runs through:
+/// `inner` under a [`FaultConfig::heavy`] schedule seeded by `seed`,
+/// under a [`ResilientTransport`] whose retry budget comfortably
+/// outlasts the schedule's worst bursts — so results match the fault-free
+/// run bit for bit while `rmi.chaos.*` / `rmi.retry.*` in `obs` record
+/// the turbulence. Both layers share one fresh [`VirtualClock`]: injected
+/// latency and backoffs are accounted, never slept.
+///
+/// Returns the stack plus the injector inside it, for callers that swap
+/// the plan mid-run ([`FaultyTransport::set_plan`]).
+#[must_use]
+pub fn heavy_chaos_stack(
+    inner: Arc<dyn Transport>,
+    seed: u64,
+    obs: &Collector,
+) -> (Arc<dyn Transport>, Arc<FaultyTransport>) {
+    let clock = Arc::new(VirtualClock::new());
+    let faulty = Arc::new(
+        FaultyTransport::new(inner, FaultPlan::new(seed, FaultConfig::heavy()))
+            .with_clock(clock.clone())
+            .with_collector(obs),
+    );
+    let policy = RetryPolicy::default()
+        .with_max_attempts(12)
+        .with_deadline(Duration::from_secs(30))
+        .with_backoff(Duration::from_millis(1), Duration::from_millis(50));
+    let breaker = BreakerConfig {
+        failure_threshold: 16,
+        cooldown: Duration::from_secs(5),
+    };
+    let resilient = ResilientTransport::new(faulty.clone(), policy)
+        .with_breaker(breaker)
+        .with_clock(clock)
+        .with_collector(obs);
+    (Arc::new(resilient), faulty)
 }
 
 #[cfg(test)]

@@ -105,6 +105,7 @@ impl ObjectRegistry {
 pub struct ServerCtx {
     registry: Arc<ObjectRegistry>,
     self_id: ObjectId,
+    tenant: Option<String>,
 }
 
 impl ServerCtx {
@@ -123,6 +124,13 @@ impl ServerCtx {
     #[must_use]
     pub fn self_id(&self) -> ObjectId {
         self.self_id
+    }
+
+    /// The tenant paying for this call: the id stamped on the call frame,
+    /// `None` for tenant-free (v1/v2) frames.
+    #[must_use]
+    pub fn tenant(&self) -> Option<&str> {
+        self.tenant.as_deref()
     }
 
     /// Withdraws the currently invoked object — the standard way for a
@@ -293,7 +301,6 @@ impl Dispatcher {
             }
         }
         let started = std::time::Instant::now();
-        let _tenant_guard = call.tenant.as_deref().map(crate::admission::push_tenant);
         let _ctx_guard = call
             .context
             .as_ref()
@@ -403,6 +410,7 @@ impl Dispatcher {
         let ctx = ServerCtx {
             registry: Arc::clone(&self.registry),
             self_id: call.object,
+            tenant: call.tenant.clone(),
         };
         let result = object.invoke(&call.method, &call.args, &ctx)?;
         self.security.check_result(&result)?;
@@ -422,6 +430,7 @@ mod tests {
                 "echo" => Ok(args.first().cloned().unwrap_or(Value::Null)),
                 "spawn" => Ok(Value::ObjectRef(ctx.export(Arc::new(Echo)))),
                 "leak" => Ok(Value::Bytes(vec![1, 2, 3])),
+                "whoami" => Ok(ctx.tenant().map_or(Value::Null, |t| Value::Str(t.into()))),
                 _ => Err(RmiError::unknown_method("Echo", method)),
             }
         }
@@ -505,6 +514,25 @@ mod tests {
             Frame::Response(r) => assert_eq!(r.result, Ok(Value::Str("hi".into()))),
             Frame::Call(_) => panic!("expected response"),
         }
+    }
+
+    #[test]
+    fn frame_tenant_reaches_invoke_and_does_not_outlive_its_call() {
+        let reg = Arc::new(ObjectRegistry::new());
+        reg.register_root(Arc::new(Echo));
+        let d = Dispatcher::new(reg);
+        let whoami = |tenant: Option<&str>| {
+            let mut c = call("whoami", vec![]);
+            c.tenant = tenant.map(str::to_owned);
+            match Frame::decode(&d.handle_bytes(&Frame::Call(c).encode())).unwrap() {
+                Frame::Response(r) => r.result.unwrap(),
+                Frame::Call(_) => panic!("expected response"),
+            }
+        };
+        // A v3 frame's tenant is the call's context...
+        assert_eq!(whoami(Some("acme")), Value::Str("acme".into()));
+        // ...and a v1 frame served next on the same thread sees none.
+        assert_eq!(whoami(None), Value::Null);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   object, method name and arguments;
 //! * [`Transport`] — the pluggable request/response channel, with
 //!   in-process ([`InProcTransport`]), threaded channel
-//!   ([`ChannelTransport`]), real TCP ([`TcpTransport`]/[`TcpServer`]) and
-//!   network-model-shaped ([`ShapedTransport`]) implementations;
+//!   ([`ChannelTransport`]), real TCP ([`TcpTransport`] to a
+//!   [`MuxServer`]) and network-model-shaped ([`ShapedTransport`])
+//!   implementations;
 //! * [`ObjectRegistry`] + [`Dispatcher`] — the server side: exported
 //!   objects implementing [`RemoteObject`], addressed by [`ObjectId`];
 //! * [`Client`] + [`RemoteRef`] — the client side: typed handles that
@@ -86,12 +87,9 @@ mod transport;
 mod value;
 mod wire;
 
-pub use admission::{
-    current_tenant, push_tenant, AdmissionControl, ShedReason, TenantGuard, TenantQuota,
-    TenantStats, TokenBucket,
-};
+pub use admission::{AdmissionControl, ShedReason, TenantQuota, TenantStats, TokenBucket};
 pub use caching::{call_cache, CachingTransport, CallCache};
-pub use chaos::{FaultConfig, FaultDecision, FaultPlan, FaultyTransport};
+pub use chaos::{heavy_chaos_stack, FaultConfig, FaultDecision, FaultPlan, FaultyTransport};
 pub use client::{Client, RemoteRef};
 pub use dispatch::{Dispatcher, ObjectRegistry, RemoteObject, ServerCtx};
 pub use error::{RemoteErrorKind, RmiError};
@@ -103,8 +101,8 @@ pub use resilience::{
 };
 pub use security::{Capability, MarshalPolicy, Sandbox, SecurityManager};
 pub use transport::{
-    ChannelTransport, InProcTransport, ShapedTransport, TcpServer, TcpTimeouts, TcpTransport,
-    Transport, TransportStats,
+    ChannelTransport, InProcTransport, ShapedTransport, TcpTimeouts, TcpTransport, Transport,
+    TransportStats,
 };
 pub use value::{ObjectId, Value};
 pub use wire::{WireError, WireReader, WireWriter};

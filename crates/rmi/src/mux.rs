@@ -1,10 +1,9 @@
 //! The connection-multiplexing server: one non-blocking poll loop, a
 //! bounded frame queue, and a fixed worker pool.
 //!
-//! [`TcpServer`](crate::TcpServer) spawns a thread per connection — fine
-//! for a handful of sessions, unbounded for the paper's "many
-//! simultaneous fee-paying users". [`MuxServer`] serves hundreds of
-//! connections from a constant number of threads instead:
+//! A thread per connection is unbounded for the paper's "many
+//! simultaneous fee-paying users"; [`MuxServer`] serves one connection or
+//! hundreds from a constant number of threads:
 //!
 //! * one poll thread owns the listener and every connection socket (all
 //!   non-blocking), accumulates bytes into per-connection buffers, and
@@ -25,7 +24,7 @@
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -38,6 +37,7 @@ use crate::error::{RemoteErrorKind, RmiError};
 use crate::frame::{Frame, ResponseFrame};
 use crate::resilience::{decode_tracked_call, encode_tracked_resp_ok, TAG_TRACKED_CALL};
 use crate::transport::write_frame;
+use crate::wire::MAX_FRAME_LEN;
 
 /// Tuning knobs for a [`MuxServer`].
 #[derive(Clone, Debug)]
@@ -95,7 +95,11 @@ struct Shared {
     obs: Collector,
     shutdown: AtomicBool,
     queue_depth: AtomicUsize,
-    stats: Mutex<MuxServerStats>,
+    // The [`MuxServerStats`] fields: statistics only, so `Relaxed`.
+    accepted: AtomicU64,
+    rejected_connections: AtomicU64,
+    queue_shed: AtomicU64,
+    enqueued: AtomicU64,
 }
 
 /// The multiplexing TCP server. Stops — joining the poll thread and
@@ -149,7 +153,10 @@ impl MuxServer {
             obs,
             shutdown: AtomicBool::new(false),
             queue_depth: AtomicUsize::new(0),
-            stats: Mutex::new(MuxServerStats::default()),
+            accepted: AtomicU64::new(0),
+            rejected_connections: AtomicU64::new(0),
+            queue_shed: AtomicU64::new(0),
+            enqueued: AtomicU64::new(0),
         });
 
         let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(config.queue_capacity.max(1));
@@ -189,7 +196,13 @@ impl MuxServer {
     /// Counters accumulated since bind.
     #[must_use]
     pub fn stats(&self) -> MuxServerStats {
-        self.shared.stats.lock().unwrap().clone()
+        let shared = &self.shared;
+        MuxServerStats {
+            accepted: shared.accepted.load(Ordering::Relaxed),
+            rejected_connections: shared.rejected_connections.load(Ordering::Relaxed),
+            queue_shed: shared.queue_shed.load(Ordering::Relaxed),
+            enqueued: shared.enqueued.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -242,7 +255,7 @@ fn poll_loop(
                     if conns.len() >= config.max_connections {
                         // Refuse by closing: the client surfaces a
                         // retryable transport error.
-                        shared.stats.lock().unwrap().rejected_connections += 1;
+                        shared.rejected_connections.fetch_add(1, Ordering::Relaxed);
                         metrics.counter("server.conn_rejected").inc();
                         drop(stream);
                         continue;
@@ -257,7 +270,7 @@ fn poll_loop(
                     let Ok(write) = stream.try_clone() else {
                         continue;
                     };
-                    shared.stats.lock().unwrap().accepted += 1;
+                    shared.accepted.fetch_add(1, Ordering::Relaxed);
                     metrics.counter("server.accepted").inc();
                     conns.insert(
                         next_conn_id,
@@ -298,7 +311,18 @@ fn poll_loop(
                 }
             }
             // Cut complete frames out of the buffer.
-            while let Some(frame) = take_frame(&mut conn.buf) {
+            loop {
+                let frame = match take_frame(&mut conn.buf) {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) => break,
+                    Err(FrameTooLong) => {
+                        // Hostile or corrupt length prefix: hang up on
+                        // this peer, keep serving the rest.
+                        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+                        dead.push(id);
+                        break;
+                    }
+                };
                 progressed = true;
                 register_session(shared, conn, &frame);
                 let job = Job {
@@ -308,12 +332,12 @@ fn poll_loop(
                 match tx.try_send(job) {
                     Ok(()) => {
                         shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-                        shared.stats.lock().unwrap().enqueued += 1;
+                        shared.enqueued.fetch_add(1, Ordering::Relaxed);
                         let depth = shared.queue_depth.load(Ordering::Relaxed) as u64;
                         metrics.gauge("server.queue_depth").set(depth);
                     }
                     Err(TrySendError::Full(job)) => {
-                        shared.stats.lock().unwrap().queue_shed += 1;
+                        shared.queue_shed.fetch_add(1, Ordering::Relaxed);
                         metrics.counter("server.queue_shed").inc();
                         shed_job(&job);
                     }
@@ -347,19 +371,26 @@ fn poll_loop(
     // is left and exit.
 }
 
+/// A length prefix beyond [`MAX_FRAME_LEN`].
+struct FrameTooLong;
+
 /// Removes and returns the first complete length-prefixed frame from
-/// `buf`, if one has fully arrived.
-fn take_frame(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
+/// `buf`, if one has fully arrived. An oversized prefix is refused as
+/// soon as its four bytes are in, before any of the body is buffered.
+fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, FrameTooLong> {
     if buf.len() < 4 {
-        return None;
+        return Ok(None);
     }
     let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(FrameTooLong);
+    }
     if buf.len() < 4 + len {
-        return None;
+        return Ok(None);
     }
     let frame = buf[4..4 + len].to_vec();
     buf.drain(..4 + len);
-    Some(frame)
+    Ok(Some(frame))
 }
 
 /// Binds the connection to its tenant's session on the first stamped
@@ -433,4 +464,50 @@ fn shed_job(job: &Job) {
     };
     let mut stream = job.write.lock().unwrap();
     let _ = write_frame(&mut stream, &response);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dispatch::{ObjectRegistry, RemoteObject, ServerCtx};
+    use crate::{Client, TcpTransport, Transport, Value};
+    use std::io::{ErrorKind, Write};
+
+    struct Ping;
+    impl RemoteObject for Ping {
+        fn invoke(&self, _: &str, args: &[Value], _: &ServerCtx) -> Result<Value, RmiError> {
+            Ok(args.first().cloned().unwrap_or(Value::Null))
+        }
+    }
+
+    #[test]
+    fn oversized_length_prefix_closes_only_the_offending_connection() {
+        let registry = Arc::new(ObjectRegistry::new());
+        registry.register_root(Arc::new(Ping));
+        let dispatcher = Arc::new(Dispatcher::new(registry));
+        let server =
+            MuxServer::bind("127.0.0.1:0", dispatcher, MuxServerConfig::default()).expect("bind");
+
+        let mut hostile = TcpStream::connect(server.addr()).expect("connect");
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        hostile.write_all(&[0xff; 4]).unwrap();
+        // Disconnected: EOF or a reset — never a reply, never a timeout.
+        let mut byte = [0u8; 1];
+        match hostile.read(&mut byte) {
+            Ok(n) => assert_eq!(n, 0, "a reply to an oversized frame"),
+            Err(e) => assert!(
+                !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                "connection still open: {e}"
+            ),
+        }
+
+        let polite: Arc<dyn Transport> =
+            Arc::new(TcpTransport::connect(server.addr()).expect("connect"));
+        let reply = Client::new(polite)
+            .root()
+            .invoke("ping", vec![Value::I64(7)]);
+        assert_eq!(reply.unwrap(), Value::I64(7));
+    }
 }

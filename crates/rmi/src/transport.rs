@@ -6,8 +6,8 @@
 //!   isolates pure RMI overhead (the paper's "local host" control).
 //! * [`ChannelTransport`] — a server thread behind a channel; exercises
 //!   real thread hand-off while staying in-process.
-//! * [`TcpTransport`] / [`TcpServer`] — length-prefixed frames over real
-//!   sockets (loopback in tests).
+//! * [`TcpTransport`] — length-prefixed frames over a real socket to a
+//!   [`MuxServer`](crate::MuxServer) (loopback in tests).
 //! * [`ShapedTransport`] — wraps any transport with a
 //!   [`NetworkModel`](vcad_netsim::NetworkModel), either accounting delays
 //!   on a [`VirtualTimeline`](vcad_netsim::VirtualTimeline) or sleeping a
@@ -19,8 +19,7 @@
 //! `--trace` run additionally gets one span per round trip.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -35,6 +34,7 @@ use vcad_obs::{Collector, Counter, Histogram};
 use crate::dispatch::Dispatcher;
 use crate::error::RmiError;
 use crate::resilience::Deadline;
+use crate::wire::MAX_FRAME_LEN;
 
 /// A point-in-time view of a transport's traffic counters.
 ///
@@ -271,105 +271,15 @@ pub(crate) fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     stream.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"),
+        ));
+    }
     let mut buf = vec![0u8; len];
     stream.read_exact(&mut buf)?;
     Ok(buf)
-}
-
-/// Live connections: the tracked socket (for shutdown) and the thread
-/// serving it (for join).
-type ConnRegistry = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
-
-/// A TCP server accepting length-prefixed frame connections.
-///
-/// Each connection is served by its own thread; the server stops when
-/// dropped: every open connection socket is shut down (unblocking its
-/// reader) and every connection thread is joined, so no thread or socket
-/// outlives the server.
-pub struct TcpServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
-    conns: ConnRegistry,
-}
-
-impl TcpServer {
-    /// Binds to `addr` (use port `0` for an ephemeral port) and starts
-    /// accepting connections served by `dispatcher`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RmiError::Transport`] when binding fails.
-    pub fn bind(addr: &str, dispatcher: Arc<Dispatcher>) -> Result<TcpServer, RmiError> {
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| RmiError::Transport(format!("bind {addr}: {e}")))?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| RmiError::Transport(format!("local_addr: {e}")))?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let accept_shutdown = Arc::clone(&shutdown);
-        let conns: ConnRegistry = Arc::new(Mutex::new(Vec::new()));
-        let accept_conns = Arc::clone(&conns);
-        let accept_handle = std::thread::Builder::new()
-            .name("vcad-rmi-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if accept_shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = conn else { continue };
-                    let tracked = stream.try_clone().ok();
-                    let dispatcher = Arc::clone(&dispatcher);
-                    let handle = std::thread::Builder::new()
-                        .name("vcad-rmi-conn".into())
-                        .spawn(move || {
-                            while let Ok(request) = read_frame(&mut stream) {
-                                let response = dispatcher.handle_bytes(&request);
-                                if write_frame(&mut stream, &response).is_err() {
-                                    break;
-                                }
-                            }
-                        });
-                    if let (Some(tracked), Ok(handle)) = (tracked, handle) {
-                        accept_conns.lock().unwrap().push((tracked, handle));
-                    }
-                }
-            })
-            .expect("spawn accept thread");
-        Ok(TcpServer {
-            addr: local,
-            shutdown,
-            accept_handle: Some(accept_handle),
-            conns,
-        })
-    }
-
-    /// The bound address, including the actual ephemeral port.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        // Shut every connection socket down — `read_frame` in each
-        // connection thread returns immediately — then join the threads,
-        // so no socket stays readable past this drop.
-        let conns = std::mem::take(&mut *self.conns.lock().unwrap());
-        for (stream, _) in &conns {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        for (_, handle) in conns {
-            let _ = handle.join();
-        }
-    }
 }
 
 /// Socket-level time budgets for a [`TcpTransport`].
@@ -436,7 +346,7 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Connects to a [`TcpServer`].
+    /// Connects to a [`MuxServer`](crate::MuxServer).
     ///
     /// # Errors
     ///
@@ -602,7 +512,7 @@ impl Transport for ShapedTransport {
 mod tests {
     use super::*;
     use crate::dispatch::{ObjectRegistry, RemoteObject, ServerCtx};
-    use crate::{Client, Value};
+    use crate::{Client, MuxServer, MuxServerConfig, Value};
 
     struct Ping;
     impl RemoteObject for Ping {
@@ -672,7 +582,8 @@ mod tests {
 
     #[test]
     fn tcp_round_trip() {
-        let server = TcpServer::bind("127.0.0.1:0", dispatcher()).unwrap();
+        let server =
+            MuxServer::bind("127.0.0.1:0", dispatcher(), MuxServerConfig::default()).unwrap();
         let t = Arc::new(TcpTransport::connect(server.addr()).unwrap());
         let c = Client::new(Arc::clone(&t) as Arc<dyn Transport>);
         let v = c
@@ -685,7 +596,8 @@ mod tests {
 
     #[test]
     fn tcp_two_connections() {
-        let server = TcpServer::bind("127.0.0.1:0", dispatcher()).unwrap();
+        let server =
+            MuxServer::bind("127.0.0.1:0", dispatcher(), MuxServerConfig::default()).unwrap();
         let t1 = Arc::new(TcpTransport::connect(server.addr()).unwrap());
         let t2 = Arc::new(TcpTransport::connect(server.addr()).unwrap());
         let c1 = Client::new(t1 as Arc<dyn Transport>);
@@ -738,6 +650,21 @@ mod tests {
     }
 
     #[test]
+    fn oversized_reply_length_is_a_transport_error() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_frame(&mut stream).unwrap();
+            stream.write_all(&[0xff; 4]).unwrap();
+        });
+        let t = TcpTransport::connect(addr).unwrap();
+        let err = t.call(b"hello?").unwrap_err();
+        assert!(matches!(err, RmiError::Transport(_)), "{err}");
+        peer.join().unwrap();
+    }
+
+    #[test]
     fn deadline_derived_timeouts_are_bounded() {
         let deadline = Deadline::after(Duration::from_secs(2));
         let t = TcpTimeouts::from_deadline(&deadline);
@@ -754,7 +681,8 @@ mod tests {
     #[test]
     fn transport_error_on_dead_server() {
         let addr = {
-            let server = TcpServer::bind("127.0.0.1:0", dispatcher()).unwrap();
+            let server =
+                MuxServer::bind("127.0.0.1:0", dispatcher(), MuxServerConfig::default()).unwrap();
             server.addr()
             // server drops here
         };

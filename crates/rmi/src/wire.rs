@@ -53,6 +53,11 @@ impl Error for WireError {}
 /// decoder against hostile or corrupted length prefixes.
 pub(crate) const MAX_FIELD: u64 = 16 << 20;
 
+/// Cap on one length-prefixed socket frame (64 MiB: several maximal
+/// fields). A peer announcing more is cut off before anything is
+/// buffered or allocated for it.
+pub(crate) const MAX_FRAME_LEN: usize = 64 << 20;
+
 /// Appends binary primitives to a byte buffer.
 ///
 /// # Examples

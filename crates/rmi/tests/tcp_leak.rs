@@ -1,15 +1,14 @@
-//! Regression: dropping a [`TcpServer`] must close every accepted
-//! connection and join every handler thread — not just the accept
-//! thread. The original implementation parked one thread per accepted
-//! connection in a blocking read forever, leaking threads and sockets
-//! until process exit.
+//! Dropping a [`MuxServer`] must close every accepted connection and
+//! join every thread it started — the poll thread and the workers. A
+//! server half that outlives the drop leaks a socket (and whatever
+//! thread owns it) until process exit.
 
 use std::io::{ErrorKind, Read};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vcad_rmi::{Dispatcher, ObjectRegistry, TcpServer};
+use vcad_rmi::{Dispatcher, MuxServer, MuxServerConfig, ObjectRegistry};
 
 /// Far above any loopback latency, far below a CI job timeout.
 const BUDGET: Duration = Duration::from_secs(5);
@@ -17,15 +16,15 @@ const BUDGET: Duration = Duration::from_secs(5);
 #[test]
 fn dropping_the_server_closes_every_accepted_connection() {
     let dispatcher = Arc::new(Dispatcher::new(Arc::new(ObjectRegistry::new())));
-    let server = TcpServer::bind("127.0.0.1:0", dispatcher).expect("bind");
+    let server =
+        MuxServer::bind("127.0.0.1:0", dispatcher, MuxServerConfig::default()).expect("bind");
     let addr = server.addr();
 
-    // Idle clients: each parks a handler thread in a blocking frame
-    // read — exactly the state the old Drop leaked.
+    // Idle clients: connected, never sending a frame.
     let mut clients: Vec<TcpStream> = (0..8)
         .map(|_| TcpStream::connect(addr).expect("connect"))
         .collect();
-    // Let the accept loop register every connection before the drop.
+    // Let the poll loop accept every connection before the drop.
     std::thread::sleep(Duration::from_millis(100));
 
     let started = Instant::now();
@@ -33,13 +32,12 @@ fn dropping_the_server_closes_every_accepted_connection() {
     let drop_took = started.elapsed();
     assert!(
         drop_took < BUDGET,
-        "server drop blocked for {drop_took:?} — handler threads not joined"
+        "server drop blocked for {drop_took:?} — server threads not joined"
     );
 
     // Every client socket must now be closed by the server side: a read
     // sees EOF or a reset promptly, never data and never a timeout
-    // (a timeout would mean the server half is still open somewhere —
-    // i.e. a leaked handler thread still owns it).
+    // (a timeout would mean the server half is still open somewhere).
     for (i, client) in clients.iter_mut().enumerate() {
         client
             .set_read_timeout(Some(BUDGET))
@@ -59,7 +57,8 @@ fn dropping_the_server_closes_every_accepted_connection() {
 #[test]
 fn server_drop_is_clean_with_no_connections() {
     let dispatcher = Arc::new(Dispatcher::new(Arc::new(ObjectRegistry::new())));
-    let server = TcpServer::bind("127.0.0.1:0", dispatcher).expect("bind");
+    let server =
+        MuxServer::bind("127.0.0.1:0", dispatcher, MuxServerConfig::default()).expect("bind");
     let started = Instant::now();
     drop(server);
     assert!(started.elapsed() < BUDGET);

@@ -36,10 +36,7 @@ use vcad::core::{
 use vcad::ip::{ClientSession, ComponentOffering, ProviderServer};
 use vcad::netsim::{NetworkModel, VirtualTimeline};
 use vcad::obs::Collector;
-use vcad::rmi::{
-    BreakerConfig, FaultConfig, FaultPlan, FaultyTransport, InProcTransport, ResilientTransport,
-    RetryPolicy, ShapedTransport, Transport, VirtualClock,
-};
+use vcad::rmi::{heavy_chaos_stack, InProcTransport, ShapedTransport, Transport};
 
 /// Parses `--trace <path>` from the command line, if present.
 fn trace_path() -> Option<std::path::PathBuf> {
@@ -145,29 +142,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     };
     // Under --chaos-seed, the link misbehaves deterministically and the
     // resilience layer (retries + request-ID dedup on the provider's
-    // dispatcher) absorbs it. One virtual clock drives injected latency
-    // and backoffs alike, so no wall time is spent sleeping.
-    let transport: Arc<dyn Transport> = if let Some(seed) = chaos {
-        let clock = Arc::new(VirtualClock::new());
-        let faulty = FaultyTransport::new(transport, FaultPlan::new(seed, FaultConfig::heavy()))
-            .with_clock(clock.clone())
-            .with_collector(&obs);
-        let policy = RetryPolicy::default()
-            .with_max_attempts(12)
-            .with_deadline(Duration::from_secs(30))
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(50));
-        let breaker = BreakerConfig {
-            failure_threshold: 16,
-            cooldown: Duration::from_secs(5),
-        };
-        Arc::new(
-            ResilientTransport::new(Arc::new(faulty), policy)
-                .with_breaker(breaker)
-                .with_clock(clock)
-                .with_collector(&obs),
-        )
-    } else {
-        transport
+    // dispatcher) absorbs it, on a virtual clock: no wall time is spent
+    // sleeping.
+    let transport = match chaos {
+        Some(seed) => heavy_chaos_stack(transport, seed, &obs).0,
+        None => transport,
     };
     let session = ClientSession::connect(transport, provider.host());
     // Traced runs also get a `client:{method}` span per RMI call, with

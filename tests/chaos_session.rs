@@ -7,7 +7,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use vcad::core::stdlib::{CaptureState, Fanout, PrimaryOutput, RandomInput};
 use vcad::core::{
@@ -21,62 +20,23 @@ use vcad::ip::{
 use vcad::netlist::generators;
 use vcad::obs::Collector;
 use vcad::rmi::{
-    BreakerConfig, FaultConfig, FaultPlan, FaultyTransport, InProcTransport, ResilientTransport,
-    RetryPolicy, Transport, VirtualClock,
+    heavy_chaos_stack, FaultConfig, FaultPlan, FaultyTransport, InProcTransport, Transport,
 };
 
 const WIDTH: usize = 8;
 const PATTERNS: u64 = 12;
 
-/// Chaos knobs for one run: `None` connects the plain fault-free way.
-struct Chaos {
-    seed: u64,
-    cfg: FaultConfig,
-    policy: RetryPolicy,
-    breaker: BreakerConfig,
-}
-
-/// A generous budget: retries comfortably outlast `FaultConfig::heavy`'s
-/// worst bursts, on a virtual clock so no wall time is spent sleeping.
-fn soak_chaos(seed: u64) -> Chaos {
-    Chaos {
-        seed,
-        cfg: FaultConfig::heavy(),
-        policy: RetryPolicy::default()
-            .with_max_attempts(12)
-            .with_deadline(Duration::from_secs(30))
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(50)),
-        breaker: BreakerConfig {
-            failure_threshold: 16,
-            cooldown: Duration::from_secs(5),
-        },
-    }
-}
-
-/// Wraps an in-process transport to `server` in the full chaos stack:
-/// `InProc → FaultyTransport(seed) → ResilientTransport`, all on one
-/// shared virtual clock. Returns the session plus the fault injector
-/// handle (so tests can swap the plan mid-run).
+/// Wraps an in-process transport to `server` in the shared chaos rig
+/// ([`heavy_chaos_stack`], seeded by `seed`). Returns the session plus
+/// the fault injector handle (so tests can swap the plan mid-run).
 fn connect_chaotic(
     server: &ProviderServer,
-    chaos: &Chaos,
-    clock: &Arc<VirtualClock>,
+    seed: u64,
     obs: &Collector,
 ) -> (ClientSession, Arc<FaultyTransport>) {
     let inproc: Arc<dyn Transport> = Arc::new(InProcTransport::new(server.dispatcher()));
-    let faulty = Arc::new(
-        FaultyTransport::new(inproc, FaultPlan::new(chaos.seed, chaos.cfg.clone()))
-            .with_clock(clock.clone())
-            .with_collector(obs),
-    );
-    let resilient = ResilientTransport::new(faulty.clone(), chaos.policy.clone())
-        .with_breaker(chaos.breaker)
-        .with_clock(clock.clone())
-        .with_collector(obs);
-    (
-        ClientSession::connect(Arc::new(resilient), server.host()),
-        faulty,
-    )
+    let (resilient, faulty) = heavy_chaos_stack(inproc, seed, obs);
+    (ClientSession::connect(resilient, server.host()), faulty)
 }
 
 struct Outcome {
@@ -99,11 +59,10 @@ fn settled(run: &SimRun, m: ModuleId) -> BTreeMap<u64, u128> {
         .collect()
 }
 
-/// Builds and runs the two-provider scenario; `chaos: None` is the
+/// Builds and runs the two-provider scenario; `chaos_seed: None` is the
 /// fault-free baseline every chaotic run must reproduce bit-for-bit.
-fn run_scenario(chaos: Option<&Chaos>) -> Outcome {
+fn run_scenario(chaos_seed: Option<u64>) -> Outcome {
     let obs = Collector::enabled();
-    let clock = Arc::new(VirtualClock::new());
 
     let p1 = ProviderServer::with_collector("provider1.example.com", obs.clone());
     p1.offer(ComponentOffering::fast_low_power_multiplier());
@@ -115,21 +74,13 @@ fn run_scenario(chaos: Option<&Chaos>) -> Outcome {
         PriceList::default(),
     ));
 
-    let (s1, s2) = match chaos {
-        Some(c) => {
-            // Independent fault schedules per provider link, derived from
-            // the one scenario seed.
-            let c2 = Chaos {
-                seed: c.seed.wrapping_add(1),
-                cfg: c.cfg.clone(),
-                policy: c.policy.clone(),
-                breaker: c.breaker,
-            };
-            (
-                connect_chaotic(&p1, c, &clock, &obs).0,
-                connect_chaotic(&p2, &c2, &clock, &obs).0,
-            )
-        }
+    let (s1, s2) = match chaos_seed {
+        // Independent fault schedules per provider link, derived from
+        // the one scenario seed.
+        Some(seed) => (
+            connect_chaotic(&p1, seed, &obs).0,
+            connect_chaotic(&p2, seed.wrapping_add(1), &obs).0,
+        ),
         None => (
             ClientSession::connect_in_process(&p1).unwrap(),
             ClientSession::connect_in_process(&p2).unwrap(),
@@ -208,7 +159,7 @@ fn chaos_soak_preserves_results_across_seeds() {
 
     let mut total_retries = 0;
     for seed in [3, 17, 0xD1CE] {
-        let chaotic = run_scenario(Some(&soak_chaos(seed)));
+        let chaotic = run_scenario(Some(seed));
         assert_eq!(chaotic.doubled, baseline.doubled, "seed {seed}: outputs");
         assert_eq!(chaotic.products, baseline.products, "seed {seed}: products");
         assert_eq!(
@@ -241,24 +192,12 @@ fn chaos_soak_preserves_results_across_seeds() {
 #[test]
 fn blackout_degrades_to_null_estimator() {
     let obs = Collector::enabled();
-    let clock = Arc::new(VirtualClock::new());
     let p1 = ProviderServer::with_collector("provider1.example.com", obs.clone());
     p1.offer(ComponentOffering::fast_low_power_multiplier());
 
-    // Connect and instantiate over a clean link, with a retry budget that
-    // a total blackout will exhaust quickly.
-    let chaos = Chaos {
-        seed: 7,
-        cfg: FaultConfig::off(),
-        policy: RetryPolicy::default()
-            .with_max_attempts(3)
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(4)),
-        breaker: BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_secs(3600),
-        },
-    };
-    let (session, faulty) = connect_chaotic(&p1, &chaos, &clock, &obs);
+    // Connect and instantiate while the retry budget still outlasts the
+    // link's faults.
+    let (session, faulty) = connect_chaotic(&p1, 7, &obs);
     let mult = session.instantiate("MultFastLowPower", WIDTH).unwrap();
 
     let mut b = DesignBuilder::new("blackout");
@@ -296,7 +235,9 @@ fn blackout_degrades_to_null_estimator() {
     let snap = obs.metrics().snapshot();
     assert_eq!(snap.counter("estimate.degraded"), 1);
     assert!(snap.counter("rmi.retry.exhausted") >= 1);
-    assert!(snap.counter("rmi.breaker.opened") >= 1);
+    // The provider stays dark: the next call's failures trip the breaker.
+    assert!(session.bill().is_err());
+    assert!(obs.metrics().snapshot().counter("rmi.breaker.opened") >= 1);
     // No fees for estimates that never arrived.
     assert_eq!(run.estimates().total_fees_cents(), 0.0);
     // The downloaded public part is unaffected: products stay correct.
@@ -313,9 +254,8 @@ fn blackout_degrades_to_null_estimator() {
 
 #[test]
 fn fault_schedule_is_deterministic() {
-    let chaos = soak_chaos(17);
-    let a = run_scenario(Some(&chaos));
-    let b = run_scenario(Some(&chaos));
+    let a = run_scenario(Some(17));
+    let b = run_scenario(Some(17));
     let rmi_counters = |o: &Outcome| -> BTreeMap<String, u64> {
         o.snapshot
             .counters

@@ -27,9 +27,8 @@ use vcad::ip::{ClientSession, ComponentOffering, ProviderServer};
 use vcad::logic::LogicVec;
 use vcad::obs::Collector;
 use vcad::rmi::{
-    AdmissionControl, BreakerConfig, FaultConfig, FaultPlan, FaultyTransport, MuxServerConfig,
-    RemoteErrorKind, ResilientTransport, RetryPolicy, RmiError, TcpTimeouts, TcpTransport,
-    TenantQuota, Transport, Value, VirtualClock,
+    heavy_chaos_stack, AdmissionControl, MuxServerConfig, RemoteErrorKind, ResilientTransport,
+    RetryPolicy, RmiError, TcpTimeouts, TcpTransport, TenantQuota, Transport, Value,
 };
 
 /// Far above any loopback round trip, far below a CI job timeout.
@@ -43,31 +42,15 @@ const WIDTH: usize = 4;
 /// Published fee per `functional_eval`, cents.
 const EVAL_FEE_CENTS: f64 = 0.001;
 
-/// The chaos-shaped resilient stack from the chaos soak, over TCP:
-/// `Tcp → FaultyTransport(seed) → ResilientTransport`, each session on
-/// its own virtual clock so schedules stay independent of thread
-/// interleaving.
+/// The chaos-shaped resilient stack from the chaos soak, over TCP, each
+/// session on its own virtual clock so schedules stay independent of
+/// thread interleaving.
 fn connect_chaotic(addr: std::net::SocketAddr, tenant: &str, seed: u64) -> ClientSession {
     let raw: Arc<dyn Transport> = Arc::new(
         TcpTransport::connect_with_timeouts(addr, TcpTimeouts::all(SOCKET_BUDGET))
             .expect("connect to provider"),
     );
-    let clock = Arc::new(VirtualClock::new());
-    let faulty = FaultyTransport::new(raw, FaultPlan::new(seed, FaultConfig::heavy()))
-        .with_clock(clock.clone());
-    let policy = RetryPolicy::default()
-        .with_max_attempts(12)
-        .with_deadline(Duration::from_secs(30))
-        .with_backoff(Duration::from_millis(1), Duration::from_millis(50));
-    let breaker = BreakerConfig {
-        failure_threshold: 16,
-        cooldown: Duration::from_secs(5),
-    };
-    let resilient: Arc<dyn Transport> = Arc::new(
-        ResilientTransport::new(Arc::new(faulty), policy)
-            .with_breaker(breaker)
-            .with_clock(clock),
-    );
+    let (resilient, _) = heavy_chaos_stack(raw, seed, &Collector::disabled());
     ClientSession::connect(resilient, "tenant-soak-provider").with_tenant(tenant)
 }
 

@@ -15,7 +15,7 @@ use std::time::Duration;
 use vcad::faults::DetectionTableSource;
 use vcad::ip::{ClientSession, ComponentOffering, ProviderServer};
 use vcad::netsim::NetworkModel;
-use vcad::rmi::{ShapedTransport, TcpServer, TcpTimeouts, TcpTransport, Transport};
+use vcad::rmi::{MuxServerConfig, ShapedTransport, TcpTimeouts, TcpTransport, Transport};
 
 /// Far above any loopback round trip, far below a CI job timeout.
 const SOCKET_BUDGET: Duration = Duration::from_secs(10);
@@ -33,7 +33,9 @@ fn provider() -> ProviderServer {
 #[test]
 fn catalog_and_component_over_tcp() {
     let server = provider();
-    let tcp = TcpServer::bind("127.0.0.1:0", server.dispatcher()).unwrap();
+    let tcp = server
+        .serve_mux("127.0.0.1:0", MuxServerConfig::default())
+        .unwrap();
     let session = ClientSession::connect(connect(tcp.addr()), server.host());
 
     let catalog = session.catalog().unwrap();
@@ -52,7 +54,9 @@ fn catalog_and_component_over_tcp() {
 #[test]
 fn two_clients_share_one_tcp_server() {
     let server = provider();
-    let tcp = TcpServer::bind("127.0.0.1:0", server.dispatcher()).unwrap();
+    let tcp = server
+        .serve_mux("127.0.0.1:0", MuxServerConfig::default())
+        .unwrap();
     let mut handles = Vec::new();
     for i in 0..3usize {
         let addr = tcp.addr();
@@ -76,7 +80,9 @@ fn shaped_tcp_session_accumulates_virtual_network_time() {
     use vcad::netsim::VirtualTimeline;
 
     let server = provider();
-    let tcp = TcpServer::bind("127.0.0.1:0", server.dispatcher()).unwrap();
+    let tcp = server
+        .serve_mux("127.0.0.1:0", MuxServerConfig::default())
+        .unwrap();
     let raw = connect(tcp.addr());
     let timeline = Arc::new(Mutex::new(VirtualTimeline::new()));
     let shaped: Arc<dyn Transport> = Arc::new(ShapedTransport::virtual_time(

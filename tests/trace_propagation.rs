@@ -16,9 +16,8 @@ use vcad::obs::analyze::{analyze, Analysis};
 use vcad::obs::chrome::{parse_chrome_json, to_chrome_json, ProcessLane};
 use vcad::obs::Collector;
 use vcad::rmi::{
-    BreakerConfig, FaultConfig, FaultPlan, FaultyTransport, Frame, InProcTransport,
-    ResilientTransport, RetryPolicy, RmiError, TcpServer, TcpTimeouts, TcpTransport, Transport,
-    TransportStats, VirtualClock,
+    heavy_chaos_stack, Frame, InProcTransport, MuxServerConfig, RmiError, TcpTimeouts,
+    TcpTransport, Transport, TransportStats,
 };
 
 /// Far above any loopback round trip, far below a CI job timeout.
@@ -139,7 +138,9 @@ fn context_round_trips_over_tcp() {
     let client_obs = Collector::enabled().with_process_name("client");
     let provider_obs = Collector::enabled().with_process_name("provider");
     let server = provider("tcp-provider.example.com", provider_obs.clone());
-    let tcp = TcpServer::bind("127.0.0.1:0", server.dispatcher()).unwrap();
+    let tcp = server
+        .serve_mux("127.0.0.1:0", MuxServerConfig::default())
+        .unwrap();
     let transport: Arc<dyn Transport> = Arc::new(
         TcpTransport::connect_with_timeouts_and_collector(
             tcp.addr(),
@@ -174,28 +175,11 @@ fn corrupted_frames_never_produce_orphan_or_crossed_parents() {
     // still decodes provider-side must either carry the intact context
     // or fail the integrity check — it must never dispatch under a
     // mangled parent id.
-    let clock = Arc::new(VirtualClock::new());
     let inproc: Arc<dyn Transport> = Arc::new(InProcTransport::with_collector(
         server.dispatcher(),
         &client_obs,
     ));
-    let faulty = FaultyTransport::new(inproc, FaultPlan::new(11, FaultConfig::heavy()))
-        .with_clock(clock.clone())
-        .with_collector(&client_obs);
-    let policy = RetryPolicy::default()
-        .with_max_attempts(12)
-        .with_deadline(Duration::from_secs(30))
-        .with_backoff(Duration::from_millis(1), Duration::from_millis(50));
-    let breaker = BreakerConfig {
-        failure_threshold: 16,
-        cooldown: Duration::from_secs(5),
-    };
-    let transport: Arc<dyn Transport> = Arc::new(
-        ResilientTransport::new(Arc::new(faulty), policy)
-            .with_breaker(breaker)
-            .with_clock(clock)
-            .with_collector(&client_obs),
-    );
+    let (transport, _) = heavy_chaos_stack(inproc, 11, &client_obs);
     let session =
         ClientSession::connect(transport, server.host()).with_collector(client_obs.clone());
     exercise(&session);
