@@ -19,12 +19,16 @@ cargo build --release
 echo "==> tier-1 verify: cargo test -q (default-members: the whole workspace)"
 cargo test -q
 
-echo "==> fork gate: one TCP server, one call context, one JSON module"
+echo "==> fork gate: one TCP server, one call context, one JSON module, one client cache"
 if grep -rn "TcpServer" crates src tests examples \
     || grep -rn "thread_local!" crates/rmi \
-    || grep -rn "mod json" crates/lint; then
+    || grep -rn "mod json" crates/lint \
+    || grep -rn "CachingTransport\|CallCache\|ValueCacheHandle\|connect_cached" crates src tests examples; then
     echo "a removed fork is back (see DESIGN.md, 'One path per job')"; exit 1
 fi
+# The cache is consulted in one place: the stub.
+[ "$(grep -rn "get_or_join(" crates src tests examples | grep -v "^crates/cache/" | cut -d: -f1)" = "crates/rmi/src/client.rs" ] \
+    || { echo "Cache::get_or_join is called from Client::invoke, once"; exit 1; }
 # One line per escape site: exactly one, in the one JSON module.
 [ "$(grep -rnF '\\u{:04x}' crates | cut -d: -f1)" = "crates/obs/src/json.rs" ] \
     || { echo "JSON string escaping belongs in crates/obs/src/json.rs, once"; exit 1; }
@@ -37,6 +41,10 @@ cargo test --release -q --test chaos_session fault_schedule_is_deterministic
 
 echo "==> cached-rerun determinism: warm pass must be bit-identical, wire-free and fee-free"
 cargo test --release -q --test cached_rerun
+
+echo "==> cached table2: warm passes wire-free and fee-free, one cache count per lookup"
+mkdir -p target/bench
+cargo run --release -q -p vcad-bench --bin table2 -- --cache --json target/bench/BENCH_table2_cache.json > /dev/null
 
 echo "==> shard matrix: differential suite must be bit-identical at 1, 2 and 8 shards"
 VCAD_SHARDS=1,2,8 cargo test --release -q --test shard_differential

@@ -321,6 +321,14 @@ fn main() {
                 );
                 assert_eq!(warm.fees_cents, 0.0, "{label} warm pass was billed");
                 assert!(warm.cache_hits > 0, "{label} warm pass never hit");
+                // One count per lookup: every call of the cold pass
+                // missed once and crossed the wire once (a faulty link
+                // adds retried attempts to the wire count only), and
+                // the warm pass repeats exactly those lookups as hits.
+                assert_eq!(warm.cache_hits, cold.cache_misses, "{label} lookups");
+                if chaos_seed.is_none() {
+                    assert_eq!(cold.cache_misses, cold.stats.calls, "{label} misses");
+                }
             }
         }
     }

@@ -52,11 +52,11 @@ fn connect(
         .expect("connect to provider"),
     );
     let (resilient, _) = heavy_chaos_stack(raw, seed, obs);
-    let session = match cache {
-        Some(c) => ClientSession::connect_cached(resilient, host, c),
-        None => ClientSession::connect(resilient, host),
-    };
-    session.with_collector(obs.clone())
+    let session = ClientSession::connect(resilient, host).with_collector(obs.clone());
+    match cache {
+        Some(c) => session.with_cache(c),
+        None => session,
+    }
 }
 
 /// One evaluation round against a provider: catalog, instantiate,

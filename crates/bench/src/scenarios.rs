@@ -84,12 +84,10 @@ pub struct ScenarioRun {
     pub outputs: usize,
     /// Estimation fees charged to the user during this run, cents.
     pub fees_cents: f64,
-    /// Cache lookups served locally during this run, both layers
-    /// combined (0 without a cache).
+    /// Cache lookups served locally during this run (0 without a
+    /// cache).
     pub cache_hits: u64,
-    /// Cache lookups that had to cross the wire (0 without a cache; a
-    /// cold typed-layer miss that also misses the transport layer
-    /// counts once per layer).
+    /// Cache lookups that had to cross the wire (0 without a cache).
     pub cache_misses: u64,
 }
 
@@ -133,33 +131,18 @@ pub fn build_with_obs(
     buffer: usize,
     obs: Collector,
 ) -> ScenarioRig {
-    build_with_obs_and_chaos(scenario, width, patterns, buffer, obs, None)
+    build_full(scenario, width, patterns, buffer, obs, None, None)
 }
 
-/// Like [`build_with_obs`], optionally injecting deterministic network
-/// faults on the client–provider link: with `chaos_seed` set, the
-/// transport is wrapped in [`heavy_chaos_stack`] seeded by `chaos_seed`,
+/// Like [`build_with_obs`], with the two link options. With `chaos_seed`
+/// set, the transport is wrapped in [`heavy_chaos_stack`] seeded by it,
 /// so the run's results match the fault-free rig bit for bit while the
-/// `rmi.chaos.*` / `rmi.retry.*` counters record the turbulence.
-#[must_use]
-pub fn build_with_obs_and_chaos(
-    scenario: Scenario,
-    width: usize,
-    patterns: u64,
-    buffer: usize,
-    obs: Collector,
-    chaos_seed: Option<u64>,
-) -> ScenarioRig {
-    build_full(scenario, width, patterns, buffer, obs, chaos_seed, None)
-}
-
-/// Like [`build_with_obs_and_chaos`], optionally adding client-side
-/// memoization: with `cache` set, the session connects through a
-/// caching transport and the remote estimator stubs consult the typed
-/// value cache, so a warm rerun over the same patterns never crosses
-/// the wire and is charged no fees. The cache must be per-rig — keys
-/// include the provider host and object ids, which repeat across
-/// independently built rigs.
+/// `rmi.chaos.*` / `rmi.retry.*` counters record the turbulence. With
+/// `cache` set, the session memoizes the protocol's pure calls in it, so
+/// a warm rerun over the same patterns never crosses the wire and is
+/// charged no fees. The cache must be per-rig — keys include the
+/// provider host and object ids, which repeat across independently
+/// built rigs.
 #[must_use]
 pub fn build_full(
     scenario: Scenario,
@@ -199,18 +182,16 @@ pub fn build_full(
             let transport: Arc<dyn Transport> = chaos_wrap(Arc::new(
                 InProcTransport::with_collector(server.dispatcher(), &obs),
             ));
-            let session = match &cache {
-                Some(c) => ClientSession::connect_cached(transport, server.host(), Arc::clone(c)),
-                None => ClientSession::connect(transport, server.host()),
-            };
+            let mut session = ClientSession::connect(transport, server.host());
+            if let Some(c) = &cache {
+                session = session.with_cache(Arc::clone(c));
+            }
             // Traced runs get a `client:{method}` span per call and the
             // session/provider baggage on every frame; untraced runs keep
             // the frozen context-free v1 frames.
-            let session = if obs.is_enabled() {
-                session.with_collector(obs.clone())
-            } else {
-                session
-            };
+            if obs.is_enabled() {
+                session = session.with_collector(obs.clone());
+            }
             let component = session
                 .instantiate("MultFastLowPower", width)
                 .expect("instantiate remote multiplier");
@@ -329,21 +310,13 @@ impl ScenarioRig {
     #[must_use]
     pub fn run(&self, scenario: Scenario) -> ScenarioRun {
         let before = transport_stats(&self.obs.metrics().snapshot());
-        let cache_before = self.cache.as_ref().map(|c| c.stats());
+        let cache_stats = || self.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+        let cache_before = cache_stats();
         let start = Instant::now();
         let run = self.controller.run().expect("scenario simulation");
         let cpu = start.elapsed();
         let after = transport_stats(&self.obs.metrics().snapshot());
-        let (cache_hits, cache_misses) = match (&self.cache, cache_before) {
-            (Some(c), Some((calls0, values0))) => {
-                let (calls, values) = c.stats();
-                (
-                    calls.hits + values.hits - calls0.hits - values0.hits,
-                    calls.misses + values.misses - calls0.misses - values0.misses,
-                )
-            }
-            _ => (0, 0),
-        };
+        let cache_after = cache_stats();
         let outputs = run
             .module_state::<vcad_core::stdlib::CaptureState>(self.output)
             .map(|c| c.history().len())
@@ -359,8 +332,8 @@ impl ScenarioRig {
             events: run.events_processed(),
             outputs,
             fees_cents: run.estimates().total_fees_cents(),
-            cache_hits,
-            cache_misses,
+            cache_hits: cache_after.hits - cache_before.hits,
+            cache_misses: cache_after.misses - cache_before.misses,
         }
     }
 }

@@ -1,21 +1,17 @@
 //! Client-side memoization of provider calls.
 //!
-//! An [`IpCache`] bundles the two cache layers an IP user session runs:
+//! An [`IpCache`] is the one store an IP user's sessions memoize into:
+//! decoded [`Value`] results of the protocol's pure methods, keyed by
+//! provider, target object, method and marshalled arguments. A session
+//! connected [`with_cache`](crate::ClientSession::with_cache) hands it to
+//! its [`vcad_rmi::Client`], which consults it before marshalling
+//! anything — so every stub the session gives out shares it, a repeat
+//! call never reaches the wire, and the stub is told it was a hit, which
+//! the simulation controller turns into a zero fee.
 //!
-//! * a **call cache** ([`vcad_rmi::CallCache`]) the session's
-//!   [`CachingTransport`](vcad_rmi::CachingTransport) consults — encoded
-//!   response frames keyed by the canonical request, so *any* pure
-//!   protocol method is served locally on repeat;
-//! * a **value cache** the typed stubs consult — decoded [`Value`]
-//!   results for the billable estimator calls (`power_toggle`,
-//!   `power_peak`) and the fault-oracle calls (`fault_list`,
-//!   `detection_table`), so a hit can be *reported* as cached and the
-//!   simulation controller charges a zero fee for it.
-//!
-//! Both layers share one epoch space: [`IpCache::bump_epoch`] (called
-//! automatically after a successful renegotiation, or manually on a
-//! provider version bump) lazily invalidates every entry of that
-//! provider in both caches, and only that provider's.
+//! [`IpCache::bump_epoch`] (called automatically after a successful
+//! renegotiation, or manually on a provider version bump) lazily
+//! invalidates every entry of that provider, and only that provider's.
 //!
 //! Which methods are safe to memoize is decided by
 //! [`cacheable_method`]: the pure, deterministic read side of the
@@ -24,10 +20,9 @@
 
 use std::sync::Arc;
 
-use vcad_cache::hash::CanonicalHasher;
-use vcad_cache::{Cache, CacheConfig, CacheStats, Fill};
+use vcad_cache::{Cache, CacheConfig, CacheStats};
 use vcad_obs::Collector;
-use vcad_rmi::{call_cache, CallCache, RemoteRef, RmiError, Value};
+use vcad_rmi::{RmiError, Value};
 
 use crate::protocol::{catalog, component};
 
@@ -54,131 +49,56 @@ pub fn cacheable_method(method: &str) -> bool {
     )
 }
 
-/// The typed value cache: decoded results, weighed by encoded size,
-/// errors shared with coalesced waiters as [`RmiError`].
-pub type ValueCache = Cache<Value, RmiError>;
-
-/// The two-layer client cache for one or more provider sessions.
+/// The client cache for one or more provider sessions.
 ///
 /// Cheap to clone the `Arc` of and safe to share across sessions: keys
 /// are provider-scoped, so two providers never collide, and epoch bumps
 /// stay per-provider.
+#[derive(Debug)]
 pub struct IpCache {
-    calls: Arc<CallCache>,
-    values: Arc<ValueCache>,
+    config: CacheConfig,
+    store: Arc<Cache<Value, RmiError>>,
 }
 
 impl IpCache {
-    /// Creates both layers with the same sizing policy.
+    /// Creates the store, weighing entries by their encoded size.
     #[must_use]
     pub fn new(config: CacheConfig) -> IpCache {
-        IpCache {
-            calls: Arc::new(call_cache(config.clone())),
-            values: Arc::new(Cache::new(config).with_weigher(|v: &Value| v.encode().len())),
-        }
+        IpCache::metered(config, &Collector::disabled())
     }
 
-    /// Meters both layers into `obs`. The layers share the registry's
-    /// `cache.*` handles, so the published counters are combined totals.
+    /// Meters the cache into `obs` (`cache.*`, one count per lookup).
+    /// A builder step: it starts from an empty store.
     #[must_use]
     pub fn with_collector(self, obs: &Collector) -> IpCache {
+        IpCache::metered(self.config, obs)
+    }
+
+    fn metered(config: CacheConfig, obs: &Collector) -> IpCache {
+        let store = Cache::new(config.clone())
+            .with_weigher(Value::encoded_len)
+            .with_collector(obs);
         IpCache {
-            calls: Arc::new(
-                Arc::try_unwrap(self.calls)
-                    .unwrap_or_else(|_| panic!("with_collector before sharing the cache"))
-                    .with_collector(obs),
-            ),
-            values: Arc::new(
-                Arc::try_unwrap(self.values)
-                    .unwrap_or_else(|_| panic!("with_collector before sharing the cache"))
-                    .with_collector(obs),
-            ),
+            config,
+            store: Arc::new(store),
         }
     }
 
-    /// The transport-layer call cache.
-    #[must_use]
-    pub fn calls(&self) -> &Arc<CallCache> {
-        &self.calls
+    /// The store, for a session to hand to its client.
+    pub(crate) fn store(&self) -> Arc<Cache<Value, RmiError>> {
+        Arc::clone(&self.store)
     }
 
-    /// The typed value cache.
-    #[must_use]
-    pub fn values(&self) -> &Arc<ValueCache> {
-        &self.values
-    }
-
-    /// Bumps `provider`'s epoch in both layers, lazily invalidating all
-    /// of its entries (and nobody else's). Returns the new epoch (the
-    /// layers move in lockstep).
+    /// Bumps `provider`'s epoch, lazily invalidating all of its entries
+    /// (and nobody else's). Returns the new epoch.
     pub fn bump_epoch(&self, provider: &str) -> u64 {
-        self.calls.bump_epoch(provider);
-        self.values.bump_epoch(provider)
+        self.store.bump_epoch(provider)
     }
 
-    /// Counter snapshots of both layers: `(calls, values)`.
+    /// A snapshot of the lookup counters and resident size.
     #[must_use]
-    pub fn stats(&self) -> (CacheStats, CacheStats) {
-        (self.calls.stats(), self.values.stats())
-    }
-}
-
-impl std::fmt::Debug for IpCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IpCache")
-            .field("calls", &self.calls)
-            .field("values", &self.values)
-            .finish()
-    }
-}
-
-/// A provider-scoped handle to the typed value cache, carried by the
-/// remote estimator stubs and detection sources of one session.
-#[derive(Clone)]
-pub(crate) struct ValueCacheHandle {
-    cache: Arc<ValueCache>,
-    provider: Arc<str>,
-}
-
-impl ValueCacheHandle {
-    pub(crate) fn new(cache: Arc<ValueCache>, provider: &str) -> ValueCacheHandle {
-        ValueCacheHandle {
-            cache,
-            provider: Arc::from(provider),
-        }
-    }
-
-    /// The canonical key of a typed call: target object id, method
-    /// selector, encoded argument — same shape as the transport layer's
-    /// canonical frame, so the key is stable across runs of one session.
-    fn key(&self, target: &RemoteRef, method: &str, arg: Option<&Value>) -> u128 {
-        let mut h = CanonicalHasher::new();
-        h.write_str(&self.provider);
-        h.write_u64(target.id().0);
-        h.write_str(method);
-        match arg {
-            Some(v) => h.write_bytes(&v.encode()),
-            None => h.write_u64(0),
-        }
-        h.finish()
-    }
-
-    /// Invokes `method` through the cache: a hit (or a coalesced flight)
-    /// reports `cached == true`, which downstream fee accounting maps to
-    /// a zero charge. Errors pass through uncached.
-    pub(crate) fn invoke(
-        &self,
-        target: &RemoteRef,
-        method: &str,
-        arg: Option<Value>,
-    ) -> Result<(Value, bool), RmiError> {
-        let key = self.key(target, method, arg.as_ref());
-        self.cache
-            .get_or_join(key, &self.provider, || {
-                let args = arg.map(|v| vec![v]).unwrap_or_default();
-                target.invoke(method, args).map(Fill::Store)
-            })
-            .map(|(value, outcome)| (value, outcome.avoided_wire_call()))
+    pub fn stats(&self) -> CacheStats {
+        self.store.stats()
     }
 }
 
@@ -215,12 +135,11 @@ mod tests {
     }
 
     #[test]
-    fn bump_epoch_moves_both_layers_in_lockstep() {
+    fn bump_epoch_is_scoped_to_one_provider() {
         let cache = IpCache::new(CacheConfig::default());
         assert_eq!(cache.bump_epoch("p"), 1);
         assert_eq!(cache.bump_epoch("p"), 2);
-        assert_eq!(cache.calls().epoch("p"), 2);
-        assert_eq!(cache.values().epoch("p"), 2);
-        assert_eq!(cache.calls().epoch("other"), 0);
+        assert_eq!(cache.store().epoch("p"), 2);
+        assert_eq!(cache.store().epoch("other"), 0);
     }
 }

@@ -7,11 +7,10 @@ use vcad_core::{Estimator, Module};
 use vcad_faults::{DetectionTable, DetectionTableSource, SymbolicFault, VirtualSimError};
 use vcad_logic::LogicVec;
 use vcad_rmi::{
-    CachingTransport, Client, InProcTransport, RemoteRef, ResilientTransport, RetryPolicy,
-    RmiError, Sandbox, SecurityManager, Transport, Value,
+    Client, InProcTransport, RemoteRef, RmiError, Sandbox, SecurityManager, Transport, Value,
 };
 
-use crate::cache::{cacheable_method, IpCache, ValueCacheHandle};
+use crate::cache::{cacheable_method, IpCache};
 use crate::estimator::{
     DownloadedConstantPower, DownloadedRegressionPower, DownloadedStaticEstimator,
     RemotePeakPowerEstimator, RemoteToggleEstimator,
@@ -59,49 +58,6 @@ impl ClientSession {
         }
     }
 
-    /// Connects with client-side memoization: `transport` is wrapped in a
-    /// [`CachingTransport`] keyed to this provider, and the session's
-    /// remote estimator stubs and detection sources consult `cache`'s
-    /// typed layer so cache hits are fee-free.
-    ///
-    /// When stacking with resilience, pass the *resilient* transport here
-    /// — the cache must sit above the retry layer (see
-    /// [`vcad_rmi::CachingTransport`] for why).
-    #[must_use]
-    pub fn connect_cached(
-        transport: Arc<dyn Transport>,
-        host: impl Into<String>,
-        cache: Arc<IpCache>,
-    ) -> ClientSession {
-        let host = host.into();
-        let caching: Arc<dyn Transport> = Arc::new(CachingTransport::new(
-            transport,
-            Arc::clone(cache.calls()),
-            host.clone(),
-            cacheable_method,
-        ));
-        ClientSession {
-            client: Client::with_security(caching, SecurityManager::strict()),
-            host,
-            cache: Some(cache),
-        }
-    }
-
-    /// Connects through `transport` wrapped in a [`ResilientTransport`]:
-    /// every call is retried under `policy` and stamped with a request ID
-    /// so the provider's dispatcher deduplicates retried calls (fees are
-    /// charged at most once per logical call even when the network
-    /// duplicates or drops frames).
-    #[must_use]
-    pub fn connect_resilient(
-        transport: Arc<dyn Transport>,
-        host: impl Into<String>,
-        policy: RetryPolicy,
-    ) -> ClientSession {
-        let resilient: Arc<dyn Transport> = Arc::new(ResilientTransport::new(transport, policy));
-        ClientSession::connect(resilient, host)
-    }
-
     /// Connects in-process to a provider (useful for tests and the AL/ER
     /// baselines).
     ///
@@ -126,6 +82,22 @@ impl ClientSession {
             .with_collector(obs)
             .with_baggage("provider", &self.host)
             .with_baggage("session", &session);
+        self
+    }
+
+    /// Memoizes the protocol's pure methods ([`cacheable_method`]) in
+    /// `cache`, keyed to this provider: every stub this session hands out
+    /// — estimators, detection sources, remote modules, raw
+    /// [`RemoteComponent::stub`]s — serves a repeat call locally and
+    /// reports it as cached, so it is charged no fee. Share one `cache`
+    /// across sessions freely; a successful [`ClientSession::negotiate`]
+    /// invalidates this provider's entries only.
+    #[must_use]
+    pub fn with_cache(mut self, cache: Arc<IpCache>) -> ClientSession {
+        self.client = self
+            .client
+            .with_cache(cache.store(), &self.host, cacheable_method);
+        self.cache = Some(cache);
         self
     }
 
@@ -215,10 +187,6 @@ impl ClientSession {
             stub,
             public: PublicPart::new(behavior, width, Sandbox::for_provider(&self.host)),
             toggle_fee_cents: toggle_fee,
-            cache: self
-                .cache
-                .as_ref()
-                .map(|c| ValueCacheHandle::new(Arc::clone(c.values()), &self.host)),
         })
     }
 
@@ -252,7 +220,7 @@ impl ClientSession {
             .collect();
         // A successful renegotiation can change prices and models, so
         // everything previously memoized from this provider is suspect:
-        // flip its epoch and let the caches lazily re-fetch.
+        // flip its epoch and let the cache lazily re-fetch.
         if outcomes.is_ok() {
             if let Some(cache) = &self.cache {
                 cache.bump_epoch(&self.host);
@@ -281,7 +249,6 @@ pub struct RemoteComponent {
     stub: RemoteRef,
     public: PublicPart,
     toggle_fee_cents: f64,
-    cache: Option<ValueCacheHandle>,
 }
 
 impl RemoteComponent {
@@ -381,17 +348,15 @@ impl RemoteComponent {
                 slope,
                 input_ports: vec![0, 1],
             }),
-            Arc::new(RemoteToggleEstimator::with_cache(
+            Arc::new(RemoteToggleEstimator::new(
                 self.stub.clone(),
                 vec![0, 1],
                 self.toggle_fee_cents,
-                self.cache.clone(),
             )),
-            Arc::new(RemotePeakPowerEstimator::with_cache(
+            Arc::new(RemotePeakPowerEstimator::new(
                 self.stub.clone(),
                 vec![0, 1],
                 self.toggle_fee_cents,
-                self.cache.clone(),
             )),
             Arc::new(vcad_core::ActivityEstimator::new()),
         ])
@@ -448,7 +413,6 @@ impl RemoteComponent {
     pub fn detection_source(&self) -> Arc<RemoteDetectionSource> {
         Arc::new(RemoteDetectionSource {
             stub: self.stub.clone(),
-            cache: self.cache.clone(),
         })
     }
 
@@ -463,24 +427,12 @@ impl RemoteComponent {
 /// RMI — the remote half of the paper's virtual fault simulation.
 pub struct RemoteDetectionSource {
     stub: RemoteRef,
-    cache: Option<ValueCacheHandle>,
-}
-
-impl RemoteDetectionSource {
-    fn fetch(&self, method: &str, arg: Option<Value>) -> Result<Value, RmiError> {
-        match &self.cache {
-            Some(cache) => cache.invoke(&self.stub, method, arg).map(|(v, _)| v),
-            None => {
-                let args = arg.map(|v| vec![v]).unwrap_or_default();
-                self.stub.invoke(method, args)
-            }
-        }
-    }
 }
 
 impl DetectionTableSource for RemoteDetectionSource {
     fn fault_list(&self) -> Vec<SymbolicFault> {
-        self.fetch(component::FAULT_LIST, None)
+        self.stub
+            .invoke(component::FAULT_LIST, vec![])
             .ok()
             .and_then(|v| {
                 v.as_list().map(|items| {
@@ -495,7 +447,8 @@ impl DetectionTableSource for RemoteDetectionSource {
 
     fn detection_table(&self, inputs: &LogicVec) -> Result<DetectionTable, VirtualSimError> {
         let value = self
-            .fetch(component::DETECTION_TABLE, Some(Value::Vec(inputs.clone())))
+            .stub
+            .invoke(component::DETECTION_TABLE, vec![Value::Vec(inputs.clone())])
             .map_err(|e| VirtualSimError::Source(e.to_string()))?;
         DetectionTable::from_value(&value)
             .ok_or_else(|| VirtualSimError::Source("malformed detection table".into()))

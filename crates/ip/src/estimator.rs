@@ -8,7 +8,6 @@ use vcad_core::{
 use vcad_logic::LogicVec;
 use vcad_rmi::{RemoteRef, RmiError};
 
-use crate::cache::ValueCacheHandle;
 use crate::protocol::{component, encode_patterns};
 
 /// Maps a failed remote estimation call onto [`EstimateError`]:
@@ -138,7 +137,6 @@ pub struct RemoteToggleEstimator {
     component: RemoteRef,
     input_ports: Vec<usize>,
     fee_cents_per_pattern: f64,
-    cache: Option<ValueCacheHandle>,
 }
 
 impl RemoteToggleEstimator {
@@ -149,20 +147,10 @@ impl RemoteToggleEstimator {
         input_ports: Vec<usize>,
         fee_cents_per_pattern: f64,
     ) -> RemoteToggleEstimator {
-        RemoteToggleEstimator::with_cache(component, input_ports, fee_cents_per_pattern, None)
-    }
-
-    pub(crate) fn with_cache(
-        component: RemoteRef,
-        input_ports: Vec<usize>,
-        fee_cents_per_pattern: f64,
-        cache: Option<ValueCacheHandle>,
-    ) -> RemoteToggleEstimator {
         RemoteToggleEstimator {
             component,
             input_ports,
             fee_cents_per_pattern,
-            cache,
         }
     }
 }
@@ -174,7 +162,6 @@ pub struct RemotePeakPowerEstimator {
     component: RemoteRef,
     input_ports: Vec<usize>,
     fee_cents_per_pattern: f64,
-    cache: Option<ValueCacheHandle>,
 }
 
 impl RemotePeakPowerEstimator {
@@ -185,20 +172,10 @@ impl RemotePeakPowerEstimator {
         input_ports: Vec<usize>,
         fee_cents_per_pattern: f64,
     ) -> RemotePeakPowerEstimator {
-        RemotePeakPowerEstimator::with_cache(component, input_ports, fee_cents_per_pattern, None)
-    }
-
-    pub(crate) fn with_cache(
-        component: RemoteRef,
-        input_ports: Vec<usize>,
-        fee_cents_per_pattern: f64,
-        cache: Option<ValueCacheHandle>,
-    ) -> RemotePeakPowerEstimator {
         RemotePeakPowerEstimator {
             component,
             input_ports,
             fee_cents_per_pattern,
-            cache,
         }
     }
 }
@@ -226,21 +203,10 @@ impl Estimator for RemotePeakPowerEstimator {
                 "peak power needs at least two buffered patterns".into(),
             ));
         }
-        match &self.cache {
-            None => self
-                .component
-                .invoke(component::POWER_PEAK, vec![encode_patterns(&patterns)])
-                .map(Estimate::fresh)
-                .map_err(|e| remote_error(&e)),
-            Some(handle) => handle
-                .invoke(
-                    &self.component,
-                    component::POWER_PEAK,
-                    Some(encode_patterns(&patterns)),
-                )
-                .map(|(value, cached)| Estimate { value, cached })
-                .map_err(|e| remote_error(&e)),
-        }
+        self.component
+            .invoke_with_meta(component::POWER_PEAK, vec![encode_patterns(&patterns)])
+            .map(|(value, cached)| Estimate { value, cached })
+            .map_err(|e| remote_error(&e))
     }
 }
 
@@ -267,20 +233,9 @@ impl Estimator for RemoteToggleEstimator {
                 "toggle counting needs at least two buffered patterns".into(),
             ));
         }
-        match &self.cache {
-            None => self
-                .component
-                .invoke(component::POWER_TOGGLE, vec![encode_patterns(&patterns)])
-                .map(Estimate::fresh)
-                .map_err(|e| remote_error(&e)),
-            Some(handle) => handle
-                .invoke(
-                    &self.component,
-                    component::POWER_TOGGLE,
-                    Some(encode_patterns(&patterns)),
-                )
-                .map(|(value, cached)| Estimate { value, cached })
-                .map_err(|e| remote_error(&e)),
-        }
+        self.component
+            .invoke_with_meta(component::POWER_TOGGLE, vec![encode_patterns(&patterns)])
+            .map(|(value, cached)| Estimate { value, cached })
+            .map_err(|e| remote_error(&e))
     }
 }

@@ -1,6 +1,6 @@
-//! Cached client sessions: repeat queries stay local and fee-free, the
-//! two cache layers cooperate, and a renegotiation invalidates exactly
-//! this provider's memoized entries.
+//! Cached client sessions: repeat queries stay local and fee-free, every
+//! lookup is counted once, and a renegotiation invalidates exactly this
+//! provider's memoized entries.
 
 use std::sync::Arc;
 
@@ -9,6 +9,7 @@ use vcad_core::{EstimationInput, Parameter, PortSnapshot, SimTime};
 use vcad_faults::DetectionTableSource;
 use vcad_ip::{ClientSession, ComponentOffering, IpCache, NegotiationRequest, ProviderServer};
 use vcad_logic::LogicVec;
+use vcad_obs::Collector;
 use vcad_rmi::{InProcTransport, Transport};
 
 type Rig = (
@@ -21,12 +22,17 @@ type Rig = (
 /// A cached in-process session with the wire transport kept visible so
 /// tests can count actual round trips.
 fn cached_rig() -> Rig {
+    cached_rig_metered(&Collector::disabled())
+}
+
+/// [`cached_rig`] with the cache's `cache.*` counters published in `obs`.
+fn cached_rig_metered(obs: &Collector) -> Rig {
     let server = ProviderServer::new("cached.example.com");
     server.offer(ComponentOffering::fast_low_power_multiplier());
     let wire: Arc<dyn Transport> = Arc::new(InProcTransport::new(server.dispatcher()));
-    let cache = Arc::new(IpCache::new(CacheConfig::default()));
+    let cache = Arc::new(IpCache::new(CacheConfig::default()).with_collector(obs));
     let session =
-        ClientSession::connect_cached(Arc::clone(&wire), server.host(), Arc::clone(&cache));
+        ClientSession::connect(Arc::clone(&wire), server.host()).with_cache(Arc::clone(&cache));
     (server, session, cache, wire)
 }
 
@@ -56,6 +62,7 @@ fn repeat_estimates_hit_the_wire_once_and_are_fee_free() {
         .find(|e| e.info().name == "power/gate-level-toggle")
         .unwrap();
     let input = patterns(4);
+    let setup = cache.stats();
 
     let first = toggle.estimate_with_meta(&input).unwrap();
     assert!(!first.cached, "first call must reach the provider");
@@ -76,8 +83,56 @@ fn repeat_estimates_hit_the_wire_once_and_are_fee_free() {
         bill,
         "a cache hit must not be billed"
     );
-    let (_, values) = cache.stats();
-    assert_eq!((values.hits, values.misses), (1, 1));
+    // One lookup per estimate, counted once each: a miss, then a hit.
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.hits - setup.hits, stats.misses - setup.misses),
+        (1, 1)
+    );
+}
+
+#[test]
+fn published_counters_count_each_lookup_once() {
+    let obs = Collector::enabled();
+    let (_server, session, cache, wire) = cached_rig_metered(&obs);
+    let component = session.instantiate("MultFastLowPower", 4).unwrap();
+    let source = component.detection_source();
+    let input = patterns(4);
+    // Nine lookups, all of allowlisted methods, none repeated: four
+    // downloaded models, two billable estimates, three oracle queries.
+    let pass = || {
+        for estimator in component.estimator_catalog().unwrap() {
+            if estimator.info().remote {
+                estimator.estimate_with_meta(&input).unwrap();
+            }
+        }
+        assert!(!source.fault_list().is_empty());
+        for pattern in [0b1010_0101, 0b0101_1010] {
+            source
+                .detection_table(&LogicVec::from_u64(8, pattern))
+                .unwrap();
+        }
+    };
+    let published = || {
+        let snapshot = obs.metrics().snapshot();
+        (
+            snapshot.counter("cache.hits"),
+            snapshot.counter("cache.misses"),
+        )
+    };
+    let (setup_calls, setup) = (wire.stats().calls, published());
+
+    pass();
+    let cold_calls = wire.stats().calls - setup_calls;
+    assert_eq!(cold_calls, 9);
+    assert_eq!(published(), (setup.0, setup.1 + cold_calls));
+
+    pass();
+    assert_eq!(wire.stats().calls - setup_calls, cold_calls, "warm pass");
+    assert_eq!(published(), (setup.0 + cold_calls, setup.1 + cold_calls));
+
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses), published());
 }
 
 #[test]
@@ -109,8 +164,7 @@ fn transport_layer_caches_pure_calls_but_never_bill() {
     let before = wire.stats().calls;
     assert_eq!(session.catalog().unwrap(), catalog);
     assert_eq!(wire.stats().calls, before, "`list` is pure and cacheable");
-    let (calls, _) = cache.stats();
-    assert!(calls.hits >= 1);
+    assert!(cache.stats().hits >= 1);
 
     // `bill` observes server state: every query must cross the wire.
     let before = wire.stats().calls;

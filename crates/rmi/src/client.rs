@@ -3,13 +3,44 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use vcad_obs::{context, Collector};
+use vcad_cache::hash::CanonicalHasher;
+use vcad_cache::{Cache, CacheOutcome, Fill};
+use vcad_obs::{context, Collector, TracedSpan};
 
 use crate::error::RmiError;
 use crate::frame::{CallFrame, Frame};
 use crate::security::SecurityManager;
 use crate::transport::Transport;
 use crate::value::{ObjectId, Value};
+use crate::wire::WireWriter;
+
+/// The client-side memo of pure calls: one store of decoded results,
+/// consulted where the call is still typed, so a hit skips marshalling
+/// altogether and can be reported to the caller for fee accounting.
+struct Memo {
+    cache: Arc<Cache<Value, RmiError>>,
+    provider: String,
+    cacheable: fn(&str) -> bool,
+}
+
+impl Memo {
+    /// What the call *means*: provider, target object, method selector
+    /// and marshalled arguments — never the call id, trace context or
+    /// tenant, so traced and untraced clients share entries.
+    fn key(&self, object: ObjectId, method: &str, args: &[Value]) -> u128 {
+        let mut encoded = WireWriter::new();
+        for arg in args {
+            arg.write(&mut encoded);
+        }
+        let mut h = CanonicalHasher::new();
+        h.write_str(&self.provider);
+        h.write_u64(object.0);
+        h.write_str(method);
+        h.write_u64(args.len() as u64);
+        h.write_raw(&encoded.into_bytes());
+        h.finish()
+    }
+}
 
 /// A connection to one server through a [`Transport`].
 ///
@@ -24,6 +55,7 @@ pub struct Client {
     obs: Collector,
     baggage: Arc<Vec<(String, String)>>,
     tenant: Option<Arc<str>>,
+    memo: Option<Arc<Memo>>,
 }
 
 impl Client {
@@ -44,6 +76,7 @@ impl Client {
             obs: Collector::disabled(),
             baggage: Arc::new(Vec::new()),
             tenant: None,
+            memo: None,
         }
     }
 
@@ -79,6 +112,28 @@ impl Client {
         self
     }
 
+    /// Memoizes calls to methods `cacheable` declares pure in `cache`:
+    /// identical calls (same `provider`, object, method and arguments)
+    /// reach the wire once, concurrent ones coalesce onto one flight, and
+    /// error results are never stored. Entries belong to `provider` for
+    /// epoch invalidation ([`Cache::bump_epoch`]), so one cache can serve
+    /// clients of several providers. Every [`RemoteRef`] this client
+    /// hands out inherits the memo.
+    #[must_use]
+    pub fn with_cache(
+        mut self,
+        cache: Arc<Cache<Value, RmiError>>,
+        provider: &str,
+        cacheable: fn(&str) -> bool,
+    ) -> Client {
+        self.memo = Some(Arc::new(Memo {
+            cache,
+            provider: provider.to_owned(),
+            cacheable,
+        }));
+        self
+    }
+
     /// The tenant id this client stamps on calls, if any.
     #[must_use]
     pub fn tenant(&self) -> Option<&str> {
@@ -106,15 +161,52 @@ impl Client {
         &self.transport
     }
 
-    fn invoke(&self, object: ObjectId, method: &str, args: Vec<Value>) -> Result<Value, RmiError> {
+    /// Invokes `method`, reporting whether the result came from the memo
+    /// (a hit or a coalesced flight) instead of this caller's own wire
+    /// call.
+    fn invoke(
+        &self,
+        object: ObjectId,
+        method: &str,
+        args: Vec<Value>,
+    ) -> Result<(Value, bool), RmiError> {
         self.security.check_outgoing(&args)?;
-        let call_id = self.next_call.fetch_add(1, Ordering::Relaxed);
         // The call span parents under whatever is ambient (a controller
         // run, a scheduler instant); the frame carries its context so the
-        // provider's dispatch span parents under this call. When this
-        // client has no collector, fall back to the bare ambient context
-        // so cross-process parenting still works.
+        // provider's dispatch span parents under this call.
         let mut span = self.obs.traced_span("rmi", format!("client:{method}"));
+        let Some(memo) = self.memo.as_deref().filter(|m| (m.cacheable)(method)) else {
+            return self
+                .call_wire(object, method, args, &mut span)
+                .map(|v| (v, false));
+        };
+        let key = memo.key(object, method, &args);
+        let (value, outcome) = memo.cache.get_or_join(key, &memo.provider, || {
+            self.call_wire(object, method, args, &mut span)
+                .map(Fill::Store)
+        })?;
+        span.arg(
+            "outcome",
+            match outcome {
+                CacheOutcome::Hit => "hit",
+                CacheOutcome::Coalesced => "coalesced",
+                CacheOutcome::Miss | CacheOutcome::Bypass => "miss",
+            },
+        );
+        Ok((value, outcome.avoided_wire_call()))
+    }
+
+    /// Builds, sends and decodes one call frame.
+    fn call_wire(
+        &self,
+        object: ObjectId,
+        method: &str,
+        args: Vec<Value>,
+        span: &mut TracedSpan,
+    ) -> Result<Value, RmiError> {
+        let call_id = self.next_call.fetch_add(1, Ordering::Relaxed);
+        // When this client has no collector, fall back to the bare
+        // ambient context so cross-process parenting still works.
         let context = span
             .context()
             .cloned()
@@ -137,10 +229,12 @@ impl Client {
         .encode();
         let response_bytes = self.transport.call(&request);
         span.arg("ok", u64::from(response_bytes.is_ok()));
-        drop(span);
-        let response_bytes = response_bytes?;
-        match Frame::decode(&response_bytes)? {
-            Frame::Response(r) if r.call_id == call_id || r.call_id == 0 => r.into_result(),
+        match Frame::decode(&response_bytes?)? {
+            // Id 0 is the dispatcher answering a request it could not
+            // decode far enough to learn the id: only ever an error.
+            Frame::Response(r) if r.call_id == call_id || (r.call_id == 0 && r.result.is_err()) => {
+                r.into_result()
+            }
             Frame::Response(r) => Err(RmiError::Transport(format!(
                 "response for call {} while waiting for {}",
                 r.call_id, call_id
@@ -185,6 +279,22 @@ impl RemoteRef {
     /// Returns [`RmiError`] on marshalling, security, transport or
     /// remote-side failures.
     pub fn invoke(&self, method: &str, args: Vec<Value>) -> Result<Value, RmiError> {
+        self.invoke_with_meta(method, args).map(|(value, _)| value)
+    }
+
+    /// [`RemoteRef::invoke`], also reporting whether the result was
+    /// served from the client's memo ([`Client::with_cache`]) — `true`
+    /// means this call put nothing on the wire, so no fee is due. Always
+    /// `false` on a client without a memo.
+    ///
+    /// # Errors
+    ///
+    /// As [`RemoteRef::invoke`].
+    pub fn invoke_with_meta(
+        &self,
+        method: &str,
+        args: Vec<Value>,
+    ) -> Result<(Value, bool), RmiError> {
         self.client.invoke(self.id, method, args)
     }
 
@@ -283,5 +393,50 @@ mod tests {
         let c2 = c.clone();
         c.root().invoke("double", vec![Value::I64(1)]).unwrap();
         c2.root().invoke("double", vec![Value::I64(2)]).unwrap();
+    }
+
+    /// Answers every call with the same canned response frame.
+    struct Canned(Vec<u8>);
+    impl Transport for Canned {
+        fn call(&self, _request: &[u8]) -> Result<Vec<u8>, RmiError> {
+            Ok(self.0.clone())
+        }
+        fn stats(&self) -> crate::TransportStats {
+            crate::TransportStats::default()
+        }
+    }
+
+    fn canned(call_id: u64, result: Result<Value, (crate::RemoteErrorKind, String)>) -> Client {
+        let frame = Frame::Response(crate::ResponseFrame { call_id, result });
+        Client::new(Arc::new(Canned(frame.encode())))
+    }
+
+    #[test]
+    fn an_ok_value_under_call_id_zero_answers_no_call() {
+        let err = canned(0, Ok(Value::I64(7)))
+            .root()
+            .invoke("double", vec![Value::I64(1)])
+            .unwrap_err();
+        assert!(matches!(err, RmiError::Transport(_)), "{err:?}");
+        // Some other call's id is just as wrong.
+        let err = canned(99, Ok(Value::I64(7)))
+            .root()
+            .invoke("double", vec![Value::I64(1)])
+            .unwrap_err();
+        assert!(matches!(err, RmiError::Transport(_)), "{err:?}");
+    }
+
+    #[test]
+    fn an_error_under_call_id_zero_is_the_dispatchers_reply() {
+        // What `Dispatcher::handle_bytes` sends back for a request it
+        // could not decode: the error must reach the caller as itself.
+        let err = canned(
+            0,
+            Err((crate::RemoteErrorKind::Internal, "undecodable".into())),
+        )
+        .root()
+        .invoke("double", vec![Value::I64(1)])
+        .unwrap_err();
+        assert!(matches!(err, RmiError::Remote { .. }), "{err:?}");
     }
 }

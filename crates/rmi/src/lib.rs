@@ -21,7 +21,10 @@
 //! * [`ObjectRegistry`] + [`Dispatcher`] — the server side: exported
 //!   objects implementing [`RemoteObject`], addressed by [`ObjectId`];
 //! * [`Client`] + [`RemoteRef`] — the client side: typed handles that
-//!   marshal calls through a transport (the "stub" half of RMI);
+//!   marshal calls through a transport (the "stub" half of RMI), with an
+//!   optional content-addressed memo of pure calls ([`Client::with_cache`],
+//!   backed by [`vcad_cache`]: single-flight deduplication, provider-epoch
+//!   invalidation) consulted before anything is marshalled;
 //! * [`SecurityManager`], [`MarshalPolicy`], [`Sandbox`] — the IP
 //!   protection boundary: what may be serialised, and what downloaded
 //!   provider code may do on the user's machine;
@@ -32,11 +35,7 @@
 //!   machinery that survives such networks: exponential backoff with
 //!   deterministic jitter, per-call deadlines, at-most-once request
 //!   deduplication through the dispatcher's reply cache, and fail-fast
-//!   circuit breaking;
-//! * [`CachingTransport`] — content-addressed memoization of pure remote
-//!   calls (backed by [`vcad_cache`]), with single-flight deduplication
-//!   and provider-epoch invalidation; stacks above the resilience layer
-//!   so repeated identical requests never reach the wire at all.
+//!   circuit breaking.
 //!
 //! # Examples
 //!
@@ -74,6 +73,8 @@
 //! ```
 
 mod admission;
+#[cfg(test)]
+#[path = "client_caching_tests.rs"]
 mod caching;
 mod chaos;
 mod client;
@@ -88,7 +89,6 @@ mod value;
 mod wire;
 
 pub use admission::{AdmissionControl, ShedReason, TenantQuota, TenantStats, TokenBucket};
-pub use caching::{call_cache, CachingTransport, CallCache};
 pub use chaos::{heavy_chaos_stack, FaultConfig, FaultDecision, FaultPlan, FaultyTransport};
 pub use client::{Client, RemoteRef};
 pub use dispatch::{Dispatcher, ObjectRegistry, RemoteObject, ServerCtx};

@@ -14,7 +14,11 @@
 //!   backpressure costs one small write, never a blocked accept loop;
 //! * `workers` threads drain the queue through the shared
 //!   [`Dispatcher`] (which applies per-tenant admission when configured)
-//!   and write responses back through per-connection write halves.
+//!   and write responses back through per-connection write halves. The
+//!   sockets are non-blocking, so a reply the peer is not draining is
+//!   retried for [`REPLY_WRITE_BUDGET`] and then the connection is shut
+//!   down: a peer sees whole frames or a closed socket, never a torn
+//!   frame followed by more replies.
 //!
 //! Everything is `std::net` — no `mio`, no epoll binding — so the loop
 //! is a plain poll-and-sleep: perfectly deterministic to test against
@@ -22,13 +26,13 @@
 //! drives.
 
 use std::collections::HashMap;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vcad_obs::Collector;
 
@@ -36,8 +40,17 @@ use crate::dispatch::Dispatcher;
 use crate::error::{RemoteErrorKind, RmiError};
 use crate::frame::{Frame, ResponseFrame};
 use crate::resilience::{decode_tracked_call, encode_tracked_resp_ok, TAG_TRACKED_CALL};
-use crate::transport::write_frame;
 use crate::wire::MAX_FRAME_LEN;
+
+/// How long the poll loop sleeps when no socket made progress, and a
+/// worker between attempts at a reply the peer is not draining.
+const IDLE_SLEEP: Duration = Duration::from_micros(500);
+
+/// How long a worker keeps retrying a reply against a full send buffer
+/// before it gives the connection up. A reading peer drains a loopback
+/// or LAN buffer in microseconds; one that has not read for this long
+/// is holding a worker hostage.
+const REPLY_WRITE_BUDGET: Duration = Duration::from_secs(1);
 
 /// Tuning knobs for a [`MuxServer`].
 #[derive(Clone, Debug)]
@@ -230,8 +243,40 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Arc<Shared>) {
         shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
         let response = shared.dispatcher.handle_bytes(&job.bytes);
         let mut stream = job.write.lock().unwrap();
-        let _ = write_frame(&mut stream, &response);
+        write_reply(&mut stream, &response, REPLY_WRITE_BUDGET);
     }
+}
+
+/// Writes one length-prefixed frame to a non-blocking socket — whole, or
+/// not at all as far as later replies are concerned: `WouldBlock` is
+/// retried until `budget` lapses, and on lapse or any other error the
+/// connection is shut down, so the peer sees a clean (retryable)
+/// transport error instead of a stream that resumes mid-frame. Returns
+/// whether the frame went out whole.
+fn write_reply(stream: &mut TcpStream, response: &[u8], budget: Duration) -> bool {
+    let prefix = (response.len() as u32).to_le_bytes();
+    // Set on the first `WouldBlock`: the usual reply never reads the clock.
+    let mut deadline: Option<Instant> = None;
+    for mut rest in [&prefix[..], response] {
+        while !rest.is_empty() {
+            match stream.write(rest) {
+                Ok(n) if n > 0 => rest = &rest[n..],
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e)
+                    if e.kind() == ErrorKind::WouldBlock
+                        && Instant::now()
+                            < *deadline.get_or_insert_with(|| Instant::now() + budget) =>
+                {
+                    std::thread::sleep(IDLE_SLEEP);
+                }
+                _ => {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    return false;
+                }
+            }
+        }
+    }
+    true
 }
 
 fn poll_loop(
@@ -318,7 +363,7 @@ fn poll_loop(
                     Err(FrameTooLong) => {
                         // Hostile or corrupt length prefix: hang up on
                         // this peer, keep serving the rest.
-                        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+                        let _ = conn.stream.shutdown(Shutdown::Both);
                         dead.push(id);
                         break;
                     }
@@ -339,7 +384,11 @@ fn poll_loop(
                     Err(TrySendError::Full(job)) => {
                         shared.queue_shed.fetch_add(1, Ordering::Relaxed);
                         metrics.counter("server.queue_shed").inc();
-                        shed_job(&job);
+                        if !shed_job(&job) {
+                            let _ = conn.stream.shutdown(Shutdown::Both);
+                            dead.push(id);
+                            break;
+                        }
                     }
                     Err(TrySendError::Disconnected(_)) => return,
                 }
@@ -357,12 +406,12 @@ fn poll_loop(
         }
 
         if !progressed {
-            std::thread::sleep(Duration::from_micros(500));
+            std::thread::sleep(IDLE_SLEEP);
         }
     }
     // Shutdown: close every socket so blocked clients fail fast.
     for (_, conn) in conns.drain() {
-        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+        let _ = conn.stream.shutdown(Shutdown::Both);
         if let (Some(tenant), Some(admission)) = (&conn.tenant, shared.dispatcher.admission()) {
             admission.close_session(tenant);
         }
@@ -431,8 +480,10 @@ fn peek_tenant(frame: &[u8]) -> Option<String> {
 /// Answers a frame the queue had no room for: a typed, retryable
 /// `Overloaded` response, tracked-wrapped when the request was tracked
 /// (and deliberately not entered into the reply cache, so the retry is
-/// re-admitted).
-fn shed_job(job: &Job) {
+/// re-admitted). This runs on the poll thread, which must not wait on
+/// one peer: `false` means the reply could not be written whole right
+/// now and the caller must close the connection.
+fn shed_job(job: &Job) -> bool {
     let unwrapped;
     let (tracked, payload): (bool, &[u8]) = if job.bytes.first() == Some(&TAG_TRACKED_CALL) {
         match decode_tracked_call(&job.bytes) {
@@ -440,7 +491,7 @@ fn shed_job(job: &Job) {
                 unwrapped = payload;
                 (true, &unwrapped)
             }
-            Err(_) => return, // corrupt: let the client's checksum retry handle it
+            Err(_) => return true, // corrupt: let the client's checksum retry handle it
         }
     } else {
         (false, &job.bytes[..])
@@ -462,21 +513,129 @@ fn shed_job(job: &Job) {
     } else {
         response
     };
-    let mut stream = job.write.lock().unwrap();
-    let _ = write_frame(&mut stream, &response);
+    match lock_unless_stalled(&job.write) {
+        Some(mut stream) => write_reply(&mut stream, &response, Duration::ZERO),
+        None => false,
+    }
+}
+
+/// The write half of a connection, for the poll thread. A worker
+/// mid-reply holds the lock for a few microseconds, which these yields
+/// outlast — unless the peer has stopped reading and the worker is
+/// sleeping through [`REPLY_WRITE_BUDGET`] with it; that is `None`.
+fn lock_unless_stalled(write: &Mutex<TcpStream>) -> Option<MutexGuard<'_, TcpStream>> {
+    for _ in 0..1000 {
+        match write.try_lock() {
+            Ok(stream) => return Some(stream),
+            Err(TryLockError::WouldBlock) => std::thread::yield_now(),
+            Err(TryLockError::Poisoned(_)) => return None,
+        }
+    }
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dispatch::{ObjectRegistry, RemoteObject, ServerCtx};
-    use crate::{Client, TcpTransport, Transport, Value};
-    use std::io::{ErrorKind, Write};
+    use crate::frame::CallFrame;
+    use crate::{Client, ObjectId, TcpTransport, Transport, Value};
 
+    /// Echoes its first argument; `blob(n)` answers with `n` bytes.
     struct Ping;
     impl RemoteObject for Ping {
-        fn invoke(&self, _: &str, args: &[Value], _: &ServerCtx) -> Result<Value, RmiError> {
-            Ok(args.first().cloned().unwrap_or(Value::Null))
+        fn invoke(&self, method: &str, args: &[Value], _: &ServerCtx) -> Result<Value, RmiError> {
+            let first = args.first().cloned().unwrap_or(Value::Null);
+            match (method, first.as_i64()) {
+                ("blob", Some(n)) => Ok(Value::Bytes(vec![0xAB; n as usize])),
+                _ => Ok(first),
+            }
+        }
+    }
+
+    /// Cuts `received` into whole frames, leaving what trails the last.
+    fn whole_frames(received: &mut Vec<u8>) -> Vec<Vec<u8>> {
+        std::iter::from_fn(|| take_frame(received).ok().flatten()).collect()
+    }
+
+    #[test]
+    fn pipelined_large_replies_arrive_as_whole_frames() {
+        const CALLS: u64 = 200; // under the default queue capacity: none shed
+        const BLOB: usize = 256 * 1024; // 50 MiB of replies: no socket buffer holds that
+        let registry = Arc::new(ObjectRegistry::new());
+        registry.register_root(Arc::new(Ping));
+        let dispatcher = Arc::new(Dispatcher::new(registry));
+        let server =
+            MuxServer::bind("127.0.0.1:0", dispatcher, MuxServerConfig::default()).expect("bind");
+
+        let mut peer = TcpStream::connect(server.addr()).expect("connect");
+        peer.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        for call_id in 1..=CALLS {
+            let request = Frame::Call(CallFrame {
+                call_id,
+                object: ObjectId::ROOT,
+                method: "blob".into(),
+                args: vec![Value::I64(BLOB as i64)],
+                context: None,
+                tenant: None,
+            })
+            .encode();
+            peer.write_all(&(request.len() as u32).to_le_bytes())
+                .unwrap();
+            peer.write_all(&request).unwrap();
+        }
+        peer.shutdown(Shutdown::Write).unwrap();
+        // Read nothing while the workers fill the send buffer and start
+        // seeing `WouldBlock` (not needed for the test to pass, only for
+        // it to catch a server that tears frames when that happens).
+        std::thread::sleep(Duration::from_millis(100));
+        let mut received = Vec::new();
+        peer.read_to_end(&mut received).expect("read to EOF");
+
+        let frames = whole_frames(&mut received);
+        assert!(received.is_empty(), "{} stray bytes", received.len());
+        let mut answered: Vec<u64> = frames
+            .iter()
+            .map(|frame| match Frame::decode(frame) {
+                Ok(Frame::Response(ResponseFrame {
+                    call_id,
+                    result: Ok(Value::Bytes(blob)),
+                })) if blob.len() == BLOB => call_id,
+                other => panic!("not a whole reply: {other:?}"),
+            })
+            .collect();
+        answered.sort_unstable();
+        assert_eq!(answered, (1..=CALLS).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_reply_that_cannot_be_written_whole_closes_the_connection() {
+        // The poll thread's budget (shed replies) and a lapsing worker's.
+        for budget in [Duration::ZERO, Duration::from_millis(20)] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_nonblocking(true).unwrap();
+
+            let reply = vec![7u8; 64 * 1024];
+            let whole = (0..100_000)
+                .take_while(|_| write_reply(&mut stream, &reply, budget))
+                .count();
+            assert!(whole < 100_000, "the send buffer never filled");
+            assert!(
+                !write_reply(&mut stream, &reply, budget),
+                "a reply went out after a torn one"
+            );
+
+            // The peer gets every whole reply, at most one torn one, and
+            // then EOF — never bytes that resume mid-frame.
+            let mut received = Vec::new();
+            peer.read_to_end(&mut received).expect("read to EOF");
+            let frames = whole_frames(&mut received);
+            assert_eq!(frames.len(), whole);
+            assert!(frames.iter().all(|f| *f == reply));
+            assert!(received.len() < 4 + reply.len());
         }
     }
 

@@ -1,7 +1,10 @@
 //! The cached-rerun determinism gate: the two-provider design simulated
 //! twice through cached sessions. The second pass must be bit-identical
 //! to the first, must never reach either provider, and must be charged
-//! no fees — the contract that makes the cache safe to leave on.
+//! no fees — the contract that makes the cache safe to leave on. Over a
+//! faulty link the warm pass must also stay clear of the retry layer:
+//! the cache is consulted before anything is marshalled, so no transport
+//! decorator ever sees a hit.
 
 use std::sync::Arc;
 
@@ -12,10 +15,24 @@ use vcad::ip::{
     ClientSession, ComponentOffering, IpCache, ModelAvailability, PriceList, ProviderServer,
 };
 use vcad::netlist::generators;
-use vcad::rmi::{InProcTransport, Transport};
+use vcad::obs::Collector;
+use vcad::rmi::{heavy_chaos_stack, InProcTransport, Transport};
 
 #[test]
 fn cached_rerun_is_bit_identical_and_stays_local() {
+    cold_then_warm(None);
+}
+
+#[test]
+fn cached_rerun_over_a_faulty_link_never_wakes_the_retry_layer() {
+    let obs = Collector::enabled();
+    cold_then_warm(Some((42, &obs)));
+}
+
+/// Runs the design cold, then warm. With `chaos` set, each provider link
+/// runs through [`heavy_chaos_stack`] (seeded from it, metered into the
+/// collector) below the cached session.
+fn cold_then_warm(chaos: Option<(u64, &Collector)>) {
     let width = 8;
 
     // Provider 1: full models, Wallace multiplier. Provider 2: a
@@ -35,8 +52,15 @@ fn cached_rerun_is_bit_identical_and_stays_local() {
     let cache = Arc::new(IpCache::new(CacheConfig::default()));
     let wire1: Arc<dyn Transport> = Arc::new(InProcTransport::new(p1.dispatcher()));
     let wire2: Arc<dyn Transport> = Arc::new(InProcTransport::new(p2.dispatcher()));
-    let s1 = ClientSession::connect_cached(Arc::clone(&wire1), p1.host(), Arc::clone(&cache));
-    let s2 = ClientSession::connect_cached(Arc::clone(&wire2), p2.host(), Arc::clone(&cache));
+    let link = |wire: &Arc<dyn Transport>, nth: u64| match chaos {
+        Some((seed, obs)) => heavy_chaos_stack(Arc::clone(wire), seed + nth, obs).0,
+        None => Arc::clone(wire),
+    };
+    let s1 = ClientSession::connect(link(&wire1, 0), p1.host()).with_cache(Arc::clone(&cache));
+    let s2 = ClientSession::connect(link(&wire2, 1), p2.host()).with_cache(Arc::clone(&cache));
+    // Only the link's decorators meter into the collector: this is every
+    // `rmi.chaos.*` / `rmi.retry.*` / `rmi.breaker.*` counter.
+    let turbulence = || chaos.map(|(_, obs)| obs.metrics().snapshot().counters);
 
     let mult = s1.instantiate("MultFastLowPower", width).unwrap();
     let adder = s2.instantiate("AdderIP", 2 * width).unwrap();
@@ -89,6 +113,11 @@ fn cached_rerun_is_bit_identical_and_stays_local() {
     let bills = (s1.bill().unwrap(), s2.bill().unwrap());
     assert!(bills.0 > 0.0, "pass 1 must be billed for fresh estimates");
 
+    let turbulence_before = turbulence();
+    if let Some(counters) = &turbulence_before {
+        assert!(counters["rmi.retry.retries"] > 0, "the link was calm");
+    }
+
     // Pass 2: same design, same seeds, warm cache — count the wire.
     let calls_before = (wire1.stats().calls, wire2.stats().calls);
     let second = run_once();
@@ -96,6 +125,11 @@ fn cached_rerun_is_bit_identical_and_stays_local() {
         (wire1.stats().calls, wire2.stats().calls),
         calls_before,
         "the warm pass must never reach a provider"
+    );
+    assert_eq!(
+        turbulence(),
+        turbulence_before,
+        "the warm pass must not reach the chaos or retry layers either"
     );
 
     // Bit-identical outputs, instant by instant.
