@@ -19,7 +19,7 @@ cargo build --release
 echo "==> tier-1 verify: cargo test -q (default-members: the whole workspace)"
 cargo test -q
 
-echo "==> fork gate: one TCP server, one call context, one JSON module, one client cache"
+echo "==> fork gate: one TCP server, one call context, one JSON module, one client cache, one table builder"
 if grep -rn "TcpServer" crates src tests examples \
     || grep -rn "thread_local!" crates/rmi \
     || grep -rn "mod json" crates/lint \
@@ -32,6 +32,16 @@ fi
 # One line per escape site: exactly one, in the one JSON module.
 [ "$(grep -rnF '\\u{:04x}' crates | cut -d: -f1)" = "crates/obs/src/json.rs" ] \
     || { echo "JSON string escaping belongs in crates/obs/src/json.rs, once"; exit 1; }
+
+# One detection-table algorithm: the compiled transpose. No engine
+# selector on the builder or on the provider-side source (the one
+# `fn with_engine` left in that file is `VirtualFaultSim`'s).
+if grep -rn "build_with(" crates src tests examples \
+    || grep -n "EngineKind" crates/faults/src/detect.rs; then
+    echo "the detection-table engine fork is back (see DESIGN.md, 'One path per job')"; exit 1
+fi
+[ "$(grep -c "fn with_engine" crates/faults/src/virtual_sim.rs)" -le 1 ] \
+    || { echo "NetlistDetectionSource has no engine selector; tables are built on the compiled plan"; exit 1; }
 
 echo "==> chaos soak: fault-injected session must match the fault-free baseline"
 cargo test --release -q --test chaos_session

@@ -1,7 +1,7 @@
 //! Fault-simulation substrates: serial vs bit-parallel flat simulation,
-//! detection-table construction on both gate-evaluation backends, and
+//! detection-table construction (one-shot and over a held plan), and
 //! the full virtual fault simulation of the Figure 4 circuit on both
-//! engines.
+//! scheduler engines.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -10,6 +10,7 @@ use std::time::Duration;
 use vcad_bench::microbench::Group;
 use vcad_bench::workload::random_patterns;
 use vcad_core::EngineKind;
+use vcad_engine::CompiledNetlist;
 use vcad_faults::{
     BitParallelSim, DetectionTable, FaultUniverse, NetlistDetectionSource, SerialFaultSim,
 };
@@ -51,12 +52,10 @@ fn bench_detection_tables() {
         group.bench(format!("build/{width}"), || {
             black_box(DetectionTable::build(&nl, &universe, &inputs));
         });
+        let compiled = CompiledNetlist::compile(&nl);
         group.bench(format!("build_compiled/{width}"), || {
-            black_box(DetectionTable::build_with(
-                &nl,
-                &universe,
-                &inputs,
-                EngineKind::Compiled,
+            black_box(DetectionTable::build_compiled(
+                &compiled, &nl, &universe, &inputs,
             ));
         });
         let table = DetectionTable::build(&nl, &universe, &inputs);
@@ -110,9 +109,7 @@ fn bench_virtual() {
                 Arc::clone(&design),
                 vec![IpBlockBinding {
                     module: ip,
-                    source: Arc::new(
-                        NetlistDetectionSource::new(Arc::clone(&ip1)).with_engine(engine),
-                    ),
+                    source: Arc::new(NetlistDetectionSource::new(Arc::clone(&ip1))),
                 }],
                 vec![o1, o2],
             )

@@ -16,13 +16,14 @@
 //! gate input pin) to a constant before fan-out consumes it. The same
 //! machinery also runs the transposed parallel-*fault* layout (one
 //! pattern, up to 64 single-fault experiments across the lanes), which
-//! is how `vcad-faults` builds detection tables at speed.
+//! is the only way `vcad-faults` builds detection tables.
 //!
 //! The engine is differential-tested against the scalar
 //! [`Evaluator`](vcad_netlist::Evaluator) and, downstream, against the
-//! event-driven scheduler: any divergence in outputs, detection tables
-//! or fees is a test failure, so `--engine=compiled` is a pure
-//! throughput knob.
+//! event-driven scheduler and the scalar `FaultyEvaluator` /
+//! `SerialFaultSim` reference in `vcad-faults`: any divergence in
+//! outputs, detection tables or fees is a test failure, so
+//! `--engine=compiled` is a pure throughput knob.
 //!
 //! # Examples
 //!

@@ -1,14 +1,13 @@
 //! Detection tables: the paper's per-pattern testability exchange format.
 
-use vcad_engine::{CompiledNetlist, EngineKind, Force};
+use vcad_engine::CompiledNetlist;
 use vcad_logic::LogicVec;
-use vcad_netlist::{Evaluator, Netlist};
+use vcad_netlist::Netlist;
 use vcad_rmi::Value;
 
 use crate::collapse::FaultUniverse;
-use crate::eval::FaultyEvaluator;
-use crate::fault::SymbolicFault;
-use crate::parallel::fault_force;
+use crate::fault::{Fault, SymbolicFault};
+use crate::parallel::one_pattern_all_faults;
 
 /// The detection table of one component for one input configuration.
 ///
@@ -41,67 +40,28 @@ pub struct DetectionTable {
 
 impl DetectionTable {
     /// Builds the table by simulating every collapsed fault of `universe`
-    /// under `inputs` — the provider-side computation.
+    /// under `inputs` — the provider-side computation. One-shot form:
+    /// compiles `netlist` and calls [`DetectionTable::build_compiled`].
     ///
     /// # Panics
     ///
     /// Panics if `inputs.width()` differs from the netlist's input count.
     #[must_use]
     pub fn build(netlist: &Netlist, universe: &FaultUniverse, inputs: &LogicVec) -> DetectionTable {
-        let fault_free = Evaluator::new(netlist).outputs(inputs);
-        let faulty = FaultyEvaluator::new(netlist);
-        let mut rows: Vec<(LogicVec, Vec<SymbolicFault>)> = Vec::new();
-        // Statically untestable classes simulate to the fault-free output
-        // under every pattern, so skipping them leaves the table
-        // bit-identical while saving their simulation passes.
-        for class in universe.classes().iter().filter(|c| c.is_testable()) {
-            let out = faulty.outputs(&class.representative, inputs);
-            if out == fault_free {
-                continue;
-            }
-            let name = class.representative.name(netlist);
-            match rows.iter_mut().find(|(o, _)| *o == out) {
-                Some((_, faults)) => faults.push(name),
-                None => rows.push((out, vec![name])),
-            }
-        }
-        DetectionTable {
-            inputs: inputs.clone(),
-            fault_free,
-            rows,
-        }
+        DetectionTable::build_compiled(
+            &CompiledNetlist::compile(netlist),
+            netlist,
+            universe,
+            inputs,
+        )
     }
 
-    /// [`DetectionTable::build`] with an explicit gate-evaluation
-    /// backend. Both backends produce identical tables (same rows, same
-    /// order); `Compiled` simulates up to 64 fault classes per pass by
-    /// replicating the pattern across lanes and injecting one lane-masked
-    /// fault per class — the transposed parallel-fault layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.width()` differs from the netlist's input count.
-    #[must_use]
-    pub fn build_with(
-        netlist: &Netlist,
-        universe: &FaultUniverse,
-        inputs: &LogicVec,
-        engine: EngineKind,
-    ) -> DetectionTable {
-        match engine {
-            EngineKind::Event => DetectionTable::build(netlist, universe, inputs),
-            EngineKind::Compiled => DetectionTable::build_compiled(
-                &CompiledNetlist::compile(netlist),
-                netlist,
-                universe,
-                inputs,
-            ),
-        }
-    }
-
-    /// The compiled fast path behind [`DetectionTable::build_with`],
-    /// reusing an already-compiled plan (a provider answering many
-    /// per-pattern requests compiles once and calls this per table).
+    /// [`DetectionTable::build`] over an already-compiled plan (a
+    /// provider answering many per-pattern requests compiles once and
+    /// calls this per table). Up to 64 fault classes are simulated per
+    /// pass by replicating the pattern across lanes and injecting one
+    /// lane-masked fault per class — the transposed parallel-fault
+    /// layout.
     ///
     /// # Panics
     ///
@@ -114,35 +74,23 @@ impl DetectionTable {
         universe: &FaultUniverse,
         inputs: &LogicVec,
     ) -> DetectionTable {
-        let fault_free = compiled.outputs(inputs);
-        let mut eval = compiled.evaluator();
-        let mut rows: Vec<(LogicVec, Vec<SymbolicFault>)> = Vec::new();
-        // Same untestable-class skip as the event path, applied before
-        // lane packing so both engines chunk the same class sequence.
-        let testable: Vec<&crate::collapse::FaultClass> = universe
+        // Statically untestable classes simulate to the fault-free output
+        // under every pattern, so skipping them leaves the table
+        // bit-identical while saving their lanes.
+        let testable: Vec<Fault> = universe
             .classes()
             .iter()
             .filter(|c| c.is_testable())
+            .map(|c| c.representative)
             .collect();
-        for chunk in testable.chunks(64) {
-            let patterns = vec![inputs.clone(); chunk.len()];
-            let packed = compiled.pack(&patterns);
-            let forces: Vec<Force> = chunk
-                .iter()
-                .enumerate()
-                .map(|(lane, class)| fault_force(&class.representative, 1u64 << lane))
-                .collect();
-            let out = eval.run(&packed, &forces);
-            for (lane, class) in chunk.iter().enumerate() {
-                let faulty = out.lane(lane);
-                if faulty == fault_free {
-                    continue;
-                }
-                let name = class.representative.name(netlist);
-                match rows.iter_mut().find(|(o, _)| *o == faulty) {
-                    Some((_, faults)) => faults.push(name),
-                    None => rows.push((faulty, vec![name])),
-                }
+        let (fault_free, differing) =
+            one_pattern_all_faults(compiled, &mut compiled.evaluator(), inputs, &testable);
+        let mut rows: Vec<(LogicVec, Vec<SymbolicFault>)> = Vec::new();
+        for (index, faulty) in differing {
+            let name = testable[index].name(netlist);
+            match rows.iter_mut().find(|(o, _)| *o == faulty) {
+                Some((_, faults)) => faults.push(name),
+                None => rows.push((faulty, vec![name])),
             }
         }
         DetectionTable {
@@ -220,7 +168,9 @@ impl DetectionTable {
 
     /// Decodes a table from its wire [`Value`] form.
     ///
-    /// Returns `None` when the value is not a well-formed table.
+    /// Returns `None` when the value is not a well-formed table; a row
+    /// whose output is not as wide as the fault-free configuration is
+    /// malformed (consumers slice rows by the component's port widths).
     #[must_use]
     pub fn from_value(value: &Value) -> Option<DetectionTable> {
         let inputs = value.get("inputs")?.as_logic_vec()?.clone();
@@ -228,6 +178,9 @@ impl DetectionTable {
         let mut rows = Vec::new();
         for row in value.get("rows")?.as_list()? {
             let out = row.get("output")?.as_logic_vec()?.clone();
+            if out.width() != fault_free.width() {
+                return None;
+            }
             let faults = row
                 .get("faults")?
                 .as_list()?
@@ -245,8 +198,26 @@ impl DetectionTable {
 }
 
 #[cfg(test)]
+impl DetectionTable {
+    /// Assembles a table from unchecked parts — shapes no builder or
+    /// decoder produces, for testing the checks downstream of them.
+    pub(crate) fn from_parts(
+        inputs: LogicVec,
+        fault_free: LogicVec,
+        rows: Vec<(LogicVec, Vec<SymbolicFault>)>,
+    ) -> DetectionTable {
+        DetectionTable {
+            inputs,
+            fault_free,
+            rows,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::FaultyEvaluator;
     use vcad_netlist::generators;
 
     fn figure4_table() -> DetectionTable {
@@ -312,61 +283,19 @@ mod tests {
     }
 
     #[test]
+    fn from_value_rejects_a_row_narrower_than_fault_free() {
+        let short = DetectionTable::from_parts(
+            "01".parse().unwrap(),
+            "01".parse().unwrap(),
+            vec![("0".parse().unwrap(), vec![SymbolicFault::from("f")])],
+        );
+        assert_eq!(DetectionTable::from_value(&short.to_value()), None);
+    }
+
+    #[test]
     fn exposable_faults_lists_all_rows() {
         let table = figure4_table();
         let n: usize = table.rows().iter().map(|(_, f)| f.len()).sum();
         assert_eq!(table.exposable_faults().len(), n);
-    }
-
-    #[test]
-    fn untestable_marking_leaves_tables_bit_identical() {
-        use crate::testability::TestabilityAnalysis;
-        use vcad_logic::Logic;
-        let nl = generators::untestable_demo(3);
-        let full = FaultUniverse::collapsed(&nl);
-        let mut pruned = full.clone();
-        let marked = pruned.apply_testability(&nl, &TestabilityAnalysis::analyze(&nl));
-        assert!(marked > 0, "demo circuit must yield untestable classes");
-        let w = nl.input_count();
-        let mut patterns: Vec<LogicVec> =
-            (0..1u64 << w).map(|p| LogicVec::from_u64(w, p)).collect();
-        patterns.push(LogicVec::filled(w, Logic::X));
-        let mut with_z = LogicVec::zeros(w);
-        with_z.set(0, Logic::Z);
-        patterns.push(with_z);
-        for inputs in &patterns {
-            for engine in [EngineKind::Event, EngineKind::Compiled] {
-                let unpruned = DetectionTable::build_with(&nl, &full, inputs, engine);
-                let skipped = DetectionTable::build_with(&nl, &pruned, inputs, engine);
-                assert_eq!(unpruned, skipped, "{engine:?} under {inputs}");
-            }
-        }
-    }
-
-    #[test]
-    fn compiled_tables_are_identical_to_event_tables() {
-        use vcad_logic::Logic;
-        // More than 64 collapsed classes on the multiplier, so the
-        // parallel-fault transpose spans several passes.
-        for nl in [
-            generators::half_adder_nand(),
-            generators::array_multiplier(3),
-        ] {
-            let universe = FaultUniverse::collapsed(&nl);
-            let w = nl.input_count();
-            let mut patterns: Vec<LogicVec> = (0..1u64 << w.min(4))
-                .map(|p| LogicVec::from_u64(w, p))
-                .collect();
-            patterns.push(LogicVec::filled(w, Logic::X));
-            let mut with_z = LogicVec::zeros(w);
-            with_z.set(0, Logic::Z);
-            patterns.push(with_z);
-            for inputs in &patterns {
-                let event = DetectionTable::build(&nl, &universe, inputs);
-                let compiled =
-                    DetectionTable::build_with(&nl, &universe, inputs, EngineKind::Compiled);
-                assert_eq!(event, compiled, "{} under {inputs}", nl.name());
-            }
-        }
     }
 }

@@ -13,13 +13,17 @@
 //! * [`TestabilityAnalysis`] — static SCOAP controllability/observability
 //!   scores plus sound untestability proofs; [`FaultUniverse`] classes a
 //!   proof covers are skipped by simulation and accounted separately.
-//! * [`FaultyEvaluator`] — evaluation of a netlist with one fault injected.
 //! * [`DetectionTable`] — the paper's key data structure: for one input
 //!   pattern, every erroneous output configuration with the symbolic
-//!   faults that cause it. Serialisable to a wire
-//!   [`Value`](vcad_rmi) for remote transmission.
-//! * [`SerialFaultSim`] — the full-disclosure flat baseline, plus a
-//!   64-way bit-parallel variant ([`BitParallelSim`]).
+//!   faults that cause it, built on the compiled engine (up to 64 fault
+//!   classes per pass). Serialisable to a wire [`Value`](vcad_rmi) for
+//!   remote transmission.
+//! * [`BitParallelSim`] — 64-way bit-parallel flat fault simulation.
+//! * [`FaultyEvaluator`] / [`SerialFaultSim`] — scalar evaluation of a
+//!   netlist with one fault injected, and the full-disclosure flat
+//!   baseline over it. They are the *reference*, not a backend: tests
+//!   and benches compare the compiled paths against them, and nothing
+//!   else in this crate calls them.
 //! * [`VirtualFaultSim`] — the Figure 5 algorithm over a `vcad-core`
 //!   [`Design`](vcad_core::Design): fault-free simulation, per-pattern
 //!   detection-table queries, output injection through a single-instant

@@ -6,7 +6,9 @@
 //! per [`RailWord`](vcad_logic::RailWord) lane set, the good machine
 //! runs once per chunk, and each remaining fault becomes a lane-masked
 //! [`Force`] at its site — detection is a nonzero diff mask against the
-//! good outputs, with fault dropping across chunks.
+//! good outputs, with fault dropping across chunks. The transposed
+//! layout (one pattern, 64 faults per pass) that detection tables and
+//! random-pattern growth run on lives here too.
 //!
 //! Unlike the old evaluator, four-valued patterns are accepted: `X`/`Z`
 //! propagate dual-rail exactly as on the event-driven path, and a lane
@@ -15,7 +17,7 @@
 
 use std::collections::HashSet;
 
-use vcad_engine::{CompiledNetlist, Force};
+use vcad_engine::{CompiledNetlist, Force, PackedEvaluator};
 use vcad_logic::LogicVec;
 use vcad_netlist::Netlist;
 
@@ -28,6 +30,46 @@ pub(crate) fn fault_force(fault: &Fault, lanes: u64) -> Force {
         FaultSite::Net(net) => Force::net(net, stuck_one, lanes),
         FaultSite::Pin { gate, pin } => Force::pin(gate, pin, stuck_one, lanes),
     }
+}
+
+/// Simulates one pattern against every fault of `faults` in the
+/// transposed parallel-*fault* layout: the pattern is replicated across
+/// the lanes and each pass runs up to 64 single-fault machines, one
+/// lane-masked [`Force`] per lane. Returns the fault-free outputs and,
+/// in `faults` order, `(index, faulty outputs)` for every fault whose
+/// outputs differ from them as four-valued values.
+///
+/// # Panics
+///
+/// Panics if `pattern.width()` differs from the plan's input count.
+pub(crate) fn one_pattern_all_faults(
+    compiled: &CompiledNetlist,
+    eval: &mut PackedEvaluator,
+    pattern: &LogicVec,
+    faults: &[Fault],
+) -> (LogicVec, Vec<(usize, LogicVec)>) {
+    // Packed once at the widest pass; the idle lanes of a short final
+    // pass carry no force, so they equal the good machine and drop out
+    // of the diff mask.
+    let lanes = faults.len().clamp(1, 64);
+    let packed = compiled.pack(&vec![pattern.clone(); lanes]);
+    let good = eval.run(&packed, &[]);
+    let mut differing = Vec::new();
+    for (pass, chunk) in faults.chunks(64).enumerate() {
+        let forces: Vec<Force> = chunk
+            .iter()
+            .enumerate()
+            .map(|(lane, fault)| fault_force(fault, 1u64 << lane))
+            .collect();
+        let out = eval.run(&packed, &forces);
+        let mut mask = good.diff_mask(&out);
+        while mask != 0 {
+            let lane = mask.trailing_zeros() as usize;
+            differing.push((pass * 64 + lane, out.lane(lane)));
+            mask &= mask - 1;
+        }
+    }
+    (good.lane(0), differing)
 }
 
 /// A 64-way bit-parallel good/faulty simulator (PPSFP).

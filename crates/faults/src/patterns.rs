@@ -14,8 +14,8 @@ use vcad_prng::Rng;
 use vcad_logic::{Logic, LogicVec};
 use vcad_netlist::Netlist;
 
-use crate::eval::FaultyEvaluator;
 use crate::fault::Fault;
+use crate::parallel::one_pattern_all_faults;
 
 /// Typed test-growth failures — every malformed request is rejected
 /// before any simulation runs.
@@ -86,8 +86,8 @@ pub fn grow_random_patterns(
         return Err(PatternError::EmptyTargets);
     }
     let mut rng = Rng::seed_from_u64(seed);
-    let good = vcad_netlist::Evaluator::new(netlist);
-    let faulty = FaultyEvaluator::new(netlist);
+    let compiled = vcad_engine::CompiledNetlist::compile(netlist);
+    let mut eval = compiled.evaluator();
     let total = targets.len();
     let mut remaining: Vec<Fault> = targets.to_vec();
     let mut patterns = Vec::new();
@@ -103,10 +103,12 @@ pub fn grow_random_patterns(
         for i in 0..p.width() {
             p.set(i, Logic::from(rng.gen_bool(0.5)));
         }
-        let good_out = good.outputs(&p);
-        let before = remaining.len();
-        remaining.retain(|f| faulty.outputs(f, &p) == good_out);
-        if remaining.len() < before {
+        let (_, differing) = one_pattern_all_faults(&compiled, &mut eval, &p, &remaining);
+        if !differing.is_empty() {
+            // Indices ascend, so dropping from the back keeps the rest valid.
+            for (index, _) in differing.iter().rev() {
+                remaining.remove(*index);
+            }
             patterns.push(p);
             coverage_history.push((total - remaining.len()) as f64 / total.max(1) as f64);
         }

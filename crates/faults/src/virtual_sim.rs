@@ -32,15 +32,16 @@ pub enum VirtualSimError {
     ZeroParallelism,
     /// An injection worker thread panicked.
     WorkerPanicked,
-    /// A detection table's fault-free row does not match the bound
-    /// block's output width — the source answered for a different
-    /// component (or corrupted data survived the transport).
+    /// A detection table's fault-free configuration, or one of its
+    /// rows, does not match the bound block's output width — the source
+    /// answered for a different component (or corrupted data survived
+    /// the transport).
     MalformedTable {
         /// The offending block module's name.
         module: String,
         /// The block's total output width.
         expected: usize,
-        /// The table's row width.
+        /// The width of the table's first offending configuration.
         got: usize,
     },
 }
@@ -105,38 +106,29 @@ pub trait DetectionTableSource: Send + Sync {
 }
 
 /// The provider-side (or fully local) detection-table source: owns the
-/// protected netlist and computes tables on demand.
+/// protected netlist, compiled once, and computes tables on demand via
+/// the parallel-fault transpose (64 fault classes per pass).
 pub struct NetlistDetectionSource {
     netlist: Arc<Netlist>,
     universe: FaultUniverse,
-    compiled: Option<vcad_engine::CompiledNetlist>,
+    compiled: vcad_engine::CompiledNetlist,
 }
 
 impl NetlistDetectionSource {
     /// Creates a source over the component's (private) netlist.
     #[must_use]
     pub fn new(netlist: Arc<Netlist>) -> NetlistDetectionSource {
+        // The plan first: it lives as long as the source, and allocated
+        // after `collapsed` has freed its working set it would sit on
+        // top of that hole and keep the allocator from returning it
+        // (+4 MiB peak RSS per provider process on a 16-bit multiplier).
+        let compiled = vcad_engine::CompiledNetlist::compile(&netlist);
         let universe = FaultUniverse::collapsed(&netlist);
         NetlistDetectionSource {
             netlist,
             universe,
-            compiled: None,
+            compiled,
         }
-    }
-
-    /// Selects the backend tables are computed on. `Compiled` compiles
-    /// the netlist once and then answers each request via the
-    /// parallel-fault transpose (64 fault classes per pass); tables are
-    /// bit-identical to the event path.
-    #[must_use]
-    pub fn with_engine(mut self, engine: vcad_engine::EngineKind) -> NetlistDetectionSource {
-        self.compiled = match engine {
-            vcad_engine::EngineKind::Event => None,
-            vcad_engine::EngineKind::Compiled => {
-                Some(vcad_engine::CompiledNetlist::compile(&self.netlist))
-            }
-        };
-        self
     }
 
     /// Runs the static testability analysis over the netlist and marks
@@ -190,10 +182,12 @@ impl DetectionTableSource for NetlistDetectionSource {
     }
 
     fn detection_table(&self, inputs: &LogicVec) -> Result<DetectionTable, VirtualSimError> {
-        Ok(match &self.compiled {
-            Some(c) => DetectionTable::build_compiled(c, &self.netlist, &self.universe, inputs),
-            None => DetectionTable::build(&self.netlist, &self.universe, inputs),
-        })
+        Ok(DetectionTable::build_compiled(
+            &self.compiled,
+            &self.netlist,
+            &self.universe,
+            inputs,
+        ))
     }
 }
 
@@ -393,9 +387,9 @@ impl VirtualFaultSim {
     }
 
     /// Disables the per-input-configuration detection-table cache, so
-    /// every pattern issues a fresh provider request — the ablation the
-    /// `faultsim` bench quantifies. Results are unchanged; only the
-    /// request count grows.
+    /// every pattern issues a fresh provider request — the ablation
+    /// `crates/faults/tests/proptests.rs` runs against the cached form.
+    /// Results are unchanged; only the request count grows.
     #[must_use]
     pub fn without_table_cache(mut self) -> VirtualFaultSim {
         self.table_cache = false;
@@ -505,8 +499,10 @@ impl VirtualFaultSim {
                             .filter(|p| p.direction().produces_output())
                             .map(vcad_core::PortSpec::width)
                             .sum();
-                        let got = t.fault_free().width();
-                        if got != expected {
+                        let mut widths = std::iter::once(t.fault_free())
+                            .chain(t.rows().iter().map(|(out, _)| out))
+                            .map(LogicVec::width);
+                        if let Some(got) = widths.find(|w| *w != expected) {
                             return Err(VirtualSimError::MalformedTable {
                                 module: module.name().to_owned(),
                                 expected,
@@ -1077,6 +1073,67 @@ mod tests {
         .unwrap();
         assert!(matches!(
             sim.run(),
+            Err(VirtualSimError::MalformedTable {
+                expected: 2,
+                got: 1,
+                ..
+            })
+        ));
+    }
+
+    /// A source answering every request with one canned result, and
+    /// advertising the fault its short row names.
+    struct CannedSource(Result<DetectionTable, VirtualSimError>);
+
+    impl DetectionTableSource for CannedSource {
+        fn fault_list(&self) -> Vec<SymbolicFault> {
+            vec![SymbolicFault::from("f")]
+        }
+        fn detection_table(&self, _inputs: &LogicVec) -> Result<DetectionTable, VirtualSimError> {
+            self.0.clone()
+        }
+    }
+
+    fn run_figure4_against(source: CannedSource) -> Result<CoverageReport, VirtualSimError> {
+        let (design, ip, outputs, _) = figure4_design(&[(1, 1, 0, 1)]);
+        VirtualFaultSim::new(
+            design,
+            vec![IpBlockBinding {
+                module: ip,
+                source: Arc::new(source),
+            }],
+            outputs,
+        )
+        .unwrap()
+        .run()
+    }
+
+    /// IP1 outputs two bits; the fault-free configuration is right but
+    /// the row for `f` is one bit short, so forcing it would slice past
+    /// its end.
+    fn short_row_table() -> DetectionTable {
+        DetectionTable::from_parts(
+            "01".parse().unwrap(),
+            "01".parse().unwrap(),
+            vec![("0".parse().unwrap(), vec![SymbolicFault::from("f")])],
+        )
+    }
+
+    #[test]
+    fn short_row_off_the_wire_is_a_typed_error_not_a_panic() {
+        // What `RemoteDetectionSource` does with a provider's answer.
+        let decoded = DetectionTable::from_value(&short_row_table().to_value())
+            .ok_or_else(|| VirtualSimError::Source("malformed detection table".into()));
+        assert!(matches!(
+            run_figure4_against(CannedSource(decoded)),
+            Err(VirtualSimError::Source(_))
+        ));
+    }
+
+    #[test]
+    fn short_row_from_a_local_source_is_a_malformed_table() {
+        assert!(matches!(
+            run_figure4_against(CannedSource(Ok(short_row_table()))),
             Err(VirtualSimError::MalformedTable {
                 expected: 2,
                 got: 1,

@@ -2,8 +2,10 @@
 //! the fault-simulation level: virtual fault simulation must produce
 //! identical coverage reports — detected faults in the same order, the
 //! same per-pattern history, the same table-request and injection
-//! counts — whichever backend evaluates the gates, across shard counts,
-//! and whichever backend the provider computes detection tables on.
+//! counts — whichever backend evaluates the gates, across shard counts.
+//! Detection tables have one production builder (the compiled
+//! parallel-fault transpose); it is checked here against the serial
+//! oracle in `oracle/mod.rs`.
 //!
 //! Failures print the seed that produced them; rerun just that seed
 //! with `VCAD_PROP_SEED=<seed> cargo test -p vcad-faults --test
@@ -14,13 +16,15 @@ use std::sync::Arc;
 use vcad_core::stdlib::{Fanout, NetlistBlock, PrimaryOutput, VectorInput};
 use vcad_core::{Design, DesignBuilder, EngineKind, ModuleId, ShardPolicy};
 use vcad_faults::{
-    BitParallelSim, CoverageReport, FaultUniverse, IpBlockBinding, NetlistDetectionSource,
-    SerialFaultSim, VirtualFaultSim,
+    BitParallelSim, CoverageReport, DetectionTable, FaultUniverse, IpBlockBinding,
+    NetlistDetectionSource, SerialFaultSim, TestabilityAnalysis, VirtualFaultSim,
 };
 use vcad_logic::LogicVec;
 use vcad_netlist::generators::{self, RandomCircuitSpec};
 use vcad_netlist::{GateKind, Netlist, NetlistBuilder};
 use vcad_prng::Rng;
+
+mod oracle;
 
 const SEEDS: [u64; 6] = [2, 11, 29, 47, 101, 8675309];
 
@@ -113,33 +117,10 @@ fn run_sim(
     outputs: &[ModuleId],
     ip: &Arc<Netlist>,
     sim_engine: EngineKind,
-    source_engine: EngineKind,
-    shards: usize,
-) -> CoverageReport {
-    run_sim_pruned(
-        design,
-        ip_mod,
-        outputs,
-        ip,
-        sim_engine,
-        source_engine,
-        shards,
-        false,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sim_pruned(
-    design: &Arc<Design>,
-    ip_mod: ModuleId,
-    outputs: &[ModuleId],
-    ip: &Arc<Netlist>,
-    sim_engine: EngineKind,
-    source_engine: EngineKind,
     shards: usize,
     pruned: bool,
 ) -> CoverageReport {
-    let mut source = NetlistDetectionSource::new(Arc::clone(ip)).with_engine(source_engine);
+    let mut source = NetlistDetectionSource::new(Arc::clone(ip));
     if pruned {
         source = source.with_testability();
     }
@@ -168,8 +149,8 @@ fn virtual_sim_coverage_is_engine_invariant_across_shards() {
             &outputs,
             &ip,
             EngineKind::Event,
-            EngineKind::Event,
             1,
+            false,
         ));
         assert!(
             !baseline.0.is_empty(),
@@ -177,24 +158,15 @@ fn virtual_sim_coverage_is_engine_invariant_across_shards() {
              (rerun with VCAD_PROP_SEED={seed})"
         );
         for sim_engine in EngineKind::ALL {
-            for source_engine in EngineKind::ALL {
-                for shards in [1usize, 2, 8] {
-                    let got = fingerprint(&run_sim(
-                        &design,
-                        ip_mod,
-                        &outputs,
-                        &ip,
-                        sim_engine,
-                        source_engine,
-                        shards,
-                    ));
-                    assert_eq!(
-                        got, baseline,
-                        "seed {seed}: engine={sim_engine} source={source_engine} \
-                         shards={shards} diverges from the event-driven baseline \
-                         (rerun with VCAD_PROP_SEED={seed})"
-                    );
-                }
+            for shards in [1usize, 2, 8] {
+                let got = fingerprint(&run_sim(
+                    &design, ip_mod, &outputs, &ip, sim_engine, shards, false,
+                ));
+                assert_eq!(
+                    got, baseline,
+                    "seed {seed}: engine={sim_engine} shards={shards} diverges \
+                     from the event-driven baseline (rerun with VCAD_PROP_SEED={seed})"
+                );
             }
         }
     }
@@ -204,31 +176,14 @@ fn virtual_sim_coverage_is_engine_invariant_across_shards() {
 /// pruned run detects the same faults with the same per-pattern
 /// history as the unpruned run (statically untestable faults are never
 /// detected), its denominators account for the exclusion exactly, and
-/// the pruned run itself is bit-identical across engine × source ×
-/// shard-count combinations.
+/// the pruned run itself is bit-identical across engine × shard-count
+/// combinations.
 #[test]
 fn pruned_coverage_matches_unpruned_across_engines_and_shards() {
     for seed in seeds_under_test() {
         let (design, ip_mod, outputs, ip) = scenario(seed);
-        let unpruned = run_sim(
-            &design,
-            ip_mod,
-            &outputs,
-            &ip,
-            EngineKind::Event,
-            EngineKind::Event,
-            1,
-        );
-        let baseline = run_sim_pruned(
-            &design,
-            ip_mod,
-            &outputs,
-            &ip,
-            EngineKind::Event,
-            EngineKind::Event,
-            1,
-            true,
-        );
+        let unpruned = run_sim(&design, ip_mod, &outputs, &ip, EngineKind::Event, 1, false);
+        let baseline = run_sim(&design, ip_mod, &outputs, &ip, EngineKind::Event, 1, true);
         assert_eq!(
             fingerprint(&unpruned).0,
             fingerprint(&baseline).0,
@@ -247,27 +202,71 @@ fn pruned_coverage_matches_unpruned_across_engines_and_shards() {
         assert!(baseline.blocks[0].coverage() >= unpruned.blocks[0].coverage());
         let fp = fingerprint(&baseline);
         for sim_engine in EngineKind::ALL {
-            for source_engine in EngineKind::ALL {
-                for shards in [1usize, 2, 8] {
-                    let got = fingerprint(&run_sim_pruned(
-                        &design,
-                        ip_mod,
-                        &outputs,
-                        &ip,
-                        sim_engine,
-                        source_engine,
-                        shards,
-                        true,
-                    ));
-                    assert_eq!(
-                        got, fp,
-                        "seed {seed}: pruned run engine={sim_engine} \
-                         source={source_engine} shards={shards} diverges \
-                         (rerun with VCAD_PROP_SEED={seed})"
-                    );
-                }
+            for shards in [1usize, 2, 8] {
+                let got = fingerprint(&run_sim(
+                    &design, ip_mod, &outputs, &ip, sim_engine, shards, true,
+                ));
+                assert_eq!(
+                    got, fp,
+                    "seed {seed}: pruned run engine={sim_engine} shards={shards} \
+                     diverges (rerun with VCAD_PROP_SEED={seed})"
+                );
             }
         }
+    }
+}
+
+/// Every binary pattern of the first six inputs, then the four-valued
+/// corners.
+fn table_patterns(width: usize) -> Vec<LogicVec> {
+    (0..1u64 << width.min(6))
+        .map(|p| LogicVec::from_u64(width, p))
+        .chain(oracle::four_valued_corners(width))
+        .collect()
+}
+
+#[test]
+fn compiled_tables_are_identical_to_oracle_tables() {
+    // More than 64 collapsed classes on the multiplier, so the
+    // parallel-fault transpose spans several passes; the random circuits
+    // add a netlist per seed.
+    let mut netlists = vec![
+        generators::half_adder_nand(),
+        generators::array_multiplier(3),
+    ];
+    netlists.extend(seeds_under_test().into_iter().map(|seed| {
+        generators::random_circuit(RandomCircuitSpec {
+            inputs: 6,
+            gates: 60,
+            outputs: 4,
+            seed,
+        })
+    }));
+    for nl in &netlists {
+        let universe = FaultUniverse::collapsed(nl);
+        let compiled = vcad_engine::CompiledNetlist::compile(nl);
+        for inputs in &table_patterns(nl.input_count()) {
+            let one_shot = DetectionTable::build(nl, &universe, inputs);
+            oracle::assert_matches_serial_oracle(&one_shot, nl, &universe, nl.name());
+            let held_plan = DetectionTable::build_compiled(&compiled, nl, &universe, inputs);
+            assert_eq!(one_shot, held_plan, "{} under {inputs}", nl.name());
+        }
+    }
+}
+
+#[test]
+fn untestable_marking_leaves_tables_bit_identical() {
+    let nl = generators::untestable_demo(3);
+    let full = FaultUniverse::collapsed(&nl);
+    let mut pruned = full.clone();
+    let marked = pruned.apply_testability(&nl, &TestabilityAnalysis::analyze(&nl));
+    assert!(marked > 0, "demo circuit must yield untestable classes");
+    for inputs in &table_patterns(nl.input_count()) {
+        // The oracle simulates every class of the full universe, so the
+        // table that skipped the marked ones must not have lost a row.
+        let skipped = DetectionTable::build(&nl, &pruned, inputs);
+        oracle::assert_matches_serial_oracle(&skipped, &nl, &full, "pruned universe");
+        assert_eq!(DetectionTable::build(&nl, &full, inputs), skipped);
     }
 }
 

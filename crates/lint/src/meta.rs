@@ -115,18 +115,7 @@ pub fn lint_fault_model(
         ));
     }
 
-    let want_width = table.fault_free().width();
-    for (row, (output, row_faults)) in table.rows().iter().enumerate() {
-        if output.width() != want_width {
-            out.push(deny(
-                rules::DETECTION_WIDTH,
-                format!(
-                    "detection row {row} is {} bits wide; the fault-free response is {} bits",
-                    output.width(),
-                    want_width
-                ),
-            ));
-        }
+    for (row, (_, row_faults)) in table.rows().iter().enumerate() {
         for fault in row_faults {
             if !faults.contains(fault) {
                 out.push(deny(
@@ -145,18 +134,39 @@ pub fn lint_fault_model(
 /// Validates that a marshalled value decodes as a detection table — the
 /// shape check applied to `detection_table` responses coming off the
 /// wire before `vcad-faults` consumes them.
+///
+/// A decoded [`DetectionTable`] always has rows as wide as its fault-free
+/// response, so the width rule is reported here, on the frame that
+/// failed to decode for that reason.
 #[must_use]
 pub fn lint_detection_frame(component: &str, value: &Value) -> Vec<Diagnostic> {
-    match DetectionTable::from_value(value) {
-        Some(_) => Vec::new(),
-        None => vec![Diagnostic::at(
-            rules::MALFORMED_TABLE,
-            Severity::Deny,
-            component,
-            None,
-            "wire value does not decode as a detection table".to_owned(),
-        )],
+    if DetectionTable::from_value(value).is_some() {
+        return Vec::new();
     }
+    let width = |v: &Value, key: &str| Some(v.get(key)?.as_logic_vec()?.width());
+    let want = width(value, "fault_free");
+    let rows = value.get("rows").and_then(Value::as_list).unwrap_or(&[]);
+    let (rule, message) = match rows
+        .iter()
+        .map(|row| width(row, "output"))
+        .position(|got| want.is_some() && got.is_some() && got != want)
+    {
+        Some(row) => (
+            rules::DETECTION_WIDTH,
+            format!("detection row {row} is not as wide as the fault-free response"),
+        ),
+        None => (
+            rules::MALFORMED_TABLE,
+            "wire value does not decode as a detection table".to_owned(),
+        ),
+    };
+    vec![Diagnostic::at(
+        rule,
+        Severity::Deny,
+        component,
+        None,
+        message,
+    )]
 }
 
 #[cfg(test)]
@@ -175,7 +185,11 @@ mod tests {
     // Tables only construct from a netlist or the wire form; use the
     // wire form so malformed shapes are expressible.
     fn table(rows: Vec<(LogicVec, Vec<SymbolicFault>)>) -> DetectionTable {
-        let encoded = Value::Map(vec![
+        DetectionTable::from_value(&frame(rows)).unwrap()
+    }
+
+    fn frame(rows: Vec<(LogicVec, Vec<SymbolicFault>)>) -> Value {
+        Value::Map(vec![
             ("inputs".into(), Value::Vec(vec_of("00"))),
             ("fault_free".into(), Value::Vec(vec_of("0"))),
             (
@@ -199,8 +213,7 @@ mod tests {
                         .collect(),
                 ),
             ),
-        ]);
-        DetectionTable::from_value(&encoded).unwrap()
+        ])
     }
 
     #[test]
@@ -213,17 +226,18 @@ mod tests {
     #[test]
     fn unknown_fault_and_bad_width_are_deny() {
         let faults = vec![fault("a-sa0")];
-        let t = table(vec![
-            (vec_of("11"), vec![fault("a-sa0")]),
-            (vec_of("1"), vec![fault("ghost")]),
-        ]);
+        let t = table(vec![(vec_of("1"), vec![fault("ghost")])]);
         let out = lint_fault_model("MULT", &faults, &t);
         assert!(out
             .iter()
-            .any(|d| d.rule == rules::DETECTION_WIDTH && d.severity == Severity::Deny));
-        assert!(out
-            .iter()
             .any(|d| d.rule == rules::UNKNOWN_FAULT && d.message.contains("ghost")));
+        // A two-bit row against a one-bit fault-free response never
+        // decodes, so the width rule fires on the frame.
+        let wide = frame(vec![(vec_of("11"), vec![fault("a-sa0")])]);
+        let out = lint_detection_frame("MULT", &wide);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].rule, rules::DETECTION_WIDTH);
+        assert_eq!(out[0].severity, Severity::Deny);
     }
 
     #[test]
