@@ -19,7 +19,7 @@ cargo build --release
 echo "==> tier-1 verify: cargo test -q (default-members: the whole workspace)"
 cargo test -q
 
-echo "==> fork gate: one TCP server, one call context, one JSON module, one client cache, one table builder"
+echo "==> fork gate: one TCP server, one call context, one JSON module, one client cache, one table builder, one one-pattern evaluator"
 if grep -rn "TcpServer" crates src tests examples \
     || grep -rn "thread_local!" crates/rmi \
     || grep -rn "mod json" crates/lint \
@@ -43,6 +43,18 @@ fi
 [ "$(grep -c "fn with_engine" crates/faults/src/virtual_sim.rs)" -le 1 ] \
     || { echo "NetlistDetectionSource has no engine selector; tables are built on the compiled plan"; exit 1; }
 
+# One one-pattern evaluator: the plan entry. The naive topo_order() walk
+# is test code (crates/netlist/tests/oracle/), and outside test modules
+# GateKind::eval is called only by the full-disclosure baseline.
+if grep -n "topo_order()" crates/netlist/src/eval.rs; then
+    echo "Evaluator runs Netlist::plan(); the scalar walk is the test oracle"; exit 1
+fi
+scalar_evals="$(for f in $(grep -rlE 'kind(\(\))?\.eval\(' crates/*/src); do
+    awk '/^#\[cfg\(test\)\]/ { exit } /kind(\(\))?\.eval\(/ { print FILENAME; exit }' "$f"
+done)"
+[ "$scalar_evals" = "crates/faults/src/eval.rs" ] \
+    || { echo "non-test GateKind::eval call sites: $scalar_evals (only FaultyEvaluator may)"; exit 1; }
+
 echo "==> chaos soak: fault-injected session must match the fault-free baseline"
 cargo test --release -q --test chaos_session
 
@@ -61,6 +73,9 @@ VCAD_SHARDS=1,2,8 cargo test --release -q --test shard_differential
 
 echo "==> shard properties: fixed-seed random designs/partitions (rerun one with VCAD_PROP_SEED=<seed>)"
 cargo test --release -q --test shard_property
+
+echo "==> plan property: one-pattern plan evaluation equals the naive scalar oracle on random netlists (rerun one with VCAD_PROP_SEED=<seed>)"
+cargo test --release -q -p vcad-netlist --test plan_property
 
 echo "==> golden drift gate: canonical bench outputs must match tests/golden/ (update: VCAD_UPDATE_GOLDEN=1)"
 cargo test --release -q --test golden_outputs

@@ -55,7 +55,8 @@ impl SimulationController {
     /// [`Module::compiled_twin`](crate::Module::compiled_twin) (the
     /// stdlib netlist blocks do) with its bit-parallel twin; all other
     /// modules, and the event-driven scheduling itself, are unchanged,
-    /// so results are bit-identical and only the wall clock moves.
+    /// and the stdlib blocks and their twins execute the same cached
+    /// plan, so results are bit-identical.
     #[must_use]
     pub fn with_engine(mut self, engine: vcad_engine::EngineKind) -> SimulationController {
         self.engine = engine;

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use vcad_engine::{CompiledNetlist, EngineKind};
+use vcad_engine::EngineKind;
 use vcad_logic::LogicVec;
 use vcad_netlist::{Evaluator, Netlist};
 
@@ -14,15 +14,14 @@ use crate::module::{Module, ModuleCtx, PortSpec};
 /// Ports are ordered netlist inputs first (named after their nets), then
 /// netlist outputs. Whenever an input changes, the whole netlist is
 /// re-evaluated and any changed outputs are emitted — a functional
-/// zero-delay gate-level model. [`NetlistBlock::with_engine`] swaps the
-/// per-evaluation scalar walk for the compiled levelized plan; results
-/// are bit-identical either way.
+/// zero-delay gate-level model, evaluated on the netlist's cached plan
+/// ([`Netlist::plan`]).
 #[derive(Debug)]
 pub struct NetlistBlock {
     name: String,
     netlist: Arc<Netlist>,
     ports: Vec<PortSpec>,
-    compiled: Option<CompiledNetlist>,
+    engine: EngineKind,
 }
 
 impl NetlistBlock {
@@ -40,29 +39,24 @@ impl NetlistBlock {
             name: name.into(),
             netlist,
             ports,
-            compiled: None,
+            engine: EngineKind::Event,
         }
     }
 
-    /// Selects the gate-evaluation backend; `Compiled` compiles the
-    /// netlist once, up front.
+    /// Labels the block with a gate-evaluation backend. Both run the
+    /// one-pattern entry of the netlist's cached plan
+    /// ([`Netlist::plan`]), so the label moves neither results nor the
+    /// wall clock.
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> NetlistBlock {
-        self.compiled = match engine {
-            EngineKind::Event => None,
-            EngineKind::Compiled => Some(CompiledNetlist::compile(&self.netlist)),
-        };
+        self.engine = engine;
         self
     }
 
-    /// The backend this block evaluates on.
+    /// The backend this block is labelled with.
     #[must_use]
     pub fn engine(&self) -> EngineKind {
-        if self.compiled.is_some() {
-            EngineKind::Compiled
-        } else {
-            EngineKind::Event
-        }
+        self.engine
     }
 
     /// The wrapped netlist.
@@ -73,13 +67,6 @@ impl NetlistBlock {
 
     fn input_count(&self) -> usize {
         self.netlist.input_count()
-    }
-
-    fn eval(&self, inputs: &LogicVec) -> LogicVec {
-        match &self.compiled {
-            Some(c) => c.outputs(inputs),
-            None => Evaluator::new(&self.netlist).outputs(inputs),
-        }
     }
 }
 
@@ -95,7 +82,7 @@ impl Module for NetlistBlock {
     fn on_signal(&self, ctx: &mut ModuleCtx<'_>, _port: usize, _value: &LogicVec) {
         let n_in = self.input_count();
         let inputs = LogicVec::from_bits((0..n_in).map(|i| ctx.port_value(i).get(0)));
-        let outputs = self.eval(&inputs);
+        let outputs = Evaluator::new(&self.netlist).outputs(&inputs);
         for (i, bit) in outputs.iter().enumerate() {
             let port = n_in + i;
             let current = ctx.port_value(port).get(0);
@@ -106,7 +93,7 @@ impl Module for NetlistBlock {
     }
 
     fn compiled_twin(&self) -> Option<Arc<dyn Module>> {
-        if self.compiled.is_some() {
+        if self.engine == EngineKind::Compiled {
             return None;
         }
         Some(Arc::new(
@@ -128,7 +115,7 @@ pub struct NetlistBusBlock {
     netlist: Arc<Netlist>,
     ports: Vec<PortSpec>,
     input_buses: usize,
-    compiled: Option<CompiledNetlist>,
+    engine: EngineKind,
 }
 
 impl NetlistBusBlock {
@@ -170,29 +157,24 @@ impl NetlistBusBlock {
             netlist,
             ports,
             input_buses: input_buses.len(),
-            compiled: None,
+            engine: EngineKind::Event,
         }
     }
 
-    /// Selects the gate-evaluation backend; `Compiled` compiles the
-    /// netlist once, up front.
+    /// Labels the block with a gate-evaluation backend. Both run the
+    /// one-pattern entry of the netlist's cached plan
+    /// ([`Netlist::plan`]), so the label moves neither results nor the
+    /// wall clock.
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> NetlistBusBlock {
-        self.compiled = match engine {
-            EngineKind::Event => None,
-            EngineKind::Compiled => Some(CompiledNetlist::compile(&self.netlist)),
-        };
+        self.engine = engine;
         self
     }
 
-    /// The backend this block evaluates on.
+    /// The backend this block is labelled with.
     #[must_use]
     pub fn engine(&self) -> EngineKind {
-        if self.compiled.is_some() {
-            EngineKind::Compiled
-        } else {
-            EngineKind::Event
-        }
+        self.engine
     }
 
     /// The wrapped netlist.
@@ -212,26 +194,26 @@ impl Module for NetlistBusBlock {
     }
 
     fn on_signal(&self, ctx: &mut ModuleCtx<'_>, _port: usize, _value: &LogicVec) {
-        let mut inputs = LogicVec::zeros(0);
-        for i in 0..self.input_buses {
-            inputs = inputs.concat(ctx.port_value(i));
-        }
-        let outputs = match &self.compiled {
-            Some(c) => c.outputs(&inputs),
-            None => Evaluator::new(&self.netlist).outputs(&inputs),
-        };
+        let inputs =
+            LogicVec::from_bits((0..self.input_buses).flat_map(|i| ctx.port_value(i).iter()));
+        let outputs = Evaluator::new(&self.netlist).outputs(&inputs);
         let mut offset = 0;
         for (i, spec) in self.ports.iter().enumerate().skip(self.input_buses) {
-            let slice = outputs.slice(offset, spec.width());
-            offset += spec.width();
-            if *ctx.port_value(i) != slice {
-                ctx.emit(i, slice);
+            let bits = offset..offset + spec.width();
+            offset = bits.end;
+            // Slice (allocate) only the buses whose value moved.
+            if !ctx
+                .port_value(i)
+                .iter()
+                .eq(bits.clone().map(|b| outputs.get(b)))
+            {
+                ctx.emit(i, outputs.slice(bits.start, bits.len()));
             }
         }
     }
 
     fn compiled_twin(&self) -> Option<Arc<dyn Module>> {
-        if self.compiled.is_some() {
+        if self.engine == EngineKind::Compiled {
             return None;
         }
         Some(Arc::new(NetlistBusBlock {
@@ -239,7 +221,7 @@ impl Module for NetlistBusBlock {
             netlist: Arc::clone(&self.netlist),
             ports: self.ports.clone(),
             input_buses: self.input_buses,
-            compiled: Some(CompiledNetlist::compile(&self.netlist)),
+            engine: EngineKind::Compiled,
         }))
     }
 }
@@ -320,6 +302,20 @@ mod tests {
     fn bus_block_validates_widths() {
         let mul = Arc::new(generators::wallace_multiplier(4));
         let _ = NetlistBusBlock::new("MUL", mul, &[("a", 4)], &[("p", 8)]);
+    }
+
+    #[test]
+    fn twins_share_the_netlist_and_so_its_one_plan() {
+        let mul = Arc::new(generators::wallace_multiplier(4));
+        let plan = Arc::clone(mul.plan());
+        let bus = NetlistBusBlock::new("MUL", Arc::clone(&mul), &[("a", 4), ("b", 4)], &[("p", 8)]);
+        let bit = NetlistBlock::new("MULBITS", Arc::clone(&mul));
+        let holders = Arc::strong_count(&mul);
+        let twins = [bus.compiled_twin(), bit.compiled_twin()].map(Option::unwrap);
+        // Each twin holds the same netlist, not a copy or a recompile ...
+        assert_eq!(Arc::strong_count(&mul), holders + twins.len());
+        // ... and the netlist's plan is still the one compiled above.
+        assert!(Arc::ptr_eq(mul.plan(), &plan));
     }
 
     #[test]

@@ -193,11 +193,12 @@ fn lane_mask(lanes: usize) -> u64 {
 
 /// A [`Netlist`] compiled for the bit-parallel engine.
 ///
-/// Compilation happens once (`engine.compile` span); evaluation reuses
-/// the plan through [`CompiledNetlist::evaluator`]. The struct is
-/// self-contained — it does not borrow the netlist — so blocks and
-/// fault simulators can own one alongside the netlist `Arc` they
-/// already hold.
+/// The plan is the netlist's own cached [`Netlist::plan`] — compiled at
+/// most once per netlist, however many engines are bound to it
+/// (`engine.compile` span); evaluation reuses it through
+/// [`CompiledNetlist::evaluator`]. The struct is self-contained — it
+/// does not borrow the netlist — so blocks and fault simulators can own
+/// one alongside the netlist `Arc` they already hold.
 #[derive(Clone, Debug)]
 pub struct CompiledNetlist {
     plan: Arc<ExecPlan>,
@@ -217,7 +218,7 @@ impl CompiledNetlist {
     #[must_use]
     pub fn compile_with(netlist: &Netlist, obs: &Collector) -> CompiledNetlist {
         let _span = obs.span("engine", "engine.compile");
-        let plan = Arc::new(ExecPlan::compile(netlist));
+        let plan = Arc::clone(netlist.plan());
         let m = obs.metrics();
         m.counter("engine.plans_compiled").add(1);
         m.counter("engine.plan_ops").add(plan.op_count() as u64);
@@ -253,23 +254,19 @@ impl CompiledNetlist {
             "pack takes 1..=64 patterns, got {}",
             patterns.len()
         );
-        let inputs = self.input_count();
-        let mut raw = vec![RailWord::default(); inputs];
-        for (lane, pattern) in patterns.iter().enumerate() {
+        for pattern in patterns {
             assert_eq!(
                 pattern.width(),
-                inputs,
+                self.input_count(),
                 "pattern width must match the netlist's input count"
             );
-            for (i, word) in raw.iter_mut().enumerate() {
-                word.set_lane(lane, pattern.get(i));
-            }
         }
-        // Fill idle lanes with pattern 0 so force masks spanning the
-        // whole word still address defined values.
-        for lane in patterns.len()..64 {
-            for (i, word) in raw.iter_mut().enumerate() {
-                word.set_lane(lane, patterns[0].get(i));
+        // Every lane starts as pattern 0, so idle lanes hold a defined
+        // experiment for force masks spanning the whole word.
+        let mut raw: Vec<RailWord> = patterns[0].iter().map(RailWord::splat).collect();
+        for (lane, pattern) in patterns.iter().enumerate().skip(1) {
+            for (word, bit) in raw.iter_mut().zip(pattern) {
+                word.set_lane(lane, bit);
             }
         }
         PackedPatterns {
@@ -294,15 +291,18 @@ impl CompiledNetlist {
         }
     }
 
-    /// Fault-free single-pattern evaluation, the drop-in for
-    /// [`Evaluator::outputs`](vcad_netlist::Evaluator::outputs).
+    /// Fault-free single-pattern evaluation: the plan's one-pattern
+    /// entry, exactly what
+    /// [`Evaluator::outputs`](vcad_netlist::Evaluator::outputs) runs.
     ///
     /// # Panics
     ///
     /// Panics if the pattern width does not match the input count.
     #[must_use]
     pub fn outputs(&self, inputs: &LogicVec) -> LogicVec {
-        self.outputs_with(inputs, &[])
+        let out = self.plan.eval_outputs(inputs);
+        record_pass(&self.obs, &self.plan, 1);
+        out
     }
 
     /// Single-pattern evaluation under the given forces.
@@ -313,9 +313,19 @@ impl CompiledNetlist {
     /// force addresses a pin that does not exist.
     #[must_use]
     pub fn outputs_with(&self, inputs: &LogicVec, forces: &[Force]) -> LogicVec {
+        if forces.is_empty() {
+            return self.outputs(inputs);
+        }
         let packed = self.pack(std::slice::from_ref(inputs));
         self.evaluator().run(&packed, forces).lane(0)
     }
+}
+
+fn record_pass(obs: &Collector, plan: &ExecPlan, patterns: usize) {
+    let m = obs.metrics();
+    m.counter("engine.passes").add(1);
+    m.counter("engine.gate_evals").add(plan.op_count() as u64);
+    m.counter("engine.patterns").add(patterns as u64);
 }
 
 /// Executes a compiled plan over packed patterns; owns the per-run
@@ -445,12 +455,7 @@ impl PackedEvaluator {
             })
             .collect();
 
-        let m = self.obs.metrics();
-        m.counter("engine.passes").add(1);
-        m.counter("engine.gate_evals")
-            .add(self.plan.op_count() as u64);
-        m.counter("engine.patterns").add(patterns.lanes as u64);
-
+        record_pass(&self.obs, &self.plan, patterns.lanes);
         PackedOutputs {
             lanes: patterns.lanes,
             words,
@@ -490,23 +495,46 @@ impl PackedEvaluator {
     }
 }
 
+// The naive scalar walk the tests compare against: `Evaluator` runs the
+// same plan this module does.
+#[cfg(test)]
+#[path = "../../netlist/tests/oracle/mod.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcad_netlist::{generators, Evaluator, NetlistBuilder};
+    use vcad_netlist::{generators, NetlistBuilder};
 
     #[test]
     fn matches_scalar_evaluator_on_c17() {
         let nl = generators::c17();
         let compiled = CompiledNetlist::compile(&nl);
-        let eval = Evaluator::new(&nl);
         // All 32 binary patterns in one packed pass.
         let patterns: Vec<LogicVec> = (0..32).map(|p| LogicVec::from_u64(5, p)).collect();
         let packed = compiled.pack(&patterns);
         let out = compiled.evaluator().run(&packed, &[]);
         for (lane, pattern) in patterns.iter().enumerate() {
-            assert_eq!(out.lane(lane), eval.outputs(pattern), "pattern {lane}");
+            let expect = oracle::outputs(&nl, pattern);
+            assert_eq!(out.lane(lane), expect, "packed, pattern {lane}");
+            assert_eq!(compiled.outputs(pattern), expect, "single, pattern {lane}");
         }
+    }
+
+    #[test]
+    fn every_engine_bound_to_a_netlist_shares_its_one_plan() {
+        let nl = generators::ripple_adder(4);
+        let first = CompiledNetlist::compile(&nl);
+        let second = CompiledNetlist::compile(&nl);
+        assert!(Arc::ptr_eq(&first.plan, nl.plan()));
+        assert!(Arc::ptr_eq(&first.plan, &second.plan));
+        // A clone of a compiled netlist carries the plan along.
+        let clone = nl.clone();
+        assert!(Arc::ptr_eq(clone.plan(), nl.plan()));
+        assert!(Arc::ptr_eq(
+            &CompiledNetlist::compile(&clone).plan,
+            &first.plan
+        ));
     }
 
     #[test]
@@ -519,13 +547,14 @@ mod tests {
         b.output("y", y);
         let nl = b.build().unwrap();
         let compiled = CompiledNetlist::compile(&nl);
-        let eval = Evaluator::new(&nl);
 
         let mut inp = LogicVec::from_u64(2, 0b01);
         inp.set(1, Logic::Z);
-        let scalar = eval.outputs(&inp);
+        let scalar = oracle::outputs(&nl, &inp);
         assert_eq!(scalar.get(0), Logic::Z, "scalar path preserves Z");
         assert_eq!(compiled.outputs(&inp), scalar);
+        let packed = compiled.pack(std::slice::from_ref(&inp));
+        assert_eq!(compiled.evaluator().run(&packed, &[]).lane(0), scalar);
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! # vcad-engine — compiled levelized bit-parallel netlist engine
 //!
-//! The event-driven scheduler (`vcad-core`) evaluates one gate token at
-//! a time; that generality is wasted on the flat combinational netlists
-//! that dominate fault-simulation and power workloads. This crate is
-//! the raw-speed path: a [`Netlist`](vcad_netlist::Netlist) is compiled
-//! once into a levelized [`ExecPlan`](vcad_netlist::ExecPlan), and a
-//! [`PackedEvaluator`] then sweeps the plan front to back evaluating
-//! **64 test patterns per gate visit**, with each pattern riding one
-//! lane of a dual-rail [`RailWord`](vcad_logic::RailWord) so `X` and
-//! `Z` propagate exactly as they do on the event-driven path.
+//! A [`Netlist`](vcad_netlist::Netlist) is compiled once — by the
+//! netlist itself, [`Netlist::plan`](vcad_netlist::Netlist::plan) — into
+//! a levelized [`ExecPlan`](vcad_netlist::ExecPlan), and every gate
+//! evaluation in the workspace executes that plan. One pattern at a time
+//! (a gate-level block reacting to an event, a provider's
+//! `functional_eval`) runs the plan's one-pattern entry, reached through
+//! [`Evaluator`](vcad_netlist::Evaluator) or
+//! [`CompiledNetlist::outputs`] alike. This crate adds the batch form for
+//! the fault-simulation workloads: a [`PackedEvaluator`] sweeps the same
+//! plan front to back evaluating **64 test patterns per gate visit**,
+//! each pattern riding one lane of a dual-rail
+//! [`RailWord`](vcad_logic::RailWord) so `X` and `Z` propagate exactly
+//! as they do one pattern at a time.
 //!
 //! Fault injection is a masked override at the fault site — classic
 //! PPSFP (parallel-pattern single-fault propagation): a stuck-at fault
@@ -18,12 +22,15 @@
 //! pattern, up to 64 single-fault experiments across the lanes), which
 //! is the only way `vcad-faults` builds detection tables.
 //!
-//! The engine is differential-tested against the scalar
-//! [`Evaluator`](vcad_netlist::Evaluator) and, downstream, against the
-//! event-driven scheduler and the scalar `FaultyEvaluator` /
-//! `SerialFaultSim` reference in `vcad-faults`: any divergence in
-//! outputs, detection tables or fees is a test failure, so
-//! `--engine=compiled` is a pure throughput knob.
+//! Both forms are differential-tested against the naive scalar walk
+//! kept as a test oracle (`crates/netlist/tests/oracle/` —
+//! [`Evaluator`](vcad_netlist::Evaluator) runs the plan, so it is not an
+//! independent reference) and, downstream, against the scalar
+//! `FaultyEvaluator` / `SerialFaultSim` baseline in `vcad-faults`: any
+//! divergence in outputs, detection tables or fees is a test failure.
+//! [`EngineKind`] no longer selects between implementations for
+//! gate-level blocks — "event" and "compiled" blocks execute the same
+//! plan — so `--engine=compiled` changes neither results nor speed.
 //!
 //! # Examples
 //!
@@ -51,8 +58,9 @@ use std::str::FromStr;
 
 /// Which gate-evaluation backend a simulation should use.
 ///
-/// Both backends are bit-identical by construction (and by CI gate);
-/// the choice only moves the wall clock.
+/// Both backends are bit-identical by construction (and by CI gate):
+/// gate-level blocks execute the netlist's one cached plan under either
+/// label.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The event-driven scheduler: one gate token at a time.

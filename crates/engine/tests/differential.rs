@@ -1,8 +1,10 @@
-//! Differential + property tests: the compiled bit-parallel engine
-//! must agree bit-for-bit with the scalar `Evaluator` — the same
-//! semantics the event-driven scheduler executes — on every generator
-//! circuit and on vcad-prng-seeded random netlists, over fully
-//! four-valued patterns (`0`, `1`, `X`, `Z`).
+//! Differential + property tests: the compiled bit-parallel engine —
+//! the 64-lane packed pass and the one-pattern plan entry the
+//! event-driven scheduler's blocks execute — must agree bit-for-bit
+//! with the naive scalar walk in `crates/netlist/tests/oracle/` on
+//! every generator circuit and on vcad-prng-seeded random netlists,
+//! over fully four-valued patterns (`0`, `1`, `X`, `Z`). (`Evaluator`
+//! itself runs the plan, so it cannot be the reference here.)
 //!
 //! Failures print the seed that produced them; rerun just that seed
 //! with `VCAD_PROP_SEED=<seed> cargo test -p vcad-engine --test
@@ -11,8 +13,11 @@
 use vcad_engine::CompiledNetlist;
 use vcad_logic::{Logic, LogicVec};
 use vcad_netlist::generators::{self, RandomCircuitSpec};
-use vcad_netlist::{Evaluator, Netlist};
+use vcad_netlist::Netlist;
 use vcad_prng::Rng;
+
+#[path = "../../netlist/tests/oracle/mod.rs"]
+mod oracle;
 
 const SEEDS: [u64; 8] = [3, 7, 21, 34, 55, 89, 144, 4242];
 
@@ -34,19 +39,24 @@ fn random_pattern(rng: &mut Rng, width: usize) -> LogicVec {
 }
 
 fn assert_engines_agree(nl: &Netlist, patterns: &[LogicVec], context: &str) {
-    let scalar = Evaluator::new(nl);
     let compiled = CompiledNetlist::compile(nl);
     let mut eval = compiled.evaluator();
     for chunk in patterns.chunks(64) {
         let packed = compiled.pack(chunk);
         let out = eval.run(&packed, &[]);
         for (lane, pattern) in chunk.iter().enumerate() {
-            let expect = scalar.outputs(pattern);
+            let expect = oracle::outputs(nl, pattern);
             let got = out.lane(lane);
             assert_eq!(
                 got, expect,
-                "{context}: engines diverge on pattern {pattern} \
-                 (compiled {got}, event-path semantics {expect})"
+                "{context}: packed pass diverges on pattern {pattern} \
+                 (compiled {got}, scalar oracle {expect})"
+            );
+            let single = compiled.outputs(pattern);
+            assert_eq!(
+                single, expect,
+                "{context}: one-pattern entry diverges on pattern {pattern} \
+                 (plan {single}, scalar oracle {expect})"
             );
         }
     }
@@ -123,7 +133,6 @@ fn x_propagation_is_lane_exact() {
             outputs: 8,
             seed,
         });
-        let scalar = Evaluator::new(&nl);
         let compiled = CompiledNetlist::compile(&nl);
         let mut eval = compiled.evaluator();
         let mut rng = Rng::seed_from_u64(seed ^ 0xABCD);
@@ -140,7 +149,7 @@ fn x_propagation_is_lane_exact() {
         for (lane, pattern) in patterns.iter().enumerate() {
             assert_eq!(
                 out.lane(lane),
-                scalar.outputs(pattern),
+                oracle::outputs(&nl, pattern),
                 "seed {seed}, X on input {lane} \
                  (rerun with VCAD_PROP_SEED={seed})"
             );

@@ -25,7 +25,7 @@
 //! contrast, are heuristic difficulty estimates — useful for ranking,
 //! never for pruning.
 
-use vcad_logic::Logic;
+use vcad_logic::{Logic, LogicVec};
 use vcad_netlist::{ExecPlan, GateId, GateKind, NetId, Netlist, OutputSource, PlanOp};
 
 use crate::fault::{Fault, FaultSite, StuckAt};
@@ -118,8 +118,8 @@ impl TestabilityAnalysis {
     /// sweeps over `netlist`'s levelized plan.
     #[must_use]
     pub fn analyze(netlist: &Netlist) -> TestabilityAnalysis {
-        let plan = ExecPlan::compile(netlist);
-        let tied = propagate_constants(&plan);
+        let plan: &ExecPlan = netlist.plan();
+        let tied = propagate_constants(plan);
         let mut scores = vec![
             NetScores {
                 cc0: UNREACHABLE,
@@ -133,7 +133,7 @@ impl TestabilityAnalysis {
             scores[n as usize].cc1 = 1;
         }
         for op in plan.ops() {
-            let (cc0, cc1) = controllability(op, &plan, &scores);
+            let (cc0, cc1) = controllability(op, plan, &scores);
             scores[op.output()].cc0 = cc0;
             scores[op.output()].cc1 = cc1;
         }
@@ -152,7 +152,7 @@ impl TestabilityAnalysis {
             let range = op.operand_range();
             for pin in 0..range.len() {
                 let net = plan.operands()[range.start + pin] as usize;
-                let through = out_co.saturating_add(pin_cost(op, &plan, &scores, pin));
+                let through = out_co.saturating_add(pin_cost(op, plan, &scores, pin));
                 if through < scores[net].co {
                     scores[net].co = through;
                 }
@@ -286,18 +286,7 @@ impl TestabilityAnalysis {
 /// to a binary value are tied to it for every stimulus (Kleene
 /// monotonicity; `Z` folds exactly like `X` through every gate op).
 fn propagate_constants(plan: &ExecPlan) -> Vec<Option<Logic>> {
-    let mut values = vec![Logic::X; plan.net_count()];
-    let mut operands = Vec::new();
-    for op in plan.ops() {
-        operands.clear();
-        operands.extend(
-            plan.operands()[op.operand_range()]
-                .iter()
-                .map(|&n| values[n as usize]),
-        );
-        values[op.output()] = op.kind().eval(&operands);
-    }
-    values
+    plan.eval_nets(&LogicVec::unknown(plan.input_nets().len()))
         .into_iter()
         .map(|v| v.is_binary().then_some(v))
         .collect()

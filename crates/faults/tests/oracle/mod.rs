@@ -6,7 +6,12 @@
 
 use vcad_faults::{DetectionTable, FaultUniverse, FaultyEvaluator, SymbolicFault};
 use vcad_logic::{Logic, LogicVec};
-use vcad_netlist::{Evaluator, Netlist};
+use vcad_netlist::Netlist;
+
+// The fault-free reference is the naive walk too: `Evaluator` runs the
+// plan the tables under test are built on.
+#[path = "../../../netlist/tests/oracle/mod.rs"]
+mod scalar;
 
 /// All-`X` and one-`Z`: the four-valued corners the dual-rail lanes must
 /// reproduce, to append to a test's binary patterns.
@@ -27,7 +32,7 @@ pub fn assert_matches_serial_oracle(
     context: &str,
 ) {
     let inputs = table.inputs();
-    let fault_free = Evaluator::new(netlist).outputs(inputs);
+    let fault_free = scalar::outputs(netlist, inputs);
     let faulty = FaultyEvaluator::new(netlist);
     let mut rows: Vec<(_, Vec<SymbolicFault>)> = Vec::new();
     for class in universe.classes() {

@@ -28,11 +28,19 @@ use crate::protocol::{catalog, component, decode_patterns};
 /// [`ServerCtx::tenant`] along and the ledger attributes the fee to that
 /// tenant as well as to the global totals. Anonymous (v1) calls land in
 /// the global totals only.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ServerLedger {
-    entries: Mutex<Vec<(String, f64)>>,
+    /// `(charge count, total cents)`: a running fold, so a long-lived
+    /// provider's ledger does not grow with the calls it has served.
+    totals: Mutex<(usize, f64)>,
     tenant_totals: Mutex<std::collections::BTreeMap<String, (u64, f64)>>,
     obs: Collector,
+}
+
+impl Default for ServerLedger {
+    fn default() -> ServerLedger {
+        ServerLedger::with_collector(Collector::default())
+    }
 }
 
 impl ServerLedger {
@@ -47,20 +55,22 @@ impl ServerLedger {
     #[must_use]
     pub fn with_collector(obs: Collector) -> ServerLedger {
         ServerLedger {
-            entries: Mutex::new(Vec::new()),
+            // `-0.0` is what summing no `f64`s yields: the empty ledger
+            // reads as it did when the total was a sum over entries.
+            totals: Mutex::new((0, -0.0)),
             tenant_totals: Mutex::new(std::collections::BTreeMap::new()),
             obs,
         }
     }
 
-    /// Records a fee, in cents.
+    /// Records a fee, in cents; `what` labels the `charge:*` span and is
+    /// formatted only when the collector records.
     ///
     /// With a `tenant` (the paying call's [`ServerCtx::tenant`]), the fee
     /// is additionally attributed to that tenant's ledger and mirrored as
     /// `tenant.<id>.fees_cents`.
-    pub fn charge(&self, tenant: Option<&str>, what: impl Into<String>, cents: f64) {
+    pub fn charge(&self, tenant: Option<&str>, what: impl std::fmt::Display, cents: f64) {
         if cents > 0.0 {
-            let what = what.into();
             let m = self.obs.metrics();
             m.float_counter("ip.fees_cents").add(cents);
             m.counter("ip.charges").inc();
@@ -75,9 +85,12 @@ impl ServerLedger {
             // A traced *span* (not an instant event): the analyzer's
             // per-RPC breakdown attributes `charge:*` span time to the
             // fee-ledger bucket, parented under the ambient dispatch span.
-            let mut span = self.obs.traced_span("ip", format!("charge:{what}"));
+            let name = self.obs.is_enabled().then(|| format!("charge:{what}"));
+            let mut span = self.obs.traced_span("ip", name.unwrap_or_default());
             span.arg("cents", cents);
-            self.entries.lock().unwrap().push((what, cents));
+            let mut totals = self.totals.lock().unwrap();
+            totals.0 += 1;
+            totals.1 += cents;
         }
     }
 
@@ -91,13 +104,13 @@ impl ServerLedger {
     /// Total charged so far, in cents.
     #[must_use]
     pub fn total_cents(&self) -> f64 {
-        self.entries.lock().unwrap().iter().map(|(_, c)| c).sum()
+        self.totals.lock().unwrap().1
     }
 
     /// Number of chargeable calls recorded.
     #[must_use]
     pub fn entry_count(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        self.totals.lock().unwrap().0
     }
 
     /// Total charged to one tenant, in cents (0.0 if unknown).
@@ -302,7 +315,7 @@ impl RemoteObject for CatalogObject {
                 };
                 self.ledger.charge(
                     ctx.tenant(),
-                    format!("instantiate {name}"),
+                    format_args!("instantiate {name}"),
                     offering.prices().instantiation,
                 );
                 self.obs.metrics().counter("ip.instantiations").inc();
@@ -463,7 +476,7 @@ impl RemoteObject for ComponentObject {
                 }
                 self.ledger.charge(
                     ctx.tenant(),
-                    format!("{} power_toggle", self.name),
+                    format_args!("{} power_toggle", self.name),
                     self.prices.toggle_power_per_pattern * (patterns.len() - 1) as f64,
                 );
                 let mut span = self
@@ -492,7 +505,7 @@ impl RemoteObject for ComponentObject {
                 }
                 self.ledger.charge(
                     ctx.tenant(),
-                    format!("{} power_peak", self.name),
+                    format_args!("{} power_peak", self.name),
                     self.prices.toggle_power_per_pattern * (patterns.len() - 1) as f64,
                 );
                 let mut span = self
@@ -527,7 +540,7 @@ impl RemoteObject for ComponentObject {
                 }
                 self.ledger.charge(
                     ctx.tenant(),
-                    format!("{} functional_eval", self.name),
+                    format_args!("{} functional_eval", self.name),
                     self.prices.functional_eval,
                 );
                 let _span = self
@@ -554,7 +567,7 @@ impl RemoteObject for ComponentObject {
                 }
                 self.ledger.charge(
                     ctx.tenant(),
-                    format!("{} detection_table", self.name),
+                    format_args!("{} detection_table", self.name),
                     self.prices.detection_table,
                 );
                 let _span = self
@@ -783,6 +796,53 @@ mod tests {
         assert_eq!(
             server.ledger().tenant_totals(),
             [("acme".to_owned(), 1, fee)]
+        );
+    }
+
+    /// The ledger keeps running totals, not entries: after 100 000
+    /// charges every reading must equal the left-to-right fold an entry
+    /// list would have summed to, bit for bit — the empty ledger
+    /// included (`-0.0`, what summing no `f64`s yields).
+    #[test]
+    fn running_totals_equal_a_fold_over_every_charge() {
+        let ledger = ServerLedger::new();
+        let none: [f64; 0] = [];
+        assert_eq!(
+            ledger.total_cents().to_bits(),
+            none.iter().sum::<f64>().to_bits()
+        );
+        assert_eq!(ledger.entry_count(), 0);
+
+        let tenants = [Some("acme"), None, Some("globex"), Some("acme")];
+        let mut charged = Vec::new();
+        let mut by_tenant = std::collections::BTreeMap::<&str, (u64, f64)>::new();
+        for i in 0..100_000u32 {
+            // Fees that do not sum exactly in binary, and some free calls.
+            let cents = f64::from(i % 7) * 0.1 + f64::from(i % 3) * 0.01;
+            let tenant = tenants[i as usize % tenants.len()];
+            ledger.charge(tenant, format_args!("call {i}"), cents);
+            if cents > 0.0 {
+                charged.push(cents);
+                if let Some(t) = tenant {
+                    let slot = by_tenant.entry(t).or_insert((0, 0.0));
+                    slot.0 += 1;
+                    slot.1 += cents;
+                }
+            }
+        }
+        assert_eq!(ledger.entry_count(), charged.len());
+        assert_eq!(
+            ledger.total_cents().to_bits(),
+            charged.iter().sum::<f64>().to_bits()
+        );
+        let expect: Vec<(String, u64, f64)> = by_tenant
+            .into_iter()
+            .map(|(t, (n, c))| (t.to_owned(), n, c))
+            .collect();
+        assert_eq!(ledger.tenant_totals(), expect);
+        assert_eq!(
+            ledger.tenant_total_cents("acme").to_bits(),
+            expect[0].2.to_bits()
         );
     }
 

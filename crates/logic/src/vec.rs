@@ -90,10 +90,23 @@ impl LogicVec {
     /// ```
     #[must_use]
     pub fn from_bits<I: IntoIterator<Item = Logic>>(bits: I) -> LogicVec {
-        let bits: Vec<Logic> = bits.into_iter().collect();
-        let mut v = LogicVec::zeros(bits.len());
-        for (i, b) in bits.into_iter().enumerate() {
-            v.set(i, b);
+        let bits = bits.into_iter();
+        let limbs = bits.size_hint().0.div_ceil(LIMB_BITS);
+        let mut v = LogicVec {
+            width: 0,
+            value: Vec::with_capacity(limbs),
+            meta: Vec::with_capacity(limbs),
+        };
+        for bit in bits {
+            let (limb, pos) = (v.width / LIMB_BITS, v.width % LIMB_BITS);
+            if pos == 0 {
+                v.value.push(0);
+                v.meta.push(0);
+            }
+            let (val, meta) = bit.planes();
+            v.value[limb] |= u64::from(val) << pos;
+            v.meta[limb] |= u64::from(meta) << pos;
+            v.width += 1;
         }
         v
     }

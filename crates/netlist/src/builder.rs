@@ -231,6 +231,7 @@ impl NetlistBuilder {
             outputs: self.outputs,
             topo,
             level,
+            plan: std::sync::OnceLock::new(),
         })
     }
 

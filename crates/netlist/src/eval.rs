@@ -6,9 +6,9 @@ use crate::{NetId, Netlist};
 
 /// Evaluates a [`Netlist`] over four-valued inputs.
 ///
-/// The evaluator borrows the netlist and walks its precomputed topological
-/// order; a scratch buffer of input values is reused across gates. Create
-/// one evaluator and call it for many patterns.
+/// The evaluator borrows the netlist and runs the one-pattern entry of
+/// its cached [`ExecPlan`](crate::ExecPlan) ([`Netlist::plan`]), compiled
+/// on the first evaluation; creating an evaluator costs nothing.
 ///
 /// # Examples
 ///
@@ -52,25 +52,9 @@ impl<'a> Evaluator<'a> {
     /// Panics if `inputs.width() != self.netlist().input_count()`.
     #[must_use]
     pub fn eval(&self, inputs: &LogicVec) -> NetValues<'a> {
-        assert_eq!(
-            inputs.width(),
-            self.netlist.input_count(),
-            "pattern width must match the netlist's input count"
-        );
-        let mut values = vec![Logic::X; self.netlist.net_count()];
-        for (i, &net) in self.netlist.inputs().iter().enumerate() {
-            values[net.index()] = inputs.get(i);
-        }
-        let mut scratch = Vec::new();
-        for &gid in self.netlist.topo_order() {
-            let gate = self.netlist.gate(gid);
-            scratch.clear();
-            scratch.extend(gate.inputs().iter().map(|n| values[n.index()]));
-            values[gate.output().index()] = gate.kind().eval(&scratch);
-        }
         NetValues {
             netlist: self.netlist,
-            values,
+            values: self.netlist.plan().eval_nets(inputs),
         }
     }
 
@@ -81,7 +65,7 @@ impl<'a> Evaluator<'a> {
     /// Panics if the pattern width does not match the input count.
     #[must_use]
     pub fn outputs(&self, inputs: &LogicVec) -> LogicVec {
-        self.eval(inputs).outputs()
+        self.netlist.plan().eval_outputs(inputs)
     }
 }
 

@@ -4,7 +4,9 @@
 //! simulator, the power engine (`vcad-power`) and the fault simulator
 //! (`vcad-faults`): a flat combinational [`Netlist`] of typed gates over
 //! named nets, a [`NetlistBuilder`] that validates and levelizes the
-//! structure, a full-netlist [`Evaluator`], and a library of [`generators`]
+//! structure, the flat [`ExecPlan`] a netlist compiles itself to on first
+//! use, a full-netlist [`Evaluator`] over that plan, and a library of
+//! [`generators`]
 //! producing the circuits used throughout the paper's evaluation (half
 //! adder, ripple/carry adders, array and Wallace-tree multipliers, LFSRs,
 //! parity trees, random ISCAS-like circuits).

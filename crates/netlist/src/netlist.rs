@@ -1,8 +1,9 @@
 //! The netlist data structure.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use crate::GateKind;
+use crate::{ExecPlan, GateKind};
 
 /// Identifier of a net inside a [`Netlist`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -140,6 +141,8 @@ pub struct Netlist {
     pub(crate) topo: Vec<GateId>,
     /// Logic level of every gate (primary-input consumers are level 1).
     pub(crate) level: Vec<u32>,
+    /// The levelized plan, compiled on first use; a clone shares it.
+    pub(crate) plan: OnceLock<Arc<ExecPlan>>,
 }
 
 impl Netlist {
@@ -217,6 +220,14 @@ impl Netlist {
     #[must_use]
     pub fn topo_order(&self) -> &[GateId] {
         &self.topo
+    }
+
+    /// The netlist compiled to its levelized [`ExecPlan`] — what every
+    /// evaluator executes. Compiled once, on first use (a netlist is
+    /// immutable after `build`); clones made afterwards share it.
+    #[must_use]
+    pub fn plan(&self) -> &Arc<ExecPlan> {
+        self.plan.get_or_init(|| Arc::new(ExecPlan::compile(self)))
     }
 
     /// The logic level of a gate (distance from the primary inputs).

@@ -1,14 +1,16 @@
-//! Levelized execution plans — the compile step of the bit-parallel
-//! engine.
+//! Levelized execution plans — what every gate evaluation executes.
 //!
 //! [`ExecPlan::compile`] flattens a validated [`Netlist`] into a dense,
 //! allocation-free instruction stream: one [`PlanOp`] per gate, sorted
 //! by the logic levels the builder's Kahn pass already computed, with
 //! every operand net spelled out in one flat `u32` array. An evaluator
-//! (see `vcad-engine`) walks the stream front to back — a whole level
-//! per pass — touching nothing but flat arrays indexed by
-//! [`NetId::index`]: no per-gate `Vec`s, no hash lookups, no pointer
-//! chasing through [`Gate`](crate::Gate) structs.
+//! walks the stream front to back — a whole level per pass — touching
+//! nothing but flat arrays indexed by [`NetId::index`]: no per-gate
+//! `Vec`s, no hash lookups, no pointer chasing through
+//! [`Gate`](crate::Gate) structs. [`Netlist::plan`] compiles and caches
+//! the plan; [`ExecPlan::eval_nets`] / [`ExecPlan::eval_outputs`] are the
+//! one-pattern evaluator ([`Evaluator`](crate::Evaluator) runs them) and
+//! `vcad-engine` the 64-pattern one.
 //!
 //! The plan also precomputes the two lookups fault injection needs:
 //! the flat *operand slot* of every `(gate, pin)` pair (so a pin fault
@@ -17,7 +19,10 @@
 //! reproduce the raw, possibly-`Z` input value exactly as the
 //! event-driven path does).
 
-use std::ops::Range;
+use std::ops::{BitAnd, BitOr, BitXor, Range};
+use std::sync::OnceLock;
+
+use vcad_logic::{Logic, LogicVec};
 
 use crate::{GateId, GateKind, NetId, Netlist};
 
@@ -59,6 +64,67 @@ pub enum OutputSource {
     /// The output aliases the `n`-th declared primary input and must
     /// reproduce its raw (possibly `Z`) value.
     Input(usize),
+}
+
+/// The truth tables the one-pattern sweep indexes, so that no branch
+/// depends on a signal value. Every kind but `Mux2` is a fold of one
+/// [`Logic`] operator from its identity, optionally inverted; the tables
+/// are filled from those operators, which stay the definition. Operand
+/// pairs index as `a << 2 | b`.
+#[derive(Default)]
+struct Tables {
+    /// `[kind]`: the fold's identity.
+    init: [Logic; GateKind::ALL.len()],
+    /// `[kind][acc, operand]`: one fold step.
+    step: [[Logic; 16]; GateKind::ALL.len()],
+    /// `[kind][acc]`: identity, or `!` for the inverting kinds.
+    finish: [[Logic; 4]; GateKind::ALL.len()],
+    /// `[kind][a, b]`: the whole fold of a two-operand gate —
+    /// `finish[step[step[init, a], b]]` — collapsed into one lookup.
+    pair: [[Logic; 16]; GateKind::ALL.len()],
+    /// `[select][a, b]`.
+    mux: [[Logic; 16]; 4],
+}
+
+fn tables() -> &'static Tables {
+    static TABLES: OnceLock<Tables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = Tables::default();
+        for kind in GateKind::ALL {
+            let (init, step): (Logic, fn(Logic, Logic) -> Logic) = match kind {
+                GateKind::Or | GateKind::Nor | GateKind::Const0 => (Logic::Zero, BitOr::bitor),
+                GateKind::Xor | GateKind::Xnor => (Logic::Zero, BitXor::bitxor),
+                _ => (Logic::One, BitAnd::bitand),
+            };
+            let invert = matches!(
+                kind,
+                GateKind::Not | GateKind::Nand | GateKind::Nor | GateKind::Xnor
+            );
+            let finish = |acc: Logic| if invert { !acc } else { acc.driven() };
+            let k = kind as usize;
+            t.init[k] = init;
+            for a in Logic::ALL {
+                t.finish[k][a as usize] = finish(a);
+                for b in Logic::ALL {
+                    let ab = (a as usize) << 2 | b as usize;
+                    t.step[k][ab] = step(a, b);
+                    t.pair[k][ab] = finish(step(step(init, a), b));
+                }
+            }
+        }
+        for s in Logic::ALL {
+            for a in Logic::ALL {
+                for b in Logic::ALL {
+                    // The consensus term `a & b` keeps the output defined
+                    // under an unknown select when both data inputs agree
+                    // on a binary value.
+                    t.mux[s as usize][(a as usize) << 2 | b as usize] =
+                        (a & b) | (!s & a) | (s & b);
+                }
+            }
+        }
+        t
+    })
 }
 
 /// A [`Netlist`] compiled to a levelized, flat instruction stream.
@@ -154,6 +220,65 @@ impl ExecPlan {
             net_count: netlist.net_count(),
             op_of_gate,
         }
+    }
+
+    /// Evaluates one pattern and returns the value of every net, indexed
+    /// by [`NetId::index`] — the one-pattern entry every scalar caller
+    /// runs on. Bit `i` of `inputs` drives the `i`-th primary input;
+    /// input nets keep their raw (possibly `Z`) value.
+    ///
+    /// One front-to-back sweep over the flat op stream, one byte per
+    /// net, table lookups instead of value-dependent branches; the
+    /// returned vector is the only allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.width()` differs from the input count.
+    #[must_use]
+    pub fn eval_nets(&self, inputs: &LogicVec) -> Vec<Logic> {
+        assert_eq!(
+            inputs.width(),
+            self.input_nets.len(),
+            "pattern width must match the netlist's input count"
+        );
+        let t = tables();
+        let mut values = vec![Logic::X; self.net_count];
+        for (&net, bit) in self.input_nets.iter().zip(inputs) {
+            values[net as usize] = bit;
+        }
+        for op in &self.ops {
+            let nets = &self.operands[op.operand_range()];
+            let at = |pin: usize| values[nets[pin] as usize] as usize;
+            let kind = op.kind as usize;
+            values[op.output as usize] = if nets.len() == 2 {
+                // By far the most common shape gets the one-lookup form.
+                t.pair[kind][at(0) << 2 | at(1)]
+            } else if op.kind == GateKind::Mux2 {
+                t.mux[at(0)][at(1) << 2 | at(2)]
+            } else {
+                let acc = (0..nets.len()).fold(t.init[kind], |acc, pin| {
+                    t.step[kind][(acc as usize) << 2 | at(pin)]
+                });
+                t.finish[kind][acc as usize]
+            };
+        }
+        values
+    }
+
+    /// Evaluates one pattern and returns the primary outputs, bit 0
+    /// first. An output aliasing a primary input reproduces its raw
+    /// value, `Z` included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.width()` differs from the input count.
+    #[must_use]
+    pub fn eval_outputs(&self, inputs: &LogicVec) -> LogicVec {
+        let values = self.eval_nets(inputs);
+        LogicVec::from_bits(self.outputs.iter().map(|source| match *source {
+            OutputSource::Net(net) => values[net],
+            OutputSource::Input(i) => values[self.input_nets[i] as usize],
+        }))
     }
 
     /// The source netlist's name.
