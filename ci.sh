@@ -55,6 +55,15 @@ done)"
 [ "$scalar_evals" = "crates/faults/src/eval.rs" ] \
     || { echo "non-test GateKind::eval call sites: $scalar_evals (only FaultyEvaluator may)"; exit 1; }
 
+# A served table costs its passes plus O(differing faults): rows are
+# hashed, not searched; the pattern is splatted, not packed from 64
+# copies; and campaign cells count retries without a trace ring.
+if grep -n "iter_mut().find(" crates/faults/src/detect.rs \
+    || grep -n "pack(&vec!\[" crates/faults/src/parallel.rs \
+    || grep -rn "Collector::enabled()" crates/campaign/src; then
+    echo "the per-table or per-cell overhead is back (see DESIGN.md, 'Overhead budget')"; exit 1
+fi
+
 echo "==> chaos soak: fault-injected session must match the fault-free baseline"
 cargo test --release -q --test chaos_session
 

@@ -139,7 +139,9 @@ mod tests {
             .warm_up_time(Duration::from_millis(5))
             .measurement_time(Duration::from_millis(20));
         let m = g.bench("spin", || {
-            std::hint::black_box((0..100u64).sum::<u64>());
+            // Opaque per element: with a visible bound the sum folds to a
+            // constant under --release and the median reads zero.
+            std::hint::black_box((0..100u64).map(std::hint::black_box).sum::<u64>());
         });
         assert!(m.median > Duration::ZERO);
         assert_eq!(g.results().len(), 1);

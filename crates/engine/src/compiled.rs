@@ -275,6 +275,17 @@ impl CompiledNetlist {
         }
     }
 
+    /// [`CompiledNetlist::pack`] of `lanes` copies of `pattern` (and its
+    /// panics), built by one splat per input.
+    #[must_use]
+    pub fn pack_replicated(&self, pattern: &LogicVec, lanes: usize) -> PackedPatterns {
+        assert!((1..=64).contains(&lanes), "pack takes 1..=64 patterns");
+        PackedPatterns {
+            lanes,
+            ..self.pack(std::slice::from_ref(pattern))
+        }
+    }
+
     /// A reusable evaluator over this plan (scratch buffers sized once).
     #[must_use]
     pub fn evaluator(&self) -> PackedEvaluator {
@@ -662,6 +673,21 @@ mod tests {
         assert_eq!(snap.counter("engine.passes"), 1);
         assert_eq!(snap.counter("engine.gate_evals"), nl.gate_count() as u64);
         assert_eq!(snap.counter("engine.patterns"), 1);
+    }
+
+    #[test]
+    fn replicated_pack_equals_packing_copies() {
+        let nl = generators::c17();
+        let compiled = CompiledNetlist::compile(&nl);
+        let mut pattern = LogicVec::from_u64(5, 0b10110);
+        pattern.set(1, Logic::X);
+        pattern.set(3, Logic::Z);
+        for lanes in [1, 7, 64] {
+            let copies = compiled.pack(&vec![pattern.clone(); lanes]);
+            let splat = compiled.pack_replicated(&pattern, lanes);
+            assert_eq!(splat.lanes(), lanes);
+            assert_eq!(splat.raw, copies.raw, "{lanes} lanes");
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Detection tables: the paper's per-pattern testability exchange format.
 
+use std::collections::HashMap;
+
 use vcad_engine::CompiledNetlist;
 use vcad_logic::LogicVec;
 use vcad_netlist::Netlist;
@@ -7,7 +9,7 @@ use vcad_rmi::Value;
 
 use crate::collapse::FaultUniverse;
 use crate::fault::{Fault, SymbolicFault};
-use crate::parallel::one_pattern_all_faults;
+use crate::parallel::{lanes, one_pattern_all_faults};
 
 /// The detection table of one component for one input configuration.
 ///
@@ -61,7 +63,7 @@ impl DetectionTable {
     /// calls this per table). Up to 64 fault classes are simulated per
     /// pass by replicating the pattern across lanes and injecting one
     /// lane-masked fault per class — the transposed parallel-fault
-    /// layout.
+    /// layout. Only the faults that differ are named.
     ///
     /// # Panics
     ///
@@ -74,25 +76,48 @@ impl DetectionTable {
         universe: &FaultUniverse,
         inputs: &LogicVec,
     ) -> DetectionTable {
-        // Statically untestable classes simulate to the fault-free output
-        // under every pattern, so skipping them leaves the table
-        // bit-identical while saving their lanes.
-        let testable: Vec<Fault> = universe
-            .classes()
-            .iter()
-            .filter(|c| c.is_testable())
-            .map(|c| c.representative)
-            .collect();
-        let (fault_free, differing) =
-            one_pattern_all_faults(compiled, &mut compiled.evaluator(), inputs, &testable);
+        let testable = testable_representatives(universe);
+        DetectionTable::transpose(compiled, inputs, &testable, |i| testable[i].name(netlist))
+    }
+
+    /// The table of `faults` under `inputs`, naming only the faults that
+    /// differ (fault `i` as `name(i)`). Rows are hashed by the lane's
+    /// outputs, two rail bits per output transposed out of each pass: one
+    /// probe per fault, one [`LogicVec`] per row, rows in first-seen order.
+    pub(crate) fn transpose(
+        compiled: &CompiledNetlist,
+        inputs: &LogicVec,
+        faults: &[Fault],
+        mut name: impl FnMut(usize) -> SymbolicFault,
+    ) -> DetectionTable {
         let mut rows: Vec<(LogicVec, Vec<SymbolicFault>)> = Vec::new();
-        for (index, faulty) in differing {
-            let name = testable[index].name(netlist);
-            match rows.iter_mut().find(|(o, _)| *o == faulty) {
-                Some((_, faults)) => faults.push(name),
-                None => rows.push((faulty, vec![name])),
-            }
-        }
+        let mut row_of: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut keys = Vec::new();
+        let mut eval = compiled.evaluator();
+        let fault_free =
+            one_pattern_all_faults(compiled, &mut eval, inputs, faults, |pass, out, mask| {
+                let words = (2 * out.width()).div_ceil(64);
+                keys.resize(64 * words, 0);
+                for word in 0..words {
+                    let mut rails = [0u64; 64];
+                    for (j, bit) in (32 * word..out.width().min(32 * word + 32)).enumerate() {
+                        (rails[2 * j], rails[2 * j + 1]) = (out.word(bit).one, out.word(bit).zero);
+                    }
+                    transpose64(&mut rails);
+                    for (lane, key) in rails.into_iter().enumerate() {
+                        keys[lane * words + word] = key;
+                    }
+                }
+                for lane in lanes(mask) {
+                    let key = &keys[lane * words..][..words];
+                    let row = row_of.get(key).copied().unwrap_or_else(|| {
+                        rows.push((out.lane(lane), Vec::new()));
+                        row_of.insert(key.to_vec(), rows.len() - 1);
+                        rows.len() - 1
+                    });
+                    rows[row].1.push(name(pass[lane]));
+                }
+            });
         DetectionTable {
             inputs: inputs.clone(),
             fault_free,
@@ -138,31 +163,28 @@ impl DetectionTable {
     /// Encodes the table as a wire [`Value`] for RMI transmission.
     #[must_use]
     pub fn to_value(&self) -> Value {
+        self.clone().into_value()
+    }
+
+    /// [`DetectionTable::to_value`], moving the configurations and fault
+    /// names into the [`Value`] instead of copying them.
+    #[must_use]
+    pub fn into_value(self) -> Value {
+        let rows = self
+            .rows
+            .into_iter()
+            .map(|(out, faults)| {
+                let faults = faults.into_iter().map(|f| Value::Str(f.0)).collect();
+                Value::Map(vec![
+                    ("output".into(), Value::Vec(out)),
+                    ("faults".into(), Value::List(faults)),
+                ])
+            })
+            .collect();
         Value::Map(vec![
-            ("inputs".into(), Value::Vec(self.inputs.clone())),
-            ("fault_free".into(), Value::Vec(self.fault_free.clone())),
-            (
-                "rows".into(),
-                Value::List(
-                    self.rows
-                        .iter()
-                        .map(|(out, faults)| {
-                            Value::Map(vec![
-                                ("output".into(), Value::Vec(out.clone())),
-                                (
-                                    "faults".into(),
-                                    Value::List(
-                                        faults
-                                            .iter()
-                                            .map(|f| Value::Str(f.as_str().to_owned()))
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("inputs".into(), Value::Vec(self.inputs)),
+            ("fault_free".into(), Value::Vec(self.fault_free)),
+            ("rows".into(), Value::List(rows)),
         ])
     }
 
@@ -173,28 +195,87 @@ impl DetectionTable {
     /// malformed (consumers slice rows by the component's port widths).
     #[must_use]
     pub fn from_value(value: &Value) -> Option<DetectionTable> {
-        let inputs = value.get("inputs")?.as_logic_vec()?.clone();
-        let fault_free = value.get("fault_free")?.as_logic_vec()?.clone();
-        let mut rows = Vec::new();
-        for row in value.get("rows")?.as_list()? {
-            let out = row.get("output")?.as_logic_vec()?.clone();
-            if out.width() != fault_free.width() {
-                return None;
-            }
-            let faults = row
-                .get("faults")?
-                .as_list()?
-                .iter()
-                .map(|f| f.as_str().map(SymbolicFault::from))
-                .collect::<Option<Vec<_>>>()?;
-            rows.push((out, faults));
-        }
+        DetectionTable::from_owned_value(value.clone())
+    }
+
+    /// [`DetectionTable::from_value`], moving the configurations and
+    /// fault names out of `value` instead of copying them.
+    #[must_use]
+    pub fn from_owned_value(value: Value) -> Option<DetectionTable> {
+        let Value::Map(mut table) = value else {
+            return None;
+        };
+        let inputs = take_vec(&mut table, "inputs")?;
+        let fault_free = take_vec(&mut table, "fault_free")?;
+        let rows = take_list(&mut table, "rows")?
+            .into_iter()
+            .map(|row| {
+                let Value::Map(mut row) = row else {
+                    return None;
+                };
+                let out = take_vec(&mut row, "output")?;
+                let faults = take_list(&mut row, "faults")?
+                    .into_iter()
+                    .map(|f| match f {
+                        Value::Str(name) => Some(SymbolicFault(name)),
+                        _ => None,
+                    })
+                    .collect::<Option<Vec<_>>>()?;
+                (out.width() == fault_free.width()).then_some((out, faults))
+            })
+            .collect::<Option<Vec<_>>>()?;
         Some(DetectionTable {
             inputs,
             fault_free,
             rows,
         })
     }
+}
+
+/// Transposes a 64 × 64 bit matrix in place: bit `c` of row `r` swaps
+/// with bit `r` of row `c` (Hacker's Delight, 7-3).
+fn transpose64(m: &mut [u64; 64]) {
+    let (mut j, mut mask) = (32, 0x0000_0000_FFFF_FFFF_u64);
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((m[k] >> j) ^ m[k + j]) & mask;
+            m[k] ^= t << j;
+            m[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
+}
+
+/// The classes a table simulates: statically untestable ones never
+/// differ from the fault-free outputs, so skipping them saves lanes.
+pub(crate) fn testable_representatives(universe: &FaultUniverse) -> Vec<Fault> {
+    let testable = universe.classes().iter().filter(|c| c.is_testable());
+    testable.map(|c| c.representative).collect()
+}
+
+/// Moves out the first entry named `key` (the one [`Value::get`] finds)
+/// if it is a [`Value::Vec`].
+fn take_vec(entries: &mut [(String, Value)], key: &str) -> Option<LogicVec> {
+    match take(entries, key)? {
+        Value::Vec(v) => Some(v),
+        _ => None,
+    }
+}
+
+/// [`take_vec`] for a [`Value::List`].
+fn take_list(entries: &mut [(String, Value)], key: &str) -> Option<Vec<Value>> {
+    match take(entries, key)? {
+        Value::List(items) => Some(items),
+        _ => None,
+    }
+}
+
+fn take(entries: &mut [(String, Value)], key: &str) -> Option<Value> {
+    let at = entries.iter().position(|(k, _)| k == key)?;
+    Some(std::mem::replace(&mut entries[at].1, Value::Null))
 }
 
 #[cfg(test)]
@@ -290,6 +371,19 @@ mod tests {
             vec![("0".parse().unwrap(), vec![SymbolicFault::from("f")])],
         );
         assert_eq!(DetectionTable::from_value(&short.to_value()), None);
+    }
+
+    #[test]
+    fn transpose64_swaps_rows_and_columns() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let original: [u64; 64] = std::array::from_fn(|_| vcad_prng::splitmix64(&mut state));
+        let mut m = original;
+        transpose64(&mut m);
+        for (r, row) in original.iter().enumerate() {
+            for (c, col) in m.iter().enumerate() {
+                assert_eq!(row >> c & 1, col >> r & 1, "row {r}, column {c}");
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use std::collections::HashSet;
 
-use vcad_engine::{CompiledNetlist, Force, PackedEvaluator};
+use vcad_engine::{CompiledNetlist, Force, PackedEvaluator, PackedOutputs};
 use vcad_logic::LogicVec;
 use vcad_netlist::Netlist;
 
@@ -35,9 +35,10 @@ pub(crate) fn fault_force(fault: &Fault, lanes: u64) -> Force {
 /// Simulates one pattern against every fault of `faults` in the
 /// transposed parallel-*fault* layout: the pattern is replicated across
 /// the lanes and each pass runs up to 64 single-fault machines, one
-/// lane-masked [`Force`] per lane. Returns the fault-free outputs and,
-/// in `faults` order, `(index, faulty outputs)` for every fault whose
-/// outputs differ from them as four-valued values.
+/// lane-masked [`Force`] per lane (a site already at its stuck value
+/// cannot differ and takes none). Calls `differing(pass, outputs, mask)`
+/// per pass: lane `l` ran fault `pass[l]` and is set in `mask` when its
+/// outputs differ from the fault-free ones, which are returned.
 ///
 /// # Panics
 ///
@@ -47,29 +48,44 @@ pub(crate) fn one_pattern_all_faults(
     eval: &mut PackedEvaluator,
     pattern: &LogicVec,
     faults: &[Fault],
-) -> (LogicVec, Vec<(usize, LogicVec)>) {
+    mut differing: impl FnMut(&[usize], &PackedOutputs, u64),
+) -> LogicVec {
+    let plan = compiled.plan();
+    let nets = plan.eval_nets(pattern);
+    let excited = |f: &Fault| match f.site {
+        FaultSite::Net(net) => nets[net.index()] != f.stuck.value(),
+        FaultSite::Pin { gate, pin } => plan
+            .operand_slot(gate, pin)
+            .is_none_or(|slot| nets[plan.operand_net(slot).index()] != f.stuck.value()),
+    };
+    let live: Vec<usize> = (0..faults.len()).filter(|&i| excited(&faults[i])).collect();
     // Packed once at the widest pass; the idle lanes of a short final
     // pass carry no force, so they equal the good machine and drop out
     // of the diff mask.
-    let lanes = faults.len().clamp(1, 64);
-    let packed = compiled.pack(&vec![pattern.clone(); lanes]);
+    let packed = compiled.pack_replicated(pattern, live.len().clamp(1, 64));
     let good = eval.run(&packed, &[]);
-    let mut differing = Vec::new();
-    for (pass, chunk) in faults.chunks(64).enumerate() {
-        let forces: Vec<Force> = chunk
+    for pass in live.chunks(64) {
+        let forces: Vec<Force> = pass
             .iter()
             .enumerate()
-            .map(|(lane, fault)| fault_force(fault, 1u64 << lane))
+            .map(|(lane, &i)| fault_force(&faults[i], 1u64 << lane))
             .collect();
         let out = eval.run(&packed, &forces);
-        let mut mask = good.diff_mask(&out);
-        while mask != 0 {
-            let lane = mask.trailing_zeros() as usize;
-            differing.push((pass * 64 + lane, out.lane(lane)));
-            mask &= mask - 1;
+        let mask = good.diff_mask(&out);
+        if mask != 0 {
+            differing(pass, &out, mask);
         }
     }
-    (good.lane(0), differing)
+    good.lane(0)
+}
+
+/// The lanes set in `mask`, lowest first.
+pub(crate) fn lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let lane = (mask != 0).then(|| mask.trailing_zeros() as usize);
+        mask &= mask.wrapping_sub(1);
+        lane
+    })
 }
 
 /// A 64-way bit-parallel good/faulty simulator (PPSFP).

@@ -15,7 +15,7 @@ use vcad_logic::{Logic, LogicVec};
 use vcad_netlist::Netlist;
 
 use crate::fault::Fault;
-use crate::parallel::one_pattern_all_faults;
+use crate::parallel::{lanes, one_pattern_all_faults};
 
 /// Typed test-growth failures — every malformed request is rejected
 /// before any simulation runs.
@@ -103,11 +103,14 @@ pub fn grow_random_patterns(
         for i in 0..p.width() {
             p.set(i, Logic::from(rng.gen_bool(0.5)));
         }
-        let (_, differing) = one_pattern_all_faults(&compiled, &mut eval, &p, &remaining);
-        if !differing.is_empty() {
+        let mut detected = Vec::new();
+        let _ = one_pattern_all_faults(&compiled, &mut eval, &p, &remaining, |pass, _, mask| {
+            detected.extend(lanes(mask).map(|lane| pass[lane]));
+        });
+        if !detected.is_empty() {
             // Indices ascend, so dropping from the back keeps the rest valid.
-            for (index, _) in differing.iter().rev() {
-                remaining.remove(*index);
+            for index in detected.into_iter().rev() {
+                remaining.remove(index);
             }
             patterns.push(p);
             coverage_history.push((total - remaining.len()) as f64 / total.max(1) as f64);

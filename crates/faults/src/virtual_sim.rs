@@ -4,7 +4,7 @@
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use vcad_core::{
     Design, Module, ModuleCtx, ModuleId, PortSpec, ShardPolicy, SimEngine, SimulationError, Value,
@@ -14,8 +14,8 @@ use vcad_netlist::Netlist;
 use vcad_obs::Collector;
 
 use crate::collapse::FaultUniverse;
-use crate::detect::DetectionTable;
-use crate::fault::SymbolicFault;
+use crate::detect::{testable_representatives, DetectionTable};
+use crate::fault::{Fault, SymbolicFault};
 
 /// Virtual-fault-simulation failures.
 #[derive(Clone, Debug, PartialEq)]
@@ -112,6 +112,9 @@ pub struct NetlistDetectionSource {
     netlist: Arc<Netlist>,
     universe: FaultUniverse,
     compiled: vcad_engine::CompiledNetlist,
+    /// The testable representatives every table simulates, with their
+    /// names: computed by the first table, reset by `with_testability`.
+    interned: OnceLock<(Vec<Fault>, Vec<SymbolicFault>)>,
 }
 
 impl NetlistDetectionSource {
@@ -128,6 +131,7 @@ impl NetlistDetectionSource {
             netlist,
             universe,
             compiled,
+            interned: OnceLock::new(),
         }
     }
 
@@ -140,6 +144,7 @@ impl NetlistDetectionSource {
     pub fn with_testability(mut self) -> NetlistDetectionSource {
         let analysis = crate::testability::TestabilityAnalysis::analyze(&self.netlist);
         self.universe.apply_testability(&self.netlist, &analysis);
+        self.interned = OnceLock::new();
         self
     }
 
@@ -182,11 +187,16 @@ impl DetectionTableSource for NetlistDetectionSource {
     }
 
     fn detection_table(&self, inputs: &LogicVec) -> Result<DetectionTable, VirtualSimError> {
-        Ok(DetectionTable::build_compiled(
+        let (faults, names) = self.interned.get_or_init(|| {
+            let faults = testable_representatives(&self.universe);
+            let names = faults.iter().map(|f| f.name(&self.netlist)).collect();
+            (faults, names)
+        });
+        Ok(DetectionTable::transpose(
             &self.compiled,
-            &self.netlist,
-            &self.universe,
             inputs,
+            faults,
+            |i| names[i].clone(),
         ))
     }
 }
@@ -713,6 +723,26 @@ mod tests {
                 "under {inputs}"
             );
         }
+    }
+
+    #[test]
+    fn with_testability_resets_the_interned_fault_names() {
+        let nl = Arc::new(generators::untestable_demo(2));
+        let source = NetlistDetectionSource::new(nl);
+        assert!(
+            source.interned.get().is_none(),
+            "interned by the first table"
+        );
+        let _ = source.detection_table(&LogicVec::zeros(4)).unwrap();
+        let all = source.interned.get().unwrap().0.len();
+        assert_eq!(all, source.universe().class_count());
+        let source = source.with_testability();
+        assert!(source.interned.get().is_none());
+        let _ = source.detection_table(&LogicVec::zeros(4)).unwrap();
+        let (faults, names) = source.interned.get().unwrap();
+        assert_eq!(faults.len(), source.universe().testable_class_count());
+        assert!(faults.len() < all);
+        assert_eq!(names.len(), faults.len());
     }
 
     /// Builds the paper's Figure 4 circuit around IP1 (a NAND-style half

@@ -450,7 +450,7 @@ impl DetectionTableSource for RemoteDetectionSource {
             .stub
             .invoke(component::DETECTION_TABLE, vec![Value::Vec(inputs.clone())])
             .map_err(|e| VirtualSimError::Source(e.to_string()))?;
-        DetectionTable::from_value(&value)
+        DetectionTable::from_owned_value(value)
             .ok_or_else(|| VirtualSimError::Source("malformed detection table".into()))
     }
 }

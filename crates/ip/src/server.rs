@@ -1,8 +1,6 @@
 //! The provider side: catalog and component server objects.
 
-use std::sync::Arc;
-
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use vcad_core::{EstimationInput, Estimator, PortSnapshot, SimTime};
 use vcad_faults::{DetectionTable, DetectionTableSource, NetlistDetectionSource};
@@ -392,7 +390,9 @@ struct ComponentObject {
     regression: LinearRegressionPowerEstimator,
     toggle: TogglePowerEstimator,
     peak: PeakPowerEstimator,
-    detection: NetlistDetectionSource,
+    /// Built by the first `FAULT_LIST` or `DETECTION_TABLE` call, so a
+    /// component only evaluated functionally never collapses its faults.
+    detection: OnceLock<NetlistDetectionSource>,
     ledger: Arc<ServerLedger>,
 }
 
@@ -424,7 +424,6 @@ impl ComponentObject {
             LinearRegressionPowerEstimator::fit(&reference, &netlist, &training, ports.clone());
         let toggle = TogglePowerEstimator::new(Arc::clone(&netlist), model, ports.clone(), true);
         let peak = PeakPowerEstimator::new(Arc::clone(&netlist), model, ports, true);
-        let detection = NetlistDetectionSource::new(Arc::clone(&netlist));
         ComponentObject {
             name: offering.name().to_owned(),
             public_behavior: offering.public_behavior().to_owned(),
@@ -435,9 +434,14 @@ impl ComponentObject {
             regression,
             toggle,
             peak,
-            detection,
+            detection: OnceLock::new(),
             ledger,
         }
+    }
+
+    fn detection(&self) -> &NetlistDetectionSource {
+        self.detection
+            .get_or_init(|| NetlistDetectionSource::new(Arc::clone(&self.netlist)))
     }
 }
 
@@ -551,10 +555,10 @@ impl RemoteObject for ComponentObject {
                 Ok(Value::Vec(out))
             }
             component::FAULT_LIST => Ok(Value::List(
-                self.detection
+                self.detection()
                     .fault_list()
                     .into_iter()
-                    .map(|f| Value::Str(f.as_str().to_owned()))
+                    .map(|f| Value::Str(f.0))
                     .collect(),
             )),
             component::DETECTION_TABLE => {
@@ -575,10 +579,10 @@ impl RemoteObject for ComponentObject {
                     .collector()
                     .traced_span("ip", format!("estimate:{method}"));
                 let table: DetectionTable = self
-                    .detection
+                    .detection()
                     .detection_table(inputs)
                     .map_err(|e| RmiError::application(e.to_string()))?;
-                Ok(table.to_value())
+                Ok(table.into_value())
             }
             component::RELEASE => {
                 ctx.withdraw_self();
@@ -866,5 +870,23 @@ mod tests {
             .unwrap();
         let table = DetectionTable::from_value(&table_value).unwrap();
         assert_eq!(table.inputs().to_word().unwrap().value(), 0b0110);
+    }
+
+    #[test]
+    fn detection_source_is_built_on_first_use_only() {
+        let object = ComponentObject::new(
+            ComponentOffering::fast_low_power_multiplier(),
+            4,
+            Arc::new(ServerLedger::new()),
+        );
+        // Instantiation (all a functional_eval provider needs) collapses
+        // no faults.
+        assert!(object.detection.get().is_none());
+        let first: *const NetlistDetectionSource = object.detection();
+        assert!(std::ptr::eq(first, object.detection()), "built once");
+        assert_eq!(
+            object.detection().universe().class_count(),
+            vcad_faults::FaultUniverse::collapsed(&object.netlist).class_count()
+        );
     }
 }

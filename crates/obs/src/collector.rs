@@ -563,6 +563,17 @@ mod tests {
     }
 
     #[test]
+    fn disabled_collector_still_counts_metrics() {
+        // Campaign cells read their retry and chaos counters off a
+        // disabled collector; only events are switched off.
+        let c = Collector::disabled();
+        c.metrics().counter("rmi.retry.retries").add(3);
+        c.metrics().counter("rmi.retry.retries").add(2);
+        assert_eq!(c.metrics().snapshot().counter("rmi.retry.retries"), 5);
+        assert_eq!(c.trace().metrics.counter("rmi.retry.retries"), 5);
+    }
+
+    #[test]
     fn spans_measure_nonzero_time() {
         let c = Collector::enabled();
         {

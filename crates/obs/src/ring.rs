@@ -1,19 +1,20 @@
 //! A bounded multi-producer multi-consumer ring buffer.
 //!
 //! The trace collector sits inside the scheduler's hot event loop, so
-//! recording must never block and never allocate beyond the slot's own
-//! payload. This is the classic Dmitry Vyukov bounded MPMC queue built
-//! on `std` atomics only: each slot carries a sequence number that
-//! producers and consumers use to claim it without locks. When the ring
-//! is full the event is **dropped** (and counted) rather than stalling
-//! the simulation — tracing must observe, not perturb.
+//! recording must not block or allocate per event. This is the classic
+//! Dmitry Vyukov bounded MPMC queue built on `std` atomics only: each
+//! slot carries a sequence number that producers and consumers use to
+//! claim it without locks. When the ring is full the event is
+//! **dropped** (and counted) rather than stalling the simulation —
+//! tracing must observe, not perturb.
 //!
-//! Construction is O(1) in touched memory: slots live on zeroed pages
-//! (`alloc_zeroed`) and a sequence value of `0` encodes "virgin slot"
-//! rather than being written eagerly, so a 2^20-slot ring costs an
-//! `mmap` instead of a ~160 MB walk. That matters because the
-//! controller creates a child collector (and thus a ring) per traced
-//! simulation run — eager initialisation dominated those runs.
+//! Construction is O(1) whatever the allocator does: slots live in fixed
+//! segments allocated, zeroed, by the first push into each one (a
+//! producer racing it waits for that allocation), and a segment never
+//! allocated reads as all-virgin — a sequence value of `0` encodes
+//! "virgin slot", so no slot is written eagerly either. Zeroed pages
+//! alone were not enough: glibc serves a freed 8 MiB ring back out of
+//! the heap and `memset`s it.
 //!
 //! This is the only module in the workspace allowed to use `unsafe`
 //! (every other crate forbids it via `[workspace.lints]`); each block
@@ -25,15 +26,16 @@ use std::alloc::Layout;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// Slots per segment, the allocation unit (a power of two).
+const SEGMENT_SLOTS: usize = 512;
 
 struct Slot<T> {
     /// Encoded sequence number: `0` means the slot is *virgin* (never
     /// pushed to), whose logical sequence is the slot's own index;
-    /// anything else stores `logical + 1`. The encoding lets a fresh
-    /// ring live entirely on zero pages: `with_capacity` maps zeroed
-    /// memory and never walks the slots, so creating a large collector
-    /// ring costs microseconds instead of ~50 ms per 2^20 slots, and
-    /// slots that never see an event are never faulted in at all.
+    /// anything else stores `logical + 1`. The encoding lets a segment
+    /// come from zeroed memory without walking its slots.
     seq: AtomicUsize,
     value: UnsafeCell<MaybeUninit<T>>,
 }
@@ -65,9 +67,14 @@ fn alloc_zeroed_slots<T>(cap: usize) -> Box<[Slot<T>]> {
     }
 }
 
+/// A run of slots, allocated by the first push into it.
+type Segment<T> = OnceLock<Box<[Slot<T>]>>;
+
 /// Bounded lock-free ring buffer with drop-on-full semantics.
 pub struct RingBuffer<T> {
-    slots: Box<[Slot<T>]>,
+    /// Segment `i` holds slots `i * segment_len ..`.
+    segments: Box<[Segment<T>]>,
+    segment_len: usize,
     mask: usize,
     enqueue_pos: AtomicUsize,
     dequeue_pos: AtomicUsize,
@@ -93,8 +100,10 @@ impl<T> RingBuffer<T> {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> RingBuffer<T> {
         let cap = capacity.max(2).next_power_of_two();
+        let segment_len = cap.min(SEGMENT_SLOTS);
         RingBuffer {
-            slots: alloc_zeroed_slots(cap),
+            segments: (0..cap / segment_len).map(|_| OnceLock::new()).collect(),
+            segment_len,
             mask: cap - 1,
             enqueue_pos: AtomicUsize::new(0),
             dequeue_pos: AtomicUsize::new(0),
@@ -105,7 +114,13 @@ impl<T> RingBuffer<T> {
     /// Number of slots.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.mask + 1
+    }
+
+    /// The slot at `index`; `None` (virgin) while its segment is unallocated.
+    fn slot(&self, index: usize) -> Option<&Slot<T>> {
+        let segment = self.segments[index / self.segment_len].get()?;
+        Some(&segment[index % self.segment_len])
     }
 
     /// Events discarded because the ring was full.
@@ -119,8 +134,11 @@ impl<T> RingBuffer<T> {
     pub fn push(&self, value: T) -> bool {
         let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
         loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = decode_seq(slot.seq.load(Ordering::Acquire), pos & self.mask);
+            let index = pos & self.mask;
+            let segment = &self.segments[index / self.segment_len];
+            let slot = &segment.get_or_init(|| alloc_zeroed_slots(self.segment_len))
+                [index % self.segment_len];
+            let seq = decode_seq(slot.seq.load(Ordering::Acquire), index);
             let diff = seq as isize - pos as isize;
             if diff == 0 {
                 match self.enqueue_pos.compare_exchange_weak(
@@ -161,7 +179,8 @@ impl<T> RingBuffer<T> {
     pub fn pop(&self) -> Option<T> {
         let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
         loop {
-            let slot = &self.slots[pos & self.mask];
+            // An unallocated segment was never pushed into: empty.
+            let slot = self.slot(pos & self.mask)?;
             let seq = decode_seq(slot.seq.load(Ordering::Acquire), pos & self.mask);
             let diff = seq as isize - (pos.wrapping_add(1)) as isize;
             if diff == 0 {
@@ -217,6 +236,10 @@ impl<T> Drop for RingBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn allocated_segments<T>(ring: &RingBuffer<T>) -> usize {
+        ring.segments.iter().filter(|s| s.get().is_some()).count()
+    }
 
     #[test]
     fn fifo_order() {
@@ -283,9 +306,9 @@ mod tests {
     #[test]
     fn large_ring_works_without_eager_initialisation() {
         // 2^20 slots: with eager slot init this takes tens of
-        // milliseconds; on zero pages it is effectively free, and the
-        // virgin-slot encoding must still give correct FIFO behaviour
-        // for the few slots actually touched.
+        // milliseconds; with lazy segments it is effectively free, and
+        // the virgin-slot encoding must still give correct FIFO
+        // behaviour for the few slots actually touched.
         let ring = RingBuffer::with_capacity(1 << 20);
         assert_eq!(ring.capacity(), 1 << 20);
         assert_eq!(ring.pop(), None);
@@ -294,6 +317,40 @@ mod tests {
         }
         assert_eq!(ring.drain(), (0..100).collect::<Vec<_>>());
         assert_eq!(ring.dropped(), 0);
+    }
+
+    #[test]
+    fn segments_are_allocated_by_the_first_push_into_them() {
+        let ring = RingBuffer::with_capacity(4 * SEGMENT_SLOTS);
+        assert_eq!(
+            allocated_segments(&ring),
+            0,
+            "construction allocates no slots"
+        );
+        assert_eq!(ring.pop(), None, "popping an unallocated segment");
+        assert_eq!(allocated_segments(&ring), 0);
+        assert!(ring.push(0u64));
+        assert_eq!(allocated_segments(&ring), 1);
+        for i in 1..SEGMENT_SLOTS as u64 {
+            assert!(ring.push(i));
+        }
+        assert_eq!(allocated_segments(&ring), 1, "one segment holds its slots");
+        assert!(ring.push(SEGMENT_SLOTS as u64));
+        assert_eq!(allocated_segments(&ring), 2);
+        let expected: Vec<u64> = (0..=SEGMENT_SLOTS as u64).collect();
+        assert_eq!(ring.drain(), expected);
+    }
+
+    #[test]
+    fn dropping_a_partly_filled_ring_drops_every_value() {
+        use std::sync::Arc;
+        let value = Arc::new(());
+        let ring = RingBuffer::with_capacity(4 * SEGMENT_SLOTS);
+        for _ in 0..SEGMENT_SLOTS + 3 {
+            assert!(ring.push(Arc::clone(&value)));
+        }
+        drop(ring);
+        assert_eq!(Arc::strong_count(&value), 1);
     }
 
     #[test]
