@@ -19,7 +19,7 @@ cargo build --release
 echo "==> tier-1 verify: cargo test -q (default-members: the whole workspace)"
 cargo test -q
 
-echo "==> fork gate: one TCP server, one call context, one JSON module, one client cache, one table builder, one one-pattern evaluator"
+echo "==> fork gate: one TCP server, one call context, one JSON module, one client cache, one table builder, one one-pattern evaluator, one simulation engine"
 if grep -rn "TcpServer" crates src tests examples \
     || grep -rn "thread_local!" crates/rmi \
     || grep -rn "mod json" crates/lint \
@@ -63,6 +63,38 @@ if grep -n "iter_mut().find(" crates/faults/src/detect.rs \
     || grep -rn "Collector::enabled()" crates/campaign/src; then
     echo "the per-table or per-cell overhead is back (see DESIGN.md, 'Overhead budget')"; exit 1
 fi
+
+# One simulation engine: SimEngine runs every run, a sequential run is its
+# one-shard case, and the threaded-channel transport is gone.
+if grep -rnE "enum SimEngine|SimEngine::Sequential|ShardedScheduler|run_instant_at|ChannelTransport" \
+    crates src tests examples; then
+    echo "a second simulation engine or the channel transport is back (see DESIGN.md, 'One path per job')"; exit 1
+fi
+
+echo "==> dead-surface ratchet: crate-only pub items may not grow"
+# An item is `pub fn|struct|enum|trait|const|type|static NAME` before a
+# crates/<c>/src file's first #[cfg(test)]; it is crate-only when no
+# tracked *.rs file outside crates/<c>/ (benchmark/ included) has NAME as
+# a word. Lower the ceiling when a PR removes some.
+python3 - <<'EOF'
+import re, subprocess
+CEILING = 300
+files = subprocess.run(["git", "ls-files", "*.rs"], capture_output=True, text=True, check=True).stdout.split()
+words = {f: set(re.findall(r"\w+", open(f).read())) for f in files}
+item = re.compile(r"^\s*pub (?:fn|struct|enum|trait|const|type|static) (\w+)")
+count = 0
+for crate in sorted({f.split("/")[1] for f in files if f.startswith("crates/")}):
+    outside = set().union(*(w for f, w in words.items() if not f.startswith(f"crates/{crate}/")))
+    for f in (f for f in files if f.startswith(f"crates/{crate}/src/")):
+        for line in open(f):
+            if line.startswith("#[cfg(test)]"):
+                break
+            m = item.match(line)
+            count += bool(m) and m.group(1) not in outside
+print(f"    {count} crate-only pub items (ceiling {CEILING})")
+if count > CEILING:
+    raise SystemExit("new crate-only pub surface: make it pub(crate), delete it, or give it a user")
+EOF
 
 echo "==> chaos soak: fault-injected session must match the fault-free baseline"
 cargo test --release -q --test chaos_session

@@ -148,19 +148,6 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-impl CacheStats {
-    /// Hits over total lookups (0.0 on an untouched cache).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 struct Metrics {
     hits: Counter,
     misses: Counter,

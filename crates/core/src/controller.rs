@@ -17,7 +17,7 @@ use crate::time::SimTime;
 ///
 /// A controller owns the run policy (time limit, event limit, setup for
 /// dynamic estimation); each [`SimulationController::run`] creates a fresh
-/// [`Scheduler`](crate::Scheduler) with its own isolated state, so the same controller — or
+/// [`SimEngine`] with its own isolated state, so the same controller — or
 /// several controllers over the same shared design — can run any number of
 /// times, serially or concurrently.
 ///

@@ -192,9 +192,11 @@ impl Design {
 
     /// The compiled-engine module overrides for this design: every
     /// module that offers a [`Module::compiled_twin`], paired with it.
-    /// Apply them via `SimEngine::override_module` (or let
+    /// Apply them via
+    /// [`SimEngine::override_module`](crate::SimEngine::override_module),
+    /// the one engine every run goes through (or let
     /// [`SimulationController::with_engine`](crate::SimulationController::with_engine)
-    /// do it) to run the design on the bit-parallel engine; coverage and
+    /// do it), to run the design on the bit-parallel engine; coverage and
     /// outputs are bit-identical to the event-driven evaluation.
     #[must_use]
     pub fn compiled_overrides(&self) -> Vec<(ModuleId, Arc<dyn Module>)> {

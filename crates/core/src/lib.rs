@@ -69,7 +69,7 @@ pub use scheduler::{canonicalize_event_log, LoggedEvent, Scheduler, SimulationEr
 pub use setup::{
     Degradation, EstimateLog, EstimateRecord, SetupBinding, SetupController, SetupCriterion,
 };
-pub use shard::{connectivity_components, ShardPlan, ShardPolicy, ShardedScheduler, SimEngine};
+pub use shard::{connectivity_components, ShardPlan, ShardPolicy, SimEngine};
 pub use time::SimTime;
 pub use token::TokenPayload;
 

@@ -1,4 +1,5 @@
-//! The event-driven scheduler with per-scheduler state isolation.
+//! The event-driven scheduler with per-scheduler state isolation: one
+//! shard's event loop under [`SimEngine`](crate::SimEngine).
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -166,7 +167,7 @@ pub fn canonicalize_event_log(log: &mut [LoggedEvent]) {
 ///
 /// Collected from each shard's outbox at a virtual-time barrier and merged
 /// in `(time, origin shard, origin sequence)` order — see
-/// [`ShardedScheduler`](crate::ShardedScheduler).
+/// [`SimEngine`](crate::SimEngine).
 #[derive(Debug)]
 pub(crate) struct CrossToken {
     pub(crate) time: SimTime,
@@ -215,11 +216,11 @@ impl Ord for Queued {
 /// modules can only schedule tokens into the scheduler that invoked them,
 /// exactly as in the paper.
 ///
-/// Most users drive a scheduler through
-/// [`SimulationController`](crate::SimulationController); the lower-level
-/// API here ([`Scheduler::step_instant`], [`Scheduler::override_module`],
-/// [`Scheduler::preload_port`]) exists for the virtual fault simulator's
-/// single-instant injection runs.
+/// A scheduler is one shard's event loop. Runs are driven through
+/// [`SimEngine`](crate::SimEngine), which holds one scheduler per shard (a
+/// sequential run is the one-shard case) and routes every step, snapshot
+/// and injection to the shard that owns the module; the controller and the
+/// virtual fault simulator both drive a `SimEngine`.
 pub struct Scheduler {
     design: Arc<Design>,
     queue: BinaryHeap<Reverse<Queued>>,
@@ -519,44 +520,6 @@ impl Scheduler {
         }
         drop(span);
         Ok(Some(instant))
-    }
-
-    /// Processes every pending token at exactly `instant` and advances
-    /// local time to it — one shard's share of a barrier round.
-    ///
-    /// Unlike [`Scheduler::step_instant`] the instant is dictated by the
-    /// coordinator: a shard with nothing pending at `instant` merely
-    /// advances its clock. Zero-delay cascades that stay shard-local are
-    /// processed here; tokens for other shards land in the outbox.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulationError::EventLimitExceeded`] when the event cap
-    /// is hit.
-    pub(crate) fn run_instant_at(&mut self, instant: SimTime) -> Result<(), SimulationError> {
-        self.time = instant;
-        let mut active = false;
-        while let Some(Reverse(q)) = self.queue.peek() {
-            if q.time > instant {
-                break;
-            }
-            active = true;
-            let Reverse(q) = self.queue.pop().expect("peeked");
-            self.events_processed += 1;
-            if self.events_processed > self.event_limit {
-                return Err(SimulationError::EventLimitExceeded {
-                    limit: self.event_limit,
-                });
-            }
-            self.dispatch(q);
-        }
-        if let Some(t) = &self.telemetry {
-            if active {
-                t.instants.inc();
-            }
-            t.queue_depth.set(self.queue.len() as u64);
-        }
-        Ok(())
     }
 
     /// Advances local time without processing anything (barrier catch-up

@@ -1,16 +1,22 @@
-//! Sharded execution: one design, several event loops, bit-identical
-//! results.
+//! The simulation engine: one design, one or more event loops,
+//! bit-identical results.
 //!
 //! A [`ShardPlan`] partitions a [`Design`] along connector boundaries —
 //! modules tied by a connector always share a shard, so the zero-delay
 //! signal traffic that dominates a simulation never crosses threads. A
-//! [`ShardedScheduler`] then runs one [`Scheduler`] per shard on a
-//! persistent worker pool and synchronises them at virtual-time barriers:
+//! [`SimEngine`] runs one [`Scheduler`] per shard; a sequential run is the
+//! one-shard plan, driven by the same code on the calling thread. Extra
+//! shards run on a persistent worker pool.
 //!
-//! 1. The coordinator picks the next instant `T` = min over shards of
-//!    their earliest pending token.
-//! 2. Every shard with work at `T` processes *all* of its tokens at `T`
-//!    (including shard-local zero-delay cascades) on its own thread.
+//! When no connector crosses shards (every one-shard and every `Auto`
+//! plan), [`SimEngine::run`] lets each shard free-run to the horizon in a
+//! single round. Otherwise shards synchronise at virtual-time barriers:
+//!
+//! 1. The engine picks the next instant `T` = min over shards of their
+//!    earliest pending token.
+//! 2. Every shard with work at `T` steps that instant — *all* of its
+//!    tokens at `T`, including shard-local zero-delay cascades — on its
+//!    own thread.
 //! 3. Tokens produced for modules owned by other shards (control tokens —
 //!    the only traffic that can leave a connectivity component) are
 //!    drained from per-shard outboxes and merged in
@@ -19,6 +25,10 @@
 //! 4. If the merge delivered more tokens *at* `T`, another micro-round of
 //!    step 2 runs; otherwise the barrier completes and every shard's clock
 //!    advances to `T`.
+//!
+//! A panic in a module handler is caught on whichever thread ran it, and
+//! once every shard is parked again the first panic caught is re-raised
+//! with its original payload.
 //!
 //! **Why bit-identity holds.** A module's behaviour depends only on its own
 //! token stream and its own latches. Within one shard, tokens are processed
@@ -205,7 +215,7 @@ impl ShardPlan {
     /// Connectors whose endpoints this plan places on different shards —
     /// zero for every component-respecting partition. A zero-cross-edge
     /// plan never exchanges tokens between shards, which lets
-    /// [`ShardedScheduler::run`] skip per-instant barriers entirely.
+    /// [`SimEngine::run`] skip per-instant barriers entirely.
     #[must_use]
     pub fn cross_edges(&self) -> usize {
         self.cross_edges
@@ -251,7 +261,7 @@ pub fn connectivity_components(design: &Design) -> (Vec<usize>, usize) {
 }
 
 /// Aggregated `sched.shard.*` statistics, emitted as metrics at the end of
-/// an instrumented run.
+/// an instrumented multi-shard run.
 #[derive(Debug, Default)]
 struct ShardStats {
     barriers: u64,
@@ -260,42 +270,34 @@ struct ShardStats {
     barrier_waits: u64,
 }
 
-enum Job {
-    /// One barrier round: process everything pending at exactly `instant`.
-    Run {
-        slot: usize,
-        sched: Box<Scheduler>,
-        instant: SimTime,
-    },
-    /// Free-run: drain the shard's queue up to `until` without stopping —
-    /// only sound when the plan has no cross-shard edges.
-    RunUntil {
-        slot: usize,
-        sched: Box<Scheduler>,
-        until: Option<SimTime>,
-    },
-}
-
-/// What a worker should do with a shipped shard.
+/// What a shard does when a round hands it out.
+#[derive(Clone, Copy)]
 enum Task {
-    Instant(SimTime),
-    Until(Option<SimTime>),
+    /// Process every token at the shard's next instant — its share of one
+    /// barrier round.
+    Step,
+    /// Free-run: drain the shard's queue up to the horizon without
+    /// stopping — only sound when the plan has no cross-shard edges.
+    Run(Option<SimTime>),
 }
 
-enum Done {
-    Finished {
-        slot: usize,
-        sched: Box<Scheduler>,
-        result: Result<(), SimulationError>,
-    },
-    Panicked,
+impl Task {
+    fn apply(self, sched: &mut Scheduler) -> Result<(), SimulationError> {
+        match self {
+            Task::Step => sched.step_instant().map(drop),
+            Task::Run(until) => sched.run(until),
+        }
+    }
 }
 
-/// A persistent pool of barrier workers. Workers idle on their job channel
-/// between barriers; dropping the pool closes the channels and joins.
+/// How one shard's task ended: a caught panic keeps its payload.
+type Outcome = std::thread::Result<Result<(), SimulationError>>;
+
+/// A persistent pool of shard workers. Workers idle on their job channel
+/// between rounds; dropping the pool closes the channels and joins.
 struct Pool {
-    txs: Vec<mpsc::Sender<Job>>,
-    rx: mpsc::Receiver<Done>,
+    txs: Vec<mpsc::Sender<(usize, Scheduler, Task)>>,
+    rx: mpsc::Receiver<(usize, Scheduler, Outcome)>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -305,38 +307,14 @@ impl Pool {
         let mut txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
-            let (tx, job_rx) = mpsc::channel::<Job>();
+            let (tx, job_rx) = mpsc::channel::<(usize, Scheduler, Task)>();
             let done = done_tx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("vcad-shard-{i}"))
                 .spawn(move || {
-                    while let Ok(job) = job_rx.recv() {
-                        let (slot, mut sched, task): (usize, Box<Scheduler>, Task) = match job {
-                            Job::Run {
-                                slot,
-                                sched,
-                                instant,
-                            } => (slot, sched, Task::Instant(instant)),
-                            Job::RunUntil { slot, sched, until } => {
-                                (slot, sched, Task::Until(until))
-                            }
-                        };
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            let result = match task {
-                                Task::Instant(instant) => sched.run_instant_at(instant),
-                                Task::Until(until) => sched.run(until),
-                            };
-                            (sched, result)
-                        }));
-                        let message = match outcome {
-                            Ok((sched, result)) => Done::Finished {
-                                slot,
-                                sched,
-                                result,
-                            },
-                            Err(_) => Done::Panicked,
-                        };
-                        if done.send(message).is_err() {
+                    while let Ok((slot, mut sched, task)) = job_rx.recv() {
+                        let outcome = catch_unwind(AssertUnwindSafe(|| task.apply(&mut sched)));
+                        if done.send((slot, sched, outcome)).is_err() {
                             break;
                         }
                     }
@@ -358,22 +336,27 @@ impl Drop for Pool {
     }
 }
 
-/// A drop-in parallel counterpart to [`Scheduler`]: the same design, the
-/// same observable results, one event loop per shard.
+/// The simulation engine: one [`Scheduler`] per shard of a [`ShardPlan`],
+/// behind the run / step / inspect / inject API that
+/// [`SimulationController`](crate::SimulationController) and the virtual
+/// fault simulator use.
 ///
-/// Between barriers every shard's scheduler is parked on the coordinator,
-/// so inspection and injection (snapshots, port values, module state,
-/// control/signal injection, overrides) work exactly as on a sequential
-/// [`Scheduler`]. The module docs at the top of this file spell out the
-/// barrier protocol and the bit-identity argument.
-pub struct ShardedScheduler {
-    design: Arc<Design>,
-    plan: ShardPlan,
+/// A sequential run is the one-shard plan: no worker threads, no outbox,
+/// no child collectors and no `sched.shard.*` metrics — the one shard
+/// runs on the calling thread and records straight into the run's
+/// collector. Between rounds every shard is parked here, so inspection
+/// and injection (snapshots, port values, module state, control/signal
+/// injection, overrides) are routed to the shard that owns the module.
+/// The module docs at the top of this file spell out the barrier protocol
+/// and the bit-identity argument.
+pub struct SimEngine {
+    /// Module index → shard id.
+    assignment: Arc<Vec<usize>>,
+    cross_edges: usize,
     /// One scheduler per shard; `None` only while that shard is out on a
-    /// worker thread during a barrier round.
-    shards: Vec<Option<Box<Scheduler>>>,
+    /// worker thread during a round.
+    shards: Vec<Option<Scheduler>>,
     pool: Option<Pool>,
-    time: SimTime,
     event_limit: u64,
     obs: Option<Collector>,
     children: Vec<Collector>,
@@ -381,48 +364,58 @@ pub struct ShardedScheduler {
     telemetry_flushed: bool,
 }
 
-impl ShardedScheduler {
-    /// Creates a sharded scheduler over `design` following `plan`.
-    #[must_use]
-    pub fn new(design: Arc<Design>, plan: ShardPlan) -> ShardedScheduler {
-        let shards = (0..plan.shard_count())
+impl SimEngine {
+    /// Builds the engine a policy asks for. [`ShardPolicy::Sequential`],
+    /// and every policy that resolves to one shard (including
+    /// [`ShardPolicy::Auto`] over a design with one connectivity
+    /// component), runs a single shard on the calling thread.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError::InvalidShardPlan`] for malformed manual
+    /// assignments.
+    pub fn new(design: Arc<Design>, policy: &ShardPolicy) -> Result<SimEngine, SimulationError> {
+        // A sequential run is the one-shard plan; it needs no
+        // connectivity walk.
+        let (assignment, shard_count, cross_edges) = match policy {
+            ShardPolicy::Sequential => (Arc::new(vec![0; design.module_count()]), 1, 0),
+            _ => {
+                let plan = ShardPlan::resolve(&design, policy)?;
+                (plan.assignment, plan.shard_count, plan.cross_edges)
+            }
+        };
+        let shards = (0..shard_count)
             .map(|id| {
-                let mut sched = Box::new(Scheduler::new(Arc::clone(&design)));
-                sched.configure_shard(id, Arc::clone(&plan.assignment));
+                let mut sched = Scheduler::new(Arc::clone(&design));
+                if shard_count > 1 {
+                    sched.configure_shard(id, Arc::clone(&assignment));
+                }
                 Some(sched)
             })
             .collect();
-        let workers = plan.shard_count().saturating_sub(1);
-        ShardedScheduler {
-            design,
-            plan,
+        Ok(SimEngine {
+            assignment,
+            cross_edges,
             shards,
-            pool: (workers > 0).then(|| Pool::new(workers)),
-            time: SimTime::ZERO,
+            pool: (shard_count > 1).then(|| Pool::new(shard_count - 1)),
             event_limit: 10_000_000,
             obs: None,
             children: Vec::new(),
             stats: ShardStats::default(),
             telemetry_flushed: false,
-        }
+        })
     }
 
-    /// The design under simulation.
+    /// Number of shards running (1 for a sequential run).
     #[must_use]
-    pub fn design(&self) -> &Arc<Design> {
-        &self.design
-    }
-
-    /// The resolved partition.
-    #[must_use]
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
     /// Replaces the runaway-event cap. Each shard is capped at the full
-    /// limit (a zero-delay loop is always shard-local) and the coordinator
-    /// additionally enforces the limit on the cross-shard total at every
-    /// barrier.
+    /// limit (a zero-delay loop is always shard-local) and the engine
+    /// additionally enforces the limit on the cross-shard total after
+    /// every round.
     pub fn set_event_limit(&mut self, limit: u64) {
         self.event_limit = limit;
         for sched in self.shards.iter_mut().flatten() {
@@ -430,11 +423,15 @@ impl ShardedScheduler {
         }
     }
 
-    /// Routes telemetry into `obs`: each shard records into its own child
-    /// collector (no contention on the hot path), all of them absorbed —
-    /// together with the `sched.shard.*` barrier statistics — when the run
-    /// finishes.
+    /// Routes telemetry into `obs`. One shard records into it directly;
+    /// several each record into their own child collector (no contention
+    /// on the hot path), all of them absorbed — together with the
+    /// `sched.shard.*` barrier statistics — when the run finishes.
     pub fn set_collector(&mut self, obs: &Collector) {
+        if let [Some(sched)] = self.shards.as_mut_slice() {
+            sched.set_collector(obs);
+            return;
+        }
         self.children = self.shards.iter().map(|_| obs.child()).collect();
         for (sched, child) in self.shards.iter_mut().flatten().zip(&self.children) {
             sched.set_collector(child);
@@ -460,10 +457,16 @@ impl ShardedScheduler {
         merged
     }
 
-    /// The current (barrier) simulation time.
+    /// The current simulation time: the latest instant any shard has
+    /// reached.
     #[must_use]
     pub fn time(&self) -> SimTime {
-        self.time
+        self.shards
+            .iter()
+            .flatten()
+            .map(Scheduler::time)
+            .max()
+            .unwrap_or(SimTime::ZERO)
     }
 
     /// Events processed so far, across all shards.
@@ -472,14 +475,14 @@ impl ShardedScheduler {
         self.shards
             .iter()
             .flatten()
-            .map(|s| s.events_processed())
+            .map(Scheduler::events_processed)
             .sum()
     }
 
     /// Whether any shard still has a pending token.
     #[must_use]
     pub fn has_pending(&self) -> bool {
-        self.shards.iter().flatten().any(|s| s.has_pending())
+        self.shards.iter().flatten().any(Scheduler::has_pending)
     }
 
     /// The earliest pending instant across all shards.
@@ -488,7 +491,7 @@ impl ShardedScheduler {
         self.shards
             .iter()
             .flatten()
-            .filter_map(|s| s.next_time())
+            .filter_map(Scheduler::next_time)
             .min()
     }
 
@@ -513,66 +516,55 @@ impl ShardedScheduler {
     ///
     /// # Panics
     ///
-    /// Re-raises a panic that escaped a module handler on a worker thread.
+    /// Re-raises, payload intact, a panic that escaped a module handler.
     pub fn step_instant(&mut self) -> Result<Option<SimTime>, SimulationError> {
         let Some(instant) = self.next_time() else {
             return Ok(None);
         };
-        // Micro-rounds: run every shard with work at `instant`, merge the
+        // Micro-rounds: step every shard due at `instant`, merge the
         // cross-shard tokens, repeat while the merge keeps feeding the
         // same instant.
         loop {
-            let active: Vec<usize> = (0..self.shards.len())
-                .filter(|&i| {
-                    self.shards[i]
-                        .as_ref()
-                        .and_then(|s| s.next_time())
-                        .is_some_and(|t| t <= instant)
-                })
-                .collect();
-            if active.is_empty() {
-                break;
-            }
-            self.stats.micro_rounds += 1;
-            if active.len() > 1 {
+            let ran = self.round(Task::Step, Some(instant))?;
+            if ran > 1 {
                 self.stats.barrier_waits += 1;
             }
-            self.run_round(&active, instant)?;
-            if self.merge_cross() == 0 {
+            if ran == 0 || self.merge_cross() == 0 {
                 break;
             }
         }
         self.stats.barriers += 1;
-        self.time = instant;
         for sched in self.shards.iter_mut().flatten() {
             sched.advance_time(instant);
         }
-        let total = self.events_processed();
-        if total > self.event_limit {
-            return Err(SimulationError::EventLimitExceeded {
-                limit: self.event_limit,
-            });
-        }
+        self.check_event_limit()?;
         Ok(Some(instant))
     }
 
-    /// Runs barriers until every queue drains or `until` is passed.
+    /// Runs until every queue drains or `until` is passed.
     ///
     /// When the plan has [no cross-shard edges](ShardPlan::cross_edges) —
-    /// every `Auto` plan — shards can never exchange tokens, so instead
-    /// of a barrier per instant each shard free-runs to the horizon in a
-    /// single dispatch (conservative synchronization with unbounded
-    /// lookahead). The results are identical; only the synchronization
-    /// overhead disappears.
+    /// every one-shard and every `Auto` plan — shards can never exchange
+    /// tokens, so instead of a barrier per instant each shard free-runs to
+    /// the horizon in a single round (conservative synchronization with
+    /// unbounded lookahead). The results are identical; only the
+    /// synchronization overhead disappears.
     ///
     /// # Errors
     ///
-    /// As [`ShardedScheduler::step_instant`]. On the free-run path a
-    /// shard may process more events than a sequential run would before
-    /// the limit trips; the reported error is the same.
+    /// As [`SimEngine::step_instant`]. On the free-run path a shard may
+    /// process more events than a sequential run would before the limit
+    /// trips; the reported error is the same.
+    ///
+    /// # Panics
+    ///
+    /// As [`SimEngine::step_instant`].
     pub fn run(&mut self, until: Option<SimTime>) -> Result<(), SimulationError> {
-        if self.plan.cross_edges() == 0 {
-            return self.run_free(until);
+        if self.cross_edges == 0 {
+            if self.round(Task::Run(until), until)? > 0 {
+                self.stats.barriers += 1;
+            }
+            return self.check_event_limit();
         }
         loop {
             if let (Some(limit), Some(next)) = (until, self.next_time()) {
@@ -586,135 +578,68 @@ impl ShardedScheduler {
         }
     }
 
-    /// Free-run: each shard with pending work inside the horizon drains
-    /// its own queue independently, all but the first on worker threads.
-    fn run_free(&mut self, until: Option<SimTime>) -> Result<(), SimulationError> {
-        let active: Vec<usize> = (0..self.shards.len())
-            .filter(|&i| {
-                self.shards[i]
-                    .as_ref()
-                    .and_then(|s| s.next_time())
-                    .is_some_and(|t| until.is_none_or(|u| t <= u))
-            })
-            .collect();
-        if active.is_empty() {
-            return Ok(());
-        }
-        self.stats.barriers += 1;
+    /// One round: `task` runs on every shard with a token at or before
+    /// `horizon` — the first on this thread, the rest on workers — and
+    /// returns how many shards ran. Once every shard is parked again, the
+    /// first panic caught (this thread's shard first, then workers in the
+    /// order they report) is re-raised with its payload; otherwise the
+    /// first error is returned.
+    fn round(&mut self, task: Task, horizon: Option<SimTime>) -> Result<usize, SimulationError> {
+        let due = |shard: &Option<Scheduler>| {
+            shard
+                .as_ref()
+                .and_then(Scheduler::next_time)
+                .is_some_and(|t| horizon.is_none_or(|h| t <= h))
+        };
+        let Some(local) = self.shards.iter().position(due) else {
+            return Ok(0);
+        };
         self.stats.micro_rounds += 1;
-        let mut first_error: Option<SimulationError> = None;
-        let mut outstanding = 0usize;
-        if let Some(pool) = &self.pool {
-            for (k, &slot) in active.iter().enumerate().skip(1) {
+        let mut shipped = 0;
+        for slot in local + 1..self.shards.len() {
+            if due(&self.shards[slot]) {
+                let pool = self.pool.as_ref().expect("several shards have workers");
                 let sched = self.shards[slot].take().expect("shard parked");
-                pool.txs[(k - 1) % pool.txs.len()]
-                    .send(Job::RunUntil { slot, sched, until })
+                pool.txs[shipped % pool.txs.len()]
+                    .send((slot, sched, task))
                     .expect("shard worker alive");
-                outstanding += 1;
+                shipped += 1;
             }
         }
-        let coordinator_slot = active[0];
-        let mut sched = self.shards[coordinator_slot].take().expect("shard parked");
-        let result = catch_unwind(AssertUnwindSafe(|| sched.run(until)));
-        self.shards[coordinator_slot] = Some(sched);
-        let mut panicked = false;
-        match result {
+        let (mut error, mut panic) = (None, None);
+        let mut settle = |outcome: Outcome| match outcome {
             Ok(Ok(())) => {}
-            Ok(Err(err)) => first_error = Some(err),
-            Err(_) => panicked = true,
+            Ok(Err(err)) => {
+                error.get_or_insert(err);
+            }
+            Err(payload) => {
+                panic.get_or_insert(payload);
+            }
+        };
+        // The first due shard runs on this thread: a one-shard run, and
+        // the common fully-partitioned case with one busy shard, never
+        // pay a channel round-trip.
+        let sched = self.shards[local].as_mut().expect("shard parked");
+        settle(catch_unwind(AssertUnwindSafe(|| task.apply(sched))));
+        for _ in 0..shipped {
+            let pool = self.pool.as_ref().expect("several shards have workers");
+            let (slot, sched, outcome) = pool.rx.recv().expect("shard worker alive");
+            self.shards[slot] = Some(sched);
+            settle(outcome);
         }
-        panicked |= self.collect_outstanding(outstanding, &mut first_error);
-        if panicked {
-            resume_unwind(Box::new("a module handler panicked on a shard worker"));
+        if let Some(payload) = panic {
+            resume_unwind(payload);
         }
-        // The run's end time is the latest instant any shard processed —
-        // exactly the sequential scheduler's final clock.
-        self.time = self
-            .shards
-            .iter()
-            .flatten()
-            .map(|s| s.time())
-            .max()
-            .unwrap_or(self.time)
-            .max(self.time);
-        if let Some(err) = first_error {
-            return Err(err);
-        }
-        let total = self.events_processed();
-        if total > self.event_limit {
+        error.map_or(Ok(shipped + 1), Err)
+    }
+
+    fn check_event_limit(&self) -> Result<(), SimulationError> {
+        if self.events_processed() > self.event_limit {
             return Err(SimulationError::EventLimitExceeded {
                 limit: self.event_limit,
             });
         }
         Ok(())
-    }
-
-    /// Receives `outstanding` worker results, re-parking their shards.
-    /// Returns whether any worker panicked.
-    fn collect_outstanding(
-        &mut self,
-        mut outstanding: usize,
-        first_error: &mut Option<SimulationError>,
-    ) -> bool {
-        let mut panicked = false;
-        while outstanding > 0 {
-            match self.pool.as_ref().expect("pool").rx.recv() {
-                Ok(Done::Finished {
-                    slot,
-                    sched,
-                    result,
-                }) => {
-                    self.shards[slot] = Some(sched);
-                    if let Err(err) = result {
-                        first_error.get_or_insert(err);
-                    }
-                }
-                Ok(Done::Panicked) | Err(_) => panicked = true,
-            }
-            outstanding -= 1;
-        }
-        panicked
-    }
-
-    /// One micro-round: every active shard processes its tokens at
-    /// `instant`, all but the first on worker threads.
-    fn run_round(&mut self, active: &[usize], instant: SimTime) -> Result<(), SimulationError> {
-        let mut first_error: Option<SimulationError> = None;
-        let mut outstanding = 0usize;
-        if let Some(pool) = &self.pool {
-            for (k, &slot) in active.iter().enumerate().skip(1) {
-                let sched = self.shards[slot].take().expect("shard parked");
-                pool.txs[(k - 1) % pool.txs.len()]
-                    .send(Job::Run {
-                        slot,
-                        sched,
-                        instant,
-                    })
-                    .expect("shard worker alive");
-                outstanding += 1;
-            }
-        }
-        // The first active shard runs on the coordinator thread: the
-        // common fully-partitioned case with one busy shard never pays a
-        // channel round-trip.
-        let coordinator_slot = active[0];
-        let mut sched = self.shards[coordinator_slot].take().expect("shard parked");
-        let result = catch_unwind(AssertUnwindSafe(|| sched.run_instant_at(instant)));
-        self.shards[coordinator_slot] = Some(sched);
-        let mut panicked = false;
-        match result {
-            Ok(Ok(())) => {}
-            Ok(Err(err)) => first_error = Some(err),
-            Err(_) => panicked = true,
-        }
-        panicked |= self.collect_outstanding(outstanding, &mut first_error);
-        if panicked {
-            resume_unwind(Box::new("a module handler panicked on a shard worker"));
-        }
-        match first_error {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
     }
 
     /// Drains every shard's outbox and redelivers the tokens in canonical
@@ -733,25 +658,26 @@ impl ShardedScheduler {
         let delivered = pending.len();
         self.stats.cross_tokens += delivered as u64;
         for (_, _, _, token) in pending {
-            let owner = self.plan.shard_of(token.target);
-            self.shards[owner]
-                .as_mut()
-                .expect("shard parked")
-                .receive_cross(token);
+            self.owner_mut(token.target).receive_cross(token);
         }
         delivered
     }
 
+    /// The shard that owns `module`. An out-of-range module resolves to
+    /// shard 0, whose scheduler reports it as the sequential one does.
+    fn shard_of(&self, module: ModuleId) -> usize {
+        self.assignment.get(module.index()).copied().unwrap_or(0)
+    }
+
     fn owner(&self, module: ModuleId) -> &Scheduler {
-        self.shards[self.plan.shard_of(module)]
+        self.shards[self.shard_of(module)]
             .as_ref()
             .expect("shard parked")
     }
 
     fn owner_mut(&mut self, module: ModuleId) -> &mut Scheduler {
-        self.shards[self.plan.shard_of(module)]
-            .as_mut()
-            .expect("shard parked")
+        let shard = self.shard_of(module);
+        self.shards[shard].as_mut().expect("shard parked")
     }
 
     /// The latched value of one port (from its owning shard).
@@ -760,7 +686,8 @@ impl ShardedScheduler {
         self.owner(port.module).port_value(port)
     }
 
-    /// A snapshot of one module's port latches at the current barrier time.
+    /// A snapshot of one module's port latches at its shard's current
+    /// time.
     #[must_use]
     pub fn snapshot(&self, module: ModuleId) -> PortSnapshot {
         self.owner(module).snapshot(module)
@@ -787,11 +714,6 @@ impl ShardedScheduler {
         port: PortRef,
         value: vcad_logic::LogicVec,
     ) -> Result<(), SimulationError> {
-        if port.module.index() >= self.design.module_count() {
-            return Err(SimulationError::MalformedInjection {
-                reason: format!("preload references unknown port {port}"),
-            });
-        }
         self.owner_mut(port.module).preload_port(port, value)
     }
 
@@ -807,11 +729,6 @@ impl ShardedScheduler {
         value: vcad_logic::LogicVec,
         delay: u64,
     ) -> Result<(), SimulationError> {
-        if target.index() >= self.design.module_count() {
-            return Err(SimulationError::MalformedInjection {
-                reason: format!("signal injection references unknown port {target}.p{port}"),
-            });
-        }
         self.owner_mut(target)
             .inject_signal(target, port, value, delay)
     }
@@ -827,33 +744,27 @@ impl ShardedScheduler {
         message: vcad_rmi::Value,
         delay: u64,
     ) -> Result<(), SimulationError> {
-        if target.index() >= self.design.module_count() {
-            return Err(SimulationError::MalformedInjection {
-                reason: format!("control injection references unknown module {target}"),
-            });
-        }
         self.owner_mut(target)
             .inject_control(target, message, delay)
     }
 
-    /// Consumes the scheduler, merging every shard's state slots into one
+    /// Consumes the engine, merging every shard's state slots into one
     /// [`StateStore`] and flushing the `sched.shard.*` telemetry.
     #[must_use]
     pub fn into_state_store(mut self) -> StateStore {
         self.flush_telemetry();
-        let mut merged: Vec<Option<Box<dyn std::any::Any + Send>>> =
-            Vec::with_capacity(self.design.module_count());
-        merged.resize_with(self.design.module_count(), || None);
-        for (id, sched) in self.shards.iter_mut().enumerate() {
-            let Some(sched) = sched.take() else { continue };
-            for (index, slot) in sched
-                .into_state_store()
-                .into_slots()
-                .into_iter()
-                .enumerate()
-            {
-                if self.plan.assignment[index] == id {
-                    merged[index] = slot;
+        // A shard only ever creates state for the modules it owns, so
+        // overlaying the shards' slots reassembles the whole store.
+        let mut shards = self
+            .shards
+            .iter_mut()
+            .filter_map(Option::take)
+            .map(|sched| sched.into_state_store().into_slots());
+        let mut merged = shards.next().unwrap_or_default();
+        for slots in shards {
+            for (into, slot) in merged.iter_mut().zip(slots) {
+                if slot.is_some() {
+                    *into = slot;
                 }
             }
         }
@@ -862,7 +773,8 @@ impl ShardedScheduler {
 
     /// Emits the shard statistics and absorbs the per-shard child
     /// collectors into the collector passed to
-    /// [`ShardedScheduler::set_collector`]. Idempotent; also runs on drop.
+    /// [`SimEngine::set_collector`]. A no-op for one shard, which recorded
+    /// into that collector directly. Idempotent; also runs on drop.
     fn flush_telemetry(&mut self) {
         if self.telemetry_flushed {
             return;
@@ -872,8 +784,7 @@ impl ShardedScheduler {
             return;
         };
         let m = obs.metrics();
-        m.counter("sched.shard.count")
-            .add(self.plan.shard_count() as u64);
+        m.counter("sched.shard.count").add(self.shards.len() as u64);
         m.counter("sched.shard.barriers").add(self.stats.barriers);
         m.counter("sched.shard.micro_rounds")
             .add(self.stats.micro_rounds);
@@ -885,7 +796,7 @@ impl ShardedScheduler {
             .shards
             .iter()
             .flatten()
-            .map(|s| s.events_processed())
+            .map(Scheduler::events_processed)
             .collect();
         if let (Some(&max), Some(&min)) = (loads.iter().max(), loads.iter().min()) {
             m.gauge("sched.shard.load.max_events").set(max);
@@ -899,259 +810,19 @@ impl ShardedScheduler {
     }
 }
 
-impl Drop for ShardedScheduler {
+impl Drop for SimEngine {
     fn drop(&mut self) {
         self.flush_telemetry();
     }
 }
 
-impl std::fmt::Debug for ShardedScheduler {
+impl std::fmt::Debug for SimEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedScheduler")
-            .field("time", &self.time)
-            .field("shards", &self.plan.shard_count())
+        f.debug_struct("SimEngine")
+            .field("time", &self.time())
+            .field("shards", &self.shard_count())
             .field("events_processed", &self.events_processed())
             .finish()
-    }
-}
-
-/// Either flavour of event loop behind one API — what
-/// [`SimulationController`](crate::SimulationController) and the virtual
-/// fault simulator drive, so every caller gets sharding by configuration.
-pub enum SimEngine {
-    /// The classic single-threaded scheduler.
-    Sequential(Scheduler),
-    /// The barrier-synchronised sharded scheduler.
-    Sharded(ShardedScheduler),
-}
-
-impl SimEngine {
-    /// Builds the engine a policy asks for. Policies that resolve to a
-    /// single shard (including [`ShardPolicy::Auto`] over a design with
-    /// one connectivity component) get the sequential scheduler — there is
-    /// no barrier overhead to pay for a partition that cannot parallelise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulationError::InvalidShardPlan`] for malformed manual
-    /// assignments.
-    pub fn new(design: Arc<Design>, policy: &ShardPolicy) -> Result<SimEngine, SimulationError> {
-        if matches!(policy, ShardPolicy::Sequential) {
-            return Ok(SimEngine::Sequential(Scheduler::new(design)));
-        }
-        let plan = ShardPlan::resolve(&design, policy)?;
-        if plan.shard_count() <= 1 {
-            return Ok(SimEngine::Sequential(Scheduler::new(design)));
-        }
-        Ok(SimEngine::Sharded(ShardedScheduler::new(design, plan)))
-    }
-
-    /// Number of shards actually running (1 for the sequential engine).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        match self {
-            SimEngine::Sequential(_) => 1,
-            SimEngine::Sharded(s) => s.plan().shard_count(),
-        }
-    }
-
-    /// See [`Scheduler::set_event_limit`].
-    pub fn set_event_limit(&mut self, limit: u64) {
-        match self {
-            SimEngine::Sequential(s) => s.set_event_limit(limit),
-            SimEngine::Sharded(s) => s.set_event_limit(limit),
-        }
-    }
-
-    /// See [`Scheduler::set_collector`].
-    pub fn set_collector(&mut self, obs: &Collector) {
-        match self {
-            SimEngine::Sequential(s) => s.set_collector(obs),
-            SimEngine::Sharded(s) => s.set_collector(obs),
-        }
-    }
-
-    /// See [`Scheduler::set_event_log`].
-    pub fn set_event_log(&mut self, enabled: bool) {
-        match self {
-            SimEngine::Sequential(s) => s.set_event_log(enabled),
-            SimEngine::Sharded(s) => s.set_event_log(enabled),
-        }
-    }
-
-    /// The merged event log in [canonical order](canonicalize_event_log).
-    pub fn take_event_log(&mut self) -> Vec<LoggedEvent> {
-        match self {
-            SimEngine::Sequential(s) => {
-                let mut log = s.take_event_log();
-                canonicalize_event_log(&mut log);
-                log
-            }
-            SimEngine::Sharded(s) => s.take_event_log(),
-        }
-    }
-
-    /// See [`Scheduler::init`].
-    pub fn init(&mut self) {
-        match self {
-            SimEngine::Sequential(s) => s.init(),
-            SimEngine::Sharded(s) => s.init(),
-        }
-    }
-
-    /// See [`Scheduler::step_instant`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Scheduler::step_instant`].
-    pub fn step_instant(&mut self) -> Result<Option<SimTime>, SimulationError> {
-        match self {
-            SimEngine::Sequential(s) => s.step_instant(),
-            SimEngine::Sharded(s) => s.step_instant(),
-        }
-    }
-
-    /// See [`Scheduler::run`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Scheduler::run`].
-    pub fn run(&mut self, until: Option<SimTime>) -> Result<(), SimulationError> {
-        match self {
-            SimEngine::Sequential(s) => s.run(until),
-            SimEngine::Sharded(s) => s.run(until),
-        }
-    }
-
-    /// See [`Scheduler::next_time`].
-    #[must_use]
-    pub fn next_time(&self) -> Option<SimTime> {
-        match self {
-            SimEngine::Sequential(s) => s.next_time(),
-            SimEngine::Sharded(s) => s.next_time(),
-        }
-    }
-
-    /// See [`Scheduler::has_pending`].
-    #[must_use]
-    pub fn has_pending(&self) -> bool {
-        match self {
-            SimEngine::Sequential(s) => s.has_pending(),
-            SimEngine::Sharded(s) => s.has_pending(),
-        }
-    }
-
-    /// See [`Scheduler::time`].
-    #[must_use]
-    pub fn time(&self) -> SimTime {
-        match self {
-            SimEngine::Sequential(s) => s.time(),
-            SimEngine::Sharded(s) => s.time(),
-        }
-    }
-
-    /// See [`Scheduler::events_processed`].
-    #[must_use]
-    pub fn events_processed(&self) -> u64 {
-        match self {
-            SimEngine::Sequential(s) => s.events_processed(),
-            SimEngine::Sharded(s) => s.events_processed(),
-        }
-    }
-
-    /// See [`Scheduler::snapshot`].
-    #[must_use]
-    pub fn snapshot(&self, module: ModuleId) -> PortSnapshot {
-        match self {
-            SimEngine::Sequential(s) => s.snapshot(module),
-            SimEngine::Sharded(s) => s.snapshot(module),
-        }
-    }
-
-    /// See [`Scheduler::port_value`].
-    #[must_use]
-    pub fn port_value(&self, port: PortRef) -> &vcad_logic::LogicVec {
-        match self {
-            SimEngine::Sequential(s) => s.port_value(port),
-            SimEngine::Sharded(s) => s.port_value(port),
-        }
-    }
-
-    /// See [`Scheduler::module_state`].
-    #[must_use]
-    pub fn module_state<T: 'static>(&self, module: ModuleId) -> Option<&T> {
-        match self {
-            SimEngine::Sequential(s) => s.module_state(module),
-            SimEngine::Sharded(s) => s.module_state(module),
-        }
-    }
-
-    /// See [`Scheduler::inject_signal`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Scheduler::inject_signal`].
-    pub fn inject_signal(
-        &mut self,
-        target: ModuleId,
-        port: usize,
-        value: vcad_logic::LogicVec,
-        delay: u64,
-    ) -> Result<(), SimulationError> {
-        match self {
-            SimEngine::Sequential(s) => s.inject_signal(target, port, value, delay),
-            SimEngine::Sharded(s) => s.inject_signal(target, port, value, delay),
-        }
-    }
-
-    /// See [`Scheduler::inject_control`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Scheduler::inject_control`].
-    pub fn inject_control(
-        &mut self,
-        target: ModuleId,
-        message: vcad_rmi::Value,
-        delay: u64,
-    ) -> Result<(), SimulationError> {
-        match self {
-            SimEngine::Sequential(s) => s.inject_control(target, message, delay),
-            SimEngine::Sharded(s) => s.inject_control(target, message, delay),
-        }
-    }
-
-    /// See [`Scheduler::preload_port`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Scheduler::preload_port`].
-    pub fn preload_port(
-        &mut self,
-        port: PortRef,
-        value: vcad_logic::LogicVec,
-    ) -> Result<(), SimulationError> {
-        match self {
-            SimEngine::Sequential(s) => s.preload_port(port, value),
-            SimEngine::Sharded(s) => s.preload_port(port, value),
-        }
-    }
-
-    /// See [`Scheduler::override_module`].
-    pub fn override_module(&mut self, id: ModuleId, replacement: Arc<dyn Module>) {
-        match self {
-            SimEngine::Sequential(s) => s.override_module(id, replacement),
-            SimEngine::Sharded(s) => s.override_module(id, replacement),
-        }
-    }
-
-    /// See [`Scheduler::into_state_store`].
-    #[must_use]
-    pub fn into_state_store(self) -> StateStore {
-        match self {
-            SimEngine::Sequential(s) => s.into_state_store(),
-            SimEngine::Sharded(s) => s.into_state_store(),
-        }
     }
 }
 
@@ -1234,8 +905,8 @@ mod tests {
         canonicalize_event_log(&mut seq_log);
 
         for shards in [2, 3, 4] {
-            let plan = ShardPlan::auto(&design, shards);
-            let mut par = ShardedScheduler::new(Arc::clone(&design), plan);
+            let mut par = SimEngine::new(Arc::clone(&design), &ShardPolicy::Auto(shards)).unwrap();
+            assert_eq!(par.shard_count(), shards);
             par.set_event_log(true);
             par.init();
             par.run(None).unwrap();
@@ -1252,23 +923,129 @@ mod tests {
         }
     }
 
-    #[test]
-    fn engine_resolves_single_component_to_sequential() {
+    /// A one-component design: a source driving a capture sink.
+    fn one_component() -> (Arc<Design>, ModuleId) {
         let mut b = DesignBuilder::new("one");
         let s = b.add_module(Arc::new(RandomInput::new("IN", 8, 1, 4)));
         let o = b.add_module(Arc::new(PrimaryOutput::new("OUT", 8)));
         b.connect(s, "out", o, "in").unwrap();
-        let design = Arc::new(b.build().unwrap());
+        (Arc::new(b.build().unwrap()), o)
+    }
+
+    #[test]
+    fn engine_resolves_single_component_to_sequential() {
+        let (design, _) = one_component();
         let engine = SimEngine::new(design, &ShardPolicy::Auto(8)).unwrap();
-        assert!(matches!(engine, SimEngine::Sequential(_)));
         assert_eq!(engine.shard_count(), 1);
+    }
+
+    /// Every metric name in a snapshot, whatever its kind.
+    fn metric_names(obs: &Collector) -> Vec<String> {
+        let snap = obs.metrics().snapshot();
+        let mut names: Vec<String> = snap.counters.into_keys().collect();
+        names.extend(snap.float_counters.into_keys());
+        names.extend(snap.gauges.into_keys());
+        names.extend(snap.histograms.into_keys());
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn every_one_shard_policy_is_the_sequential_run() {
+        let (design, out) = one_component();
+        let policies = [
+            ShardPolicy::Sequential,
+            ShardPolicy::Auto(0),
+            ShardPolicy::Auto(1),
+            ShardPolicy::Auto(8),
+            ShardPolicy::Manual(vec![0; design.module_count()]),
+        ];
+        let run = |policy: &ShardPolicy| {
+            let obs = Collector::enabled();
+            let run = crate::SimulationController::new(Arc::clone(&design))
+                .with_shards(policy.clone())
+                .with_collector(obs.clone())
+                .record_events()
+                .run()
+                .unwrap();
+            (run, metric_names(&obs))
+        };
+        let (reference, _) = run(&ShardPolicy::Sequential);
+        // The names a sequential run records: the scheduler's and the
+        // controller's, and no `sched.shard.*` barrier statistics.
+        let sequential_names = [
+            "estimate.cache_hits",
+            "estimate.degraded",
+            "estimate.fees_cents",
+            "estimate.records",
+            "scheduler.events_dispatched",
+            "scheduler.instants",
+            "scheduler.module.IN.activations",
+            "scheduler.module.OUT.activations",
+            "scheduler.queue_depth",
+            "scheduler.tokens.control",
+            "scheduler.tokens.self_trigger",
+            "scheduler.tokens.signal",
+        ];
+        for policy in &policies {
+            let (run, names) = run(policy);
+            assert_eq!(run.shard_count(), 1, "{policy:?}");
+            assert_eq!(run.event_log(), reference.event_log(), "{policy:?}");
+            assert_eq!(
+                run.module_state::<CaptureState>(out).unwrap().history(),
+                reference
+                    .module_state::<CaptureState>(out)
+                    .unwrap()
+                    .history(),
+                "{policy:?}"
+            );
+            assert_eq!(run.events_processed(), reference.events_processed());
+            assert_eq!(run.end_time(), reference.end_time());
+            assert_eq!(names, sequential_names, "{policy:?}");
+        }
+    }
+
+    /// A sink whose signal handler panics.
+    struct Boom(Vec<crate::PortSpec>);
+
+    impl Module for Boom {
+        fn name(&self) -> &str {
+            "BOOM"
+        }
+        fn ports(&self) -> &[crate::PortSpec] {
+            &self.0
+        }
+        fn on_signal(&self, _: &mut crate::ModuleCtx<'_>, _: usize, _: &vcad_logic::LogicVec) {
+            panic!("boom");
+        }
+    }
+
+    #[test]
+    fn module_panics_keep_their_payload() {
+        // Two components; the panicking sink sits in the second, which a
+        // two-shard plan runs on a worker thread.
+        let design = {
+            let mut b = DesignBuilder::new("two");
+            let s0 = b.add_module(Arc::new(RandomInput::new("IN0", 8, 1, 4)));
+            let o0 = b.add_module(Arc::new(PrimaryOutput::new("OUT", 8)));
+            let s1 = b.add_module(Arc::new(RandomInput::new("IN1", 8, 2, 4)));
+            let o1 = b.add_module(Arc::new(Boom(vec![crate::PortSpec::input("in", 8)])));
+            b.connect(s0, "out", o0, "in").unwrap();
+            b.connect(s1, "out", o1, "in").unwrap();
+            Arc::new(b.build().unwrap())
+        };
+        for policy in [ShardPolicy::Sequential, ShardPolicy::Auto(2)] {
+            let controller =
+                crate::SimulationController::new(Arc::clone(&design)).with_shards(policy.clone());
+            let payload = catch_unwind(AssertUnwindSafe(|| controller.run())).unwrap_err();
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"), "{policy:?}");
+        }
     }
 
     #[test]
     fn sharded_event_limit_reported() {
         let (design, _) = chains(2, 50);
-        let plan = ShardPlan::auto(&design, 2);
-        let mut par = ShardedScheduler::new(design, plan);
+        let mut par = SimEngine::new(design, &ShardPolicy::Auto(2)).unwrap();
         par.set_event_limit(10);
         par.init();
         assert_eq!(

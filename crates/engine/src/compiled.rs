@@ -95,12 +95,6 @@ impl PackedPatterns {
     pub fn lanes(&self) -> usize {
         self.lanes
     }
-
-    /// The lane mask covering the packed patterns.
-    #[must_use]
-    pub fn lane_mask(&self) -> u64 {
-        lane_mask(self.lanes)
-    }
 }
 
 /// The packed primary-output image of one evaluator pass.
@@ -315,21 +309,6 @@ impl CompiledNetlist {
         record_pass(&self.obs, &self.plan, 1);
         out
     }
-
-    /// Single-pattern evaluation under the given forces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern width does not match the input count, or a
-    /// force addresses a pin that does not exist.
-    #[must_use]
-    pub fn outputs_with(&self, inputs: &LogicVec, forces: &[Force]) -> LogicVec {
-        if forces.is_empty() {
-            return self.outputs(inputs);
-        }
-        let packed = self.pack(std::slice::from_ref(inputs));
-        self.evaluator().run(&packed, forces).lane(0)
-    }
 }
 
 fn record_pass(obs: &Collector, plan: &ExecPlan, patterns: usize) {
@@ -517,6 +496,12 @@ mod tests {
     use super::*;
     use vcad_netlist::{generators, NetlistBuilder};
 
+    /// One pattern evaluated in a single packed lane under `forces`.
+    fn forced(compiled: &CompiledNetlist, inputs: &LogicVec, forces: &[Force]) -> LogicVec {
+        let packed = compiled.pack(std::slice::from_ref(inputs));
+        compiled.evaluator().run(&packed, forces).lane(0)
+    }
+
     #[test]
     fn matches_scalar_evaluator_on_c17() {
         let nl = generators::c17();
@@ -582,7 +567,7 @@ mod tests {
         let inp = LogicVec::from_u64(2, 0b11);
         let good = compiled.outputs(&inp);
         assert_eq!(good.to_string(), "11");
-        let faulty = compiled.outputs_with(&inp, &[Force::net(a, false, u64::MAX)]);
+        let faulty = forced(&compiled, &inp, &[Force::net(a, false, u64::MAX)]);
         // a/sa0 kills both the AND and the aliased output tap.
         assert_eq!(faulty.to_string(), "00");
     }
@@ -602,7 +587,7 @@ mod tests {
 
         let inp = LogicVec::from_u64(2, 0b01); // a=1, b=0
         let good = compiled.outputs(&inp);
-        let faulty = compiled.outputs_with(&inp, &[Force::pin(and_gate, 1, true, u64::MAX)]);
+        let faulty = forced(&compiled, &inp, &[Force::pin(and_gate, 1, true, u64::MAX)]);
         // AND sees b stuck-at-1 → flips; OR still sees the real b.
         assert_eq!(good.get(0), Logic::Zero);
         assert_eq!(faulty.get(0), Logic::One);
@@ -650,8 +635,7 @@ mod tests {
         // Cross-check every lane against single-pattern evaluation.
         for (lane, pattern) in patterns.iter().enumerate() {
             let scalar_good = compiled.outputs(pattern);
-            let scalar_faulty =
-                compiled.outputs_with(pattern, &[Force::net(target, true, u64::MAX)]);
+            let scalar_faulty = forced(&compiled, pattern, &[Force::net(target, true, u64::MAX)]);
             assert_eq!(
                 mask >> lane & 1 == 1,
                 scalar_good != scalar_faulty,

@@ -152,16 +152,6 @@ impl NetworkModel {
         let factor = 1.0 + rng.gen_range(-self.jitter_frac..self.jitter_frac);
         Duration::from_secs_f64(base * factor)
     }
-
-    /// Round-trip time with independent jitter on both directions.
-    pub fn round_trip_jittered(
-        &self,
-        request_bytes: usize,
-        response_bytes: usize,
-        rng: &mut Rng,
-    ) -> Duration {
-        self.one_way_jittered(request_bytes, rng) + self.one_way_jittered(response_bytes, rng)
-    }
 }
 
 impl fmt::Display for NetworkModel {

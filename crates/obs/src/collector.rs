@@ -193,11 +193,6 @@ impl Collector {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns event recording on or off at runtime.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.inner.enabled.store(enabled, Ordering::Relaxed);
-    }
-
     /// The metrics registry of this collector's domain.
     #[must_use]
     pub fn metrics(&self) -> &MetricsRegistry {

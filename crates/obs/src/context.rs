@@ -83,15 +83,6 @@ impl TraceContext {
             self.baggage.push((key.to_string(), value.to_string()));
         }
     }
-
-    /// Looks up a baggage label by key.
-    #[must_use]
-    pub fn baggage_value(&self, key: &str) -> Option<&str> {
-        self.baggage
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
 }
 
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
@@ -165,7 +156,7 @@ mod tests {
         let kid = root.child();
         assert_eq!(kid.trace_id, root.trace_id);
         assert_ne!(kid.span_id, root.span_id);
-        assert_eq!(kid.baggage_value("provider"), Some("p1"));
+        assert_eq!(kid.baggage, [("provider".to_string(), "p1".to_string())]);
     }
 
     #[test]
@@ -173,8 +164,7 @@ mod tests {
         let ctx = TraceContext::root()
             .with_baggage("k", "v1")
             .with_baggage("k", "v2");
-        assert_eq!(ctx.baggage.len(), 1);
-        assert_eq!(ctx.baggage_value("k"), Some("v2"));
+        assert_eq!(ctx.baggage, [("k".to_string(), "v2".to_string())]);
     }
 
     #[test]

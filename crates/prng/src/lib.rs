@@ -64,11 +64,6 @@ impl Rng {
         result
     }
 
-    /// The next 32 uniformly distributed bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// The next 128 uniformly distributed bits.
     pub fn next_u128(&mut self) -> u128 {
         (u128::from(self.next_u64()) << 64) | u128::from(self.next_u64())

@@ -9,8 +9,8 @@
 //! are as reproducible as fault-free ones.
 //!
 //! The injector composes with every transport in the crate
-//! (`InProcTransport`, `ChannelTransport`, `TcpTransport`,
-//! `ShapedTransport`) and is meant to sit *under* a
+//! (`InProcTransport`, `TcpTransport`, `ShapedTransport`) and is meant
+//! to sit *under* a
 //! [`ResilientTransport`](crate::ResilientTransport), which must make all
 //! of this invisible to the caller.
 

@@ -14,8 +14,7 @@
 //! * [`Frame`] — call and response frames carrying a call id, target
 //!   object, method name and arguments;
 //! * [`Transport`] — the pluggable request/response channel, with
-//!   in-process ([`InProcTransport`]), threaded channel
-//!   ([`ChannelTransport`]), real TCP ([`TcpTransport`] to a
+//!   in-process ([`InProcTransport`]), real TCP ([`TcpTransport`] to a
 //!   [`MuxServer`]) and network-model-shaped ([`ShapedTransport`])
 //!   implementations;
 //! * [`ObjectRegistry`] + [`Dispatcher`] — the server side: exported
@@ -101,8 +100,7 @@ pub use resilience::{
 };
 pub use security::{Capability, MarshalPolicy, Sandbox, SecurityManager};
 pub use transport::{
-    ChannelTransport, InProcTransport, ShapedTransport, TcpTimeouts, TcpTransport, Transport,
-    TransportStats,
+    InProcTransport, ShapedTransport, TcpTimeouts, TcpTransport, Transport, TransportStats,
 };
 pub use value::{ObjectId, Value};
 pub use wire::{WireError, WireReader, WireWriter};

@@ -313,13 +313,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Sets the jitter stream seed.
-    #[must_use]
-    pub fn with_jitter_seed(mut self, seed: u64) -> RetryPolicy {
-        self.jitter_seed = seed;
-        self
-    }
-
     /// The backoff to sleep after failed attempt `attempt` (1-based).
     fn backoff(&self, attempt: u32, jitter_rng: &mut Rng) -> Duration {
         let exponent = attempt.saturating_sub(1).min(63);

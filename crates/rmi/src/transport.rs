@@ -1,11 +1,9 @@
 //! Request/response transports.
 //!
-//! Four implementations cover the paper's deployment spectrum:
+//! Three implementations cover the paper's deployment spectrum:
 //!
 //! * [`InProcTransport`] — direct dispatch, no copies beyond marshalling;
 //!   isolates pure RMI overhead (the paper's "local host" control).
-//! * [`ChannelTransport`] — a server thread behind a channel; exercises
-//!   real thread hand-off while staying in-process.
 //! * [`TcpTransport`] — length-prefixed frames over a real socket to a
 //!   [`MuxServer`](crate::MuxServer) (loopback in tests).
 //! * [`ShapedTransport`] — wraps any transport with a
@@ -21,10 +19,8 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -185,82 +181,6 @@ impl Transport for InProcTransport {
     }
 }
 
-type ChannelRequest = (Vec<u8>, SyncSender<Vec<u8>>);
-
-/// A transport backed by a dedicated server thread and a bounded channel.
-pub struct ChannelTransport {
-    requests: SyncSender<ChannelRequest>,
-    telemetry: TransportTelemetry,
-    handle: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl ChannelTransport {
-    /// Spawns the server thread and returns the connected transport.
-    #[must_use]
-    pub fn spawn(dispatcher: Arc<Dispatcher>) -> ChannelTransport {
-        ChannelTransport::spawn_inner(dispatcher, TransportTelemetry::detached())
-    }
-
-    /// As [`ChannelTransport::spawn`], recording traffic into `obs`.
-    #[must_use]
-    pub fn spawn_with_collector(dispatcher: Arc<Dispatcher>, obs: &Collector) -> ChannelTransport {
-        ChannelTransport::spawn_inner(dispatcher, TransportTelemetry::new(obs))
-    }
-
-    fn spawn_inner(dispatcher: Arc<Dispatcher>, telemetry: TransportTelemetry) -> ChannelTransport {
-        let (tx, rx) = sync_channel::<ChannelRequest>(64);
-        let handle = std::thread::Builder::new()
-            .name("vcad-rmi-server".into())
-            .spawn(move || {
-                while let Ok((request, reply)) = rx.recv() {
-                    let response = dispatcher.handle_bytes(&request);
-                    // A dropped reply receiver just means the client gave up.
-                    let _ = reply.send(response);
-                }
-            })
-            .expect("spawn rmi server thread");
-        ChannelTransport {
-            requests: tx,
-            telemetry,
-            handle: Mutex::new(Some(handle)),
-        }
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn call(&self, request: &[u8]) -> Result<Vec<u8>, RmiError> {
-        let mut span = self.telemetry.span();
-        let started = Instant::now();
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.requests
-            .send((request.to_vec(), reply_tx))
-            .map_err(|_| RmiError::Transport("server thread terminated".into()))?;
-        let response = reply_rx
-            .recv()
-            .map_err(|_| RmiError::Transport("server dropped the reply".into()))?;
-        self.telemetry
-            .record(request.len(), response.len(), started);
-        span.arg("bytes_sent", request.len());
-        span.arg("bytes_received", response.len());
-        Ok(response)
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.telemetry.snapshot()
-    }
-}
-
-impl Drop for ChannelTransport {
-    fn drop(&mut self) {
-        // Closing the sender ends the server loop; join to avoid leaks.
-        let (closed_tx, _) = sync_channel(0);
-        let _ = std::mem::replace(&mut self.requests, closed_tx);
-        if let Some(h) = self.handle.lock().unwrap().take() {
-            let _ = h.join();
-        }
-    }
-}
-
 pub(crate) fn write_frame(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()> {
     stream.write_all(&(bytes.len() as u32).to_le_bytes())?;
     stream.write_all(bytes)?;
@@ -353,18 +273,6 @@ impl TcpTransport {
     /// Returns [`RmiError::Transport`] when the connection fails.
     pub fn connect(addr: SocketAddr) -> Result<TcpTransport, RmiError> {
         TcpTransport::connect_inner(addr, TcpTimeouts::none(), TransportTelemetry::detached())
-    }
-
-    /// As [`TcpTransport::connect`], recording traffic into `obs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RmiError::Transport`] when the connection fails.
-    pub fn connect_with_collector(
-        addr: SocketAddr,
-        obs: &Collector,
-    ) -> Result<TcpTransport, RmiError> {
-        TcpTransport::connect_inner(addr, TcpTimeouts::none(), TransportTelemetry::new(obs))
     }
 
     /// Connects with socket-level time budgets: the connect attempt, and
@@ -545,39 +453,6 @@ mod tests {
         assert_eq!(stats.calls, 2);
         assert!(stats.bytes_sent > 0);
         assert!(stats.bytes_received > 0);
-    }
-
-    #[test]
-    fn channel_transport_round_trip() {
-        let t = Arc::new(ChannelTransport::spawn(dispatcher()));
-        let c = Client::new(Arc::clone(&t) as Arc<dyn Transport>);
-        for i in 0..10 {
-            let v = c.root().invoke("ping", vec![Value::I64(i)]).unwrap();
-            assert_eq!(v, Value::I64(i));
-        }
-        assert_eq!(t.stats().calls, 10);
-    }
-
-    #[test]
-    fn channel_transport_parallel_clients() {
-        let t: Arc<dyn Transport> = Arc::new(ChannelTransport::spawn(dispatcher()));
-        let c = Client::new(t);
-        let mut handles = Vec::new();
-        for i in 0..4i64 {
-            let c = c.clone();
-            handles.push(std::thread::spawn(move || {
-                for j in 0..25 {
-                    let v = c
-                        .root()
-                        .invoke("ping", vec![Value::I64(i * 100 + j)])
-                        .unwrap();
-                    assert_eq!(v, Value::I64(i * 100 + j));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Hierarchical descriptions: sub-design instantiation, scoped setup
-//! application, and the channel transport in an end-to-end session.
+//! application, and the in-process transport in an end-to-end session.
 
 use std::sync::Arc;
 
@@ -8,7 +8,7 @@ use vcad::core::{
     Design, DesignBuilder, Parameter, SetupController, SetupCriterion, SimulationController,
 };
 use vcad::ip::{ClientSession, ComponentOffering, ProviderServer};
-use vcad::rmi::{ChannelTransport, Transport};
+use vcad::rmi::{InProcTransport, Transport};
 
 /// A reusable sub-design: a registered adder stage with exported ports.
 fn adder_stage(width: usize) -> Design {
@@ -111,12 +111,11 @@ fn setup_scopes_to_one_instance() {
 }
 
 #[test]
-fn channel_transport_serves_a_full_session() {
-    // The threaded channel transport (one server thread, many client
-    // clones) drives the same provider protocol as TCP.
-    let server = ProviderServer::new("chan.example.com");
+fn inproc_transport_serves_a_full_session() {
+    // The in-process transport drives the same provider protocol as TCP.
+    let server = ProviderServer::new("inproc.example.com");
     server.offer(ComponentOffering::fast_low_power_multiplier());
-    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::spawn(server.dispatcher()));
+    let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new(server.dispatcher()));
     let session = ClientSession::connect(transport, server.host());
     let component = session.instantiate("MultFastLowPower", 6).unwrap();
     assert!(component.area().unwrap() > 0.0);
