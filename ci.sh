@@ -54,6 +54,12 @@ scalar_evals="$(for f in $(grep -rlE 'kind(\(\))?\.eval\(' crates/*/src); do
 done)"
 [ "$scalar_evals" = "crates/faults/src/eval.rs" ] \
     || { echo "non-test GateKind::eval call sites: $scalar_evals (only FaultyEvaluator may)"; exit 1; }
+# The sweep runs lowered two-operand steps: gate kinds and the per-kind
+# tables belong to ExecPlan::compile, not to eval_nets.
+if awk '/pub fn eval_nets\(/ { on = 1 } on { print } on && /^    }$/ { exit }' crates/netlist/src/plan.rs \
+    | grep -nE 'GateKind::|tables\(\)|\.(pair|step|mux|unary|first|next)\['; then
+    echo "eval_nets branches on gate kind or reads the per-kind tables; lower it in compile"; exit 1
+fi
 
 # A served table costs its passes plus O(differing faults): rows are
 # hashed, not searched; the pattern is splatted, not packed from 64
@@ -117,6 +123,9 @@ cargo test --release -q --test shard_property
 
 echo "==> plan property: one-pattern plan evaluation equals the naive scalar oracle on random netlists (rerun one with VCAD_PROP_SEED=<seed>)"
 cargo test --release -q -p vcad-netlist --test plan_property
+
+echo "==> vec property: every LogicVec construction path equals a Vec<Logic> model, inline and on the heap (rerun one with VCAD_PROP_SEED=<seed>)"
+cargo test --release -q -p vcad-logic --test vec_property
 
 echo "==> golden drift gate: canonical bench outputs must match tests/golden/ (update: VCAD_UPDATE_GOLDEN=1)"
 cargo test --release -q --test golden_outputs

@@ -16,7 +16,7 @@
 //! and order cell subsets when the spec's [`TestabilityMode`] asks for
 //! it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use vcad_faults::{DetectionTableSource, FaultUniverse, SymbolicFault, TestabilityAnalysis};
 use vcad_ip::{ClientSession, ProviderServer};
@@ -128,7 +128,8 @@ pub fn validate_against_providers(spec: &CampaignSpec) -> Result<Vec<ProviderAud
             }
             universe.push(name);
         }
-        if let Some(foreign) = faults.iter().find(|f| !universe.contains(f)) {
+        let known: HashSet<&SymbolicFault> = universe.iter().collect();
+        if let Some(foreign) = faults.iter().find(|f| !known.contains(f)) {
             return Err(SpecError::FaultModelLint {
                 provider: provider.host.clone(),
                 diagnostics: format!(

@@ -194,20 +194,18 @@ impl Module for NetlistBusBlock {
     }
 
     fn on_signal(&self, ctx: &mut ModuleCtx<'_>, _port: usize, _value: &LogicVec) {
-        let inputs =
-            LogicVec::from_bits((0..self.input_buses).flat_map(|i| ctx.port_value(i).iter()));
+        // Up to 64 bits a `LogicVec` is inline: building the input word,
+        // slicing the output buses and comparing them allocate nothing.
+        let inputs = (0..self.input_buses).fold(LogicVec::default(), |word, i| {
+            word.concat(ctx.port_value(i))
+        });
         let outputs = Evaluator::new(&self.netlist).outputs(&inputs);
         let mut offset = 0;
         for (i, spec) in self.ports.iter().enumerate().skip(self.input_buses) {
-            let bits = offset..offset + spec.width();
-            offset = bits.end;
-            // Slice (allocate) only the buses whose value moved.
-            if !ctx
-                .port_value(i)
-                .iter()
-                .eq(bits.clone().map(|b| outputs.get(b)))
-            {
-                ctx.emit(i, outputs.slice(bits.start, bits.len()));
+            let bus = outputs.slice(offset, spec.width());
+            offset += spec.width();
+            if *ctx.port_value(i) != bus {
+                ctx.emit(i, bus);
             }
         }
     }

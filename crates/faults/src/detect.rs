@@ -143,6 +143,16 @@ impl DetectionTable {
         &self.rows
     }
 
+    /// Drops the spare capacity a table keeps from being built or
+    /// decoded (an in-place `collect` from wire values holds their
+    /// larger buffers), before the table is stored for the long term.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.rows.shrink_to_fit();
+        for (_, faults) in &mut self.rows {
+            faults.shrink_to_fit();
+        }
+    }
+
     /// The erroneous output a given fault would produce, if it is excited
     /// and propagated to the component outputs by these inputs.
     #[must_use]

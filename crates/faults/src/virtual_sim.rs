@@ -1,6 +1,7 @@
 //! Virtual fault simulation over a `vcad-core` design (the paper's
 //! Figure 5 algorithm).
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
@@ -490,15 +491,18 @@ impl VirtualFaultSim {
                     continue;
                 }
                 let inputs = self.block_inputs(&good, binding.module);
-                let key = (bi, inputs.clone());
-                let table = match table_cache.get(&key) {
-                    Some(t) if self.table_cache => {
+                // The cache stores each table once and lends it; without
+                // the cache nothing is ever inserted, so every pattern
+                // misses and the fetched table lives in `fetched`.
+                let fetched;
+                let table = match table_cache.entry((bi, inputs)) {
+                    Entry::Occupied(hit) => {
                         cache_hits += 1;
-                        t.clone()
+                        &*hit.into_mut()
                     }
-                    _ => {
+                    Entry::Vacant(miss) => {
                         tables_requested += 1;
-                        let t = binding.source.detection_table(&inputs)?;
+                        let mut t = binding.source.detection_table(&miss.key().1)?;
                         // Fail closed on tables answered for a different
                         // component: the forced-output injection below
                         // slices rows by the block's port widths.
@@ -520,9 +524,12 @@ impl VirtualFaultSim {
                             });
                         }
                         if self.table_cache {
-                            table_cache.insert(key, t.clone());
+                            t.shrink_to_fit();
+                            &*miss.insert(t)
+                        } else {
+                            fetched = t;
+                            &fetched
                         }
-                        t
                     }
                 };
 

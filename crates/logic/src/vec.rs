@@ -2,19 +2,97 @@
 
 use std::error::Error;
 use std::fmt;
-use std::ops::{BitAnd, BitOr, BitXor, Not};
+use std::ops::{BitAnd, BitOr, BitXor, Deref, DerefMut, Not};
+use std::slice;
 use std::str::FromStr;
 
 use crate::{Logic, Word};
 
 const LIMB_BITS: usize = 64;
 
+/// One bit plane of a [`LogicVec`]: its single limb inline up to 64 bits,
+/// its limbs on the heap above. Which variant a plane uses is a function
+/// of the vector's width alone, so the derived `Eq` and `Hash` stay
+/// canonical.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum Plane {
+    Inline(u64),
+    Heap(Vec<u64>),
+}
+
+impl Plane {
+    fn zeros(width: usize) -> Plane {
+        if width <= LIMB_BITS {
+            Plane::Inline(0)
+        } else {
+            Plane::Heap(vec![0; width.div_ceil(LIMB_BITS)])
+        }
+    }
+}
+
+impl Default for Plane {
+    fn default() -> Plane {
+        Plane::Inline(0)
+    }
+}
+
+impl Deref for Plane {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        match self {
+            Plane::Inline(limb) => slice::from_ref(limb),
+            Plane::Heap(limbs) => limbs,
+        }
+    }
+}
+
+impl DerefMut for Plane {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Plane::Inline(limb) => slice::from_mut(limb),
+            Plane::Heap(limbs) => limbs,
+        }
+    }
+}
+
+/// The low `n` bits set, for `n <= 64`.
+fn low_mask(n: usize) -> u64 {
+    if n >= LIMB_BITS {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
+/// The `n <= 64` bits of `limbs` starting at bit `at`, in the low bits.
+fn read_bits(limbs: &[u64], at: usize, n: usize) -> u64 {
+    let (limb, shift) = (at / LIMB_BITS, at % LIMB_BITS);
+    let mut bits = limbs[limb] >> shift;
+    if shift + n > LIMB_BITS {
+        bits |= limbs[limb + 1] << (LIMB_BITS - shift);
+    }
+    bits & low_mask(n)
+}
+
+/// ORs `bits` (no garbage above their width) into `limbs` at bit `at`.
+fn or_bits(limbs: &mut [u64], at: usize, bits: u64) {
+    let (limb, shift) = (at / LIMB_BITS, at % LIMB_BITS);
+    limbs[limb] |= bits << shift;
+    if shift != 0 && bits >> (LIMB_BITS - shift) != 0 {
+        limbs[limb + 1] |= bits >> (LIMB_BITS - shift);
+    }
+}
+
 /// A fixed-width vector of [`Logic`] values, packed two bits per element.
 ///
 /// `LogicVec` is the value carried by word-level connectors and netlist
 /// ports. Bit `0` is the least-significant bit. The vector is stored as two
 /// bit planes (`value`, `meta`) so the bitwise operators work a limb at a
-/// time.
+/// time; a vector of up to 64 bits keeps both limbs inline and never
+/// touches the heap.
 ///
 /// # Examples
 ///
@@ -30,8 +108,8 @@ const LIMB_BITS: usize = 64;
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub struct LogicVec {
     width: usize,
-    value: Vec<u64>,
-    meta: Vec<u64>,
+    value: Plane,
+    meta: Plane,
 }
 
 impl LogicVec {
@@ -43,11 +121,10 @@ impl LogicVec {
     /// ```
     #[must_use]
     pub fn zeros(width: usize) -> LogicVec {
-        let limbs = width.div_ceil(LIMB_BITS);
         LogicVec {
             width,
-            value: vec![0; limbs],
-            meta: vec![0; limbs],
+            value: Plane::zeros(width),
+            meta: Plane::zeros(width),
         }
     }
 
@@ -62,14 +139,10 @@ impl LogicVec {
         let mut v = LogicVec::zeros(width);
         let (val, meta) = fill.planes();
         if val {
-            for limb in &mut v.value {
-                *limb = u64::MAX;
-            }
+            v.value.fill(u64::MAX);
         }
         if meta {
-            for limb in &mut v.meta {
-                *limb = u64::MAX;
-            }
+            v.meta.fill(u64::MAX);
         }
         v.mask_top();
         v
@@ -91,24 +164,37 @@ impl LogicVec {
     #[must_use]
     pub fn from_bits<I: IntoIterator<Item = Logic>>(bits: I) -> LogicVec {
         let bits = bits.into_iter();
+        // Full limbs go to the heap only once a 65th bit arrives.
         let limbs = bits.size_hint().0.div_ceil(LIMB_BITS);
-        let mut v = LogicVec {
-            width: 0,
-            value: Vec::with_capacity(limbs),
-            meta: Vec::with_capacity(limbs),
-        };
+        let spill = if limbs > 1 { limbs } else { 0 };
+        let (mut values, mut metas) = (Vec::with_capacity(spill), Vec::with_capacity(spill));
+        let (mut value, mut meta, mut width) = (0u64, 0u64, 0usize);
         for bit in bits {
-            let (limb, pos) = (v.width / LIMB_BITS, v.width % LIMB_BITS);
-            if pos == 0 {
-                v.value.push(0);
-                v.meta.push(0);
+            let pos = width % LIMB_BITS;
+            if pos == 0 && width > 0 {
+                values.push(value);
+                metas.push(meta);
+                (value, meta) = (0, 0);
             }
-            let (val, meta) = bit.planes();
-            v.value[limb] |= u64::from(val) << pos;
-            v.meta[limb] |= u64::from(meta) << pos;
-            v.width += 1;
+            let (val, met) = bit.planes();
+            value |= u64::from(val) << pos;
+            meta |= u64::from(met) << pos;
+            width += 1;
         }
-        v
+        if values.is_empty() {
+            return LogicVec {
+                width,
+                value: Plane::Inline(value),
+                meta: Plane::Inline(meta),
+            };
+        }
+        values.push(value);
+        metas.push(meta);
+        LogicVec {
+            width,
+            value: Plane::Heap(values),
+            meta: Plane::Heap(metas),
+        }
     }
 
     /// Builds a binary vector from the low `width` bits of `bits`.
@@ -120,9 +206,7 @@ impl LogicVec {
     #[must_use]
     pub fn from_u64(width: usize, bits: u64) -> LogicVec {
         let mut v = LogicVec::zeros(width);
-        if !v.value.is_empty() {
-            v.value[0] = bits;
-        }
+        v.value[0] = bits;
         v.mask_top();
         v
     }
@@ -145,6 +229,7 @@ impl LogicVec {
     ///
     /// Panics if `index >= self.width()`.
     #[must_use]
+    #[inline]
     pub fn get(&self, index: usize) -> Logic {
         assert!(index < self.width, "bit index {index} out of range");
         let limb = index / LIMB_BITS;
@@ -225,7 +310,14 @@ impl LogicVec {
     /// ```
     #[must_use]
     pub fn concat(&self, high: &LogicVec) -> LogicVec {
-        LogicVec::from_bits(self.iter().chain(high.iter()))
+        let mut v = LogicVec::zeros(self.width + high.width);
+        for (part, at) in [(self, 0), (high, self.width)] {
+            for i in 0..part.width.div_ceil(LIMB_BITS) {
+                or_bits(&mut v.value, at + i * LIMB_BITS, part.value[i]);
+                or_bits(&mut v.meta, at + i * LIMB_BITS, part.meta[i]);
+            }
+        }
+        v
     }
 
     /// Extracts `width` bits starting at `lsb`.
@@ -236,20 +328,24 @@ impl LogicVec {
     #[must_use]
     pub fn slice(&self, lsb: usize, width: usize) -> LogicVec {
         assert!(lsb + width <= self.width, "slice out of range");
-        LogicVec::from_bits((lsb..lsb + width).map(|i| self.get(i)))
+        let mut v = LogicVec::zeros(width);
+        for i in 0..width.div_ceil(LIMB_BITS) {
+            let (at, n) = (lsb + i * LIMB_BITS, (width - i * LIMB_BITS).min(LIMB_BITS));
+            v.value[i] = read_bits(&self.value, at, n);
+            v.meta[i] = read_bits(&self.meta, at, n);
+        }
+        v
     }
 
-    /// Clears any garbage above `width` in the top limb so that `Eq` and
-    /// `Hash` are canonical.
+    /// Clears any garbage above `width` in the top limb (all of the
+    /// inline limb of an empty vector) so that `Eq` and `Hash` are
+    /// canonical.
     fn mask_top(&mut self) {
         let rem = self.width % LIMB_BITS;
-        if rem != 0 {
-            if let Some(last) = self.value.last_mut() {
-                *last &= (1 << rem) - 1;
-            }
-            if let Some(last) = self.meta.last_mut() {
-                *last &= (1 << rem) - 1;
-            }
+        if rem != 0 || self.width == 0 {
+            let top = self.value.len() - 1;
+            self.value[top] &= low_mask(rem);
+            self.meta[top] &= low_mask(rem);
         }
     }
 
@@ -269,6 +365,7 @@ pub struct Iter<'a> {
 impl Iterator for Iter<'_> {
     type Item = Logic;
 
+    #[inline]
     fn next(&mut self) -> Option<Logic> {
         if self.next < self.vec.width {
             let bit = self.vec.get(self.next);
@@ -399,6 +496,20 @@ impl Error for ParseLogicVecError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn planes_are_inline_up_to_one_limb_and_the_size_is_unchanged() {
+        assert_eq!(std::mem::size_of::<LogicVec>(), 56);
+        for width in [0, 1, 16, 64] {
+            let v = LogicVec::filled(width, Logic::Z);
+            assert!(matches!(v.value, Plane::Inline(_)), "width {width}");
+            assert_eq!(v, LogicVec::from_bits(v.iter()), "width {width}");
+        }
+        assert!(matches!(LogicVec::zeros(65).meta, Plane::Heap(_)));
+        // The empty vector's inline limbs stay zero whatever built it.
+        assert_eq!(LogicVec::filled(0, Logic::Z), LogicVec::default());
+        assert_eq!(LogicVec::from_u64(0, u64::MAX), LogicVec::default());
+    }
 
     #[test]
     fn zeros_and_fill() {

@@ -12,6 +12,12 @@
 //! one-pattern evaluator ([`Evaluator`](crate::Evaluator) runs them) and
 //! `vcad-engine` the 64-pattern one.
 //!
+//! For the one-pattern evaluator the compiler also lowers every op into
+//! two-operand truth-table steps `(tt, out, a, b)`: a 0- or 1-operand op
+//! reads `(a, a)`, an n-ary fold chains through one scratch slot past
+//! the nets, and `Mux2` runs its defining formula. The sweep is then one
+//! loop with no branch on kind or arity.
+//!
 //! The plan also precomputes the two lookups fault injection needs:
 //! the flat *operand slot* of every `(gate, pin)` pair (so a pin fault
 //! is one masked override at a known index) and, for every primary
@@ -66,24 +72,47 @@ pub enum OutputSource {
     Input(usize),
 }
 
-/// The truth tables the one-pattern sweep indexes, so that no branch
-/// depends on a signal value. Every kind but `Mux2` is a fold of one
-/// [`Logic`] operator from its identity, optionally inverted; the tables
-/// are filled from those operators, which stay the definition. Operand
-/// pairs index as `a << 2 | b`.
+/// One lowered step of the one-pattern sweep:
+/// `slots[out] = tt[slots[a] << 2 | slots[b]]`, where `tt` packs a
+/// 16-entry truth table two bits per entry.
+#[derive(Clone, Copy, Debug)]
+struct Step {
+    tt: u32,
+    out: u32,
+    a: u32,
+    b: u32,
+}
+
+/// Packs `f` over every operand pair into a [`Step`] truth table.
+fn truth_table(f: impl Fn(Logic, Logic) -> Logic) -> u32 {
+    let mut tt = 0;
+    for a in Logic::ALL {
+        for b in Logic::ALL {
+            tt |= (f(a, b) as u32) << (2 * ((a as u32) << 2 | b as u32));
+        }
+    }
+    tt
+}
+
+const KINDS: usize = GateKind::ALL.len();
+
+/// The truth tables gates lower to. Every kind but `Mux2` is a fold of
+/// one [`Logic`] operator (`step`) from its identity (`init`), then
+/// `finish`: `!` for the inverting kinds, else `driven`. The tables are
+/// filled from those operators, which stay the definition.
 #[derive(Default)]
 struct Tables {
-    /// `[kind]`: the fold's identity.
-    init: [Logic; GateKind::ALL.len()],
-    /// `[kind][acc, operand]`: one fold step.
-    step: [[Logic; 16]; GateKind::ALL.len()],
-    /// `[kind][acc]`: identity, or `!` for the inverting kinds.
-    finish: [[Logic; 4]; GateKind::ALL.len()],
-    /// `[kind][a, b]`: the whole fold of a two-operand gate —
-    /// `finish[step[step[init, a], b]]` — collapsed into one lookup.
-    pair: [[Logic; 16]; GateKind::ALL.len()],
-    /// `[select][a, b]`.
-    mux: [[Logic; 16]; 4],
+    /// `[kind]`: the whole gate over one operand read twice —
+    /// `finish(step(init, a))`, or `finish(init)` for a constant.
+    unary: [u32; KINDS],
+    /// `[kind][last]`: the fold's first step, `step(step(init, a), b)`,
+    /// through `finish` when it is also the last (a two-operand gate).
+    first: [[u32; 2]; KINDS],
+    /// `[kind][last]`: a later step, `step(acc, b)`, through `finish`
+    /// when it is the last.
+    next: [[u32; 2]; KINDS],
+    /// `a & b`, `!s & a` and `a | b`: the operators of `Mux2`'s formula.
+    mux: [u32; 3],
 }
 
 fn tables() -> &'static Tables {
@@ -101,30 +130,55 @@ fn tables() -> &'static Tables {
                 GateKind::Not | GateKind::Nand | GateKind::Nor | GateKind::Xnor
             );
             let finish = |acc: Logic| if invert { !acc } else { acc.driven() };
+            let close = |last: bool, acc: Logic| if last { finish(acc) } else { acc };
+            let constant = kind.arity().1 == 0;
             let k = kind as usize;
-            t.init[k] = init;
-            for a in Logic::ALL {
-                t.finish[k][a as usize] = finish(a);
-                for b in Logic::ALL {
-                    let ab = (a as usize) << 2 | b as usize;
-                    t.step[k][ab] = step(a, b);
-                    t.pair[k][ab] = finish(step(step(init, a), b));
-                }
-            }
+            t.unary[k] = truth_table(|a, _| finish(if constant { init } else { step(init, a) }));
+            t.first[k] =
+                [false, true].map(|last| truth_table(|a, b| close(last, step(step(init, a), b))));
+            t.next[k] = [false, true].map(|last| truth_table(|acc, b| close(last, step(acc, b))));
         }
-        for s in Logic::ALL {
-            for a in Logic::ALL {
-                for b in Logic::ALL {
-                    // The consensus term `a & b` keeps the output defined
-                    // under an unknown select when both data inputs agree
-                    // on a binary value.
-                    t.mux[s as usize][(a as usize) << 2 | b as usize] =
-                        (a & b) | (!s & a) | (s & b);
-                }
-            }
-        }
+        t.mux = [
+            truth_table(|a, b| a & b),
+            truth_table(|s, a| !s & a),
+            truth_table(|a, b| a | b),
+        ];
         t
     })
+}
+
+/// Lowers one gate driving `out` from `operands` into two-operand
+/// steps. A longer fold chains its accumulator through `scratch`, the
+/// one slot past the nets; only its last step applies `finish`.
+fn lower(kind: GateKind, out: u32, operands: &[u32], scratch: u32, steps: &mut Vec<Step>) {
+    let t = tables();
+    let k = kind as usize;
+    let mut push = |tt, out, a, b| steps.push(Step { tt, out, a, b });
+    match *operands {
+        [] => push(t.unary[k], out, out, out),
+        [a] => push(t.unary[k], out, a, a),
+        [s, a, b] if kind == GateKind::Mux2 => {
+            // (a & b) | (!s & a) | (s & b), the output net serving as the
+            // second temporary. The consensus term `a & b` keeps the
+            // output defined under an unknown select when both data
+            // inputs agree on a binary value.
+            let [and, and_not, or] = t.mux;
+            push(and, scratch, a, b);
+            push(and_not, out, s, a);
+            push(or, scratch, scratch, out);
+            push(and, out, s, b);
+            push(or, out, scratch, out);
+        }
+        [a, b, ref rest @ ..] => {
+            let to = |last: bool| if last { out } else { scratch };
+            let last = rest.is_empty();
+            push(t.first[k][usize::from(last)], to(last), a, b);
+            for (i, &operand) in rest.iter().enumerate() {
+                let last = i + 1 == rest.len();
+                push(t.next[k][usize::from(last)], to(last), scratch, operand);
+            }
+        }
+    }
 }
 
 /// A [`Netlist`] compiled to a levelized, flat instruction stream.
@@ -147,6 +201,8 @@ pub struct ExecPlan {
     name: String,
     ops: Vec<PlanOp>,
     operands: Vec<u32>,
+    /// The ops lowered for the one-pattern sweep, in op order.
+    steps: Vec<Step>,
     /// `level_bounds[l]..level_bounds[l + 1]` is the op range of level
     /// `l + 1` (builder levels are 1-based).
     level_bounds: Vec<u32>,
@@ -173,6 +229,8 @@ impl ExecPlan {
 
         let mut ops = Vec::with_capacity(gate_count);
         let mut operands = Vec::new();
+        let mut steps = Vec::with_capacity(gate_count);
+        let scratch = netlist.net_count() as u32;
         let mut level_bounds = vec![0u32];
         let mut open_level = 1u32;
         let mut op_of_gate = vec![0u32; gate_count];
@@ -188,12 +246,20 @@ impl ExecPlan {
             op_of_gate[gid.index()] = ops.len() as u32;
             let first_operand = operands.len() as u32;
             operands.extend(gate.inputs().iter().map(|n| n.index() as u32));
-            ops.push(PlanOp {
+            let op = PlanOp {
                 kind: gate.kind(),
                 output: gate.output().index() as u32,
                 first_operand,
                 operand_count: gate.inputs().len() as u32,
-            });
+            };
+            lower(
+                op.kind,
+                op.output,
+                &operands[op.operand_range()],
+                scratch,
+                &mut steps,
+            );
+            ops.push(op);
         }
         level_bounds.push(ops.len() as u32);
 
@@ -214,6 +280,7 @@ impl ExecPlan {
             name: netlist.name().to_string(),
             ops,
             operands,
+            steps,
             level_bounds,
             input_nets,
             outputs,
@@ -227,9 +294,10 @@ impl ExecPlan {
     /// runs on. Bit `i` of `inputs` drives the `i`-th primary input;
     /// input nets keep their raw (possibly `Z`) value.
     ///
-    /// One front-to-back sweep over the flat op stream, one byte per
-    /// net, table lookups instead of value-dependent branches; the
-    /// returned vector is the only allocation.
+    /// One front-to-back sweep over the lowered two-operand steps, one
+    /// byte per net plus the scratch slot, a truth-table lookup per step
+    /// and no branch on gate kind, arity or signal value; the returned
+    /// vector is the only allocation.
     ///
     /// # Panics
     ///
@@ -241,28 +309,16 @@ impl ExecPlan {
             self.input_nets.len(),
             "pattern width must match the netlist's input count"
         );
-        let t = tables();
-        let mut values = vec![Logic::X; self.net_count];
+        let mut slots = vec![Logic::X; self.net_count + 1];
         for (&net, bit) in self.input_nets.iter().zip(inputs) {
-            values[net as usize] = bit;
+            slots[net as usize] = bit;
         }
-        for op in &self.ops {
-            let nets = &self.operands[op.operand_range()];
-            let at = |pin: usize| values[nets[pin] as usize] as usize;
-            let kind = op.kind as usize;
-            values[op.output as usize] = if nets.len() == 2 {
-                // By far the most common shape gets the one-lookup form.
-                t.pair[kind][at(0) << 2 | at(1)]
-            } else if op.kind == GateKind::Mux2 {
-                t.mux[at(0)][at(1) << 2 | at(2)]
-            } else {
-                let acc = (0..nets.len()).fold(t.init[kind], |acc, pin| {
-                    t.step[kind][(acc as usize) << 2 | at(pin)]
-                });
-                t.finish[kind][acc as usize]
-            };
+        for step in &self.steps {
+            let row = (slots[step.a as usize] as u32) << 2 | slots[step.b as usize] as u32;
+            slots[step.out as usize] = Logic::ALL[(step.tt >> (2 * row) & 3) as usize];
         }
-        values
+        slots.truncate(self.net_count);
+        slots
     }
 
     /// Evaluates one pattern and returns the primary outputs, bit 0

@@ -68,6 +68,12 @@ fn plan_evaluation_equals_the_naive_walk_on_every_net() {
                     "seed {seed} case {case} pattern {pattern} \
                      (rerun with VCAD_PROP_SEED={seed})"
                 );
+                // The sweep's scratch slot never leaks into the result.
+                assert_eq!(
+                    nl.plan().eval_nets(pattern).len(),
+                    nl.net_count(),
+                    "net count: {context}"
+                );
                 assert_eq!(
                     eval.eval(pattern).as_slice(),
                     oracle::eval_nets(&nl, pattern),
@@ -84,16 +90,20 @@ fn plan_evaluation_equals_the_naive_walk_on_every_net() {
 }
 
 /// The generator must actually produce what the property claims to
-/// cover, or a green run means nothing.
+/// cover, or a green run means nothing. Every shape the plan lowers
+/// differently is among it: constants, one operand read twice, a
+/// two-operand step, a fold chained through the scratch slot, and `Mux2`.
 #[test]
 fn the_generator_covers_every_kind_wide_gates_and_a_z_carrying_alias() {
     let mut kinds = std::collections::BTreeSet::new();
+    let mut arities = std::collections::BTreeSet::new();
     let mut widest = 0;
     for seed in SEEDS {
         let mut rng = Rng::seed_from_u64(seed);
         let nl = random_netlist(&mut rng, seed);
         for (_, gate) in nl.gates() {
             kinds.insert(gate.kind());
+            arities.insert(gate.inputs().len().min(3));
             widest = widest.max(gate.inputs().len());
         }
         assert!(
@@ -104,5 +114,9 @@ fn the_generator_covers_every_kind_wide_gates_and_a_z_carrying_alias() {
         assert_eq!(Evaluator::new(&nl).outputs(&all_z).get(0), Logic::Z);
     }
     assert_eq!(kinds.len(), GateKind::ALL.len(), "kinds seen: {kinds:?}");
+    assert!(kinds.contains(&GateKind::Mux2));
+    assert_eq!(arities.into_iter().collect::<Vec<_>>(), [0, 1, 2, 3]);
+    // Only folds take more than three operands: one chains its
+    // accumulator through the scratch slot.
     assert!(widest >= 4, "widest gate has {widest} inputs");
 }
