@@ -17,10 +17,6 @@
 //!   exit with status 10 (deterministic interruption; the CI resume gate
 //!   and kill-tolerance tests build on it).
 //! * `--json <path>` — write the deterministic JSON report.
-//! * `--bench <path>` — write a machine-readable throughput baseline
-//!   (cells/second, resume bookkeeping) for CI regression tracking.
-//!   Existing foreign sections of the file (e.g. `faultscale --bench`'s
-//!   `engine` section) are preserved.
 //! * `--engine <event|compiled>` — override the spec's gate-evaluation
 //!   backend. The override feeds the spec digest exactly like an edit
 //!   to the file, so each backend keeps its own journal key space
@@ -49,7 +45,7 @@ const EXIT_INTERRUPTED: i32 = 10;
 
 fn main() {
     let spec_path = spec_path_arg().unwrap_or_else(|| {
-        eprintln!("usage: campaign <spec.json> [--workers N] [--checkpoint PATH] [--max-cells N] [--engine event|compiled] [--lint[=json]] [--json PATH] [--bench PATH] [--health PATH[:ms]] [--trace PATH]");
+        eprintln!("usage: campaign <spec.json> [--workers N] [--checkpoint PATH] [--max-cells N] [--engine event|compiled] [--lint[=json]] [--json PATH] [--health PATH[:ms]] [--trace PATH]");
         std::process::exit(2);
     });
 
@@ -120,31 +116,6 @@ fn main() {
         outcome.torn_bytes,
         wall.as_secs_f64(),
     );
-
-    if let Some(path) = cli::bench_path() {
-        let cells_per_sec = if wall.as_secs_f64() > 0.0 {
-            outcome.executed as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        };
-        let json = format!(
-            "{{\n  \"bench\": \"campaign\",\n  \"spec\": \"{}\",\n  \"engine\": \"{}\",\n  \
-             \"workers\": {},\n  \"executed\": {},\n  \"resumed\": {},\n  \
-             \"torn_bytes\": {},\n  \"wall_ms\": {:.3},\n  \"cells_per_sec\": {:.3}\n}}\n",
-            spec.name,
-            spec.engine,
-            workers,
-            outcome.executed,
-            outcome.resumed,
-            outcome.torn_bytes,
-            wall.as_secs_f64() * 1e3,
-            cells_per_sec,
-        );
-        // Merge, don't overwrite: `faultscale --bench` owns this file's
-        // `engine_bench` section and must survive a campaign rerun.
-        vcad_bench::report::merge_bench_sections(&path, &json);
-        println!("bench baseline written to {}", path.display());
-    }
 
     cli::finish_trace(&obs, trace);
 

@@ -3,26 +3,27 @@
 //! the compiled 64-way PPSFP engine on generated circuits, plus the
 //! collapse ratio of the fault universe.
 //!
-//! Run with `cargo run -p vcad-bench --bin faultscale --release`.
-//! Pass `--bench <path>` to additionally write an `engine_bench`
-//! section (per-size wall clocks and speed-ups) into the shared
-//! fault-sim baseline file — existing sections, like the campaign
-//! gate's throughput keys, are preserved — and to enforce the CI
-//! floor: the compiled PPSFP path must be at least 4× faster than the
-//! serial event-driven baseline at the same pattern budget on the
-//! largest circuit, with identical detected-fault sets.
+//! Run with `cargo run -p vcad-bench --bin faultscale --release`. Every
+//! run is the CI gate: the compiled PPSFP path must be at least 4×
+//! faster than the serial event-driven baseline at the same pattern
+//! budget on the largest circuit, with identical detected-fault sets.
 
 use std::time::{Duration, Instant};
 
-use vcad_bench::cli;
-use vcad_bench::report::{merge_bench_sections, print_table};
+use vcad_bench::report::print_table;
 use vcad_bench::workload::random_patterns;
 use vcad_faults::{BitParallelSim, FaultUniverse, SerialFaultSim};
 use vcad_netlist::generators::{self, RandomCircuitSpec};
 
 /// The compiled engine must beat the serial baseline by at least this
-/// factor on the largest measured circuit when `--bench` gates the run.
+/// factor on the largest measured circuit.
 const MIN_SPEEDUP: f64 = 4.0;
+
+/// Circuit sizes (gates), smallest to largest; the gate judges the last.
+const SIZES: [usize; 3] = [100, 300, 1000];
+
+/// Random patterns per circuit.
+const PATTERNS: usize = 128;
 
 struct SizeResult {
     gates: usize,
@@ -72,18 +73,9 @@ fn measure(gates: usize, inputs: usize, outputs: usize, patterns: usize) -> Size
 }
 
 fn main() {
-    let bench_out = cli::bench_path();
-    // The CI gate trims the largest size so the whole bin stays cheap;
-    // the interactive sweep keeps the full scaling picture.
-    let (sizes, patterns) = if bench_out.is_some() {
-        (vec![100usize, 300, 1000], 128)
-    } else {
-        (vec![100usize, 300, 1000, 3000], 256)
-    };
-
-    let results: Vec<SizeResult> = sizes
+    let results: Vec<SizeResult> = SIZES
         .iter()
-        .map(|&gates| measure(gates, 32, 16, patterns))
+        .map(|&gates| measure(gates, 32, 16, PATTERNS))
         .collect();
 
     let rows: Vec<Vec<String>> = results
@@ -101,7 +93,7 @@ fn main() {
         })
         .collect();
     print_table(
-        &format!("Fault-simulation substrate scaling ({patterns} random patterns, 32 PIs)"),
+        &format!("Fault-simulation substrate scaling ({PATTERNS} random patterns, 32 PIs)"),
         &[
             "Gates",
             "Faults",
@@ -119,42 +111,16 @@ fn main() {
          provider-side detection-table computation."
     );
 
-    if let Some(path) = bench_out {
-        let largest = results.last().expect("at least one size measured");
-        let entries: Vec<String> = results
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"gates\": {}, \"collapsed_faults\": {}, \
-                     \"wall_ms_event\": {:.3}, \"wall_ms_compiled\": {:.3}, \
-                     \"speedup\": {:.3}}}",
-                    r.gates,
-                    r.collapsed,
-                    r.serial.as_secs_f64() * 1e3,
-                    r.parallel.as_secs_f64() * 1e3,
-                    r.speedup(),
-                )
-            })
-            .collect();
-        let section = format!(
-            "{{\"engine_bench\": {{\n  \"bench\": \"faultscale\",\n  \
-             \"patterns\": {patterns},\n  \"min_speedup_required\": {MIN_SPEEDUP},\n  \
-             \"gate_speedup\": {:.3},\n  \"entries\": [\n{}\n  ]\n}}}}",
-            largest.speedup(),
-            entries.join(",\n"),
-        );
-        merge_bench_sections(&path, &section);
-        println!("engine bench baseline merged into {}", path.display());
-        assert!(
-            largest.speedup() >= MIN_SPEEDUP,
-            "compiled PPSFP speedup {:.2}× at {} gates is below the {MIN_SPEEDUP}× floor",
-            largest.speedup(),
-            largest.gates,
-        );
-        println!(
-            "engine gate passed: {:.1}× ≥ {MIN_SPEEDUP}× at {} gates",
-            largest.speedup(),
-            largest.gates
-        );
-    }
+    let largest = results.last().expect("at least one size measured");
+    assert!(
+        largest.speedup() >= MIN_SPEEDUP,
+        "compiled PPSFP speedup {:.2}× at {} gates is below the {MIN_SPEEDUP}× floor",
+        largest.speedup(),
+        largest.gates,
+    );
+    println!(
+        "engine gate passed: {:.1}× ≥ {MIN_SPEEDUP}× at {} gates",
+        largest.speedup(),
+        largest.gates
+    );
 }

@@ -22,29 +22,26 @@
 //!   are deduplicated and shed calls never reach the fee path;
 //! * **bounded shed rate** — sheds may happen, but not dominate.
 //!
-//! A separate, fully deterministic fairness simulation (virtual clock,
-//! fixed schedule, no wall times) pins the admission controller's
-//! behaviour when a greedy tenant saturates its bucket next to a polite
-//! one: the counts land in the `fairness` section of the bench baseline
-//! and never change run to run.
+//! The deterministic admission-fairness schedule (a greedy tenant next
+//! to a polite one on a virtual clock) is pinned by
+//! `tests/backpressure_fairness.rs`; call latency under load is
+//! measured by the `serve_mt_*` workloads of `benchmark/`.
 //!
 //! Flags: `--sessions <n>` (default 200), `--tenants <n>` (default 4),
 //! `--calls <n>` (default 3), `--workers <n>` (mux pool, default 8),
 //! `--out <dir>` (write Chrome trace dumps for `obs-report` stitching),
-//! `--json <path>` (full machine-readable results), `--bench <path>`
-//! (merge the `loadgen` + `fairness` sections into a bench baseline),
 //! `--health <path>[:interval_ms]` (live server-side health snapshots).
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use vcad_bench::{cli, report};
+use vcad_bench::cli;
 use vcad_ip::{ClientSession, ComponentOffering, ProviderServer};
 use vcad_logic::LogicVec;
 use vcad_obs::{chrome, Collector};
 use vcad_rmi::{
     AdmissionControl, MuxServerConfig, ResilientTransport, RetryPolicy, TcpTimeouts, TcpTransport,
-    TenantQuota, Transport, Value, VirtualClock,
+    TenantQuota, Transport, Value,
 };
 
 /// Far above any loopback round trip, far below a CI job timeout.
@@ -113,52 +110,17 @@ fn run_session(
     // sessions at once.
     ready.wait();
 
-    let latency = obs.metrics().histogram("loadgen.call_ns");
     for k in 0..calls {
         let inputs = LogicVec::from_u64(2 * WIDTH, (k as u64 * 37) & 0xff);
-        let started = Instant::now();
         let out = component
             .stub()
             .invoke("functional_eval", vec![Value::Vec(inputs)])
             .map_err(|e| format!("functional_eval {k}: {e}"))?;
-        latency.record_duration(started.elapsed());
         if !matches!(out, Value::Vec(_)) {
             return Err(format!("functional_eval {k}: non-vector reply"));
         }
     }
     Ok(())
-}
-
-/// Deterministic admission-fairness simulation on a virtual clock.
-///
-/// Both tenants run under the same quota (100 calls/s, burst 10). The
-/// greedy tenant fires 5 calls every virtual millisecond (5000/s); the
-/// polite tenant fires 1 call every 20 ms (50/s, inside its budget).
-/// Because buckets are per tenant, the greedy tenant's saturation
-/// cannot starve the polite one: its shed count stays zero while the
-/// greedy tenant is clamped to its configured rate. Every count is a
-/// pure function of this fixed schedule — no wall clock anywhere.
-fn fairness_sim() -> (u64, u64, u64, u64) {
-    let clock = Arc::new(VirtualClock::new());
-    let admission = AdmissionControl::with_clock(clock.clone())
-        .with_default_quota(TenantQuota::rate_limited(100.0, 10.0));
-    let (mut greedy_ok, mut greedy_shed, mut polite_ok, mut polite_shed) = (0u64, 0u64, 0u64, 0u64);
-    for step in 0..1000u64 {
-        clock.advance(Duration::from_millis(1));
-        for _ in 0..5 {
-            match admission.admit(Some("greedy")) {
-                Ok(()) => greedy_ok += 1,
-                Err(_) => greedy_shed += 1,
-            }
-        }
-        if step % 20 == 0 {
-            match admission.admit(Some("polite")) {
-                Ok(()) => polite_ok += 1,
-                Err(_) => polite_shed += 1,
-            }
-        }
-    }
-    (greedy_ok, greedy_shed, polite_ok, polite_shed)
 }
 
 fn main() {
@@ -237,7 +199,6 @@ fn main() {
     let wall = started.elapsed();
 
     let server_snap = server_obs.metrics().snapshot();
-    let client_snap = client_obs.metrics().snapshot();
     let admitted = server_snap.counter("server.admitted");
     let shed = server_snap.counter("server.shed") + server_snap.counter("server.queue_shed");
     let shed_rate = if admitted + shed > 0 {
@@ -249,10 +210,6 @@ fn main() {
         .gauges
         .get("server.connections")
         .map_or(0, |g| g.high_water);
-    let latency = client_snap.histograms.get("loadgen.call_ns");
-    let (p50, p90, p99) = latency.map_or((0, 0, 0), |h| {
-        (h.quantile(0.50), h.quantile(0.90), h.quantile(0.99))
-    });
 
     println!(
         "loadgen: {} sessions ({} tenants, {} calls each) in {:.2}s — \
@@ -267,18 +224,11 @@ fn main() {
         shed_rate * 100.0,
         lost,
     );
-    println!(
-        "latency (client-observed, µs): p50 {} p90 {} p99 {}",
-        p50 / 1000,
-        p90 / 1000,
-        p99 / 1000,
-    );
 
     // Exact per-tenant fee accounting: sessions are dealt round-robin,
     // every session charges `calls` functional evaluations, and neither
     // retries (deduplicated) nor sheds (rejected pre-fee) can move the
     // total.
-    let mut fee_lines = Vec::new();
     for t in 0..config.tenants {
         let tenant = format!("tenant-{t}");
         let tenant_sessions =
@@ -290,14 +240,7 @@ fn main() {
             (actual - expected).abs() < 1e-9,
             "{tenant}: fees {actual} != expected {expected}"
         );
-        fee_lines.push((tenant, actual));
     }
-
-    let (greedy_ok, greedy_shed, polite_ok, polite_shed) = fairness_sim();
-    println!(
-        "fairness (virtual clock): greedy {greedy_ok} admitted / {greedy_shed} shed, \
-         polite {polite_ok} admitted / {polite_shed} shed"
-    );
 
     if config.trace {
         for (path, obs) in [
@@ -315,39 +258,7 @@ fn main() {
         );
     }
 
-    let fees_json = fee_lines
-        .iter()
-        .map(|(t, c)| format!("\"{t}\": {c:.3}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let loadgen_section = format!(
-        "{{\"sessions\": {}, \"tenants\": {}, \"calls_per_session\": {}, \
-         \"peak_connections\": {peak_conns}, \"lost_sessions\": {lost}, \
-         \"admitted\": {admitted}, \"shed\": {shed}, \"shed_rate\": {shed_rate:.4}, \
-         \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \
-         \"fees_cents\": {{{fees_json}}}}}",
-        config.sessions,
-        config.tenants,
-        config.calls,
-        p50 / 1000,
-        p90 / 1000,
-        p99 / 1000,
-    );
-    let fairness_section = format!(
-        "{{\"greedy_admitted\": {greedy_ok}, \"greedy_shed\": {greedy_shed}, \
-         \"polite_admitted\": {polite_ok}, \"polite_shed\": {polite_shed}}}"
-    );
-    let doc = format!("{{\"loadgen\": {loadgen_section}, \"fairness\": {fairness_section}}}");
-    if let Some(path) = cli::json_path() {
-        std::fs::write(&path, &doc).expect("write json results");
-        println!("JSON results written to {}", path.display());
-    }
-    if let Some(path) = cli::bench_path() {
-        report::merge_bench_sections(&path, &doc);
-        println!("bench baseline updated in {}", path.display());
-    }
-
-    // The gate's teeth, after results are on disk for post-mortems.
+    // The gate's teeth, after any trace dumps are on disk for post-mortems.
     assert_eq!(lost, 0, "{lost} sessions lost");
     assert_eq!(
         peak_conns as usize, config.sessions,
@@ -357,6 +268,5 @@ fn main() {
         shed_rate <= MAX_SHED_RATE,
         "shed rate {shed_rate:.3} above budget {MAX_SHED_RATE}"
     );
-    assert_eq!(polite_shed, 0, "polite tenant was shed under greedy load");
     println!("loadgen: zero lost sessions, fees exact, shed rate within budget.");
 }

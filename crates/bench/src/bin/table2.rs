@@ -19,8 +19,6 @@
 //! (`vcad_ip::IpCache`): each scenario then runs twice, a cold pass
 //! filling the cache and a warm pass that must stay entirely local and
 //! fee-free.
-//! Pass `--json <path>` to also write the per-pass measurements (wall
-//! time, RMI calls/bytes, fees, cache hit-rate) as a JSON file.
 //! Pass `--health <path>[:interval_ms]` to keep a live health snapshot
 //! (counters, histogram percentiles, breaker states, cache hit ratio)
 //! refreshed at `path` as JSON plus `path.txt` as text; without an
@@ -32,12 +30,12 @@
 //! circuit, asserted bit-identical by the scenario suite) and — for
 //! `n > 1` — to additionally time the multi-component shard benchmark
 //! at 1 versus `n` shards, asserting the outputs bit-identical and
-//! recording both wall clocks in the `--json` report.
+//! printing both wall clocks.
 //! Pass `--engine <event|compiled>` to pick the gate-evaluation
-//! backend (no-op for the behavioural/remote Figure 2 multiplier) and
-//! to additionally time the gate-level multi-component benchmark on
-//! both backends, asserting the outputs bit-identical and recording
-//! both wall clocks in the `--json` report's `engine_bench` section.
+//! backend (a no-op for the behavioural/remote Figure 2 multiplier).
+//!
+//! The bin writes no result file: its timings are single-shot and only
+//! printed. Repeated, spread-reporting timings live in `benchmark/`.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,13 +44,12 @@ use vcad_bench::cli;
 use vcad_bench::report::{modeled_real_time, print_table, secs};
 use vcad_bench::scenarios::{self, Scenario, ScenarioRun};
 use vcad_cache::CacheConfig;
-use vcad_core::{EngineKind, ShardPolicy};
+use vcad_core::ShardPolicy;
 use vcad_ip::IpCache;
 use vcad_netsim::NetworkModel;
 
 /// Wall clocks of the multi-component benchmark at 1 and `shards`
-/// shards (best of three runs each, to keep the committed numbers
-/// stable against scheduler noise).
+/// shards (best of three runs each, to damp scheduler noise).
 struct ShardBench {
     components: usize,
     width: usize,
@@ -93,48 +90,6 @@ fn run_shard_bench(shards: usize) -> ShardBench {
     }
 }
 
-/// Wall clocks of the gate-level multi-component benchmark on the
-/// event-driven versus the compiled levelized engine (best of three runs
-/// each), with the outputs asserted bit-identical.
-struct EngineBench {
-    components: usize,
-    width: usize,
-    patterns: u64,
-    events: u64,
-    event: Duration,
-    compiled: Duration,
-}
-
-fn run_engine_bench() -> EngineBench {
-    let (components, width, patterns) = (4, 12, 200);
-    let best = |engine: EngineKind| -> (Duration, vcad_bench::scenarios::MultiRun) {
-        let mut rig =
-            scenarios::build_multi_component(components, width, patterns, ShardPolicy::Sequential);
-        rig.set_engine(engine);
-        let mut runs: Vec<vcad_bench::scenarios::MultiRun> = (0..3).map(|_| rig.run()).collect();
-        runs.sort_by_key(|r| r.cpu);
-        (runs[0].cpu, runs.swap_remove(0))
-    };
-    let (event, event_run) = best(EngineKind::Event);
-    let (compiled, compiled_run) = best(EngineKind::Compiled);
-    assert_eq!(
-        compiled_run.events, event_run.events,
-        "compiled run processed a different event count"
-    );
-    assert_eq!(
-        compiled_run.words, event_run.words,
-        "compiled engine diverged from event-driven"
-    );
-    EngineBench {
-        components,
-        width,
-        patterns,
-        events: event_run.events,
-        event,
-        compiled,
-    }
-}
-
 fn main() {
     let width = 16;
     let patterns = 100;
@@ -142,7 +97,6 @@ fn main() {
     let trace_out = cli::trace_path();
     let chaos_seed = cli::chaos_seed();
     let cached = cli::cache_enabled();
-    let json_out = cli::json_path();
     let shards = cli::shards();
     let engine = cli::engine();
     let obs = cli::collector_for(trace_out.as_ref());
@@ -166,8 +120,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut cold_runs = Vec::new();
-    // (scenario label, pass label, run) — everything the JSON reports.
-    let mut passes: Vec<(&'static str, &'static str, ScenarioRun)> = Vec::new();
+    let mut warm_runs = Vec::new();
     for scenario in Scenario::ALL {
         // One cache per rig: keys include the provider host and object
         // ids, which repeat across independently built rigs.
@@ -189,12 +142,10 @@ fn main() {
             rig.set_engine(e);
         }
         let cold = rig.run(scenario);
-        cold_runs.push(cold.clone());
-        let scenario_passes: Vec<(&'static str, ScenarioRun)> = if cached {
-            let warm = rig.run(scenario);
-            vec![("cold", cold), ("warm", warm)]
-        } else {
-            vec![("single", cold)]
+        let warm = cached.then(|| rig.run(scenario));
+        let scenario_passes: Vec<(&str, &ScenarioRun)> = match &warm {
+            Some(warm) => vec![("cold", &cold), ("warm", warm)],
+            None => vec![("single", &cold)],
         };
         for (pass, run) in scenario_passes {
             for (env_name, model) in &environments {
@@ -224,8 +175,9 @@ fn main() {
                     format!("{:.0}%", run.cache_hit_rate() * 100.0),
                 ]);
             }
-            passes.push((scenario.label(), pass, run));
         }
+        cold_runs.push(cold);
+        warm_runs.extend(warm);
     }
 
     print_table(
@@ -306,17 +258,14 @@ fn main() {
     if cached {
         // The warm pass of each remote scenario must be served entirely
         // from the cache: zero wire calls, zero fees, same outputs.
-        for ((label, pass, warm), cold) in passes
-            .iter()
-            .filter(|(_, pass, _)| *pass == "warm")
-            .zip(&cold_runs)
-        {
+        for ((scenario, warm), cold) in Scenario::ALL.iter().zip(&warm_runs).zip(&cold_runs) {
+            let label = scenario.label();
             assert_eq!(warm.outputs, cold.outputs, "{label} warm diverged");
             assert_eq!(warm.events, cold.events, "{label} warm diverged");
             if cold.stats.calls > 0 {
                 assert_eq!(
                     warm.stats.calls, 0,
-                    "{label} [{pass}] crossed the wire {} times",
+                    "{label} [warm] crossed the wire {} times",
                     warm.stats.calls
                 );
                 assert_eq!(warm.fees_cents, 0.0, "{label} warm pass was billed");
@@ -366,31 +315,10 @@ fn main() {
         );
     }
 
-    // The Figure 2 multiplier is behavioural or remote, so the table
-    // above is engine-invariant by construction; the engine story needs
-    // the gate-level multi-component rig, where `Compiled` swaps every
-    // NetlistBusBlock for its levelized twin.
-    let engine_bench = engine.is_some().then(run_engine_bench);
-    if let Some(bench) = &engine_bench {
-        println!(
-            "\nengine bench ({} components × {}-bit gate-level wallace \
-             multipliers, {} patterns, {} events): event-driven {:.1} ms, \
-             compiled {:.1} ms ({:.2}× speedup), outputs bit-identical",
-            bench.components,
-            bench.width,
-            bench.patterns,
-            bench.events,
-            bench.event.as_secs_f64() * 1e3,
-            bench.compiled.as_secs_f64() * 1e3,
-            bench.event.as_secs_f64() / bench.compiled.as_secs_f64(),
-        );
-    }
-
     // The Figure 2 circuit is a single connectivity component, so the
     // table above is shard-invariant by construction; the scaling story
     // needs a design with independent components to spread.
-    let shard_bench = shards.filter(|&n| n > 1).map(run_shard_bench);
-    if let Some(bench) = &shard_bench {
+    if let Some(bench) = shards.filter(|&n| n > 1).map(run_shard_bench) {
         println!(
             "\nshard bench ({} components × {}-bit wallace multipliers, \
              {} patterns, {} events): 1 shard {:.1} ms, {} shards {:.1} ms \
@@ -404,74 +332,6 @@ fn main() {
             bench.sharded.as_secs_f64() * 1e3,
             bench.sequential.as_secs_f64() / bench.sharded.as_secs_f64(),
         );
-    }
-
-    if let Some(path) = json_out {
-        let entries: Vec<String> = passes
-            .iter()
-            .map(|(label, pass, run)| {
-                format!(
-                    "    {{\"scenario\": \"{label}\", \"pass\": \"{pass}\", \
-                     \"wall_ms\": {:.3}, \"rmi_calls\": {}, \"rmi_bytes\": {}, \
-                     \"fees_cents\": {:.3}, \"cache_hits\": {}, \"cache_misses\": {}, \
-                     \"cache_hit_rate\": {:.4}}}",
-                    run.cpu.as_secs_f64() * 1e3,
-                    run.stats.calls,
-                    run.stats.bytes_sent + run.stats.bytes_received,
-                    run.fees_cents,
-                    run.cache_hits,
-                    run.cache_misses,
-                    run.cache_hit_rate(),
-                )
-            })
-            .collect();
-        let shard_doc = shard_bench.as_ref().map_or_else(
-            || "null".to_owned(),
-            |b| {
-                format!(
-                    "{{\"components\": {}, \"width\": {}, \"patterns\": {}, \
-                     \"events\": {}, \"shards\": {}, \"wall_ms_1_shard\": {:.3}, \
-                     \"wall_ms_sharded\": {:.3}, \"speedup\": {:.3}}}",
-                    b.components,
-                    b.width,
-                    b.patterns,
-                    b.events,
-                    b.shards,
-                    b.sequential.as_secs_f64() * 1e3,
-                    b.sharded.as_secs_f64() * 1e3,
-                    b.sequential.as_secs_f64() / b.sharded.as_secs_f64(),
-                )
-            },
-        );
-        let engine_doc = engine_bench.as_ref().map_or_else(
-            || "null".to_owned(),
-            |b| {
-                format!(
-                    "{{\"components\": {}, \"width\": {}, \"patterns\": {}, \
-                     \"events\": {}, \"wall_ms_event\": {:.3}, \
-                     \"wall_ms_compiled\": {:.3}, \"speedup\": {:.3}}}",
-                    b.components,
-                    b.width,
-                    b.patterns,
-                    b.events,
-                    b.event.as_secs_f64() * 1e3,
-                    b.compiled.as_secs_f64() * 1e3,
-                    b.event.as_secs_f64() / b.compiled.as_secs_f64(),
-                )
-            },
-        );
-        let doc = format!(
-            "{{\n  \"bench\": \"table2\",\n  \"width\": {width},\n  \
-             \"patterns\": {patterns},\n  \"buffer\": {buffer},\n  \
-             \"cached\": {cached},\n  \"chaos_seed\": {},\n  \"engine\": {},\n  \
-             \"engine_bench\": {engine_doc},\n  \
-             \"shard_bench\": {shard_doc},\n  \"runs\": [\n{}\n  ]\n}}\n",
-            chaos_seed.map_or_else(|| "null".to_owned(), |s| s.to_string()),
-            engine.map_or_else(|| "null".to_owned(), |e| format!("\"{e}\"")),
-            entries.join(",\n"),
-        );
-        std::fs::write(&path, doc).expect("write json results");
-        println!("\nJSON results written to {}", path.display());
     }
 
     cli::finish_trace(&obs, trace_out);

@@ -4,29 +4,30 @@
 //! (`vcad_faults::TestabilityAnalysis`), on the faultscale generated
 //! circuits.
 //!
-//! Run with `cargo run -p vcad-bench --bin testability --release`.
-//! Pass `--bench <path>` to additionally write a `testability_bench`
-//! section (pruned fractions, wall clocks, speed-ups, analysis cost)
-//! into the shared fault-sim baseline file — existing sections, like
-//! `faultscale`'s `engine_bench`, are preserved — and to enforce the CI
-//! floor: pruning must find untestable faults on the largest circuit
-//! and must not slow simulation down, with identical detected-fault
-//! sets (the static proofs are sound, so dropping the dead sites can
-//! never change coverage).
+//! Run with `cargo run -p vcad-bench --bin testability --release`. Every
+//! run is the CI gate: pruning must find untestable faults on the
+//! largest circuit and must not slow simulation down, with identical
+//! detected-fault sets (the static proofs are sound, so dropping the
+//! dead sites can never change coverage).
 
 use std::time::{Duration, Instant};
 
-use vcad_bench::cli;
-use vcad_bench::report::{merge_bench_sections, print_table};
+use vcad_bench::report::print_table;
 use vcad_bench::workload::random_patterns;
 use vcad_faults::{BitParallelSim, Fault, FaultUniverse, TestabilityAnalysis};
 use vcad_netlist::generators::{self, RandomCircuitSpec};
 
-/// With `--bench`, the pruned run must be at least this much faster on
-/// the largest circuit. The floor is deliberately mild — the pruned
-/// fraction of a random circuit is what it is — but it proves the
-/// pruning is a genuine speedup, not a wash.
+/// The pruned run must be at least this much faster on the largest
+/// circuit. The floor is deliberately mild — the pruned fraction of a
+/// random circuit is what it is — but it proves the pruning is a
+/// genuine speedup, not a wash.
 const MIN_SPEEDUP: f64 = 1.05;
+
+/// The faultscale circuit sizes (gates); the gate judges the last.
+const SIZES: [usize; 3] = [100, 300, 1000];
+
+/// Random patterns per circuit.
+const PATTERNS: usize = 128;
 
 struct SizeResult {
     gates: usize,
@@ -103,18 +104,9 @@ fn measure(gates: usize, inputs: usize, outputs: usize, patterns: usize) -> Size
 }
 
 fn main() {
-    let bench_out = cli::bench_path();
-    // Mirror the faultscale sizing: the CI gate trims the largest size
-    // so the bin stays cheap, the interactive sweep keeps the picture.
-    let (sizes, patterns) = if bench_out.is_some() {
-        (vec![100usize, 300, 1000], 128)
-    } else {
-        (vec![100usize, 300, 1000, 3000], 256)
-    };
-
-    let results: Vec<SizeResult> = sizes
+    let results: Vec<SizeResult> = SIZES
         .iter()
-        .map(|&gates| measure(gates, 32, 16, patterns))
+        .map(|&gates| measure(gates, 32, 16, PATTERNS))
         .collect();
 
     let rows: Vec<Vec<String>> = results
@@ -137,7 +129,7 @@ fn main() {
         })
         .collect();
     print_table(
-        &format!("Static untestable-fault pruning ({patterns} random patterns, 32 PIs)"),
+        &format!("Static untestable-fault pruning ({PATTERNS} random patterns, 32 PIs)"),
         &[
             "Gates",
             "Classes",
@@ -156,53 +148,24 @@ fn main() {
          pattern, so pruning them buys wall clock without touching coverage."
     );
 
-    if let Some(path) = bench_out {
-        let largest = results.last().expect("at least one size measured");
-        let entries: Vec<String> = results
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"gates\": {}, \"collapsed_faults\": {}, \
-                     \"untestable_faults\": {}, \"analysis_ms\": {:.3}, \
-                     \"wall_ms_full\": {:.3}, \"wall_ms_pruned\": {:.3}, \
-                     \"speedup\": {:.3}}}",
-                    r.gates,
-                    r.collapsed,
-                    r.untestable,
-                    r.analysis.as_secs_f64() * 1e3,
-                    r.full.as_secs_f64() * 1e3,
-                    r.pruned.as_secs_f64() * 1e3,
-                    r.speedup(),
-                )
-            })
-            .collect();
-        let section = format!(
-            "{{\"testability_bench\": {{\n  \"bench\": \"testability\",\n  \
-             \"patterns\": {patterns},\n  \"min_speedup_required\": {MIN_SPEEDUP},\n  \
-             \"gate_speedup\": {:.3},\n  \"entries\": [\n{}\n  ]\n}}}}",
-            largest.speedup(),
-            entries.join(",\n"),
-        );
-        merge_bench_sections(&path, &section);
-        println!("testability bench baseline merged into {}", path.display());
-        assert!(
-            largest.untestable > 0,
-            "the {}-gate circuit should carry statically untestable faults",
-            largest.gates,
-        );
-        assert!(
-            largest.speedup() >= MIN_SPEEDUP,
-            "pruned-universe speedup {:.2}× at {} gates is below the {MIN_SPEEDUP}× floor",
-            largest.speedup(),
-            largest.gates,
-        );
-        println!(
-            "testability gate passed: {:.2}× ≥ {MIN_SPEEDUP}× at {} gates \
-             ({} of {} classes pruned)",
-            largest.speedup(),
-            largest.gates,
-            largest.untestable,
-            largest.collapsed,
-        );
-    }
+    let largest = results.last().expect("at least one size measured");
+    assert!(
+        largest.untestable > 0,
+        "the {}-gate circuit should carry statically untestable faults",
+        largest.gates,
+    );
+    assert!(
+        largest.speedup() >= MIN_SPEEDUP,
+        "pruned-universe speedup {:.2}× at {} gates is below the {MIN_SPEEDUP}× floor",
+        largest.speedup(),
+        largest.gates,
+    );
+    println!(
+        "testability gate passed: {:.2}× ≥ {MIN_SPEEDUP}× at {} gates \
+         ({} of {} classes pruned)",
+        largest.speedup(),
+        largest.gates,
+        largest.untestable,
+        largest.collapsed,
+    );
 }

@@ -104,9 +104,8 @@ pub fn shards() -> Option<usize> {
     positive_flag("--shards")
 }
 
-/// Parses `--json <path>` from the process arguments, if present: the
-/// bench writes a machine-readable result file (wall times, RMI call
-/// counts, fees and cache hit-rates) next to its human-readable table.
+/// Parses `--json <path>` from the process arguments, if present: where
+/// `campaign` writes its deterministic report.
 ///
 /// Exits with status 2 when `--json` is given without a path.
 #[must_use]
@@ -180,15 +179,6 @@ pub fn checkpoint_path() -> Option<PathBuf> {
 #[must_use]
 pub fn max_cells() -> Option<usize> {
     positive_flag("--max-cells")
-}
-
-/// Parses `--bench <path>` from the process arguments, if present — the
-/// machine-readable benchmark baseline file a bin should write.
-///
-/// Exits with status 2 when `--bench` is given without a path.
-#[must_use]
-pub fn bench_path() -> Option<PathBuf> {
-    path_flag("--bench")
 }
 
 /// Parses `--engine <event|compiled>` (also accepted as

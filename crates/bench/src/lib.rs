@@ -9,12 +9,15 @@
 //! * `figure4` — the half-adder detection-table walk-through;
 //! * `faultscale` — virtual vs flat fault simulation scaling (ablation).
 //!
+//! Every bin prints its tables and counters to stdout and asserts its
+//! shape relations and CI gates; none writes a timing file. Repeated,
+//! spread-reporting timing is the `benchmark/` package's job.
+//!
 //! The library half hosts the shared machinery: the Figure 2 circuit in
 //! its three deployment flavours ([`scenarios`]), network-time accounting
 //! ([`report`]) and workload generation ([`workload`]).
 
 pub mod cli;
-pub mod microbench;
 pub mod report;
 pub mod scenarios;
 pub mod workload;

@@ -1,11 +1,8 @@
-//! Network-time accounting, table formatting, and the shared
-//! read-merge-write discipline for benchmark baseline files.
+//! Network-time accounting and table formatting.
 
-use std::path::Path;
 use std::time::Duration;
 
 use vcad_netsim::NetworkModel;
-use vcad_obs::json::{self, JsonValue};
 use vcad_rmi::TransportStats;
 
 /// The modeled network time of a batch of RMI calls: per round trip, two
@@ -34,39 +31,6 @@ pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 
-/// Merges `updates` (a JSON object rendered as text) into the baseline
-/// file at `path`: existing top-level keys not named in `updates`
-/// survive, so independent bins can each own a section of one baseline
-/// (the campaign gate owns the throughput keys of `BENCH_faultsim.json`
-/// while `faultscale --bench` owns its `engine_bench` section,
-/// whichever runs first). A missing or unparsable baseline starts
-/// fresh.
-///
-/// # Panics
-///
-/// Panics when `updates` is not a JSON object or the file cannot be
-/// written — baseline corruption should fail the bench loudly.
-pub fn merge_bench_sections(path: &Path, updates: &str) {
-    let updates = json::parse(updates).expect("bench update must be valid JSON");
-    let JsonValue::Object(updates) = updates else {
-        panic!("bench update must be a JSON object");
-    };
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| json::parse(&text).ok())
-        .and_then(|v| match v {
-            JsonValue::Object(map) => Some(map),
-            _ => None,
-        })
-        .unwrap_or_default();
-    for (key, value) in updates {
-        doc.insert(key, value);
-    }
-    let mut rendered = json::render(&JsonValue::Object(doc));
-    rendered.push('\n');
-    std::fs::write(path, rendered).expect("write bench baseline");
-}
-
 /// Prints a markdown table.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n### {title}\n");
@@ -83,6 +47,12 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
+    use vcad_netsim::VirtualTimeline;
+    use vcad_rmi::{
+        Client, Dispatcher, InProcTransport, ObjectRegistry, RemoteObject, RmiError, ServerCtx,
+        ShapedTransport, Transport, Value,
+    };
 
     #[test]
     fn no_calls_no_network_time() {
@@ -116,24 +86,54 @@ mod tests {
         assert!(modeled_real_time(cpu, &stats, &NetworkModel::local_host()) > cpu);
     }
 
+    /// Echoes its first argument, so reply size follows request size.
+    struct Echo;
+
+    impl RemoteObject for Echo {
+        fn invoke(&self, _: &str, args: &[Value], _: &ServerCtx) -> Result<Value, RmiError> {
+            Ok(args.first().cloned().unwrap_or(Value::Null))
+        }
+    }
+
+    /// Table 2's real-time column applies the closed form to a run's
+    /// transport counters; it must equal what a `ShapedTransport`
+    /// accounts call by call on the virtual timeline. Each leg's
+    /// `Duration` is rounded on its own, so allow 1 ns per leg.
     #[test]
-    fn merge_preserves_foreign_sections() {
-        let dir = std::env::temp_dir().join(format!("vcad-bench-merge-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        let _ = std::fs::remove_file(&path);
+    fn closed_form_matches_the_virtual_timeline() {
+        for model in [
+            NetworkModel::local_host(),
+            NetworkModel::lan_1999(),
+            NetworkModel::wan_1999(),
+        ] {
+            let registry = Arc::new(ObjectRegistry::new());
+            registry.register_root(Arc::new(Echo));
+            let timeline = Arc::new(Mutex::new(VirtualTimeline::new()));
+            let transport = Arc::new(ShapedTransport::virtual_time(
+                Arc::new(InProcTransport::new(Arc::new(Dispatcher::new(registry)))),
+                model.clone(),
+                Arc::clone(&timeline),
+            ));
+            let client = Client::new(Arc::clone(&transport) as Arc<dyn Transport>);
+            let sizes = [0, 1, 17, 512, 4096, 65_536];
+            for len in sizes {
+                let payload = Value::Bytes(vec![0xa5; len]);
+                assert_eq!(
+                    client.root().invoke("echo", vec![payload.clone()]).unwrap(),
+                    payload
+                );
+            }
 
-        merge_bench_sections(&path, r#"{"bench": "campaign", "executed": 16}"#);
-        merge_bench_sections(&path, r#"{"engine": {"speedup": 9.0}}"#);
-        // A rerun of the first writer updates its keys, keeps the other's.
-        merge_bench_sections(&path, r#"{"bench": "campaign", "executed": 20}"#);
-
-        let doc = vcad_obs::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(doc.get("executed").unwrap().as_u64(), Some(20));
-        assert_eq!(
-            doc.get("engine").unwrap().get("speedup").unwrap().as_f64(),
-            Some(9.0)
-        );
-        std::fs::remove_file(&path).unwrap();
+            let stats = transport.stats();
+            assert_eq!(stats.calls, sizes.len() as u64);
+            let closed = modeled_network_time(&stats, &model).as_nanos();
+            let summed = timeline.lock().unwrap().network_time().as_nanos();
+            let legs = 2 * u128::from(stats.calls);
+            assert!(
+                closed.abs_diff(summed) <= legs,
+                "{}: closed form {closed} ns vs timeline {summed} ns",
+                model.name()
+            );
+        }
     }
 }

@@ -11,7 +11,7 @@
 //!   component actually lives (local or, in `vcad-ip`, on a provider's
 //!   server).
 //! * **Tokens and schedulers** — all simulation traffic is a token
-//!   ([`TokenPayload`]); a [`Scheduler`] owns an event queue *plus its own
+//!   ([`TokenPayload`]); a scheduler owns an event queue *plus its own
 //!   per-module state store*, so any number of schedulers can run
 //!   concurrently over one shared [`Design`] without interference — the
 //!   paper's lookup-table (LUT) state isolation.
@@ -65,7 +65,7 @@ pub use estimate::{
     NullEstimator, Parameter, ParseParameterError, PortSnapshot,
 };
 pub use module::{Module, ModuleCtx, PortDirection, PortSpec};
-pub use scheduler::{canonicalize_event_log, LoggedEvent, Scheduler, SimulationError, StateStore};
+pub use scheduler::{canonicalize_event_log, LoggedEvent, SimulationError, StateStore};
 pub use setup::{
     Degradation, EstimateLog, EstimateRecord, SetupBinding, SetupController, SetupCriterion,
 };

@@ -221,7 +221,7 @@ impl Ord for Queued {
 /// sequential run is the one-shard case) and routes every step, snapshot
 /// and injection to the shard that owns the module; the controller and the
 /// virtual fault simulator both drive a `SimEngine`.
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     design: Arc<Design>,
     queue: BinaryHeap<Reverse<Queued>>,
     seq: u64,
@@ -310,12 +310,6 @@ impl Scheduler {
     /// all metric handles once so the hot loop only bumps atomics.
     pub fn set_collector(&mut self, obs: &Collector) {
         self.telemetry = Some(Box::new(SchedTelemetry::new(obs, &self.design)));
-    }
-
-    /// The design under simulation.
-    #[must_use]
-    pub fn design(&self) -> &Arc<Design> {
-        &self.design
     }
 
     /// The current simulation time.

@@ -4,7 +4,7 @@
 //! A [`ShardPlan`] partitions a [`Design`] along connector boundaries —
 //! modules tied by a connector always share a shard, so the zero-delay
 //! signal traffic that dominates a simulation never crosses threads. A
-//! [`SimEngine`] runs one [`Scheduler`] per shard; a sequential run is the
+//! [`SimEngine`] runs one `Scheduler` per shard; a sequential run is the
 //! one-shard plan, driven by the same code on the calling thread. Extra
 //! shards run on a persistent worker pool.
 //!
@@ -336,7 +336,7 @@ impl Drop for Pool {
     }
 }
 
-/// The simulation engine: one [`Scheduler`] per shard of a [`ShardPlan`],
+/// The simulation engine: one event loop per shard of a [`ShardPlan`],
 /// behind the run / step / inspect / inject API that
 /// [`SimulationController`](crate::SimulationController) and the virtual
 /// fault simulator use.
@@ -708,7 +708,9 @@ impl SimEngine {
     ///
     /// # Errors
     ///
-    /// As [`Scheduler::preload_port`].
+    /// Returns [`SimulationError::MalformedInjection`] if the port
+    /// reference is out of range or the value's width does not match the
+    /// port's.
     pub fn preload_port(
         &mut self,
         port: PortRef,
@@ -721,7 +723,9 @@ impl SimEngine {
     ///
     /// # Errors
     ///
-    /// As [`Scheduler::inject_signal`].
+    /// Returns [`SimulationError::MalformedInjection`] if the target
+    /// module or port does not exist, the port does not accept input, or
+    /// the value's width does not match the port's.
     pub fn inject_signal(
         &mut self,
         target: ModuleId,
@@ -737,7 +741,8 @@ impl SimEngine {
     ///
     /// # Errors
     ///
-    /// As [`Scheduler::inject_control`].
+    /// Returns [`SimulationError::MalformedInjection`] if the target
+    /// module does not exist.
     pub fn inject_control(
         &mut self,
         target: ModuleId,

@@ -26,7 +26,6 @@
 //! ```
 
 mod builder;
-mod cone;
 mod error;
 mod eval;
 mod gate;
@@ -36,7 +35,6 @@ mod netlist;
 mod plan;
 
 pub use builder::NetlistBuilder;
-pub use cone::FaninCone;
 pub use error::NetlistError;
 pub use eval::{Evaluator, NetValues};
 pub use gate::GateKind;

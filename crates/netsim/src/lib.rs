@@ -5,15 +5,13 @@
 //! 1999 networks are not available to this reproduction, so this crate
 //! provides the substitution documented in `DESIGN.md`:
 //!
-//! * [`NetworkModel`] — a parametric latency/bandwidth/jitter model with
+//! * [`NetworkModel`] — a deterministic latency/bandwidth model with
 //!   calibrated profiles [`NetworkModel::local_host`],
 //!   [`NetworkModel::lan_1999`] and [`NetworkModel::wan_1999`];
 //! * [`VirtualTimeline`] — an accounting clock that combines *measured* CPU
 //!   time with *modeled* network and server time, so harnesses can report
 //!   the paper's CPU-time and real-time columns without sleeping for
-//!   hundreds of wall-clock seconds;
-//! * [`Shaper`] — an optional real-sleep traffic shaper (scaled) for
-//!   integration tests over actual TCP sockets.
+//!   hundreds of wall-clock seconds.
 //!
 //! # Examples
 //!
@@ -29,9 +27,7 @@
 //! ```
 
 mod model;
-mod shaper;
 mod timeline;
 
 pub use model::NetworkModel;
-pub use shaper::Shaper;
 pub use timeline::VirtualTimeline;

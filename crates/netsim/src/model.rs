@@ -3,8 +3,6 @@
 use std::fmt;
 use std::time::Duration;
 
-use vcad_prng::Rng;
-
 /// A point-to-point network link model.
 ///
 /// The transfer time of a message of `n` payload bytes is
@@ -13,7 +11,7 @@ use vcad_prng::Rng;
 /// one_way(n) = latency + (n + overhead) / bandwidth
 /// ```
 ///
-/// optionally perturbed by a uniform jitter of ± `jitter_frac`. The three
+/// — deterministic, so a modeled run is reproducible. The three
 /// canonical profiles are calibrated so that the Table 2 / Figure 3
 /// harnesses reproduce the *shape* of the paper's 1999 measurements
 /// (orderings and ratios, not absolute seconds).
@@ -33,7 +31,6 @@ pub struct NetworkModel {
     latency: Duration,
     bandwidth_bytes_per_sec: f64,
     overhead_bytes: usize,
-    jitter_frac: f64,
 }
 
 impl NetworkModel {
@@ -41,27 +38,20 @@ impl NetworkModel {
     ///
     /// # Panics
     ///
-    /// Panics if `bandwidth_bytes_per_sec` is not strictly positive or
-    /// `jitter_frac` is outside `[0, 1)`.
+    /// Panics if `bandwidth_bytes_per_sec` is not strictly positive.
     #[must_use]
     pub fn new(
         name: impl Into<String>,
         latency: Duration,
         bandwidth_bytes_per_sec: f64,
         overhead_bytes: usize,
-        jitter_frac: f64,
     ) -> NetworkModel {
         assert!(bandwidth_bytes_per_sec > 0.0, "bandwidth must be positive");
-        assert!(
-            (0.0..1.0).contains(&jitter_frac),
-            "jitter fraction must be in [0, 1)"
-        );
         NetworkModel {
             name: name.into(),
             latency,
             bandwidth_bytes_per_sec,
             overhead_bytes,
-            jitter_frac,
         }
     }
 
@@ -75,7 +65,6 @@ impl NetworkModel {
             Duration::from_micros(50),
             200e6, // ~200 MB/s effective loopback copy rate
             64,
-            0.0,
         )
     }
 
@@ -88,7 +77,6 @@ impl NetworkModel {
             Duration::from_millis(2),
             600e3, // ~5 Mbit/s effective on loaded shared Ethernet
             256,
-            0.10,
         )
     }
 
@@ -102,7 +90,6 @@ impl NetworkModel {
             Duration::from_millis(45),
             40e3, // ~40 kB/s sustained
             512,
-            0.25,
         )
     }
 
@@ -141,16 +128,6 @@ impl NetworkModel {
     #[must_use]
     pub fn round_trip(&self, request_bytes: usize, response_bytes: usize) -> Duration {
         self.one_way(request_bytes) + self.one_way(response_bytes)
-    }
-
-    /// One-way time with uniform ± jitter drawn from `rng`.
-    pub fn one_way_jittered(&self, bytes: usize, rng: &mut Rng) -> Duration {
-        let base = self.one_way(bytes).as_secs_f64();
-        if self.jitter_frac == 0.0 {
-            return Duration::from_secs_f64(base);
-        }
-        let factor = 1.0 + rng.gen_range(-self.jitter_frac..self.jitter_frac);
-        Duration::from_secs_f64(base * factor)
     }
 }
 
@@ -195,27 +172,9 @@ mod tests {
     }
 
     #[test]
-    fn jitter_stays_bounded() {
-        let m = NetworkModel::wan_1999();
-        let base = m.one_way(10_000).as_secs_f64();
-        let mut rng = Rng::seed_from_u64(1);
-        for _ in 0..200 {
-            let j = m.one_way_jittered(10_000, &mut rng).as_secs_f64();
-            assert!(j >= base * 0.75 - 1e-12 && j <= base * 1.25 + 1e-12);
-        }
-    }
-
-    #[test]
-    fn zero_jitter_is_deterministic() {
-        let m = NetworkModel::local_host();
-        let mut rng = Rng::seed_from_u64(2);
-        assert_eq!(m.one_way_jittered(1024, &mut rng), m.one_way(1024));
-    }
-
-    #[test]
     #[should_panic(expected = "bandwidth")]
     fn rejects_zero_bandwidth() {
-        let _ = NetworkModel::new("bad", Duration::ZERO, 0.0, 0, 0.0);
+        let _ = NetworkModel::new("bad", Duration::ZERO, 0.0, 0);
     }
 
     #[test]

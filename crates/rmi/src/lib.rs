@@ -95,8 +95,8 @@ pub use error::{RemoteErrorKind, RmiError};
 pub use frame::{CallFrame, Frame, ResponseFrame, FRAME_VERSION};
 pub use mux::{MuxServer, MuxServerConfig, MuxServerStats};
 pub use resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, Deadline, RealClock, ResilienceClock,
-    ResilientTransport, RetryPolicy, VirtualClock,
+    BreakerConfig, BreakerState, CircuitBreaker, RealClock, ResilienceClock, ResilientTransport,
+    RetryPolicy, VirtualClock,
 };
 pub use security::{Capability, MarshalPolicy, Sandbox, SecurityManager};
 pub use transport::{

@@ -219,38 +219,6 @@ impl ResilienceClock for VirtualClock {
     }
 }
 
-/// A wall-clock deadline for socket-level timeouts.
-///
-/// Unlike the [`ResilienceClock`] budget inside [`ResilientTransport`],
-/// this is real time: it exists to bound blocking I/O (see
-/// [`TcpTransport::connect_with_timeouts`](crate::TcpTransport::connect_with_timeouts)).
-#[derive(Clone, Copy, Debug)]
-pub struct Deadline {
-    at: Instant,
-}
-
-impl Deadline {
-    /// A deadline `budget` from now.
-    #[must_use]
-    pub fn after(budget: Duration) -> Deadline {
-        Deadline {
-            at: Instant::now() + budget,
-        }
-    }
-
-    /// Time left, or `None` once expired.
-    #[must_use]
-    pub fn remaining(&self) -> Option<Duration> {
-        self.at.checked_duration_since(Instant::now())
-    }
-
-    /// Whether the deadline has passed.
-    #[must_use]
-    pub fn expired(&self) -> bool {
-        self.remaining().is_none()
-    }
-}
-
 /// How a [`ResilientTransport`] retries failed calls.
 ///
 /// Backoff for attempt *n* (1-based) is
@@ -819,17 +787,6 @@ mod tests {
         assert_eq!(clock.now(), Duration::ZERO);
         clock.sleep(Duration::from_secs(3600));
         assert_eq!(clock.now(), Duration::from_secs(3600));
-    }
-
-    #[test]
-    fn deadline_expires() {
-        let d = Deadline::after(Duration::from_secs(60));
-        assert!(!d.expired());
-        assert!(d.remaining().unwrap() > Duration::from_secs(59));
-        let past = Deadline::after(Duration::ZERO);
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(past.expired());
-        assert!(past.remaining().is_none());
     }
 
     #[test]

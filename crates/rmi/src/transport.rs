@@ -7,9 +7,9 @@
 //! * [`TcpTransport`] — length-prefixed frames over a real socket to a
 //!   [`MuxServer`](crate::MuxServer) (loopback in tests).
 //! * [`ShapedTransport`] — wraps any transport with a
-//!   [`NetworkModel`](vcad_netsim::NetworkModel), either accounting delays
-//!   on a [`VirtualTimeline`](vcad_netsim::VirtualTimeline) or sleeping a
-//!   scaled-down real delay.
+//!   [`NetworkModel`](vcad_netsim::NetworkModel), accounting each round
+//!   trip's modeled delay on a
+//!   [`VirtualTimeline`](vcad_netsim::VirtualTimeline).
 //!
 //! All transports count calls and bytes into a
 //! [`vcad_obs`] metrics registry ([`Transport::stats`] is a view over
@@ -24,12 +24,11 @@ use std::time::Instant;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use vcad_netsim::{NetworkModel, Shaper, VirtualTimeline};
+use vcad_netsim::{NetworkModel, VirtualTimeline};
 use vcad_obs::{Collector, Counter, Histogram};
 
 use crate::dispatch::Dispatcher;
 use crate::error::RmiError;
-use crate::resilience::Deadline;
 use crate::wire::MAX_FRAME_LEN;
 
 /// A point-in-time view of a transport's traffic counters.
@@ -235,17 +234,6 @@ impl TcpTimeouts {
             write: Some(budget),
         }
     }
-
-    /// Budgets derived from a [`Deadline`]'s remaining time (an expired
-    /// deadline leaves a minimal 1 ms budget rather than blocking).
-    #[must_use]
-    pub fn from_deadline(deadline: &Deadline) -> TcpTimeouts {
-        let remaining = deadline
-            .remaining()
-            .unwrap_or_default()
-            .max(Duration::from_millis(1));
-        TcpTimeouts::all(remaining)
-    }
 }
 
 /// Maps socket I/O failures onto [`RmiError`], distinguishing expired
@@ -350,20 +338,14 @@ impl Transport for TcpTransport {
     }
 }
 
-/// How a [`ShapedTransport`] realises modeled network delay.
-pub enum ShapeMode {
-    /// Account delays on a shared virtual timeline without sleeping.
-    Virtual(Arc<Mutex<VirtualTimeline>>),
-    /// Sleep `scale` × the modeled delay (for live integration tests).
-    Sleep(f64),
-}
-
 /// Wraps a transport with a [`NetworkModel`], turning byte counts into
 /// latency — the substitution for the paper's real LAN/WAN environments.
+/// Each round trip's modeled delay is added to a shared virtual timeline;
+/// nothing sleeps.
 pub struct ShapedTransport {
     inner: Arc<dyn Transport>,
     model: NetworkModel,
-    mode: ShapeMode,
+    timeline: Arc<Mutex<VirtualTimeline>>,
 }
 
 impl ShapedTransport {
@@ -377,17 +359,7 @@ impl ShapedTransport {
         ShapedTransport {
             inner,
             model,
-            mode: ShapeMode::Virtual(timeline),
-        }
-    }
-
-    /// Shapes `inner` with `model`, sleeping `scale` × the modeled delay.
-    #[must_use]
-    pub fn sleeping(inner: Arc<dyn Transport>, model: NetworkModel, scale: f64) -> ShapedTransport {
-        ShapedTransport {
-            inner,
-            model,
-            mode: ShapeMode::Sleep(scale),
+            timeline,
         }
     }
 
@@ -402,12 +374,7 @@ impl Transport for ShapedTransport {
     fn call(&self, request: &[u8]) -> Result<Vec<u8>, RmiError> {
         let response = self.inner.call(request)?;
         let delay = self.model.round_trip(request.len(), response.len());
-        match &self.mode {
-            ShapeMode::Virtual(timeline) => timeline.lock().unwrap().add_network(delay),
-            ShapeMode::Sleep(scale) => {
-                Shaper::new(self.model.clone(), *scale).apply(request.len() + response.len());
-            }
-        }
+        self.timeline.lock().unwrap().add_network(delay);
         Ok(response)
     }
 
@@ -537,20 +504,6 @@ mod tests {
         let err = t.call(b"hello?").unwrap_err();
         assert!(matches!(err, RmiError::Transport(_)), "{err}");
         peer.join().unwrap();
-    }
-
-    #[test]
-    fn deadline_derived_timeouts_are_bounded() {
-        let deadline = Deadline::after(Duration::from_secs(2));
-        let t = TcpTimeouts::from_deadline(&deadline);
-        assert!(t.read.unwrap() <= Duration::from_secs(2));
-        assert!(t.read.unwrap() >= Duration::from_millis(1));
-        // An already-expired deadline still yields a non-zero budget
-        // (zero socket timeouts are invalid).
-        let expired = Deadline::after(Duration::ZERO);
-        std::thread::sleep(Duration::from_millis(2));
-        let t = TcpTimeouts::from_deadline(&expired);
-        assert_eq!(t.connect.unwrap(), Duration::from_millis(1));
     }
 
     #[test]
