@@ -10,10 +10,7 @@ use vcad_obs::Collector;
 
 use crate::admission::AdmissionControl;
 use crate::error::{RemoteErrorKind, RmiError};
-use crate::frame::{response_is_shed, CallFrame, Frame, ResponseFrame};
-use crate::resilience::{
-    decode_tracked_call, encode_tracked_resp_corrupt, encode_tracked_resp_ok, TAG_TRACKED_CALL,
-};
+use crate::frame::{corrupt_request_reply, CallFrame, Frame, Request, ResponseFrame};
 use crate::security::SecurityManager;
 use crate::value::{ObjectId, Value};
 
@@ -338,15 +335,51 @@ impl Dispatcher {
     /// A tracked-call envelope (see
     /// [`ResilientTransport`](crate::ResilientTransport)) is
     /// integrity-checked and deduplicated through the reply cache before
-    /// its inner frame is dispatched. Malformed requests that still carry
-    /// a decodable call id get an error response; undecodable garbage
-    /// gets an error response with call id 0.
+    /// its inner frame is dispatched: a retried request id replays the
+    /// cached response instead of executing again. Malformed requests
+    /// that still carry a decodable call id get an error response;
+    /// undecodable garbage gets an error response with call id 0.
+    ///
+    /// Deduplication is exact for the retry pattern it serves — the
+    /// client retries a call only after the previous attempt returned —
+    /// and best-effort for concurrent duplicates of the same id, which a
+    /// single client never produces.
     #[must_use]
-    pub fn handle_bytes(&self, request: &[u8]) -> Vec<u8> {
-        if request.first() == Some(&TAG_TRACKED_CALL) {
-            return self.handle_tracked(request);
+    pub fn handle_bytes(&self, bytes: &[u8]) -> Vec<u8> {
+        let metrics = self.obs.metrics();
+        let Some(request) = Request::decode(bytes) else {
+            // Only a tracked envelope can be corrupt.
+            metrics.counter("rmi.dispatch.tracked_calls").inc();
+            metrics.counter("rmi.dispatch.corrupt_requests").inc();
+            return corrupt_request_reply();
+        };
+        let Some(request_id) = request.id else {
+            return request.reply(self.handle_frame(request.frame));
+        };
+        metrics.counter("rmi.dispatch.tracked_calls").inc();
+        if let Some(cached) = self.replies.lock().unwrap().get(request_id) {
+            metrics.counter("rmi.dispatch.dedup_hits").inc();
+            return cached;
         }
-        let response = match Frame::decode(request) {
+        let response = self.handle_frame(request.frame);
+        // A load-shed response is transient by contract: memoizing it
+        // would replay the shed to every retry of this request id. Let
+        // the retry re-enter admission instead.
+        let memoize = !response.is_shed();
+        let reply = request.reply(response);
+        if memoize {
+            self.replies
+                .lock()
+                .unwrap()
+                .insert(request_id, reply.clone());
+        }
+        reply
+    }
+
+    /// Decodes and handles one plain frame. A response frame sent as a
+    /// request, or bytes that do not decode, get an error response.
+    fn handle_frame(&self, frame: &[u8]) -> ResponseFrame {
+        match Frame::decode(frame) {
             Ok(Frame::Call(call)) => self.handle(&call),
             Ok(Frame::Response(r)) => ResponseFrame {
                 call_id: r.call_id,
@@ -359,47 +392,7 @@ impl Dispatcher {
                 call_id: 0,
                 result: Err((RemoteErrorKind::Internal, format!("bad request: {e}"))),
             },
-        };
-        Frame::Response(response).encode()
-    }
-
-    /// Handles one tracked-call envelope: verify the checksum, replay a
-    /// cached response for a retried request id, otherwise execute once
-    /// and cache the wrapped response.
-    ///
-    /// Deduplication is exact for the retry pattern it serves — the
-    /// client retries a call only after the previous attempt returned —
-    /// and best-effort for concurrent duplicates of the same id, which a
-    /// single client never produces.
-    fn handle_tracked(&self, request: &[u8]) -> Vec<u8> {
-        let metrics = self.obs.metrics();
-        metrics.counter("rmi.dispatch.tracked_calls").inc();
-        let Ok((request_id, payload)) = decode_tracked_call(request) else {
-            metrics.counter("rmi.dispatch.corrupt_requests").inc();
-            return encode_tracked_resp_corrupt();
-        };
-        // A nested tracked envelope is never legitimate; refuse it rather
-        // than recurse.
-        if payload.first() == Some(&TAG_TRACKED_CALL) {
-            metrics.counter("rmi.dispatch.corrupt_requests").inc();
-            return encode_tracked_resp_corrupt();
         }
-        if let Some(cached) = self.replies.lock().unwrap().get(request_id) {
-            metrics.counter("rmi.dispatch.dedup_hits").inc();
-            return cached;
-        }
-        let inner_response = self.handle_bytes(&payload);
-        let response = encode_tracked_resp_ok(&inner_response);
-        // A load-shed response is transient by contract: memoizing it
-        // would replay the shed to every retry of this request id. Let
-        // the retry re-enter admission instead.
-        if !response_is_shed(&inner_response) {
-            self.replies
-                .lock()
-                .unwrap()
-                .insert(request_id, response.clone());
-        }
-        response
     }
 
     fn dispatch(&self, call: &CallFrame) -> Result<Value, RmiError> {
@@ -558,7 +551,10 @@ mod tests {
 
     #[test]
     fn tracked_calls_deduplicate_and_replay() {
-        use crate::resilience::{decode_tracked_resp, encode_tracked_call, TrackedResponse};
+        use crate::frame::{
+            open_tracked_reply as decode_tracked_resp, tracked_call as encode_tracked_call,
+            TrackedResponse,
+        };
         let reg = Arc::new(ObjectRegistry::new());
         reg.register_root(Arc::new(Echo));
         let obs = Collector::disabled();
@@ -573,7 +569,7 @@ mod tests {
         let TrackedResponse::Ok(payload) = decode_tracked_resp(&first).unwrap() else {
             panic!("expected ok envelope");
         };
-        match Frame::decode(&payload).unwrap() {
+        match Frame::decode(payload).unwrap() {
             Frame::Response(r) => assert!(r.result.is_ok()),
             Frame::Call(_) => panic!("expected response"),
         }
@@ -588,7 +584,10 @@ mod tests {
 
     #[test]
     fn corrupted_tracked_calls_execute_nothing() {
-        use crate::resilience::{decode_tracked_resp, encode_tracked_call, TrackedResponse};
+        use crate::frame::{
+            open_tracked_reply as decode_tracked_resp, tracked_call as encode_tracked_call,
+            TrackedResponse,
+        };
         let reg = Arc::new(ObjectRegistry::new());
         reg.register_root(Arc::new(Echo));
         let obs = Collector::disabled();
@@ -610,7 +609,7 @@ mod tests {
 
     #[test]
     fn reply_cache_is_bounded_fifo() {
-        use crate::resilience::encode_tracked_call;
+        use crate::frame::tracked_call as encode_tracked_call;
         let reg = Arc::new(ObjectRegistry::new());
         reg.register_root(Arc::new(Echo));
         let d = Dispatcher::new(reg);

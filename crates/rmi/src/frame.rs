@@ -1,4 +1,5 @@
-//! Call and response frames.
+//! Call and response frames, and the tracked envelope around them: the
+//! one place the layout of a message on the wire is known.
 //!
 //! ## Versioning
 //!
@@ -9,11 +10,20 @@
 //! carry a [`TraceContext`] (but no tenant) use the `TAG_CALL_V2`
 //! envelope: tag, an explicit version byte (`2`, frozen), the trace
 //! context, then the unchanged v1 body. Calls that carry a tenant id use
-//! the `TAG_CALL_V3` envelope: tag, version byte ([`FRAME_VERSION`]),
+//! the `TAG_CALL_V3` envelope: tag, version byte (`FRAME_VERSION`),
 //! the tenant string, a presence byte plus the optional trace context,
 //! then the unchanged v1 body. A decoder seeing a *future* version on
 //! either envelope reports [`WireError::UnsupportedVersion`] rather than
 //! misparsing.
+//!
+//! ## Tracked envelope
+//!
+//! A [`ResilientTransport`](crate::ResilientTransport) sends every call
+//! as `TAG_TRACKED_CALL`: tag, the 128-bit request id, an FNV-1a checksum
+//! of the payload, then the length-prefixed payload (a plain call frame).
+//! The server answers `TAG_TRACKED_RESP`: tag, a status byte (ok or
+//! corrupt request), the checksum, then the length-prefixed plain reply.
+//! The checksum covers the payload only, not the request id.
 
 use vcad_obs::context::MAX_BAGGAGE;
 use vcad_obs::TraceContext;
@@ -25,6 +35,10 @@ use crate::wire::{WireError, WireReader, WireWriter};
 const TAG_CALL: u8 = 0;
 const TAG_OK: u8 = 1;
 const TAG_ERR: u8 = 2;
+/// Tracked (deduplicatable, integrity-checked) call envelope.
+const TAG_TRACKED_CALL: u8 = 3;
+/// Tracked response envelope.
+const TAG_TRACKED_RESP: u8 = 4;
 /// Versioned call envelope (call frames carrying a trace context).
 const TAG_CALL_V2: u8 = 5;
 /// Versioned call envelope (call frames carrying a tenant id and,
@@ -35,7 +49,13 @@ const TAG_CALL_V3: u8 = 6;
 const V2_VERSION: u8 = 2;
 
 /// The frame-format revision this build encodes and decodes.
-pub const FRAME_VERSION: u8 = 3;
+pub(crate) const FRAME_VERSION: u8 = 3;
+
+/// Tracked response status: the payload is the reply.
+const RESP_OK: u8 = 0;
+/// Tracked response status: the request arrived corrupted and nothing
+/// executed.
+const RESP_CORRUPT_REQUEST: u8 = 1;
 
 /// A method invocation request.
 ///
@@ -106,12 +126,21 @@ fn read_context(r: &mut WireReader<'_>) -> Result<TraceContext, WireError> {
 }
 
 /// Whether `bytes` encode an error response of the transient
-/// [`RemoteErrorKind::Overloaded`] kind. The dispatcher's reply cache
-/// must not memoize these: a retried request id would replay the shed
-/// forever instead of being re-admitted once the backlog drains.
+/// [`RemoteErrorKind::Overloaded`] kind: the client's view of
+/// [`ResponseFrame::is_shed`], read off the header without decoding.
 pub(crate) fn response_is_shed(bytes: &[u8]) -> bool {
     // TAG_ERR layout: tag, u64 call id, kind code, message.
     bytes.first() == Some(&TAG_ERR) && bytes.get(9) == Some(&RemoteErrorKind::Overloaded.code())
+}
+
+/// The tenant a call frame is stamped with, read from its v3 header
+/// alone; `None` for every other frame.
+pub(crate) fn peek_tenant(frame: &[u8]) -> Option<&str> {
+    let mut r = WireReader::new(frame);
+    if r.u8().ok()? != TAG_CALL_V3 || r.u8().ok()? != FRAME_VERSION {
+        return None;
+    }
+    r.str().ok()
 }
 
 /// A method invocation response.
@@ -132,6 +161,14 @@ impl ResponseFrame {
     pub fn into_result(self) -> Result<Value, RmiError> {
         self.result
             .map_err(|(kind, message)| RmiError::Remote { kind, message })
+    }
+
+    /// Whether this is a load shed ([`RemoteErrorKind::Overloaded`]).
+    /// The dispatcher's reply cache must not memoize these: a retried
+    /// request id would replay the shed forever instead of being
+    /// re-admitted once the backlog drains.
+    pub(crate) fn is_shed(&self) -> bool {
+        matches!(self.result, Err((RemoteErrorKind::Overloaded, _)))
     }
 }
 
@@ -273,6 +310,166 @@ impl Frame {
     }
 }
 
+/// FNV-1a over `bytes`; the integrity check of tracked envelopes.
+#[must_use]
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// A request as a server receives it, its envelope decoded and
+/// integrity-checked once.
+pub(crate) struct Request<'a> {
+    /// The request id of a tracked envelope; `None` for a plain frame.
+    pub(crate) id: Option<u128>,
+    /// The frame itself, borrowed from inside any envelope.
+    pub(crate) frame: &'a [u8],
+}
+
+impl<'a> Request<'a> {
+    /// Unwraps `bytes` when they are a tracked envelope. `None` is a
+    /// tracked envelope that is malformed, fails its checksum or wraps a
+    /// second envelope: nothing inside may execute.
+    pub(crate) fn decode(bytes: &'a [u8]) -> Option<Request<'a>> {
+        if bytes.first() != Some(&TAG_TRACKED_CALL) {
+            return Some(Request {
+                id: None,
+                frame: bytes,
+            });
+        }
+        let (id, frame) = open_tracked_call(bytes).ok()?;
+        // A nested envelope is never legitimate; refuse it rather than
+        // unwrap twice.
+        (frame.first() != Some(&TAG_TRACKED_CALL)).then_some(Request {
+            id: Some(id),
+            frame,
+        })
+    }
+
+    /// Encodes the reply to this request: the response frame, wrapped in
+    /// a tracked envelope when the request came in one.
+    pub(crate) fn reply(&self, response: ResponseFrame) -> Vec<u8> {
+        let frame = Frame::Response(response).encode();
+        match self.id {
+            Some(_) => tracked_ok_reply(&frame),
+            None => frame,
+        }
+    }
+}
+
+/// Wraps an encoded response frame in a tracked "ok" envelope.
+pub(crate) fn tracked_ok_reply(payload: &[u8]) -> Vec<u8> {
+    seal(TAG_TRACKED_RESP, |w| w.u8(RESP_OK), payload)
+}
+
+/// The reply to a corrupt tracked envelope: "your request arrived
+/// corrupted, nothing executed", which the client retries.
+pub(crate) fn corrupt_request_reply() -> Vec<u8> {
+    seal(TAG_TRACKED_RESP, |w| w.u8(RESP_CORRUPT_REQUEST), &[])
+}
+
+/// Wraps an encoded call in a tracked envelope under `request_id`.
+#[must_use]
+pub(crate) fn tracked_call(request_id: u128, payload: &[u8]) -> Vec<u8> {
+    seal(TAG_TRACKED_CALL, |w| w.u128(request_id), payload)
+}
+
+/// Encodes a tracked envelope: `tag`, the header `head` writes, the
+/// payload's checksum, then the length-prefixed payload.
+fn seal(tag: u8, head: impl FnOnce(&mut WireWriter), payload: &[u8]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u8(tag);
+    head(&mut w);
+    w.u64(fnv1a64(payload));
+    w.bytes(payload);
+    w.into_bytes()
+}
+
+/// Decodes a tracked envelope [`seal`] wrote under `tag`, returning the
+/// header `head` reads and the borrowed payload.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] when the envelope is malformed or the payload
+/// checksum does not match (it was corrupted in flight).
+fn open<'a, H>(
+    bytes: &'a [u8],
+    tag: u8,
+    head: impl FnOnce(&mut WireReader<'a>) -> Result<H, WireError>,
+) -> Result<(H, &'a [u8]), WireError> {
+    let mut r = WireReader::new(bytes);
+    match r.u8()? {
+        t if t == tag => {}
+        other => return Err(WireError::BadTag(other)),
+    }
+    let head = head(&mut r)?;
+    let checksum = r.u64()?;
+    let payload = r.bytes()?;
+    r.finish()?;
+    if fnv1a64(payload) != checksum {
+        return Err(WireError::BadValue(match tag {
+            TAG_TRACKED_CALL => "tracked call checksum mismatch",
+            _ => "tracked response checksum mismatch",
+        }));
+    }
+    Ok((head, payload))
+}
+
+/// Decodes and integrity-checks a tracked call envelope: the request id
+/// and the borrowed payload.
+///
+/// # Errors
+///
+/// As [`open`].
+pub(crate) fn open_tracked_call(bytes: &[u8]) -> Result<(u128, &[u8]), WireError> {
+    open(bytes, TAG_TRACKED_CALL, WireReader::u128)
+}
+
+/// The decoded form of a tracked response envelope.
+pub(crate) enum TrackedResponse<P> {
+    /// The inner response payload, integrity-checked.
+    Ok(P),
+    /// The server received a corrupted request and executed nothing.
+    CorruptRequest,
+}
+
+/// Decodes and integrity-checks a tracked response envelope, borrowing
+/// its payload.
+///
+/// # Errors
+///
+/// As [`open`], plus [`WireError::BadTag`] for an unknown status.
+pub(crate) fn open_tracked_reply(bytes: &[u8]) -> Result<TrackedResponse<&[u8]>, WireError> {
+    let (status, payload) = open(bytes, TAG_TRACKED_RESP, WireReader::u8)?;
+    match status {
+        RESP_OK => Ok(TrackedResponse::Ok(payload)),
+        RESP_CORRUPT_REQUEST => Ok(TrackedResponse::CorruptRequest),
+        other => Err(WireError::BadTag(other)),
+    }
+}
+
+/// [`open_tracked_reply`] on an owned envelope: the payload keeps the
+/// envelope's buffer instead of being copied out of it.
+///
+/// # Errors
+///
+/// As [`open_tracked_reply`].
+pub(crate) fn unwrap_tracked_reply(
+    mut envelope: Vec<u8>,
+) -> Result<TrackedResponse<Vec<u8>>, WireError> {
+    let len = match open_tracked_reply(&envelope)? {
+        TrackedResponse::Ok(payload) => payload.len(),
+        TrackedResponse::CorruptRequest => return Ok(TrackedResponse::CorruptRequest),
+    };
+    // The payload is the envelope's tail.
+    envelope.drain(..envelope.len() - len);
+    Ok(TrackedResponse::Ok(envelope))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,6 +592,39 @@ mod tests {
         let bytes = Frame::Call(traced.clone()).encode();
         assert_eq!(bytes[0], TAG_CALL_V3);
         assert_eq!(Frame::decode(&bytes).unwrap(), Frame::Call(traced));
+    }
+
+    #[test]
+    fn tenant_is_peeked_from_the_v3_header_alone() {
+        let call = |context: Option<TraceContext>, tenant: Option<&str>| {
+            Frame::Call(CallFrame {
+                call_id: 1,
+                object: ObjectId::ROOT,
+                method: "m".into(),
+                args: vec![],
+                context,
+                tenant: tenant.map(str::to_owned),
+            })
+            .encode()
+        };
+        let ctx = TraceContext {
+            trace_id: 1,
+            span_id: 2,
+            baggage: vec![],
+        };
+        assert_eq!(peek_tenant(&call(None, Some("acme"))), Some("acme"));
+        let traced = call(Some(ctx.clone()), Some("acme"));
+        assert_eq!(peek_tenant(&traced), Some("acme"));
+        // The header suffices: a body cut short does not hide the stamp.
+        assert_eq!(peek_tenant(&traced[..10]), Some("acme"));
+        assert_eq!(peek_tenant(&traced[..9]), None);
+        assert_eq!(peek_tenant(&call(None, None)), None);
+        assert_eq!(peek_tenant(&call(Some(ctx), None)), None);
+        let ok = Frame::Response(ResponseFrame {
+            call_id: 1,
+            result: Ok(Value::Null),
+        });
+        assert_eq!(peek_tenant(&ok.encode()), None);
     }
 
     #[test]

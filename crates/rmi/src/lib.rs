@@ -92,7 +92,7 @@ pub use chaos::{heavy_chaos_stack, FaultConfig, FaultDecision, FaultPlan, Faulty
 pub use client::{Client, RemoteRef};
 pub use dispatch::{Dispatcher, ObjectRegistry, RemoteObject, ServerCtx};
 pub use error::{RemoteErrorKind, RmiError};
-pub use frame::{CallFrame, Frame, ResponseFrame, FRAME_VERSION};
+pub use frame::{CallFrame, Frame, ResponseFrame};
 pub use mux::{MuxServer, MuxServerConfig, MuxServerStats};
 pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, RealClock, ResilienceClock, ResilientTransport,
@@ -103,4 +103,4 @@ pub use transport::{
     InProcTransport, ShapedTransport, TcpTimeouts, TcpTransport, Transport, TransportStats,
 };
 pub use value::{ObjectId, Value};
-pub use wire::{WireError, WireReader, WireWriter};
+pub use wire::WireError;

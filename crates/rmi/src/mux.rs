@@ -38,9 +38,8 @@ use vcad_obs::Collector;
 
 use crate::dispatch::Dispatcher;
 use crate::error::{RemoteErrorKind, RmiError};
-use crate::frame::{Frame, ResponseFrame};
-use crate::resilience::{decode_tracked_call, encode_tracked_resp_ok, TAG_TRACKED_CALL};
-use crate::wire::MAX_FRAME_LEN;
+use crate::frame::{self, corrupt_request_reply, Frame, Request, ResponseFrame};
+use crate::wire::{len_prefix, parse_len_prefix, FrameTooLong, LEN_PREFIX};
 
 /// How long the poll loop sleeps when no socket made progress, and a
 /// worker between attempts at a reply the peer is not draining.
@@ -254,7 +253,7 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Arc<Shared>) {
 /// transport error instead of a stream that resumes mid-frame. Returns
 /// whether the frame went out whole.
 fn write_reply(stream: &mut TcpStream, response: &[u8], budget: Duration) -> bool {
-    let prefix = (response.len() as u32).to_le_bytes();
+    let prefix = len_prefix(response.len());
     // Set on the first `WouldBlock`: the usual reply never reads the clock.
     let mut deadline: Option<Instant> = None;
     for mut rest in [&prefix[..], response] {
@@ -360,7 +359,7 @@ fn poll_loop(
                 let frame = match take_frame(&mut conn.buf) {
                     Ok(Some(frame)) => frame,
                     Ok(None) => break,
-                    Err(FrameTooLong) => {
+                    Err(FrameTooLong(_)) => {
                         // Hostile or corrupt length prefix: hang up on
                         // this peer, keep serving the rest.
                         let _ = conn.stream.shutdown(Shutdown::Both);
@@ -420,98 +419,64 @@ fn poll_loop(
     // is left and exit.
 }
 
-/// A length prefix beyond [`MAX_FRAME_LEN`].
-struct FrameTooLong;
-
 /// Removes and returns the first complete length-prefixed frame from
 /// `buf`, if one has fully arrived. An oversized prefix is refused as
 /// soon as its four bytes are in, before any of the body is buffered.
 fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, FrameTooLong> {
-    if buf.len() < 4 {
+    let Some(&prefix) = buf.first_chunk::<LEN_PREFIX>() else {
+        return Ok(None);
+    };
+    let end = LEN_PREFIX + parse_len_prefix(prefix)?;
+    if buf.len() < end {
         return Ok(None);
     }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameTooLong);
-    }
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    let frame = buf[4..4 + len].to_vec();
-    buf.drain(..4 + len);
+    let frame = buf[LEN_PREFIX..end].to_vec();
+    buf.drain(..end);
     Ok(Some(frame))
 }
 
 /// Binds the connection to its tenant's session on the first stamped
-/// frame seen, registering it with the dispatcher's admission gate.
-fn register_session(shared: &Arc<Shared>, conn: &mut Conn, frame: &[u8]) {
+/// frame seen, registering it with the dispatcher's admission gate. The
+/// stamp is read from the header of the frame, inside any tracked
+/// envelope; tenant-free (v1/v2) frames and corrupt envelopes bind
+/// nothing.
+fn register_session(shared: &Arc<Shared>, conn: &mut Conn, bytes: &[u8]) {
     if conn.tenant.is_some() {
         return;
     }
     let Some(admission) = shared.dispatcher.admission() else {
         return;
     };
-    let Some(tenant) = peek_tenant(frame) else {
+    let Some(tenant) = Request::decode(bytes).and_then(|r| frame::peek_tenant(r.frame)) else {
         return;
     };
     // Session-cap overflow is not fatal: the connection stays usable,
     // only unregistered — per-call admission still applies.
-    let _ = admission.open_session(&tenant);
-    conn.tenant = Some(tenant);
-}
-
-/// Decodes just far enough to find the tenant stamp, unwrapping a
-/// tracked envelope first. Returns `None` for v1/v2 (tenant-free)
-/// frames and undecodable bytes.
-fn peek_tenant(frame: &[u8]) -> Option<String> {
-    let unwrapped;
-    let payload: &[u8] = if frame.first() == Some(&TAG_TRACKED_CALL) {
-        unwrapped = decode_tracked_call(frame).ok()?.1;
-        &unwrapped
-    } else {
-        frame
-    };
-    match Frame::decode(payload) {
-        Ok(Frame::Call(call)) => call.tenant,
-        _ => None,
-    }
+    let _ = admission.open_session(tenant);
+    conn.tenant = Some(tenant.to_owned());
 }
 
 /// Answers a frame the queue had no room for: a typed, retryable
 /// `Overloaded` response, tracked-wrapped when the request was tracked
 /// (and deliberately not entered into the reply cache, so the retry is
-/// re-admitted). This runs on the poll thread, which must not wait on
-/// one peer: `false` means the reply could not be written whole right
-/// now and the caller must close the connection.
+/// re-admitted). A corrupt envelope gets the corrupt-request reply a
+/// worker would give it, so its client retries at once instead of
+/// waiting out its read budget. This runs on the poll thread, which must
+/// not wait on one peer: `false` means the reply could not be written
+/// whole right now and the caller must close the connection.
 fn shed_job(job: &Job) -> bool {
-    let unwrapped;
-    let (tracked, payload): (bool, &[u8]) = if job.bytes.first() == Some(&TAG_TRACKED_CALL) {
-        match decode_tracked_call(&job.bytes) {
-            Ok((_, payload)) => {
-                unwrapped = payload;
-                (true, &unwrapped)
-            }
-            Err(_) => return true, // corrupt: let the client's checksum retry handle it
-        }
-    } else {
-        (false, &job.bytes[..])
-    };
-    let call_id = match Frame::decode(payload) {
-        Ok(Frame::Call(call)) => call.call_id,
-        _ => 0,
-    };
-    let response = Frame::Response(ResponseFrame {
-        call_id,
-        result: Err((
-            RemoteErrorKind::Overloaded,
-            "server queue full: retry after backoff".into(),
-        )),
-    })
-    .encode();
-    let response = if tracked {
-        encode_tracked_resp_ok(&response)
-    } else {
-        response
+    let response = match Request::decode(&job.bytes) {
+        Some(request) => request.reply(ResponseFrame {
+            call_id: match Frame::decode(request.frame) {
+                Ok(Frame::Call(call)) => call.call_id,
+                _ => 0,
+            },
+            result: Err((
+                RemoteErrorKind::Overloaded,
+                "server queue full: retry after backoff".into(),
+            )),
+        }),
+        None => corrupt_request_reply(),
     };
     match lock_unless_stalled(&job.write) {
         Some(mut stream) => write_reply(&mut stream, &response, Duration::ZERO),
@@ -538,7 +503,7 @@ fn lock_unless_stalled(write: &Mutex<TcpStream>) -> Option<MutexGuard<'_, TcpStr
 mod tests {
     use super::*;
     use crate::dispatch::{ObjectRegistry, RemoteObject, ServerCtx};
-    use crate::frame::CallFrame;
+    use crate::frame::{tracked_call, tracked_ok_reply, CallFrame};
     use crate::{Client, ObjectId, TcpTransport, Transport, Value};
 
     /// Echoes its first argument; `blob(n)` answers with `n` bytes.
@@ -581,8 +546,7 @@ mod tests {
                 tenant: None,
             })
             .encode();
-            peer.write_all(&(request.len() as u32).to_le_bytes())
-                .unwrap();
+            peer.write_all(&len_prefix(request.len())).unwrap();
             peer.write_all(&request).unwrap();
         }
         peer.shutdown(Shutdown::Write).unwrap();
@@ -636,6 +600,55 @@ mod tests {
             assert_eq!(frames.len(), whole);
             assert!(frames.iter().all(|f| *f == reply));
             assert!(received.len() < 4 + reply.len());
+        }
+    }
+
+    #[test]
+    fn every_frame_shed_at_a_full_queue_gets_a_reply() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let write = Arc::new(Mutex::new(stream));
+
+        let call = Frame::Call(CallFrame {
+            call_id: 9,
+            object: ObjectId::ROOT,
+            method: "ping".into(),
+            args: vec![],
+            context: None,
+            tenant: None,
+        })
+        .encode();
+        let overloaded = Frame::Response(ResponseFrame {
+            call_id: 9,
+            result: Err((
+                RemoteErrorKind::Overloaded,
+                "server queue full: retry after backoff".into(),
+            )),
+        })
+        .encode();
+        let mut corrupt = tracked_call(2, &call);
+        *corrupt.last_mut().unwrap() ^= 0x01;
+        for (bytes, expected) in [
+            (call.clone(), overloaded.clone()),
+            (tracked_call(1, &call), tracked_ok_reply(&overloaded)),
+            // Answered as a worker would: the client retries now rather
+            // than waiting out its read budget (forever, without one).
+            (corrupt, corrupt_request_reply()),
+        ] {
+            let job = Job {
+                bytes,
+                write: Arc::clone(&write),
+            };
+            assert!(shed_job(&job));
+            let mut prefix = [0u8; LEN_PREFIX];
+            peer.read_exact(&mut prefix)
+                .expect("a reply to the shed frame");
+            let mut reply = vec![0; parse_len_prefix(prefix).unwrap()];
+            peer.read_exact(&mut reply).unwrap();
+            assert_eq!(reply, expected);
         }
     }
 

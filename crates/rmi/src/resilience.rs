@@ -11,7 +11,9 @@
 //!   [`Dispatcher`](crate::Dispatcher) detects in-flight corruption and
 //!   deduplicates retried calls through a bounded reply cache
 //!   (at-most-once execution: a retry of an already-executed call replays
-//!   the cached response instead of executing again);
+//!   the cached response instead of executing again). The envelope's
+//!   bytes are laid out in `frame.rs`; this module only sends and checks
+//!   it;
 //! * [`CircuitBreaker`] — per-endpoint closed → open → half-open machine
 //!   that fails fast during provider blackouts instead of burning the
 //!   whole retry budget on every call;
@@ -31,116 +33,8 @@ use vcad_obs::{Collector, Counter, Gauge, Histogram};
 use vcad_prng::Rng;
 
 use crate::error::RmiError;
+use crate::frame::{response_is_shed, tracked_call, unwrap_tracked_reply, TrackedResponse};
 use crate::transport::{Transport, TransportStats};
-use crate::wire::{WireError, WireReader, WireWriter};
-
-/// Wire tag of a tracked (deduplicatable) call envelope.
-pub(crate) const TAG_TRACKED_CALL: u8 = 3;
-/// Wire tag of a tracked response envelope.
-pub(crate) const TAG_TRACKED_RESP: u8 = 4;
-
-const RESP_OK: u8 = 0;
-const RESP_CORRUPT_REQUEST: u8 = 1;
-
-/// FNV-1a over `bytes`; the integrity check of tracked envelopes.
-#[must_use]
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Encodes an inner request as a tracked call envelope.
-#[must_use]
-pub(crate) fn encode_tracked_call(request_id: u128, payload: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u8(TAG_TRACKED_CALL);
-    w.u128(request_id);
-    w.u64(fnv1a64(payload));
-    w.bytes(payload);
-    w.into_bytes()
-}
-
-/// Decodes and integrity-checks a tracked call envelope.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] when the envelope is malformed or the payload
-/// checksum does not match (i.e. the request was corrupted in flight).
-pub(crate) fn decode_tracked_call(bytes: &[u8]) -> Result<(u128, Vec<u8>), WireError> {
-    let mut r = WireReader::new(bytes);
-    match r.u8()? {
-        TAG_TRACKED_CALL => {}
-        other => return Err(WireError::BadTag(other)),
-    }
-    let request_id = r.u128()?;
-    let checksum = r.u64()?;
-    let payload = r.bytes()?.to_vec();
-    r.finish()?;
-    if fnv1a64(&payload) != checksum {
-        return Err(WireError::BadValue("tracked call checksum mismatch"));
-    }
-    Ok((request_id, payload))
-}
-
-/// Encodes a successful tracked response wrapping `payload`.
-#[must_use]
-pub(crate) fn encode_tracked_resp_ok(payload: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u8(TAG_TRACKED_RESP);
-    w.u8(RESP_OK);
-    w.u64(fnv1a64(payload));
-    w.bytes(payload);
-    w.into_bytes()
-}
-
-/// Encodes the "your request arrived corrupted" tracked response.
-#[must_use]
-pub(crate) fn encode_tracked_resp_corrupt() -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u8(TAG_TRACKED_RESP);
-    w.u8(RESP_CORRUPT_REQUEST);
-    w.u64(fnv1a64(&[]));
-    w.bytes(&[]);
-    w.into_bytes()
-}
-
-/// The decoded form of a tracked response envelope.
-pub(crate) enum TrackedResponse {
-    /// The inner response payload, integrity-checked.
-    Ok(Vec<u8>),
-    /// The server received a corrupted request and executed nothing.
-    CorruptRequest,
-}
-
-/// Decodes and integrity-checks a tracked response envelope.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] when the envelope is malformed or its payload
-/// checksum does not match (response corrupted in flight).
-pub(crate) fn decode_tracked_resp(bytes: &[u8]) -> Result<TrackedResponse, WireError> {
-    let mut r = WireReader::new(bytes);
-    match r.u8()? {
-        TAG_TRACKED_RESP => {}
-        other => return Err(WireError::BadTag(other)),
-    }
-    let status = r.u8()?;
-    let checksum = r.u64()?;
-    let payload = r.bytes()?.to_vec();
-    r.finish()?;
-    if fnv1a64(&payload) != checksum {
-        return Err(WireError::BadValue("tracked response checksum mismatch"));
-    }
-    match status {
-        RESP_OK => Ok(TrackedResponse::Ok(payload)),
-        RESP_CORRUPT_REQUEST => Ok(TrackedResponse::CorruptRequest),
-        other => Err(WireError::BadTag(other)),
-    }
-}
 
 /// The time source resilience machinery runs on.
 ///
@@ -605,13 +499,13 @@ impl ResilientTransport {
     /// One delivery attempt: send the envelope, verify the reply.
     fn attempt(&self, tracked: &[u8], request_id: u128) -> Result<Vec<u8>, RmiError> {
         let raw = self.inner.call(tracked)?;
-        match decode_tracked_resp(&raw) {
+        match unwrap_tracked_reply(raw) {
             Ok(TrackedResponse::Ok(payload)) => {
                 // A load-shed response is a delivery failure in disguise:
                 // convert it back into the retryable error so this retry
                 // loop absorbs the shed (with backoff) instead of
                 // surfacing it to the caller on the first bounce.
-                if crate::frame::response_is_shed(&payload) {
+                if response_is_shed(&payload) {
                     self.obs.metrics().counter("rmi.resilient.shed").inc();
                     return Err(RmiError::overloaded(format!(
                         "request {request_id:#034x} shed by server admission control"
@@ -638,7 +532,7 @@ impl ResilientTransport {
 impl Transport for ResilientTransport {
     fn call(&self, request: &[u8]) -> Result<Vec<u8>, RmiError> {
         let request_id = self.next_request_id();
-        let tracked = encode_tracked_call(request_id, request);
+        let tracked = tracked_call(request_id, request);
         let deadline = self.clock.now() + self.policy.call_deadline;
         // The whole retry loop is one span; every attempt is a child span,
         // so a recovered flake reads as "resilient:call → attempt:1 (fail)
@@ -720,6 +614,11 @@ impl Transport for ResilientTransport {
 mod tests {
     use super::*;
     use crate::dispatch::{Dispatcher, ObjectRegistry, RemoteObject, ServerCtx};
+    use crate::frame::{
+        corrupt_request_reply as encode_tracked_resp_corrupt, fnv1a64,
+        open_tracked_call as decode_tracked_call, open_tracked_reply as decode_tracked_resp,
+        tracked_call as encode_tracked_call, tracked_ok_reply as encode_tracked_resp_ok,
+    };
     use crate::transport::InProcTransport;
     use crate::value::Value;
     use crate::Client;

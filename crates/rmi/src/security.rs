@@ -215,12 +215,6 @@ impl SecurityManager {
         SecurityManager::new(MarshalPolicy::port_data_only())
     }
 
-    /// The active marshalling policy.
-    #[must_use]
-    pub fn marshal_policy(&self) -> &MarshalPolicy {
-        &self.marshal
-    }
-
     /// Checks outgoing call arguments.
     ///
     /// # Errors

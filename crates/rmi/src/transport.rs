@@ -29,7 +29,7 @@ use vcad_obs::{Collector, Counter, Histogram};
 
 use crate::dispatch::Dispatcher;
 use crate::error::RmiError;
-use crate::wire::MAX_FRAME_LEN;
+use crate::wire::{len_prefix, parse_len_prefix, FrameTooLong, LEN_PREFIX, MAX_FRAME_LEN};
 
 /// A point-in-time view of a transport's traffic counters.
 ///
@@ -180,22 +180,21 @@ impl Transport for InProcTransport {
     }
 }
 
-pub(crate) fn write_frame(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&(bytes.len() as u32).to_le_bytes())?;
+fn write_frame(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()> {
+    stream.write_all(&len_prefix(bytes.len()))?;
     stream.write_all(bytes)?;
     stream.flush()
 }
 
-pub(crate) fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
+fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+    let mut prefix = [0u8; LEN_PREFIX];
+    stream.read_exact(&mut prefix)?;
+    let len = parse_len_prefix(prefix).map_err(|FrameTooLong(len)| {
+        std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"),
-        ));
-    }
+        )
+    })?;
     let mut buf = vec![0u8; len];
     stream.read_exact(&mut buf)?;
     Ok(buf)

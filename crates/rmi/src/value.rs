@@ -109,7 +109,7 @@ impl Value {
     }
 
     /// Appends the value's encoding to an open writer.
-    pub fn write(&self, w: &mut WireWriter) {
+    pub(crate) fn write(&self, w: &mut WireWriter) {
         match self {
             Value::Null => w.u8(TAG_NULL),
             Value::Bool(b) => {
@@ -191,7 +191,7 @@ impl Value {
     /// Returns a [`WireError`] on malformed input, including container
     /// nesting deeper than [`Value::MAX_DEPTH`] (a hostile frame must not
     /// be able to exhaust the decoder's stack).
-    pub fn read(r: &mut WireReader<'_>) -> Result<Value, WireError> {
+    pub(crate) fn read(r: &mut WireReader<'_>) -> Result<Value, WireError> {
         Self::read_at_depth(r, 0)
     }
 
@@ -335,15 +335,6 @@ impl Value {
     pub fn as_logic_vec(&self) -> Option<&LogicVec> {
         match self {
             Value::Vec(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Extracts a [`Word`] if this is [`Value::Word`].
-    #[must_use]
-    pub fn as_word(&self) -> Option<Word> {
-        match self {
-            Value::Word(w) => Some(*w),
             _ => None,
         }
     }
