@@ -9,7 +9,7 @@
 //! incomplete cells execute. The final report is byte-identical however
 //! many times the campaign was interrupted.
 //!
-//! Flags:
+//! Flags (each one run by `ci.sh`):
 //! * `--workers <n>` — worker-pool size (default 4).
 //! * `--checkpoint <path>` — journal location (default
 //!   `target/campaign/<name>.journal`).
@@ -17,17 +17,11 @@
 //!   exit with status 10 (deterministic interruption; the CI resume gate
 //!   and kill-tolerance tests build on it).
 //! * `--json <path>` — write the deterministic JSON report.
-//! * `--engine <event|compiled>` — override the spec's gate-evaluation
-//!   backend. The override feeds the spec digest exactly like an edit
-//!   to the file, so each backend keeps its own journal key space
-//!   (records are bit-identical either way; throughput is not).
 //! * `--lint[=json]` — instead of running, print one static
 //!   testability lint report per provider (SCOAP-proven untestable
 //!   fault sites as stable-ID Warn diagnostics) and exit. Pairs with
 //!   the spec's `"testability"` knob: the report names exactly the
 //!   faults `prune` would drop.
-//! * `--health <path>[:interval_ms]`, `--trace <path>` — the usual
-//!   observability taps over the `campaign.*` metrics and spans.
 //!
 //! Exit status: 0 on a complete campaign, 10 when interrupted by
 //! `--max-cells`, 2 on a rejected spec or usage error, 1 on journal I/O
@@ -37,15 +31,15 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use vcad_bench::cli;
-use vcad_bench::cli::LintMode;
 use vcad_campaign::{CampaignError, CampaignSpec, Orchestrator};
+use vcad_lint::cli::{print_reports, LintMode};
 
 /// Exit status for a run stopped by `--max-cells` before grid exhaustion.
 const EXIT_INTERRUPTED: i32 = 10;
 
 fn main() {
     let spec_path = spec_path_arg().unwrap_or_else(|| {
-        eprintln!("usage: campaign <spec.json> [--workers N] [--checkpoint PATH] [--max-cells N] [--engine event|compiled] [--lint[=json]] [--json PATH] [--health PATH[:ms]] [--trace PATH]");
+        eprintln!("usage: campaign <spec.json> [--workers N] [--checkpoint PATH] [--max-cells N] [--lint[=json]] [--json PATH]");
         std::process::exit(2);
     });
 
@@ -53,46 +47,31 @@ fn main() {
         eprintln!("cannot read {}: {e}", spec_path.display());
         std::process::exit(2);
     });
-    let mut spec = CampaignSpec::parse(&text).unwrap_or_else(|e| {
+    let spec = CampaignSpec::parse(&text).unwrap_or_else(|e| {
         eprintln!("campaign spec rejected: {e}");
         std::process::exit(2);
     });
-    if let Some(engine) = cli::engine() {
-        spec.engine = engine;
-    }
 
-    let lint_mode = cli::lint_mode();
-    if lint_mode != LintMode::Off {
+    let lint = cli::lint_mode("--lint");
+    if lint != LintMode::Off {
         let reports = vcad_campaign::lint_reports(&spec).unwrap_or_else(|e| {
             eprintln!("campaign spec rejected: {e}");
             std::process::exit(2);
         });
-        let mut any_deny = false;
-        for (provider, report) in spec.providers.iter().zip(&reports) {
-            match lint_mode {
-                LintMode::Json => println!("{}", report.to_json()),
-                _ => {
-                    println!("— {} ({})", provider.host, provider.offering);
-                    print!("{}", report.render());
-                }
-            }
-            any_deny |= report.has_deny();
-        }
-        std::process::exit(i32::from(any_deny));
+        let labels = spec
+            .providers
+            .iter()
+            .map(|p| format!("{} ({})", p.host, p.offering));
+        let deny = print_reports(lint, labels.zip(&reports));
+        std::process::exit(i32::from(deny));
     }
 
-    let checkpoint = cli::checkpoint_path()
+    let checkpoint = cli::path_flag("--checkpoint")
         .unwrap_or_else(|| PathBuf::from(format!("target/campaign/{}.journal", spec.name)));
-    let workers = cli::workers().unwrap_or(4);
+    let workers = cli::positive_flag("--workers").unwrap_or(4);
 
-    let trace = cli::trace_path();
-    let obs = cli::collector_for(trace.as_ref());
-    let _health = cli::start_health(&obs);
-
-    let mut orchestrator = Orchestrator::new(spec.clone(), &checkpoint)
-        .with_workers(workers)
-        .with_collector(&obs);
-    if let Some(cap) = cli::max_cells() {
+    let mut orchestrator = Orchestrator::new(spec.clone(), &checkpoint).with_workers(workers);
+    if let Some(cap) = cli::positive_flag("--max-cells") {
         orchestrator = orchestrator.with_max_cells(cap);
     }
 
@@ -117,12 +96,10 @@ fn main() {
         wall.as_secs_f64(),
     );
 
-    cli::finish_trace(&obs, trace);
-
     match outcome.report {
         Some(report) => {
             print!("\n{}", report.to_text());
-            if let Some(path) = cli::json_path() {
+            if let Some(path) = cli::path_flag("--json") {
                 std::fs::write(&path, report.to_json()).expect("write report JSON");
                 println!("\nreport written to {}", path.display());
             }

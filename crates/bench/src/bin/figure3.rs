@@ -5,79 +5,34 @@
 //! increase comes from RMI overhead alone; here the provider-side toggle
 //! computation is cheap enough that the same effect dominates.
 //!
-//! Run with `cargo run -p vcad-bench --bin figure3 --release`.
-//! Pass `--trace <path>` to also write a Chrome trace-event JSON file
-//! covering every run, plus a plain-text metrics summary on stdout.
-//! Pass `--health <path>[:interval_ms]` to keep a live health snapshot
-//! refreshed at `path` (JSON, plus `path.txt` as text); without an
-//! interval the snapshot is written once, on exit.
-//! Pass `--lint` (or `--lint=json`) to statically analyse the ER
-//! scenario's design and exit instead of measuring.
-//! Pass `--shards <n>` to schedule each run under
-//! `ShardPolicy::Auto(n)`. The ER circuit is one connectivity
-//! component, so this degenerates to the sequential scheduler — the
-//! flag exists for interface parity with `table2`, where the
-//! multi-component benchmark gives it teeth.
-//! Pass `--engine <event|compiled>` to pick the gate-evaluation
-//! backend. The ER multiplier is behavioural (its gate level lives on
-//! the provider), so this too is interface parity with `table2` — the
-//! figure's shape is engine-invariant by construction.
+//! Run with `cargo run -p vcad-bench --bin figure3 --release`. The call
+//! counts and the modeled network time's shape are asserted by
+//! `tests/golden_outputs.rs`; this bin asserts the same shape on real
+//! time, which adds the measured CPU time.
 
-use vcad_bench::cli;
+use vcad_bench::paper;
 use vcad_bench::report::{modeled_real_time, print_table, secs};
-use vcad_bench::scenarios::{self, Scenario};
-use vcad_core::ShardPolicy;
 use vcad_netsim::NetworkModel;
 
 fn main() {
-    let width = 16;
-    let patterns = 100u64;
     let wan = NetworkModel::wan_1999();
-    let trace_out = cli::trace_path();
-    let shards = cli::shards();
-    let engine = cli::engine();
-    let obs = cli::collector_for(trace_out.as_ref());
-    // Alive for the whole run: dropping it writes the final snapshot.
-    let _health = cli::start_health(&obs);
-
-    // Under --lint[=json], statically analyse the scenario's design and
-    // exit instead of measuring. The buffer size only affects scheduling,
-    // not structure, so one representative rig covers every row.
-    if cli::lint_mode() != cli::LintMode::Off {
-        let rig = scenarios::build(Scenario::EstimatorRemote, width, patterns, 5);
-        cli::run_lint_flag([(Scenario::EstimatorRemote.label(), rig.design())]);
-        return;
-    }
-
-    let buffer_pcts = [1usize, 2, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
-    let mut rows = Vec::new();
-    let mut reals = Vec::new();
-    for &pct in &buffer_pcts {
-        let buffer = (patterns as usize * pct / 100).max(1);
-        let mut rig = scenarios::build_with_obs(
-            Scenario::EstimatorRemote,
-            width,
-            patterns,
-            buffer,
-            obs.clone(),
-        );
-        if let Some(n) = shards {
-            rig.set_shards(ShardPolicy::Auto(n));
-        }
-        if let Some(e) = engine {
-            rig.set_engine(e);
-        }
-        let run = rig.run(Scenario::EstimatorRemote);
-        let real = modeled_real_time(run.cpu, &run.stats, &wan);
-        reals.push(real);
-        rows.push(vec![
-            format!("{pct}%"),
-            buffer.to_string(),
-            run.stats.calls.to_string(),
-            secs(run.cpu),
-            secs(real),
-        ]);
-    }
+    let points = paper::figure3();
+    let reals: Vec<f64> = points
+        .iter()
+        .map(|p| modeled_real_time(p.run.cpu, &p.run.stats, &wan).as_secs_f64())
+        .collect();
+    let rows: Vec<Vec<String>> = points
+        .iter()
+        .map(|p| {
+            vec![
+                format!("{}%", p.pct),
+                p.buffer.to_string(),
+                p.run.stats.calls.to_string(),
+                secs(p.run.cpu),
+                secs(modeled_real_time(p.run.cpu, &p.run.stats, &wan)),
+            ]
+        })
+        .collect();
 
     print_table(
         "Figure 3 — ER scenario on WAN: time vs pattern buffer size (100 patterns)",
@@ -98,9 +53,9 @@ fn main() {
 
     // Shape assertions: strictly better at 100% than at 1%, and most of
     // the gain is realised by the 50% point (diminishing returns).
-    let first = reals.first().unwrap().as_secs_f64();
-    let half = reals[buffer_pcts.iter().position(|&p| p == 50).unwrap()].as_secs_f64();
-    let last = reals.last().unwrap().as_secs_f64();
+    let first = reals[0];
+    let half = reals[paper::BUFFER_PCTS.iter().position(|&p| p == 50).unwrap()];
+    let last = reals[reals.len() - 1];
     assert!(last < first, "batched {last} must beat unbatched {first}");
     let total_gain = first - last;
     let gain_by_half = first - half;
@@ -110,6 +65,4 @@ fn main() {
          (gain by half {gain_by_half:.3}, total {total_gain:.3})"
     );
     println!("\nAll shape assertions passed.");
-
-    cli::finish_trace(&obs, trace_out);
 }

@@ -27,11 +27,12 @@
 //! `tests/backpressure_fairness.rs`; call latency under load is
 //! measured by the `serve_mt_*` workloads of `benchmark/`.
 //!
-//! Flags: `--sessions <n>` (default 200), `--tenants <n>` (default 4),
-//! `--calls <n>` (default 3), `--workers <n>` (mux pool, default 8),
-//! `--out <dir>` (write Chrome trace dumps for `obs-report` stitching),
-//! `--health <path>[:interval_ms]` (live server-side health snapshots).
+//! Flags (each one run by `ci.sh`): `--out <dir>` (write Chrome trace
+//! dumps for `obs-report` stitching) and `--health <path>[:interval_ms]`
+//! (server-side health snapshots, including each tenant's fees and open
+//! sessions).
 
+use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -60,13 +61,21 @@ const FUNCTIONAL_EVAL_FEE_CENTS: f64 = 0.001;
 /// Sheds are tolerated, but must not dominate admitted traffic.
 const MAX_SHED_RATE: f64 = 0.5;
 
-struct Config {
-    sessions: usize,
-    tenants: usize,
-    calls: usize,
-    workers: usize,
-    trace: bool,
-}
+/// Concurrent client sessions, all connected at once.
+const SESSIONS: usize = 200;
+
+/// Tenant identities the sessions are dealt across, round-robin.
+const TENANTS: usize = 4;
+
+/// Every tenant gets the same share of the fleet.
+const SESSIONS_PER_TENANT: usize = SESSIONS / TENANTS;
+const _: () = assert!(SESSIONS.is_multiple_of(TENANTS));
+
+/// Chargeable `functional_eval` calls per session.
+const CALLS: usize = 3;
+
+/// The mux server's worker pool.
+const WORKERS: usize = 8;
 
 /// One session's workload. Returns an error description instead of
 /// panicking so the main thread can count losses across the whole run.
@@ -124,19 +133,13 @@ fn run_session(
 }
 
 fn main() {
-    let config = Config {
-        sessions: cli::sessions().unwrap_or(200),
-        tenants: cli::tenants().unwrap_or(4),
-        calls: cli::calls().unwrap_or(3),
-        workers: cli::workers().unwrap_or(8),
-        trace: cli::flag_present("--out"),
-    };
-    let out = cli::out_dir("target/loadgen");
-    if config.trace {
-        std::fs::create_dir_all(&out).expect("create output directory");
+    let out = cli::flag_value("--out", "a directory path").map(PathBuf::from);
+    let trace = out.is_some();
+    if let Some(out) = &out {
+        std::fs::create_dir_all(out).expect("create output directory");
     }
 
-    let (server_obs, client_obs) = if config.trace {
+    let (server_obs, client_obs) = if trace {
         (
             Collector::with_capacity(1 << 20).with_process_name("loadgen-provider"),
             Collector::with_capacity(1 << 20).with_process_name("loadgen-client"),
@@ -144,7 +147,7 @@ fn main() {
     } else {
         (Collector::enabled(), Collector::enabled())
     };
-    let _health = cli::start_health(&server_obs);
+    let health = cli::health_reporter("--health", &server_obs);
 
     // A generous default quota: admission is exercised (bursts above
     // the bucket shed and retry), but a healthy fleet mostly passes.
@@ -159,26 +162,24 @@ fn main() {
         .serve_mux(
             "127.0.0.1:0",
             MuxServerConfig {
-                workers: config.workers,
+                workers: WORKERS,
                 queue_capacity: 256,
-                max_connections: config.sessions + 8,
+                max_connections: SESSIONS + 8,
             },
         )
         .expect("bind mux server");
     let addr = mux.addr();
 
-    let ready = Arc::new(Barrier::new(config.sessions));
+    let ready = Arc::new(Barrier::new(SESSIONS));
     let started = Instant::now();
-    let handles: Vec<_> = (0..config.sessions)
+    let handles: Vec<_> = (0..SESSIONS)
         .map(|i| {
-            let tenant = format!("tenant-{}", i % config.tenants);
+            let tenant = format!("tenant-{}", i % TENANTS);
             let obs = client_obs.clone();
             let ready = Arc::clone(&ready);
-            let calls = config.calls;
-            let trace = config.trace;
             std::thread::Builder::new()
                 .name(format!("loadgen-session-{i}"))
-                .spawn(move || run_session(addr, &tenant, calls, &obs, trace, &ready))
+                .spawn(move || run_session(addr, &tenant, CALLS, &obs, trace, &ready))
                 .expect("spawn session thread")
         })
         .collect();
@@ -197,6 +198,10 @@ fn main() {
         }
     }
     let wall = started.elapsed();
+    // Shut the server down so every connection, and with it every
+    // tenant session, is closed before the final health snapshot.
+    drop(mux);
+    drop(health);
 
     let server_snap = server_obs.metrics().snapshot();
     let admitted = server_snap.counter("server.admitted");
@@ -212,11 +217,8 @@ fn main() {
         .map_or(0, |g| g.high_water);
 
     println!(
-        "loadgen: {} sessions ({} tenants, {} calls each) in {:.2}s — \
+        "loadgen: {SESSIONS} sessions ({TENANTS} tenants, {CALLS} calls each) in {:.2}s — \
          peak {} connections, {} admitted, {} shed ({:.2}% shed rate), {} lost",
-        config.sessions,
-        config.tenants,
-        config.calls,
         wall.as_secs_f64(),
         peak_conns,
         admitted,
@@ -226,23 +228,21 @@ fn main() {
     );
 
     // Exact per-tenant fee accounting: sessions are dealt round-robin,
-    // every session charges `calls` functional evaluations, and neither
+    // every session charges `CALLS` functional evaluations, and neither
     // retries (deduplicated) nor sheds (rejected pre-fee) can move the
     // total.
-    for t in 0..config.tenants {
+    for t in 0..TENANTS {
         let tenant = format!("tenant-{t}");
-        let tenant_sessions =
-            config.sessions / config.tenants + usize::from(t < config.sessions % config.tenants);
-        let expected = tenant_sessions as f64 * config.calls as f64 * FUNCTIONAL_EVAL_FEE_CENTS;
+        let expected = SESSIONS_PER_TENANT as f64 * CALLS as f64 * FUNCTIONAL_EVAL_FEE_CENTS;
         let actual = server.ledger().tenant_total_cents(&tenant);
-        println!("  {tenant}: {tenant_sessions} sessions, fees {actual:.3}¢");
+        println!("  {tenant}: {SESSIONS_PER_TENANT} sessions, fees {actual:.3}¢");
         assert!(
             (actual - expected).abs() < 1e-9,
             "{tenant}: fees {actual} != expected {expected}"
         );
     }
 
-    if config.trace {
+    if let Some(out) = &out {
         for (path, obs) in [
             (out.join("client.json"), &client_obs),
             (out.join("provider.json"), &server_obs),
@@ -261,7 +261,7 @@ fn main() {
     // The gate's teeth, after any trace dumps are on disk for post-mortems.
     assert_eq!(lost, 0, "{lost} sessions lost");
     assert_eq!(
-        peak_conns as usize, config.sessions,
+        peak_conns as usize, SESSIONS,
         "not all sessions were concurrent"
     );
     assert!(

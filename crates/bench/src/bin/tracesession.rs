@@ -15,10 +15,10 @@
 //! and delayed frames must surface as retried attempt spans — never as
 //! orphan or crossed parents.
 //!
-//! Flags: `--out <dir>` (dump directory, default `target/tracesession`),
-//! `--chaos-seed <u64>` (default 7), and `--health <path>[:interval_ms]`
-//! for a live health snapshot of the client-side registry.
+//! Flag: `--out <dir>` (dump directory, default `target/tracesession`).
+//! The chaos schedules are seeded from [`CHAOS_SEED`].
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,6 +34,10 @@ use vcad_rmi::{
 
 /// Far above any loopback round trip, far below a CI job timeout.
 const SOCKET_BUDGET: Duration = Duration::from_secs(10);
+
+/// Seed of the first provider link's chaos schedule; the second link
+/// uses the next seed.
+const CHAOS_SEED: u64 = 7;
 
 /// Connects one resilient, chaos-shaped session to `server`'s TCP port.
 fn connect(
@@ -60,7 +64,8 @@ fn connect(
 }
 
 /// One evaluation round against a provider: catalog, instantiate,
-/// static estimates, then a handful of testability queries.
+/// static estimates, then a handful of testability queries. Returns the
+/// provider's bill, in cents.
 fn evaluate(session: &ClientSession, offering: &str, width: usize) -> f64 {
     let catalog = session.catalog().expect("catalog");
     assert!(catalog.iter().any(|o| o.name == offering));
@@ -69,7 +74,9 @@ fn evaluate(session: &ClientSession, offering: &str, width: usize) -> f64 {
     let delay = component.delay().expect("delay");
     let watts = component.constant_power().expect("constant power");
     assert!(area > 0.0 && delay > 0.0 && watts > 0.0);
+    // Watts per input toggle: a power model's slope is finite and positive.
     let (_, slope) = component.regression_coefficients().expect("regression");
+    assert!(slope.is_finite() && slope > 0.0, "regression slope {slope}");
     let source = component.detection_source();
     assert!(!source.fault_list().is_empty());
     for pattern in 0..4u64 {
@@ -84,16 +91,15 @@ fn evaluate(session: &ClientSession, offering: &str, width: usize) -> f64 {
     let _ = source
         .detection_table(&LogicVec::from_u64(2 * width, 0))
         .expect("repeat detection table");
-    session.bill().expect("bill") + slope
+    session.bill().expect("bill")
 }
 
 fn main() {
-    let seed = cli::chaos_seed().unwrap_or(7);
-    let out = cli::out_dir("target/tracesession");
+    let out = cli::flag_value("--out", "a directory path")
+        .map_or_else(|| "target/tracesession".into(), PathBuf::from);
     std::fs::create_dir_all(&out).expect("create output directory");
 
     let client_obs = Collector::with_capacity(1 << 20).with_process_name("client");
-    let _health = cli::start_health(&client_obs);
 
     let providers = [
         ("provider-a.example.com", "MultFastLowPower"),
@@ -109,10 +115,10 @@ fn main() {
             .serve_mux("127.0.0.1:0", MuxServerConfig::default())
             .expect("bind provider");
         // The second provider's session memoizes calls client-side, so
-        // the dumps (and `--health`) also show cache hit spans/ratios.
+        // the dumps also show cache hit spans.
         let cache = (i == 1)
             .then(|| Arc::new(IpCache::new(CacheConfig::default()).with_collector(&client_obs)));
-        let session = connect(&tcp, host, seed + i as u64, &client_obs, cache);
+        let session = connect(&tcp, host, CHAOS_SEED + i as u64, &client_obs, cache);
         let bill = evaluate(&session, offering, 8);
         println!("{host}: evaluated {offering}, billed {bill:.1}¢");
         dumps.push((
@@ -123,7 +129,7 @@ fn main() {
 
     let snap = client_obs.metrics().snapshot();
     println!(
-        "chaos (seed {seed}): {} faults injected over {} transport calls, {} retries",
+        "chaos (seed {CHAOS_SEED}): {} faults injected over {} transport calls, {} retries",
         snap.counter("rmi.chaos.injected.total"),
         snap.counter("rmi.chaos.calls"),
         snap.counter("rmi.retry.retries"),

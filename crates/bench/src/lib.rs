@@ -13,11 +13,14 @@
 //! shape relations and CI gates; none writes a timing file. Repeated,
 //! spread-reporting timing is the `benchmark/` package's job.
 //!
-//! The library half hosts the shared machinery: the Figure 2 circuit in
-//! its three deployment flavours ([`scenarios`]), network-time accounting
+//! The library half hosts the shared machinery: the paper's measured
+//! artefacts as functions ([`paper`]), which the bins print and
+//! `tests/golden_outputs.rs` asserts; the Figure 2 circuit in its three
+//! deployment flavours ([`scenarios`]); network-time accounting
 //! ([`report`]) and workload generation ([`workload`]).
 
 pub mod cli;
+pub mod paper;
 pub mod report;
 pub mod scenarios;
 pub mod workload;

@@ -15,8 +15,8 @@ use std::time::{Duration, Instant};
 
 use vcad_core::stdlib::{NetlistBusBlock, PrimaryOutput, RandomInput, Register, WordMultiplier};
 use vcad_core::{
-    Design, DesignBuilder, EngineKind, Estimator, Module, ModuleId, Parameter, SetupController,
-    SetupCriterion, ShardPolicy, SimulationController,
+    Design, DesignBuilder, Estimator, Module, ModuleId, Parameter, SetupController, SetupCriterion,
+    ShardPolicy, SimulationController,
 };
 use vcad_ip::{ClientSession, ComponentOffering, IpCache, IpComponentModule, ProviderServer};
 use vcad_netlist::generators;
@@ -262,40 +262,12 @@ impl ScenarioRig {
         &self.design
     }
 
-    /// The controller (for custom runs).
-    #[must_use]
-    pub fn controller(&self) -> &SimulationController {
-        &self.controller
-    }
-
-    /// The collector observing this rig (trace export, fee totals).
-    #[must_use]
-    pub fn collector(&self) -> &Collector {
-        &self.obs
-    }
-
-    /// The client-side cache, when the rig was built with one.
-    #[must_use]
-    pub fn cache(&self) -> Option<&Arc<IpCache>> {
-        self.cache.as_ref()
-    }
-
     /// Reruns this rig's controller under a shard policy. The Figure 2
     /// circuit is one connectivity component, so [`ShardPolicy::Auto`]
-    /// degenerates to the sequential scheduler here — the hook exists so
-    /// `--shards` applies uniformly across bench rigs, and so a future
-    /// multi-component rig change picks it up for free.
+    /// degenerates to the sequential scheduler here; `table2 --shards`
+    /// and the golden test assert exactly that.
     pub fn set_shards(&mut self, policy: ShardPolicy) {
         self.controller = self.controller.clone().with_shards(policy);
-    }
-
-    /// Reruns this rig's controller on a gate-evaluation backend. The
-    /// Figure 2 scenarios evaluate their multiplier behaviourally or
-    /// remotely — no local `NetlistBlock` — so `Compiled` degenerates to
-    /// the event-driven run here; the hook exists for `--engine` parity
-    /// with the gate-level rigs, where the flag moves the wall clock.
-    pub fn set_engine(&mut self, engine: EngineKind) {
-        self.controller = self.controller.clone().with_engine(engine);
     }
 
     /// Runs the simulation once, measuring client time and RMI traffic.
@@ -356,7 +328,6 @@ pub fn run(scenario: Scenario, width: usize, patterns: u64, buffer: usize) -> Sc
 /// sharding to show a real wall-clock difference (the Figure 2
 /// scenarios are one component each and cannot).
 pub struct MultiRig {
-    design: Arc<Design>,
     controller: SimulationController,
     outputs: Vec<ModuleId>,
 }
@@ -427,36 +398,13 @@ pub fn build_multi_component(
         outputs.push(out);
     }
     let design = Arc::new(b.build().expect("shard bench design is valid"));
-    let controller = SimulationController::new(Arc::clone(&design)).with_shards(policy);
     MultiRig {
-        design,
-        controller,
+        controller: SimulationController::new(design).with_shards(policy),
         outputs,
     }
 }
 
 impl MultiRig {
-    /// The elaborated design.
-    #[must_use]
-    pub fn design(&self) -> &Arc<Design> {
-        &self.design
-    }
-
-    /// The controller (for custom runs).
-    #[must_use]
-    pub fn controller(&self) -> &SimulationController {
-        &self.controller
-    }
-
-    /// Reruns this rig's controller on a gate-evaluation backend. The
-    /// multipliers here are gate-level [`NetlistBusBlock`]s, so
-    /// `Compiled` swaps every one for its compiled levelized twin —
-    /// this rig is where `--engine` has teeth, and runs must stay
-    /// bit-identical across backends.
-    pub fn set_engine(&mut self, engine: EngineKind) {
-        self.controller = self.controller.clone().with_engine(engine);
-    }
-
     /// Runs the benchmark once, measuring wall time and capturing every
     /// component's output history.
     ///
@@ -537,16 +485,6 @@ mod tests {
             assert_eq!(par.events, seq.events, "{shards} shards");
             assert_eq!(par.words, seq.words, "{shards} shards diverged");
         }
-    }
-
-    #[test]
-    fn multi_component_rig_is_engine_invariant() {
-        let event = build_multi_component(3, 6, 8, ShardPolicy::Sequential).run();
-        let mut rig = build_multi_component(3, 6, 8, ShardPolicy::Sequential);
-        rig.set_engine(EngineKind::Compiled);
-        let compiled = rig.run();
-        assert_eq!(compiled.events, event.events);
-        assert_eq!(compiled.words, event.words, "compiled engine diverged");
     }
 
     #[test]

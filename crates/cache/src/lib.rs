@@ -13,8 +13,6 @@
 //!   weight; each shard enforces its slice of the global bound with O(1)
 //!   operations, and concurrent callers only contend when their keys
 //!   share a shard;
-//! * **TTL** — optional, measured on a [`clock::CacheClock`] so
-//!   deterministic rigs never observe wall time;
 //! * **single-flight deduplication** — N concurrent identical calls
 //!   produce one wire call; the rest block on a shared slot and receive
 //!   the same result ([`CacheOutcome::Coalesced`]);
@@ -24,7 +22,7 @@
 //!   are invalidated *lazily* at next lookup (counted under
 //!   `cache.evictions.epoch`);
 //! * **metering** — `cache.hits`, `cache.misses`,
-//!   `cache.evictions.{lru,ttl,epoch}`, `cache.singleflight.coalesced`
+//!   `cache.evictions.{lru,epoch}`, `cache.singleflight.coalesced`
 //!   (counters) and `cache.bytes` (gauge) via [`vcad_obs`].
 //!
 //! Like `vcad-obs`, the crate has zero dependencies outside the
@@ -55,30 +53,25 @@
 //! assert!(cache.get(key).is_none());
 //! ```
 
-pub mod clock;
 pub mod hash;
 mod shard;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::Duration;
 
 use vcad_obs::{Collector, Counter, Gauge};
 
-use crate::clock::{CacheClock, SystemClock};
 use crate::shard::{Eviction, Shard};
 
-/// Sizing and expiry policy for a [`Cache`].
+/// Sizing policy for a [`Cache`]. Entries never expire by age: they leave
+/// under the weight bound or when their provider's epoch is bumped.
 #[derive(Clone, Debug)]
 pub struct CacheConfig {
     /// Number of independently locked shards (rounded up to at least 1).
     pub shards: usize,
     /// Global weight bound, in bytes, split evenly across shards.
     pub max_bytes: usize,
-    /// Entry lifetime; `None` (the default) disables expiry — and the
-    /// clock is never consulted, keeping deterministic runs wall-free.
-    pub ttl: Option<Duration>,
 }
 
 impl Default for CacheConfig {
@@ -86,7 +79,6 @@ impl Default for CacheConfig {
         CacheConfig {
             shards: 8,
             max_bytes: 16 << 20,
-            ttl: None,
         }
     }
 }
@@ -138,8 +130,6 @@ pub struct CacheStats {
     pub coalesced: u64,
     /// Entries displaced by the weight bound.
     pub evictions_lru: u64,
-    /// Entries expired by TTL at lookup.
-    pub evictions_ttl: u64,
     /// Entries invalidated by a provider epoch bump at lookup.
     pub evictions_epoch: u64,
     /// Resident weight, in bytes.
@@ -153,7 +143,6 @@ struct Metrics {
     misses: Counter,
     coalesced: Counter,
     ev_lru: Counter,
-    ev_ttl: Counter,
     ev_epoch: Counter,
     bytes: Gauge,
 }
@@ -166,7 +155,6 @@ impl Metrics {
             misses: m.counter("cache.misses"),
             coalesced: m.counter("cache.singleflight.coalesced"),
             ev_lru: m.counter("cache.evictions.lru"),
-            ev_ttl: m.counter("cache.evictions.ttl"),
             ev_epoch: m.counter("cache.evictions.epoch"),
             bytes: m.gauge("cache.bytes"),
         }
@@ -175,7 +163,6 @@ impl Metrics {
     fn count_eviction(&self, kind: Eviction, n: u64) {
         match kind {
             Eviction::Lru => self.ev_lru.add(n),
-            Eviction::Ttl => self.ev_ttl.add(n),
             Eviction::Epoch => self.ev_epoch.add(n),
         }
     }
@@ -225,8 +212,6 @@ pub struct Cache<V, E = String> {
     shard_max: usize,
     epochs: RwLock<HashMap<Arc<str>, u64>>,
     inflight: Mutex<HashMap<u128, Arc<Flight<V, E>>>>,
-    clock: Arc<dyn CacheClock>,
-    ttl: Option<Duration>,
     weigher: Arc<dyn Fn(&V) -> usize + Send + Sync>,
     total_bytes: AtomicUsize,
     metrics: Metrics,
@@ -235,7 +220,7 @@ pub struct Cache<V, E = String> {
 impl<V: Clone + Send, E: Clone + Send> Cache<V, E> {
     /// Creates a cache with the default weigher (`size_of::<V>()` per
     /// entry) and no collector. Chain [`Cache::with_weigher`] /
-    /// [`Cache::with_collector`] / [`Cache::with_clock`] to customise.
+    /// [`Cache::with_collector`] to customise.
     #[must_use]
     pub fn new(config: CacheConfig) -> Cache<V, E> {
         let shards = config.shards.max(1);
@@ -244,8 +229,6 @@ impl<V: Clone + Send, E: Clone + Send> Cache<V, E> {
             shard_max: (config.max_bytes / shards).max(1),
             epochs: RwLock::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
-            clock: Arc::new(SystemClock::new()),
-            ttl: config.ttl,
             weigher: Arc::new(|_| std::mem::size_of::<V>()),
             total_bytes: AtomicUsize::new(0),
             metrics: Metrics::new(&Collector::disabled()),
@@ -270,25 +253,8 @@ impl<V: Clone + Send, E: Clone + Send> Cache<V, E> {
         self
     }
 
-    /// Replaces the TTL clock (use [`clock::ManualClock`] in
-    /// deterministic rigs).
-    #[must_use]
-    pub fn with_clock(mut self, clock: Arc<dyn CacheClock>) -> Cache<V, E> {
-        self.clock = clock;
-        self
-    }
-
     fn shard_for(&self, key: u128) -> &Mutex<Shard<V>> {
         &self.shards[(key % self.shards.len() as u128) as usize]
-    }
-
-    fn now(&self) -> Duration {
-        // Only TTL-enabled caches observe time at all.
-        if self.ttl.is_some() {
-            self.clock.now()
-        } else {
-            Duration::ZERO
-        }
     }
 
     /// The current epoch for `provider` (0 until first bumped).
@@ -345,27 +311,17 @@ impl<V: Clone + Send, E: Clone + Send> Cache<V, E> {
         }
     }
 
-    /// Validates and fetches `key`: stale entries (bumped epoch, expired
-    /// TTL) are removed and counted before reporting absence.
+    /// Validates and fetches `key`: an entry written under a since-bumped
+    /// provider epoch is removed and counted before reporting absence.
     fn lookup(&self, key: u128) -> Lookup<V> {
         let mut shard = self.shard_for(key).lock().unwrap();
         let Some(entry) = shard.peek(key) else {
             return Lookup::Absent;
         };
-        let stale = if entry.epoch != self.epoch(&entry.provider) {
-            Some(Eviction::Epoch)
-        } else if self
-            .ttl
-            .is_some_and(|ttl| self.now().saturating_sub(entry.inserted_at) > ttl)
-        {
-            Some(Eviction::Ttl)
-        } else {
-            None
-        };
-        if let Some(kind) = stale {
+        if entry.epoch != self.epoch(&entry.provider) {
             let removed = shard.remove(key).unwrap_or(0);
             drop(shard);
-            self.metrics.count_eviction(kind, 1);
+            self.metrics.count_eviction(Eviction::Epoch, 1);
             self.sync_bytes_gauge(0, removed);
             return Lookup::Absent;
         }
@@ -396,10 +352,9 @@ impl<V: Clone + Send, E: Clone + Send> Cache<V, E> {
         let weight = (self.weigher)(&value);
         let provider = self.provider_key(provider);
         let epoch = self.epoch(&provider);
-        let now = self.now();
         let mut shard = self.shard_for(key).lock().unwrap();
         let before = shard.bytes();
-        let evicted = shard.insert(key, value, weight, &provider, epoch, now, self.shard_max);
+        let evicted = shard.insert(key, value, weight, &provider, epoch, self.shard_max);
         let after = shard.bytes();
         drop(shard);
         if evicted > 0 {
@@ -528,7 +483,6 @@ impl<V: Clone + Send, E: Clone + Send> Cache<V, E> {
             misses: self.metrics.misses.get(),
             coalesced: self.metrics.coalesced.get(),
             evictions_lru: self.metrics.ev_lru.get(),
-            evictions_ttl: self.metrics.ev_ttl.get(),
             evictions_epoch: self.metrics.ev_epoch.get(),
             bytes: self.bytes() as u64,
             entries: self.len() as u64,
@@ -541,7 +495,6 @@ impl<V, E> std::fmt::Debug for Cache<V, E> {
         f.debug_struct("Cache")
             .field("shards", &self.shards.len())
             .field("shard_max", &self.shard_max)
-            .field("ttl", &self.ttl)
             .finish_non_exhaustive()
     }
 }
@@ -549,13 +502,11 @@ impl<V, E> std::fmt::Debug for Cache<V, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
 
     fn small() -> Cache<Vec<u8>> {
         Cache::new(CacheConfig {
             shards: 2,
             max_bytes: 64,
-            ttl: None,
         })
         .with_weigher(Vec::len)
     }
@@ -600,7 +551,6 @@ mod tests {
         let c: Cache<Vec<u8>> = Cache::new(CacheConfig {
             shards: 1,
             max_bytes: 10,
-            ttl: None,
         })
         .with_weigher(Vec::len);
         c.insert(1, "p", vec![0; 4]);
@@ -612,25 +562,6 @@ mod tests {
         assert!(c.get(3).is_some());
         assert_eq!(c.stats().evictions_lru, 1);
         assert!(c.bytes() <= 10);
-    }
-
-    #[test]
-    fn ttl_expires_on_a_manual_clock() {
-        let clock = Arc::new(ManualClock::new());
-        let c: Cache<Vec<u8>> = Cache::new(CacheConfig {
-            shards: 1,
-            max_bytes: 64,
-            ttl: Some(Duration::from_secs(10)),
-        })
-        .with_clock(Arc::clone(&clock) as Arc<dyn CacheClock>)
-        .with_weigher(Vec::len);
-        c.insert(1, "p", vec![1]);
-        clock.advance(Duration::from_secs(9));
-        assert!(c.get(1).is_some(), "within TTL");
-        clock.advance(Duration::from_secs(2));
-        assert!(c.get(1).is_none(), "expired");
-        assert_eq!(c.stats().evictions_ttl, 1);
-        assert_eq!(c.bytes(), 0);
     }
 
     #[test]
@@ -662,7 +593,6 @@ mod tests {
         // Every cache.* metric is registered even when untouched.
         for name in [
             "cache.evictions.lru",
-            "cache.evictions.ttl",
             "cache.evictions.epoch",
             "cache.singleflight.coalesced",
         ] {

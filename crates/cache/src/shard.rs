@@ -10,7 +10,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 const NIL: usize = usize::MAX;
 
@@ -19,8 +18,6 @@ const NIL: usize = usize::MAX;
 pub(crate) enum Eviction {
     /// Displaced by newer entries under the weight bound.
     Lru,
-    /// Older than the cache's TTL at lookup time.
-    Ttl,
     /// Written under a provider epoch that has since been bumped.
     Epoch,
 }
@@ -31,7 +28,6 @@ pub(crate) struct Entry<V> {
     pub(crate) weight: usize,
     pub(crate) provider: Arc<str>,
     pub(crate) epoch: u64,
-    pub(crate) inserted_at: Duration,
     prev: usize,
     next: usize,
 }
@@ -96,7 +92,7 @@ impl<V> Shard<V> {
     }
 
     /// Looks up `key`, refreshing its recency on a hit. Does not check
-    /// TTL or epoch — the cache validates those first via
+    /// the epoch — the cache validates it first via
     /// [`Shard::peek`] so stale entries can be counted correctly.
     pub(crate) fn touch(&mut self, key: u128) -> Option<&Entry<V>> {
         let idx = *self.map.get(&key)?;
@@ -126,7 +122,6 @@ impl<V> Shard<V> {
     /// evictions performed. An entry heavier than the whole bound is not
     /// admitted at all (admitting it would immediately evict everything
     /// *and* still exceed the bound).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert(
         &mut self,
         key: u128,
@@ -134,7 +129,6 @@ impl<V> Shard<V> {
         weight: usize,
         provider: &Arc<str>,
         epoch: u64,
-        inserted_at: Duration,
         max_bytes: usize,
     ) -> usize {
         self.remove(key);
@@ -155,7 +149,6 @@ impl<V> Shard<V> {
             weight,
             provider: Arc::clone(provider),
             epoch,
-            inserted_at,
             prev: NIL,
             next: NIL,
         };
@@ -185,7 +178,7 @@ mod tests {
     }
 
     fn put(s: &mut Shard<u32>, key: u128, weight: usize, max: usize) -> usize {
-        s.insert(key, key as u32, weight, &provider(), 0, Duration::ZERO, max)
+        s.insert(key, key as u32, weight, &provider(), 0, max)
     }
 
     #[test]

@@ -24,7 +24,6 @@ fn weight_bound_holds_under_concurrent_churn() {
     let cache = Arc::new(weighted(CacheConfig {
         shards: 4,
         max_bytes: MAX_BYTES,
-        ttl: None,
     }));
     let done = Arc::new(AtomicBool::new(false));
 
@@ -147,7 +146,6 @@ fn epoch_bump_invalidates_exactly_the_bumped_provider() {
     let cache = Arc::new(weighted(CacheConfig {
         shards: 4,
         max_bytes: 1 << 20, // generous: no LRU interference
-        ttl: None,
     }));
 
     let writers: Vec<_> = (0..4u128)

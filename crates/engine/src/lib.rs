@@ -30,7 +30,7 @@
 //! divergence in outputs, detection tables or fees is a test failure.
 //! [`EngineKind`] no longer selects between implementations for
 //! gate-level blocks — "event" and "compiled" blocks execute the same
-//! plan — so `--engine=compiled` changes neither results nor speed.
+//! plan — so the label changes neither results nor speed.
 //!
 //! # Examples
 //!

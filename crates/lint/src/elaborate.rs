@@ -97,15 +97,12 @@ impl Elaborate for SimulationController {
     }
 }
 
-/// Command-line plumbing for the `--lint[=json]` flag shared by the
-/// examples and the measurement binaries.
+/// Command-line plumbing for the `--lint[=json]` flag of the measurement
+/// binaries.
 pub mod cli {
-    use std::sync::Arc;
+    use std::fmt::Display;
 
-    use vcad_core::Design;
-
-    use super::Linter;
-    use crate::graph::LintGraph;
+    use crate::diag::LintReport;
 
     /// How `--lint` was requested on the command line.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,40 +115,26 @@ pub mod cli {
         Json,
     }
 
-    /// Parses `--lint` / `--lint=json` out of the process arguments.
-    #[must_use]
-    pub fn lint_mode() -> LintMode {
-        for arg in std::env::args().skip(1) {
-            match arg.as_str() {
-                "--lint" => return LintMode::Human,
-                "--lint=json" => return LintMode::Json,
-                _ => {}
+    /// Prints labelled reports in `mode` — one JSON document per line, or
+    /// each rendered report under a `— label` heading — and returns
+    /// whether any carries a Deny finding. Prints nothing when `Off`.
+    pub fn print_reports<'a, L: Display>(
+        mode: LintMode,
+        reports: impl IntoIterator<Item = (L, &'a LintReport)>,
+    ) -> bool {
+        let mut any_deny = false;
+        for (label, report) in reports {
+            match mode {
+                LintMode::Off => {}
+                LintMode::Json => println!("{}", report.to_json()),
+                LintMode::Human => {
+                    println!("— {label}");
+                    print!("{}", report.render());
+                }
             }
+            any_deny |= report.has_deny();
         }
-        LintMode::Off
-    }
-
-    /// Handles the `--lint[=json]` flag for a binary that has composed
-    /// `design`: on `Off` this is a no-op returning `false`; otherwise
-    /// it lints the design (including the built-in wire-protocol frame
-    /// audit), prints the report in the requested format and returns
-    /// `true`, so the caller can skip simulation. The process exits
-    /// with status 1 instead when the report carries a Deny finding.
-    pub fn run_lint_flag(design: &Arc<Design>) -> bool {
-        let mode = lint_mode();
-        if mode == LintMode::Off {
-            return false;
-        }
-        let graph = LintGraph::from_design(design).with_builtin_frames();
-        let report = Linter::new().check_graph(&graph);
-        match mode {
-            LintMode::Json => println!("{}", report.to_json()),
-            _ => print!("{}", report.render()),
-        }
-        if report.has_deny() {
-            std::process::exit(1);
-        }
-        true
+        any_deny
     }
 }
 

@@ -6,8 +6,7 @@
 //! cache hit ratios and shard utilization. It renders as a plain-text
 //! table or as hand-rolled JSON; [`HealthReporter`] rewrites a file with
 //! the current snapshot on a fixed cadence (and once more on shutdown),
-//! which is the `--health <path>[:interval_ms]` flag on the bench bins
-//! and examples.
+//! which is `loadgen`'s `--health <path>[:interval_ms]` flag.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

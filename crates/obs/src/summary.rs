@@ -1,8 +1,8 @@
 //! Human-readable summary tables for a drained [`Trace`].
 //!
 //! Renders plain-text tables of counters, gauges, histogram quantiles
-//! and per-name span aggregates — the `--trace` appendix printed by the
-//! bench bins and examples alongside the Chrome JSON file.
+//! and per-name span aggregates — the appendix `table2 --trace` prints
+//! alongside the Chrome JSON file.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -113,13 +113,22 @@ impl ResilienceClock for VirtualClock {
     }
 }
 
+/// Exponential growth factor of the backoff between retries.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+
+/// Jitter fraction of each backoff: `0.1` means ±10%.
+const BACKOFF_JITTER: f64 = 0.1;
+
+/// Seed of every transport's jitter stream.
+const JITTER_SEED: u64 = 0x5EED;
+
 /// How a [`ResilientTransport`] retries failed calls.
 ///
-/// Backoff for attempt *n* (1-based) is
-/// `base_backoff · multiplier^(n−1)`, capped at `max_backoff` and scaled
-/// by a deterministic jitter factor in `[1 − jitter, 1 + jitter]` drawn
-/// from a seeded [`vcad_prng::Rng`] — two transports built with the same
-/// policy produce the same backoff schedule.
+/// Backoff for attempt *n* (1-based) is `base_backoff · 2^(n−1)`, capped
+/// at `max_backoff` and scaled by a deterministic jitter factor in
+/// `[0.9, 1.1]` drawn from a [`vcad_prng::Rng`] with a fixed seed — two
+/// transports built with the same policy produce the same backoff
+/// schedule.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
     /// Total attempts per call, including the first (≥ 1).
@@ -128,14 +137,8 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Upper bound on any single backoff.
     pub max_backoff: Duration,
-    /// Exponential growth factor between retries.
-    pub multiplier: f64,
-    /// Jitter fraction in `[0, 1)`; `0.1` means ±10%.
-    pub jitter: f64,
     /// Budget for one logical call across all attempts and backoffs.
     pub call_deadline: Duration,
-    /// Seed of the jitter stream.
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -144,10 +147,7 @@ impl Default for RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_secs(2),
-            multiplier: 2.0,
-            jitter: 0.1,
             call_deadline: Duration::from_secs(10),
-            jitter_seed: 0x5EED,
         }
     }
 }
@@ -178,11 +178,11 @@ impl RetryPolicy {
     /// The backoff to sleep after failed attempt `attempt` (1-based).
     fn backoff(&self, attempt: u32, jitter_rng: &mut Rng) -> Duration {
         let exponent = attempt.saturating_sub(1).min(63);
-        let raw = self.base_backoff.as_secs_f64() * self.multiplier.powi(exponent as i32);
+        let raw = self.base_backoff.as_secs_f64() * BACKOFF_MULTIPLIER.powi(exponent as i32);
         let capped = raw.min(self.max_backoff.as_secs_f64());
         // One draw per backoff keeps the jitter stream aligned with the
         // retry sequence, independent of which attempts failed.
-        let factor = 1.0 + self.jitter * (2.0 * jitter_rng.next_f64() - 1.0);
+        let factor = 1.0 + BACKOFF_JITTER * (2.0 * jitter_rng.next_f64() - 1.0);
         Duration::from_secs_f64((capped * factor).max(0.0))
     }
 }
@@ -445,7 +445,7 @@ impl ResilientTransport {
         ResilientTransport {
             breaker: CircuitBreaker::new(breaker_cfg, Arc::clone(&clock), &obs),
             telemetry: RetryTelemetry::new(&obs),
-            jitter: Mutex::new(Rng::seed_from_u64(policy.jitter_seed)),
+            jitter: Mutex::new(Rng::seed_from_u64(JITTER_SEED)),
             instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
             next_seq: AtomicU64::new(1),
             inner,
@@ -667,8 +667,8 @@ mod tests {
     fn backoff_grows_is_capped_and_deterministic() {
         let policy = RetryPolicy::default()
             .with_backoff(Duration::from_millis(10), Duration::from_millis(200));
-        let mut a = Rng::seed_from_u64(policy.jitter_seed);
-        let mut b = Rng::seed_from_u64(policy.jitter_seed);
+        let mut a = Rng::seed_from_u64(JITTER_SEED);
+        let mut b = Rng::seed_from_u64(JITTER_SEED);
         let seq_a: Vec<Duration> = (1..8).map(|n| policy.backoff(n, &mut a)).collect();
         let seq_b: Vec<Duration> = (1..8).map(|n| policy.backoff(n, &mut b)).collect();
         assert_eq!(seq_a, seq_b, "same seed, same backoff schedule");

@@ -6,13 +6,10 @@
 //! This example runs the Figure 2-style circuit under several setups at
 //! once and shows the runs are bit-identical to serial execution.
 //!
-//! Run with `cargo run --example concurrent_sims`. Pass `--lint` (or
-//! `--lint=json`) to statically analyse the composed design and exit
-//! instead of simulating. Pass `--shards <n>` to also run one sharded
-//! pass (`ShardPolicy::Auto(n)`) and check it against the serial
-//! reference bit for bit — sharding *within* a run composes with
-//! concurrency *across* runs, because both keep all mutable state in
-//! scheduler-owned tables.
+//! Run with `cargo run --example concurrent_sims`. A final sharded pass
+//! (`ShardPolicy::Auto(2)`) is checked against the serial reference bit
+//! for bit — sharding *within* a run composes with concurrency *across*
+//! runs, because both keep all mutable state in scheduler-owned tables.
 
 use std::error::Error;
 use std::sync::Arc;
@@ -20,23 +17,6 @@ use std::time::Instant;
 
 use vcad::core::stdlib::{CaptureState, PrimaryOutput, RandomInput, Register, WordMultiplier};
 use vcad::core::{DesignBuilder, ShardPolicy, SimulationController};
-
-/// Parses `--shards <n>` from the command line, if present.
-fn shards() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--shards" {
-            let n = args
-                .next()
-                .expect("--shards needs a shard count")
-                .parse()
-                .expect("--shards needs a positive integer");
-            assert!(n > 0, "--shards needs a positive integer");
-            return Some(n);
-        }
-    }
-    None
-}
 
 fn main() -> Result<(), Box<dyn Error>> {
     let width = 16;
@@ -55,12 +35,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     b.connect(regb, "q", mult, "b")?;
     b.connect(mult, "p", out, "in")?;
     let design = Arc::new(b.build()?);
-
-    // Under --lint[=json], statically analyse the composed design and
-    // exit instead of simulating.
-    if vcad::lint::cli::run_lint_flag(&design) {
-        return Ok(());
-    }
 
     let controller = SimulationController::new(Arc::clone(&design));
 
@@ -100,26 +74,21 @@ fn main() -> Result<(), Box<dyn Error>> {
         concurrent_time.as_secs_f64() / serial_time.as_secs_f64()
     );
 
-    // One sharded pass under --shards: the event loop itself is split
-    // over worker threads at connectivity-component boundaries, and the
-    // result must still match the serial reference bit for bit. (This
-    // circuit is a single component, so the engine reports one shard;
-    // the `table2` bench's multi-component design shows the scaling.)
-    if let Some(requested) = shards() {
-        let sharded = controller
-            .clone()
-            .with_shards(ShardPolicy::Auto(requested))
-            .run()?;
-        let words = sharded
-            .module_state::<CaptureState>(out)
-            .expect("capture")
-            .words();
-        assert_eq!(words, reference_words, "sharded run diverged");
-        println!(
-            "sharded pass (requested {requested}, used {} shard(s)): \
-             outputs identical to the serial reference",
-            sharded.shard_count()
-        );
-    }
+    // One sharded pass: the event loop itself is split over worker
+    // threads at connectivity-component boundaries, and the result must
+    // still match the serial reference bit for bit. (This circuit is a
+    // single component, so the engine reports one shard; the `table2`
+    // bench's multi-component design shows the scaling.)
+    let sharded = controller.with_shards(ShardPolicy::Auto(2)).run()?;
+    let words = sharded
+        .module_state::<CaptureState>(out)
+        .expect("capture")
+        .words();
+    assert_eq!(words, reference_words, "sharded run diverged");
+    println!(
+        "sharded pass (requested 2, used {} shard(s)): outputs identical \
+         to the serial reference",
+        sharded.shard_count()
+    );
     Ok(())
 }

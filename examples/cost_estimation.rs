@@ -5,9 +5,7 @@
 //! across the estimator tiers of Table 1 — ending with an informed
 //! architecture choice, having disclosed nothing and seen nothing.
 //!
-//! Run with `cargo run --example cost_estimation`. Pass `--lint` (or
-//! `--lint=json`) to statically analyse the evaluation design and exit
-//! instead of simulating.
+//! Run with `cargo run --example cost_estimation`.
 
 use std::error::Error;
 use std::sync::Arc;
@@ -36,12 +34,6 @@ fn evaluate(
     b.connect(inb, "out", mult, "b")?;
     b.connect(mult, "p", out, "in")?;
     let design = Arc::new(b.build()?);
-
-    // Under --lint[=json], report on the first evaluation design and
-    // stop — every iteration composes the same topology.
-    if vcad::lint::cli::run_lint_flag(&design) {
-        std::process::exit(0);
-    }
 
     let mut setup = SetupController::new();
     setup.set(Parameter::AvgPower, criterion);

@@ -6,9 +6,7 @@
 //! highlights: multiple abstraction levels, custom connector semantics,
 //! fan-out/delay modules and autonomous components.
 //!
-//! Run with `cargo run --example mixed_level`. Pass `--lint` (or
-//! `--lint=json`) to statically analyse the composed design and exit
-//! instead of simulating.
+//! Run with `cargo run --example mixed_level`.
 
 use std::error::Error;
 use std::sync::Arc;
@@ -58,12 +56,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     b.connect(clk, "clk", clk_out, "in")?;
 
     let design = Arc::new(b.build()?);
-
-    // Under --lint[=json], statically analyse the composed design and
-    // exit instead of simulating.
-    if vcad::lint::cli::run_lint_flag(&design) {
-        return Ok(());
-    }
 
     let run = SimulationController::new(design).run()?;
 

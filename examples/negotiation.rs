@@ -6,9 +6,7 @@
 //! provider answers with the best estimator it offers within them; the
 //! agreed names feed the setup controller directly.
 //!
-//! Run with `cargo run --example negotiation`. Pass `--lint` (or
-//! `--lint=json`) to statically analyse the composed design and exit
-//! instead of simulating.
+//! Run with `cargo run --example negotiation`.
 
 use std::error::Error;
 use std::sync::Arc;
@@ -88,12 +86,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     b.connect(inb, "out", mult, "b")?;
     b.connect(mult, "p", out, "in")?;
     let design = Arc::new(b.build()?);
-
-    // Under --lint[=json], statically analyse the composed design and
-    // exit instead of simulating.
-    if vcad::lint::cli::run_lint_flag(&design) {
-        return Ok(());
-    }
 
     let mut setup = SetupController::new();
     for outcome in &outcomes {

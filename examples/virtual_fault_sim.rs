@@ -5,9 +5,7 @@
 //! from the provider over RMI, and computes exact stuck-at coverage for
 //! the whole design — without ever seeing IP1's gates.
 //!
-//! Run with `cargo run --example virtual_fault_sim`. Pass `--trace
-//! <path>` to also write a Chrome trace-event JSON file and print a
-//! metrics summary.
+//! Run with `cargo run --example virtual_fault_sim`.
 
 use std::error::Error;
 use std::sync::Arc;
@@ -18,39 +16,17 @@ use vcad::faults::{DetectionTableSource, IpBlockBinding, VirtualFaultSim};
 use vcad::ip::{ClientSession, ComponentOffering, ModelAvailability, PriceList, ProviderServer};
 use vcad::logic::LogicVec;
 use vcad::netlist::{generators, GateKind, NetlistBuilder};
-use vcad::obs::Collector;
-use vcad::rmi::{InProcTransport, Transport};
-
-/// Parses `--trace <path>` from the command line, if present.
-fn trace_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--trace" {
-            return Some(args.next().expect("--trace needs a file path").into());
-        }
-    }
-    None
-}
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let trace_out = trace_path();
-    let obs = if trace_out.is_some() {
-        Collector::enabled()
-    } else {
-        Collector::disabled()
-    };
-
     // ── Provider: offers the IP1 half adder ──────────────────────────
-    let provider = ProviderServer::with_collector("testability.example.com", obs.clone());
+    let provider = ProviderServer::new("testability.example.com");
     provider.offer(ComponentOffering::new(
         "HalfAdderIP",
         |_| Arc::new(generators::half_adder_nand()),
         ModelAvailability::full(),
         PriceList::default(),
     ));
-    let transport: Arc<dyn Transport> =
-        Arc::new(InProcTransport::with_collector(provider.dispatcher(), &obs));
-    let session = ClientSession::connect(transport, provider.host());
+    let session = ClientSession::connect_in_process(&provider)?;
     let component = session.instantiate("HalfAdderIP", 1)?;
     let detection_source = component.detection_source();
 
@@ -116,12 +92,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     b.connect(o2_gate, "o", o2, "in")?;
     let design = Arc::new(b.build()?);
 
-    // Under --lint[=json], statically analyse the composed design and
-    // exit instead of simulating.
-    if vcad::lint::cli::run_lint_flag(&design) {
-        return Ok(());
-    }
-
     // ── Virtual fault simulation (Figure 5) ──────────────────────────
     let sim = VirtualFaultSim::new(
         design,
@@ -130,8 +100,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             source: detection_source,
         }],
         vec![o1, o2],
-    )?
-    .with_collector(obs.clone());
+    )?;
     let report = sim.run()?;
     let cov = &report.blocks[0];
     println!(
@@ -156,11 +125,5 @@ fn main() -> Result<(), Box<dyn Error>> {
         session.bill()?
     );
 
-    if let Some(path) = trace_out {
-        let trace = obs.trace();
-        println!("\n{}", vcad::obs::summary::render_summary(&trace));
-        vcad::obs::chrome::write_chrome_trace(&trace, &path)?;
-        println!("Chrome trace written to {}", path.display());
-    }
     Ok(())
 }

@@ -1,11 +1,13 @@
-//! Golden-file regression tests for the canonical bench outputs.
+//! Golden-file regression tests for the paper's measured artefacts.
 //!
-//! `table2` and `figure3` print wall-clock measurements — useless as
-//! regression anchors — but everything else they report is a pure
-//! function of the design and the virtual clock: event counts, captured
-//! patterns, RMI call/byte totals, estimation fees. Those fields are
-//! rendered into a stable text form and diffed against the files under
-//! `tests/golden/`.
+//! `table1`, `table2` and `figure3` print wall-clock measurements —
+//! useless as regression anchors — but everything else they report is a
+//! pure function of the design and the virtual clock: estimator errors
+//! and fees, event counts, captured patterns, RMI call/byte totals,
+//! estimation fees and the network time modeled from that traffic. The
+//! tests below call the same `vcad_bench::paper` functions the bins
+//! print, render those fields into a stable text form, diff them against
+//! the files under `tests/golden/`, and assert the paper's shape on them.
 //!
 //! When an intentional change shifts the canonical numbers, regenerate
 //! the files with:
@@ -20,12 +22,12 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use vcad_bench::scenarios::{self, Scenario};
+use vcad_bench::paper::{self, Table2Row, BUFFER_PCTS};
+use vcad_bench::report::modeled_network_time;
+use vcad_bench::scenarios;
 use vcad_core::ShardPolicy;
-
-const WIDTH: usize = 16;
-const PATTERNS: u64 = 100;
-const BUFFER: usize = 5;
+use vcad_netsim::NetworkModel;
+use vcad_obs::Collector;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -72,49 +74,135 @@ fn render_run(run: &scenarios::ScenarioRun) -> String {
     s
 }
 
+/// Table 1's three estimator tiers: errors to 0.1 %, fees and remote
+/// flags match the golden file, and accuracy improves strictly from the
+/// constant tier to the gate-level one on both error columns.
+#[test]
+fn table1_estimator_tiers_match_golden() {
+    let tiers = paper::table1();
+    let mut rendered = String::new();
+    for tier in &tiers {
+        writeln!(rendered, "[{}]", tier.label).unwrap();
+        writeln!(rendered, "avg_error_pct = {:.1}", tier.error.avg_pct).unwrap();
+        writeln!(rendered, "rms_error_pct = {:.1}", tier.error.rms_pct).unwrap();
+        writeln!(rendered, "fee_cents_per_pattern = {}", tier.fee_cents).unwrap();
+        writeln!(rendered, "remote = {}", tier.remote).unwrap();
+        rendered.push('\n');
+    }
+    let [constant, regression, toggle] = &tiers[..] else {
+        panic!("Table 1 has three tiers, got {}", tiers.len());
+    };
+    let (c, r, t) = (&constant.error, &regression.error, &toggle.error);
+    assert!(
+        t.avg_pct < r.avg_pct && r.avg_pct < c.avg_pct,
+        "avg error must fall down the tiers: {c:?} / {r:?} / {t:?}"
+    );
+    assert!(
+        t.rms_pct < r.rms_pct && r.rms_pct < c.rms_pct,
+        "RMS error must fall down the tiers: {c:?} / {r:?} / {t:?}"
+    );
+    check_golden("table1.golden", &rendered);
+}
+
 /// Table 2's three scenarios at the paper's parameters. The sequential
 /// and `--shards 4` schedules must render identically, and both must
-/// match the golden file.
+/// match the golden file. The network time modeled from the traffic
+/// orders local < LAN < WAN for both remote scenarios, and MR > ER on
+/// every network.
 #[test]
 fn table2_deterministic_outputs_match_golden() {
+    let obs = Collector::disabled();
+    let seq = paper::table2(&obs, None, false, &ShardPolicy::Sequential);
+    let sharded = paper::table2(&obs, None, false, &ShardPolicy::Auto(4));
     let mut rendered = String::new();
-    for scenario in Scenario::ALL {
-        let seq = scenarios::build(scenario, WIDTH, PATTERNS, BUFFER).run(scenario);
-        let mut sharded_rig = scenarios::build(scenario, WIDTH, PATTERNS, BUFFER);
-        sharded_rig.set_shards(ShardPolicy::Auto(4));
-        let sharded = sharded_rig.run(scenario);
-        let block = render_run(&seq);
+    for (seq, sharded) in seq.iter().zip(&sharded) {
+        let block = render_run(&seq.cold);
         assert_eq!(
             block,
-            render_run(&sharded),
+            render_run(&sharded.cold),
             "{}: sharded schedule drifted from sequential",
-            scenario.label()
+            seq.cold.scenario.label()
         );
         rendered.push_str(&block);
         rendered.push('\n');
     }
     check_golden("table2.golden", &rendered);
+
+    let [_, er, mr]: &[Table2Row; 3] = seq[..].try_into().expect("three scenarios");
+    let network =
+        |row: &Table2Row, model: &NetworkModel| modeled_network_time(&row.cold.stats, model);
+    let [local, lan, wan] = [
+        NetworkModel::local_host(),
+        NetworkModel::lan_1999(),
+        NetworkModel::wan_1999(),
+    ];
+    for row in [er, mr] {
+        let label = row.cold.scenario.label();
+        assert!(
+            network(row, &local) < network(row, &lan) && network(row, &lan) < network(row, &wan),
+            "{label}: network time must grow local < LAN < WAN"
+        );
+    }
+    for model in [&local, &lan, &wan] {
+        assert!(
+            network(mr, model) > network(er, model),
+            "MR must spend more network time than ER on {}",
+            model.name()
+        );
+    }
 }
 
-/// Figure 3's buffer sweep (a subset of the bin's thirteen points): the
-/// RMI call count per buffer size is the figure's deterministic
-/// backbone — wall times ride on top of it.
+/// Figure 3's buffer sweep: the RMI call count per buffer size is the
+/// figure's deterministic backbone (pinned at five of the thirteen
+/// points), and the WAN network time modeled from it carries the shape.
+/// It never grows with the buffer, the 100 % point beats the 1 % point,
+/// and more than 80 % of the gain has arrived by the 50 % point.
 #[test]
 fn figure3_buffer_sweep_matches_golden() {
+    let points = paper::figure3();
     let mut rendered = String::new();
-    for pct in [1usize, 5, 20, 50, 100] {
-        let buffer = (PATTERNS as usize * pct / 100).max(1);
-        let run = scenarios::build(Scenario::EstimatorRemote, WIDTH, PATTERNS, buffer)
-            .run(Scenario::EstimatorRemote);
+    for p in points
+        .iter()
+        .filter(|p| [1, 5, 20, 50, 100].contains(&p.pct))
+    {
         writeln!(
             rendered,
-            "buffer {pct}% ({buffer} patterns): rmi_calls = {}, events = {}, \
+            "buffer {}% ({} patterns): rmi_calls = {}, events = {}, \
              fees_cents = {:.3}",
-            run.stats.calls, run.events, run.fees_cents
+            p.pct, p.buffer, p.run.stats.calls, p.run.events, p.run.fees_cents
         )
         .unwrap();
     }
     check_golden("figure3.golden", &rendered);
+
+    let wan = NetworkModel::wan_1999();
+    let network: Vec<f64> = points
+        .iter()
+        .map(|p| modeled_network_time(&p.run.stats, &wan).as_secs_f64())
+        .collect();
+    for (pair, pcts) in network.windows(2).zip(BUFFER_PCTS.windows(2)) {
+        assert!(
+            pair[1] <= pair[0],
+            "WAN network time rose from {:.3} s at {}% to {:.3} s at {}%",
+            pair[0],
+            pcts[0],
+            pair[1],
+            pcts[1]
+        );
+    }
+    let first = network[0];
+    let half = network[BUFFER_PCTS.iter().position(|&p| p == 50).unwrap()];
+    let last = network[network.len() - 1];
+    assert!(
+        last < first,
+        "100% buffer {last:.3} s must beat 1% {first:.3} s"
+    );
+    assert!(
+        first - half > 0.8 * (first - last),
+        "expected >80% of the gain by the 50% point (by half {:.3} s, total {:.3} s)",
+        first - half,
+        first - last
+    );
 }
 
 /// The multi-component shard benchmark's workload itself is pinned too:
