@@ -17,7 +17,7 @@
 //!   exit with status 10 (deterministic interruption; the CI resume gate
 //!   and kill-tolerance tests build on it).
 //! * `--json <path>` — write the deterministic JSON report.
-//! * `--lint[=json]` — instead of running, print one static
+//! * `--lint` — instead of running, print one static
 //!   testability lint report per provider (SCOAP-proven untestable
 //!   fault sites as stable-ID Warn diagnostics) and exit. Pairs with
 //!   the spec's `"testability"` knob: the report names exactly the
@@ -32,14 +32,14 @@ use std::time::Instant;
 
 use vcad_bench::cli;
 use vcad_campaign::{CampaignError, CampaignSpec, Orchestrator};
-use vcad_lint::cli::{print_reports, LintMode};
+use vcad_lint::cli::print_reports;
 
 /// Exit status for a run stopped by `--max-cells` before grid exhaustion.
 const EXIT_INTERRUPTED: i32 = 10;
 
 fn main() {
     let spec_path = spec_path_arg().unwrap_or_else(|| {
-        eprintln!("usage: campaign <spec.json> [--workers N] [--checkpoint PATH] [--max-cells N] [--lint[=json]] [--json PATH]");
+        eprintln!("usage: campaign <spec.json> [--workers N] [--checkpoint PATH] [--max-cells N] [--lint] [--json PATH]");
         std::process::exit(2);
     });
 
@@ -52,8 +52,7 @@ fn main() {
         std::process::exit(2);
     });
 
-    let lint = cli::lint_mode("--lint");
-    if lint != LintMode::Off {
+    if cli::flag_present("--lint") {
         let reports = vcad_campaign::lint_reports(&spec).unwrap_or_else(|e| {
             eprintln!("campaign spec rejected: {e}");
             std::process::exit(2);
@@ -62,7 +61,7 @@ fn main() {
             .providers
             .iter()
             .map(|p| format!("{} ({})", p.host, p.offering));
-        let deny = print_reports(lint, labels.zip(&reports));
+        let deny = print_reports(labels.zip(&reports));
         std::process::exit(i32::from(deny));
     }
 
@@ -112,12 +111,12 @@ fn main() {
 }
 
 /// The first positional argument, skipping every `--flag <operand>`
-/// pair. `--lint` and `--flag=value` forms carry no separate operand.
+/// pair. `--lint` carries no operand.
 fn spec_path_arg() -> Option<PathBuf> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg.starts_with("--") {
-            if arg != "--lint" && !arg.contains('=') {
+            if arg != "--lint" {
                 drop(args.next());
             }
         } else {

@@ -28,9 +28,9 @@
 //! measured by the `serve_mt_*` workloads of `benchmark/`.
 //!
 //! Flags (each one run by `ci.sh`): `--out <dir>` (write Chrome trace
-//! dumps for `obs-report` stitching) and `--health <path>[:interval_ms]`
-//! (server-side health snapshots, including each tenant's fees and open
-//! sessions).
+//! dumps for `obs-report` stitching) and `--health <path>` (write the
+//! server side's final health snapshot as JSON, including each tenant's
+//! fees and open sessions).
 
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use vcad_bench::cli;
 use vcad_ip::{ClientSession, ComponentOffering, ProviderServer};
 use vcad_logic::LogicVec;
-use vcad_obs::{chrome, Collector};
+use vcad_obs::{chrome, Collector, HealthSnapshot};
 use vcad_rmi::{
     AdmissionControl, MuxServerConfig, ResilientTransport, RetryPolicy, TcpTimeouts, TcpTransport,
     TenantQuota, Transport, Value,
@@ -147,7 +147,7 @@ fn main() {
     } else {
         (Collector::enabled(), Collector::enabled())
     };
-    let health = cli::health_reporter("--health", &server_obs);
+    let health = cli::path_flag("--health");
 
     // A generous default quota: admission is exercised (bursts above
     // the bucket shed and retry), but a healthy fleet mostly passes.
@@ -201,7 +201,10 @@ fn main() {
     // Shut the server down so every connection, and with it every
     // tenant session, is closed before the final health snapshot.
     drop(mux);
-    drop(health);
+    if let Some(path) = &health {
+        std::fs::write(path, HealthSnapshot::of(&server_obs).to_json())
+            .expect("write health snapshot");
+    }
 
     let server_snap = server_obs.metrics().snapshot();
     let admitted = server_snap.counter("server.admitted");

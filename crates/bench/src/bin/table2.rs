@@ -23,7 +23,7 @@
 //! * `--cache` — memoize provider calls client-side (`vcad_ip::IpCache`):
 //!   each scenario then runs twice, a cold pass filling the cache and a
 //!   warm pass that must stay entirely local and fee-free.
-//! * `--lint[=json]` — statically analyse each scenario's design and exit
+//! * `--lint` — statically analyse each scenario's design and exit
 //!   instead of measuring.
 //! * `--shards <n>` — run every scenario's scheduler under
 //!   `ShardPolicy::Auto(n)` (a no-op for the single-component Figure 2
@@ -42,7 +42,7 @@ use vcad_bench::paper;
 use vcad_bench::report::{modeled_real_time, print_table, secs};
 use vcad_bench::scenarios::{self, MultiRun, Scenario, ScenarioRun};
 use vcad_core::ShardPolicy;
-use vcad_lint::cli::{print_reports, LintMode};
+use vcad_lint::cli::print_reports;
 use vcad_lint::graph::LintGraph;
 use vcad_lint::Linter;
 use vcad_netsim::NetworkModel;
@@ -96,10 +96,9 @@ fn main() {
     let cached = cli::flag_present("--cache");
     let shards = cli::positive_flag("--shards");
 
-    // Under --lint[=json], statically analyse each scenario's design (and
-    // the wire protocol's frames) and exit instead of measuring.
-    let lint = cli::lint_mode("--lint");
-    if lint != LintMode::Off {
+    // Under --lint, statically analyse each scenario's design (and the
+    // wire protocol's frames) and exit instead of measuring.
+    if cli::flag_present("--lint") {
         let reports: Vec<_> = Scenario::ALL
             .iter()
             .map(|&s| {
@@ -108,7 +107,7 @@ fn main() {
                 (s.label(), Linter::new().check_graph(&graph))
             })
             .collect();
-        let deny = print_reports(lint, reports.iter().map(|(label, r)| (*label, r)));
+        let deny = print_reports(reports.iter().map(|(label, r)| (*label, r)));
         std::process::exit(i32::from(deny));
     }
 

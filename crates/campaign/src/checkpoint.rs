@@ -112,32 +112,38 @@ pub struct CellRecord {
 
 impl CellRecord {
     fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str(&format!("{{\"key\":\"{:032x}\"", self.key));
+        let n = |v: u64| JsonValue::Number(v as f64);
+        let text = |s: String| JsonValue::String(s);
+        // `key` and `fee_bits` are hex text, not JSON numbers: they
+        // exceed the 2^53 integer range JSON numbers round-trip exactly.
+        let mut members = vec![
+            ("key", text(format!("{:032x}", self.key))),
+            ("attempts", n(u64::from(self.attempts))),
+            ("patterns", n(self.patterns)),
+            ("total_faults", n(self.total_faults)),
+            ("detected", n(self.detected)),
+            ("injections", n(self.injections)),
+            ("tables_requested", n(self.tables_requested)),
+            (
+                "fee_bits",
+                text(format!("{:016x}", self.fee_cents.to_bits())),
+            ),
+            ("retries", n(self.retries)),
+            ("chaos_injected", n(self.chaos_injected)),
+        ];
         match &self.outcome {
-            CellOutcome::Completed => s.push_str(",\"outcome\":\"completed\""),
+            CellOutcome::Completed => members.push(("outcome", text("completed".to_owned()))),
             CellOutcome::Failed { error } => {
-                s.push_str(",\"outcome\":\"failed\",\"error\":");
-                json::write_str(&mut s, error);
+                members.push(("outcome", text("failed".to_owned())));
+                members.push(("error", text(error.clone())));
             }
         }
-        // `fee_bits` is hex text, not a JSON number: f64 bit patterns
-        // exceed the 2^53 integer range JSON numbers round-trip exactly.
-        s.push_str(&format!(
-            ",\"attempts\":{},\"patterns\":{},\"total_faults\":{},\"detected\":{},\
-             \"injections\":{},\"tables_requested\":{},\"fee_bits\":\"{:016x}\",\"retries\":{},\
-             \"chaos_injected\":{}}}",
-            self.attempts,
-            self.patterns,
-            self.total_faults,
-            self.detected,
-            self.injections,
-            self.tables_requested,
-            self.fee_cents.to_bits(),
-            self.retries,
-            self.chaos_injected,
-        ));
-        s
+        json::render(&JsonValue::Object(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_owned(), v))
+                .collect(),
+        ))
     }
 
     fn from_json(doc: &JsonValue) -> Option<CellRecord> {

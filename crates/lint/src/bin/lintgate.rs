@@ -1,21 +1,20 @@
 //! The CI lint gate.
 //!
-//! Two modes, both exiting non-zero on any unexpected outcome:
+//! Three subcommands, each run by `ci.sh` and each exiting non-zero on
+//! any unexpected outcome:
 //!
 //! * `lintgate clean` — composes the repository's reference two-provider
 //!   design (the Figure 1 topology from `tests/two_providers.rs`), lints
 //!   it together with the shipped wire-protocol manifest and runs the
 //!   [`Elaborate`] gate; everything must come back free of Deny
 //!   findings.
-//! * `lintgate dirty [dir]` — parses every `*.design` fixture under
-//!   `dir` (default: the repository's `tests/fixtures/`), expecting each
-//!   to produce the Deny rules named in `EXPECTATIONS`; also round-trips
-//!   every report through its JSON form.
-//!
-//! Pass `--json` to dump each report in machine-readable form as it is
-//! checked.
+//! * `lintgate dirty` — parses every `*.design` fixture under the
+//!   repository's `tests/fixtures/`, expecting each to produce the Deny
+//!   rules named in `EXPECTATIONS`.
+//! * `lintgate testability` — prints the reference testability reports,
+//!   which `ci.sh` compares with `tests/golden/testability_report.golden`.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -27,7 +26,7 @@ use vcad_ip::{
 };
 use vcad_lint::fixtures::parse_fixture;
 use vcad_lint::graph::LintGraph;
-use vcad_lint::{diag::rules, Elaborate, LintReport, Linter};
+use vcad_lint::{diag::rules, Elaborate, Linter};
 
 /// Fixture file name -> Deny rules it must (at minimum) produce.
 const EXPECTATIONS: &[(&str, &[&str])] = &[
@@ -41,15 +40,12 @@ const EXPECTATIONS: &[(&str, &[&str])] = &[
 ];
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    match positional.first().map(|s| s.as_str()) {
-        Some("clean") => clean(json),
-        Some("dirty") => dirty(positional.get(1).map(|s| s.as_str()), json),
-        Some("testability") => testability(json),
+    match std::env::args().nth(1).as_deref() {
+        Some("clean") => clean(),
+        Some("dirty") => dirty(),
+        Some("testability") => testability(),
         _ => {
-            eprintln!("usage: lintgate <clean|dirty [fixture-dir]|testability> [--json]");
+            eprintln!("usage: lintgate <clean|dirty|testability>");
             ExitCode::from(2)
         }
     }
@@ -58,27 +54,15 @@ fn main() -> ExitCode {
 /// Prints the shared reference testability reports, blank-line
 /// separated — byte-identical to the golden file pinned by the
 /// `testability_reports_match_golden` test in `tests/golden_outputs.rs`.
-fn testability(json: bool) -> ExitCode {
+fn testability() -> ExitCode {
     for report in vcad_lint::testability::reference_reports() {
-        if json {
-            println!("{}", report.to_json());
-        } else {
-            println!("{}", report.render());
-        }
+        println!("{}", report.render());
     }
     ExitCode::SUCCESS
 }
 
-fn emit(report: &LintReport, json: bool) {
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
-}
-
 /// The reference design must lint clean and pass the elaboration gate.
-fn clean(json: bool) -> ExitCode {
+fn clean() -> ExitCode {
     let design = match two_provider_design() {
         Ok(d) => d,
         Err(e) => {
@@ -88,7 +72,7 @@ fn clean(json: bool) -> ExitCode {
     };
     let graph = LintGraph::from_design(&design).with_builtin_frames();
     let report = Linter::new().check_graph(&graph);
-    emit(&report, json);
+    print!("{}", report.render());
     if report.has_deny() {
         eprintln!("lintgate: reference design has deny-level findings");
         return ExitCode::FAILURE;
@@ -105,14 +89,13 @@ fn clean(json: bool) -> ExitCode {
     }
 }
 
-/// Every seeded fixture must produce exactly its expected Deny rules,
-/// and every report must survive a JSON round-trip.
-fn dirty(dir: Option<&str>, json: bool) -> ExitCode {
-    let dir = dir.map_or_else(default_fixture_dir, PathBuf::from);
+/// Every seeded fixture must produce its expected Deny rules.
+fn dirty() -> ExitCode {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
     let mut failures = 0u32;
     for (file, want_rules) in EXPECTATIONS {
         let path = dir.join(file);
-        match check_fixture(&path, want_rules, json) {
+        match check_fixture(&path, want_rules) {
             Ok(()) => println!("lintgate: {file}: expected defects detected"),
             Err(why) => {
                 eprintln!("lintgate: {file}: {why}");
@@ -131,12 +114,12 @@ fn dirty(dir: Option<&str>, json: bool) -> ExitCode {
     }
 }
 
-fn check_fixture(path: &Path, want_rules: &[&str], json: bool) -> Result<(), String> {
+fn check_fixture(path: &Path, want_rules: &[&str]) -> Result<(), String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("unreadable ({e}): {}", path.display()))?;
     let graph = parse_fixture(&text).map_err(|e| e.to_string())?;
     let report = Linter::new().check_graph(&graph);
-    emit(&report, json);
+    print!("{}", report.render());
     for rule in want_rules {
         let hit = report
             .by_rule(rule)
@@ -145,16 +128,7 @@ fn check_fixture(path: &Path, want_rules: &[&str], json: bool) -> Result<(), Str
             return Err(format!("expected a Deny `{rule}` finding, got none"));
         }
     }
-    let round_tripped = LintReport::from_json(&report.to_json())
-        .map_err(|e| format!("JSON round-trip failed: {e}"))?;
-    if round_tripped != report {
-        return Err("JSON round-trip changed the report".to_owned());
-    }
     Ok(())
-}
-
-fn default_fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures")
 }
 
 /// The Figure 1 reference topology: provider-1 multiplier IP (public

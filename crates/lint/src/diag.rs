@@ -1,9 +1,7 @@
-//! Diagnostics: severities, stable rule identifiers, locations, reports
-//! and their JSON round-trip.
+//! Diagnostics: severities, stable rule identifiers, locations and
+//! reports.
 
 use std::fmt;
-
-use vcad_obs::json::{self, JsonValue};
 
 /// How much a finding matters.
 ///
@@ -20,32 +18,13 @@ pub enum Severity {
     Deny,
 }
 
-impl Severity {
-    /// The lowercase wire name used in the JSON export.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
             Severity::Allow => "allow",
             Severity::Warn => "warn",
             Severity::Deny => "deny",
-        }
-    }
-
-    /// Parses the wire name back.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Severity> {
-        match s {
-            "allow" => Some(Severity::Allow),
-            "warn" => Some(Severity::Warn),
-            "deny" => Some(Severity::Deny),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+        })
     }
 }
 
@@ -113,9 +92,9 @@ pub mod rules {
 
     /// Every rule ID any pass can emit, in declaration order.
     ///
-    /// Downstream JSON consumers key on these strings; the registry
-    /// test in `tests/rule_registry.rs` pins the exact list so a rename
-    /// fails CI instead of silently breaking them.
+    /// Scripts and CI gates key on these strings; the registry test in
+    /// `tests/rule_registry.rs` pins the exact list so a rename fails CI
+    /// instead of silently breaking them.
     pub const ALL: &[&str] = &[
         WIDTH_MISMATCH,
         DOUBLE_DRIVER,
@@ -313,106 +292,7 @@ impl LintReport {
         }
         out
     }
-
-    /// Serialises the report as a single JSON object.
-    ///
-    /// The schema is stable: `{"design": str, "diagnostics": [{"rule":
-    /// str, "severity": "allow"|"warn"|"deny", "module"?: str, "port"?:
-    /// str, "message": str}]}`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.diagnostics.len() * 96);
-        out.push_str("{\"design\":");
-        json::write_str(&mut out, &self.design);
-        out.push_str(",\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"rule\":");
-            json::write_str(&mut out, &d.rule);
-            out.push_str(",\"severity\":");
-            json::write_str(&mut out, d.severity.as_str());
-            if let Some(loc) = &d.location {
-                out.push_str(",\"module\":");
-                json::write_str(&mut out, &loc.module);
-                if let Some(port) = &loc.port {
-                    out.push_str(",\"port\":");
-                    json::write_str(&mut out, port);
-                }
-            }
-            out.push_str(",\"message\":");
-            json::write_str(&mut out, &d.message);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parses a report back from its [`LintReport::to_json`] form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on malformed JSON or a schema mismatch.
-    pub fn from_json(input: &str) -> Result<LintReport, JsonError> {
-        let value = json::parse(input).map_err(|e| JsonError::Syntax(e.offset))?;
-        let field = |obj: &JsonValue, key: &str| {
-            obj.get(key).and_then(JsonValue::as_str).map(str::to_owned)
-        };
-        if value.as_object().is_none() {
-            return Err(JsonError::Schema("root object"));
-        }
-        let design = field(&value, "design").ok_or(JsonError::Schema("design"))?;
-        let list = value
-            .get("diagnostics")
-            .and_then(JsonValue::as_array)
-            .ok_or(JsonError::Schema("diagnostics array"))?;
-        let mut report = LintReport::new(design);
-        for d in list {
-            if d.as_object().is_none() {
-                return Err(JsonError::Schema("diagnostic"));
-            }
-            let rule = field(d, "rule").ok_or(JsonError::Schema("rule"))?;
-            let severity = field(d, "severity")
-                .as_deref()
-                .and_then(Severity::parse)
-                .ok_or(JsonError::Schema("severity"))?;
-            let message = field(d, "message").ok_or(JsonError::Schema("message"))?;
-            let location = field(d, "module").map(|module| Location {
-                module,
-                port: field(d, "port"),
-            });
-            report.push(Diagnostic {
-                rule,
-                severity,
-                location,
-                message,
-            });
-        }
-        Ok(report)
-    }
 }
-
-/// Failures of [`LintReport::from_json`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JsonError {
-    /// The text is not well-formed JSON; the payload names the offending
-    /// byte offset.
-    Syntax(usize),
-    /// Well-formed JSON with a missing or mistyped field.
-    Schema(&'static str),
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JsonError::Syntax(at) => write!(f, "malformed JSON at byte {at}"),
-            JsonError::Schema(what) => write!(f, "JSON schema mismatch: expected {what}"),
-        }
-    }
-}
-
-impl std::error::Error for JsonError {}
 
 #[cfg(test)]
 mod tests {
@@ -443,14 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_everything() {
-        let report = sample();
-        let json = report.to_json();
-        let back = LintReport::from_json(&json).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
     fn severity_counts_and_max() {
         let report = sample();
         assert_eq!(report.deny_count(), 1);
@@ -458,33 +330,6 @@ mod tests {
         assert!(report.has_deny());
         assert_eq!(report.max_severity(), Some(Severity::Deny));
         assert!(Severity::Allow < Severity::Warn && Severity::Warn < Severity::Deny);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(matches!(
-            LintReport::from_json("not json"),
-            Err(JsonError::Syntax(_))
-        ));
-        assert!(matches!(
-            LintReport::from_json("{\"design\":\"d\"}"),
-            Err(JsonError::Schema(_))
-        ));
-        assert!(matches!(
-            LintReport::from_json(
-                "{\"design\":\"d\",\"diagnostics\":[{\"rule\":\"r\",\"severity\":\"loud\",\
-                 \"message\":\"m\"}]}"
-            ),
-            Err(JsonError::Schema(_))
-        ));
-    }
-
-    #[test]
-    fn from_json_bounds_nesting_depth() {
-        assert!(matches!(
-            LintReport::from_json(&"[".repeat(100_000)),
-            Err(JsonError::Syntax(_))
-        ));
     }
 
     #[test]

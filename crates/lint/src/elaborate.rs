@@ -97,41 +97,22 @@ impl Elaborate for SimulationController {
     }
 }
 
-/// Command-line plumbing for the `--lint[=json]` flag of the measurement
+/// Command-line plumbing for the `--lint` flag of the measurement
 /// binaries.
 pub mod cli {
     use std::fmt::Display;
 
     use crate::diag::LintReport;
 
-    /// How `--lint` was requested on the command line.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum LintMode {
-        /// No `--lint` flag present.
-        Off,
-        /// `--lint`: human-readable report.
-        Human,
-        /// `--lint=json`: machine-readable report.
-        Json,
-    }
-
-    /// Prints labelled reports in `mode` — one JSON document per line, or
-    /// each rendered report under a `— label` heading — and returns
-    /// whether any carries a Deny finding. Prints nothing when `Off`.
+    /// Prints each labelled report under a `— label` heading and returns
+    /// whether any carries a Deny finding.
     pub fn print_reports<'a, L: Display>(
-        mode: LintMode,
         reports: impl IntoIterator<Item = (L, &'a LintReport)>,
     ) -> bool {
         let mut any_deny = false;
         for (label, report) in reports {
-            match mode {
-                LintMode::Off => {}
-                LintMode::Json => println!("{}", report.to_json()),
-                LintMode::Human => {
-                    println!("— {label}");
-                    print!("{}", report.render());
-                }
-            }
+            println!("— {label}");
+            print!("{}", report.render());
             any_deny |= report.has_deny();
         }
         any_deny

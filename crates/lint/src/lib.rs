@@ -28,9 +28,8 @@
 //!
 //! Findings are [`Diagnostic`]s with a severity ([`Severity::Deny`]
 //! blocks simulation, `Warn` and `Allow` inform), a stable rule id
-//! (see [`diag::rules`]), a source location (module path plus port) and
-//! a JSON export that round-trips ([`LintReport::to_json`] /
-//! [`LintReport::from_json`]).
+//! (see [`diag::rules`]) and a source location (module path plus port);
+//! a [`LintReport`] renders them as text ([`LintReport::render`]).
 //!
 //! The [`Elaborate`] extension trait wires the gate into the core:
 //! `controller.elaborate()` lints the controller's design and refuses
@@ -65,7 +64,7 @@ mod meta;
 mod privacy;
 pub mod testability;
 
-pub use diag::{Diagnostic, JsonError, LintReport, Location, Severity};
+pub use diag::{Diagnostic, LintReport, Location, Severity};
 pub use elaborate::{cli, Elaborate, ElaborateError, Linter};
 pub use graph::{FrameSpec, LintGraph, LintModule, LintPort};
 pub use meta::{lint_detection_frame, lint_fault_model};

@@ -6,14 +6,13 @@
 //! hardest faults a pattern budget will be spent on, and the statically
 //! untestable fault sites (with their proofs) that no budget can ever
 //! cover. Untestable sites surface as stable-ID Warn diagnostics
-//! ([`rules::UNTESTABLE_FAULT`], [`rules::UNOBSERVABLE_NET`]) that
-//! round-trip through the standard [`LintReport`] JSON schema.
+//! ([`rules::UNTESTABLE_FAULT`], [`rules::UNOBSERVABLE_NET`]) carried
+//! by a standard [`LintReport`].
 
 use std::fmt::Write as _;
 
 use vcad_faults::{FaultStatus, FaultUniverse, TestabilityAnalysis, UNREACHABLE};
 use vcad_netlist::{generators, Netlist};
-use vcad_obs::json;
 
 use crate::diag::{rules, Diagnostic, LintReport, Severity};
 
@@ -210,8 +209,7 @@ impl TestabilityReport {
         out
     }
 
-    /// The diagnostics wrapped in a standard [`LintReport`] (JSON
-    /// round-trip included).
+    /// The diagnostics wrapped in a standard [`LintReport`].
     #[must_use]
     pub fn to_lint_report(&self) -> LintReport {
         let mut report = LintReport::new(self.design.clone());
@@ -273,74 +271,6 @@ impl TestabilityReport {
         }
         out
     }
-
-    /// Serialises the full report (scores included) as one JSON object.
-    ///
-    /// Schema: `{"design": str, "nets": int, "tied": int, "classes":
-    /// int, "faults": int, "hardest_nets": [{"net", "cc0", "cc1",
-    /// "co"}], "hardest_faults": [{"fault", "score"}], "untestable":
-    /// [{"fault", "status", "members", "proof"}]}`. `UNREACHABLE`
-    /// scores serialise as `null`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let num = |out: &mut String, v: u32| {
-            if v == UNREACHABLE {
-                out.push_str("null");
-            } else {
-                let _ = write!(out, "{v}");
-            }
-        };
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"design\":");
-        json::write_str(&mut out, &self.design);
-        let _ = write!(
-            out,
-            ",\"nets\":{},\"tied\":{},\"classes\":{},\"faults\":{}",
-            self.net_count, self.tied_count, self.class_count, self.total_faults
-        );
-        out.push_str(",\"hardest_nets\":[");
-        for (i, n) in self.hardest_nets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"net\":");
-            json::write_str(&mut out, &n.net);
-            out.push_str(",\"cc0\":");
-            num(&mut out, n.cc0);
-            out.push_str(",\"cc1\":");
-            num(&mut out, n.cc1);
-            out.push_str(",\"co\":");
-            num(&mut out, n.co);
-            out.push('}');
-        }
-        out.push_str("],\"hardest_faults\":[");
-        for (i, f) in self.hardest_faults.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"fault\":");
-            json::write_str(&mut out, &f.fault);
-            out.push_str(",\"score\":");
-            num(&mut out, f.score);
-            out.push('}');
-        }
-        out.push_str("],\"untestable\":[");
-        for (i, u) in self.untestable.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"fault\":");
-            json::write_str(&mut out, &u.fault);
-            out.push_str(",\"status\":");
-            json::write_str(&mut out, u.status.label());
-            let _ = write!(out, ",\"members\":{}", u.members);
-            out.push_str(",\"proof\":");
-            json::write_str(&mut out, &u.proof);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// The reference reports the lint gate's `testability` subcommand and
@@ -379,8 +309,9 @@ mod tests {
             .diagnostics()
             .iter()
             .any(|d| d.rule == rules::UNOBSERVABLE_NET));
-        let round = LintReport::from_json(&lint.to_json()).expect("valid JSON");
-        assert_eq!(round, lint);
+        // Every finding comes back out of the wrapped report unchanged.
+        assert_eq!(lint.diagnostics(), report.diagnostics().as_slice());
+        assert_eq!(lint.design(), report.design());
     }
 
     #[test]
@@ -403,21 +334,6 @@ mod tests {
             let ka = u64::from(w[0].cc0) + u64::from(w[0].cc1) + u64::from(w[0].co);
             let kb = u64::from(w[1].cc0) + u64::from(w[1].cc1) + u64::from(w[1].co);
             assert!(ka >= kb);
-        }
-    }
-
-    #[test]
-    fn json_contains_the_report_vocabulary() {
-        let report = TestabilityReport::analyze(&generators::untestable_demo(2), 4);
-        let json = report.to_json();
-        for key in [
-            "\"design\"",
-            "\"hardest_nets\"",
-            "\"hardest_faults\"",
-            "\"untestable\"",
-            "\"unexcitable\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
         }
     }
 }

@@ -1,7 +1,6 @@
 //! The seeded defect fixtures under `tests/fixtures/` must each produce
-//! their expected Deny rules, and every report must survive the JSON
-//! round-trip. This mirrors what `lintgate dirty` asserts in CI, as an
-//! ordinary test.
+//! their expected Deny rules. This mirrors what `lintgate dirty` asserts
+//! in CI, as an ordinary test.
 
 use std::path::PathBuf;
 
@@ -27,11 +26,6 @@ fn assert_denies(report: &LintReport, rule: &str) {
     );
 }
 
-fn assert_round_trips(report: &LintReport) {
-    let back = LintReport::from_json(&report.to_json()).expect("report JSON parses back");
-    assert_eq!(&back, report, "JSON round-trip changed the report");
-}
-
 #[test]
 fn loop_fixture_names_the_cycle() {
     let report = fixture("loop.design");
@@ -44,21 +38,18 @@ fn loop_fixture_names_the_cycle() {
             d.message
         );
     }
-    assert_round_trips(&report);
 }
 
 #[test]
 fn double_driver_fixture() {
     let report = fixture("double_driver.design");
     assert_denies(&report, rules::DOUBLE_DRIVER);
-    assert_round_trips(&report);
 }
 
 #[test]
 fn width_mismatch_fixture() {
     let report = fixture("width_mismatch.design");
     assert_denies(&report, rules::WIDTH_MISMATCH);
-    assert_round_trips(&report);
 }
 
 #[test]
@@ -66,5 +57,4 @@ fn privacy_leak_fixture_flags_both_directions() {
     let report = fixture("privacy_leak.design");
     assert_denies(&report, rules::STRUCTURAL_REQUEST);
     assert_denies(&report, rules::STRUCTURAL_RESPONSE);
-    assert_round_trips(&report);
 }

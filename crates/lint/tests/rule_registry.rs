@@ -1,6 +1,6 @@
 //! The rule-ID registry: every diagnostic rule, pinned.
 //!
-//! Downstream JSON consumers key on these strings, so a rename must
+//! Scripts and CI gates key on these strings, so a rename must
 //! fail CI loudly instead of silently breaking them. If you add a rule,
 //! extend both `rules::ALL` and the golden list here; if a rename is
 //! really intended, treat it as a breaking schema change and say so in
@@ -43,7 +43,7 @@ fn registry_matches_the_golden_list_exactly() {
     assert_eq!(
         rules::ALL,
         GOLDEN,
-        "rule registry drifted — a rename breaks downstream JSON consumers"
+        "rule registry drifted — a rename breaks scripts keyed on rule ids"
     );
 }
 

@@ -23,7 +23,6 @@ use std::fmt::Write as _;
 use crate::chrome::ProcessLane;
 use crate::collector::EventKind;
 use crate::context::{PARENT_ARG, SPAN_ARG, TRACE_ARG};
-use crate::json;
 use crate::summary::{fmt_ns, table};
 
 /// One traced span after stitching.
@@ -572,88 +571,6 @@ impl Analysis {
         }
         out
     }
-
-    /// Renders the analysis as a JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"spans\":{},\"total_ns\":{},\"orphans\":{:?},\"crossed\":{:?},\"duplicates\":{:?}",
-            self.spans.len(),
-            self.total_ns(),
-            self.orphans,
-            self.crossed,
-            self.duplicates
-        );
-        out.push_str(",\"lanes\":[");
-        for (i, l) in self.lanes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"pid\":{},\"spans\":{},\"offset_ns\":{},\"anchored\":{}}}",
-                json::quote(&l.name),
-                l.pid,
-                l.spans,
-                l.offset_ns,
-                l.anchored
-            );
-        }
-        out.push_str("],\"percentiles\":[");
-        for (i, t) in self.tables.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"process\":{},\"span\":{},\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-                json::quote(&t.process),
-                json::quote(&t.name),
-                t.count,
-                t.mean_ns,
-                t.p50_ns,
-                t.p90_ns,
-                t.p99_ns,
-                t.max_ns
-            );
-        }
-        out.push_str("],\"breakdowns\":[");
-        for (i, b) in self.breakdowns.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"method\":{},\"count\":{},\"total_ns\":{},\"client_ns\":{},\"wire_ns\":{},\"provider_ns\":{},\"ledger_ns\":{}}}",
-                json::quote(&b.method),
-                b.count,
-                b.total_ns,
-                b.client_ns,
-                b.wire_ns,
-                b.provider_ns,
-                b.ledger_ns
-            );
-        }
-        out.push_str("],\"critical_path\":[");
-        for (i, c) in self.critical_path.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"depth\":{},\"process\":{},\"span\":{},\"dur_ns\":{},\"self_ns\":{}}}",
-                c.depth,
-                json::quote(&c.process),
-                json::quote(&c.name),
-                c.dur_ns,
-                c.self_ns
-            );
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -789,7 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_text_and_json() {
+    fn report_renders_text() {
         let l = lane(
             1,
             "client",
@@ -803,10 +720,7 @@ mod tests {
         assert!(text.contains("critical path"));
         assert!(text.contains("client:AREA"));
         assert!(text.contains("p99"));
-        let json = a.to_json();
-        let doc = crate::json::parse(&json).expect("analyzer JSON parses");
-        assert_eq!(doc.get("spans").unwrap().as_u64(), Some(2));
-        assert!(doc.get("critical_path").unwrap().as_array().unwrap().len() >= 2);
+        assert!(text.contains("lanes: 1   spans: 2"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! `obs-report` — stitch and analyze distributed trace dumps.
 //!
 //! ```text
-//! obs-report report <dump.json>... [--json] [--require-no-orphans]
-//! obs-report merge  <dump.json>... -o <merged.json>
+//! obs-report report <dump.json>... [--require-no-orphans]
+//! obs-report merge  <dump.json>... --out <merged.json>
 //! ```
 //!
 //! `report` loads one or more Chrome trace dumps (one per process
@@ -23,7 +23,7 @@ use vcad_obs::Trace;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  obs-report report <dump.json>... [--json] [--require-no-orphans]\n  obs-report merge <dump.json>... -o <merged.json>"
+        "usage:\n  obs-report report <dump.json>... [--require-no-orphans]\n  obs-report merge <dump.json>... --out <merged.json>"
     );
     ExitCode::from(64)
 }
@@ -50,13 +50,12 @@ fn main() -> ExitCode {
     match mode.as_str() {
         "report" => {
             let mut paths = Vec::new();
-            let mut as_json = false;
             let mut gate = false;
             for a in rest {
-                match a.as_str() {
-                    "--json" => as_json = true,
-                    "--require-no-orphans" => gate = true,
-                    _ => paths.push(a.clone()),
+                if a == "--require-no-orphans" {
+                    gate = true;
+                } else {
+                    paths.push(a.clone());
                 }
             }
             if paths.is_empty() {
@@ -70,11 +69,7 @@ fn main() -> ExitCode {
                 }
             };
             let analysis = analyze(&lanes);
-            if as_json {
-                println!("{}", analysis.to_json());
-            } else {
-                print!("{}", analysis.render_text());
-            }
+            print!("{}", analysis.render_text());
             if gate && !analysis.is_consistent() {
                 eprintln!(
                     "obs-report: consistency gate failed: {} orphan(s), {} crossed, {} duplicate(s)",
@@ -91,7 +86,7 @@ fn main() -> ExitCode {
             let mut out_path: Option<String> = None;
             let mut it = rest.iter();
             while let Some(a) = it.next() {
-                if a == "-o" || a == "--out" {
+                if a == "--out" {
                     out_path = it.next().cloned();
                 } else {
                     paths.push(a.clone());

@@ -166,14 +166,25 @@ fn parse_args(obj: &JsonValue) -> (Option<u64>, Vec<(std::borrow::Cow<'static, s
     (virtual_ns, args)
 }
 
+/// An event's `pid` or `tid`: 0 when absent, an error when it is not a
+/// `u32` (narrowing would file two processes' events under one lane).
+fn lane_id(ev: &JsonValue, key: &str) -> Result<u32, String> {
+    ev.get(key).map_or(Ok(0), |v| {
+        v.as_u64()
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| format!("event {key} {} is not a u32", json::render(v)))
+    })
+}
+
 /// Parses a Chrome trace-event document produced by this exporter back
 /// into per-process lanes. Unknown phase types are skipped; `process_name`
 /// metadata names the lanes.
 ///
 /// # Errors
 ///
-/// Returns a message when the document is not valid JSON or lacks a
-/// `traceEvents` array.
+/// Returns a message when the document is not valid JSON, lacks a
+/// `traceEvents` array, or has an event whose `pid` or `tid` is not a
+/// `u32`.
 pub fn parse_chrome_json(input: &str) -> Result<Vec<ProcessLane>, String> {
     let doc = json::parse(input).map_err(|e| e.to_string())?;
     let events = doc
@@ -182,7 +193,8 @@ pub fn parse_chrome_json(input: &str) -> Result<Vec<ProcessLane>, String> {
         .ok_or_else(|| "document has no traceEvents array".to_string())?;
     let mut lanes: BTreeMap<u32, ProcessLane> = BTreeMap::new();
     for ev in events {
-        let pid = ev.get("pid").and_then(JsonValue::as_u64).unwrap_or(0) as u32;
+        let pid = lane_id(ev, "pid")?;
+        let thread = lane_id(ev, "tid")?;
         let lane = lanes.entry(pid).or_insert_with(|| ProcessLane {
             pid,
             name: format!("pid:{pid}"),
@@ -224,7 +236,7 @@ pub fn parse_chrome_json(input: &str) -> Result<Vec<ProcessLane>, String> {
             kind,
             wall_ns: (ts_us * 1_000.0).round().max(0.0) as u64,
             virtual_ns,
-            thread: ev.get("tid").and_then(JsonValue::as_u64).unwrap_or(0) as u32,
+            thread,
             args,
         });
     }
@@ -353,6 +365,29 @@ mod tests {
     fn parser_rejects_garbage() {
         assert!(parse_chrome_json("not json").is_err());
         assert!(parse_chrome_json("{\"other\":1}").is_err());
+    }
+
+    #[test]
+    fn parser_rejects_ids_that_are_not_u32() {
+        let doc = |pid: &str, tid: &str| {
+            format!(
+                "{{\"traceEvents\":[{{\"name\":\"s\",\"ph\":\"X\",\"ts\":0,\"dur\":1,\
+                 \"pid\":{pid},\"tid\":{tid}}}]}}"
+            )
+        };
+        assert_eq!(parse_chrome_json(&doc("7", "3")).unwrap()[0].pid, 7);
+        // 2^32 + 1 narrowed with `as u32` would land on lane 1.
+        for (pid, tid) in [
+            ("4294967297", "1"),
+            ("1", "4294967296"),
+            ("-1", "1"),
+            ("1.5", "1"),
+        ] {
+            assert!(
+                parse_chrome_json(&doc(pid, tid)).is_err(),
+                "pid {pid}, tid {tid}"
+            );
+        }
     }
 
     #[test]

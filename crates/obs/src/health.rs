@@ -1,23 +1,15 @@
-//! Live health exposition: periodic snapshots of the metrics registry.
+//! Health exposition: a snapshot of the metrics registry.
 //!
 //! A [`HealthSnapshot`] condenses a [`MetricsSnapshot`] into the
 //! operational signals a provider operator watches: raw counters and
 //! gauges, histogram quantiles (p50/p90/p99), circuit-breaker states,
-//! cache hit ratios and shard utilization. It renders as a plain-text
-//! table or as hand-rolled JSON; [`HealthReporter`] rewrites a file with
-//! the current snapshot on a fixed cadence (and once more on shutdown),
-//! which is `loadgen`'s `--health <path>[:interval_ms]` flag.
-
-use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+//! cache hit ratios, shard utilization and per-tenant fees and sessions.
+//! It renders as one JSON document through [`json::render`]; `loadgen`'s
+//! `--health <path>` flag writes the server side's final snapshot.
 
 use crate::collector::Collector;
-use crate::json;
+use crate::json::{self, JsonValue};
 use crate::metrics::MetricsSnapshot;
-use crate::summary::{fmt_ns, table};
 
 /// Condensed histogram view.
 #[derive(Clone, Debug, PartialEq)]
@@ -262,315 +254,117 @@ impl HealthSnapshot {
         HealthSnapshot::capture(&obs.metrics().snapshot())
     }
 
-    /// Renders the snapshot as plain text.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("== vcad health ==\n");
-        if let Some(r) = self.cache_hit_ratio {
-            let _ = writeln!(out, "cache hit ratio: {:.1}%", r * 100.0);
-        }
-        if let Some(p) = self.shard_imbalance_pct {
-            let _ = writeln!(out, "shard load imbalance: {p}%");
-        }
-        if let Some(s) = &self.server {
-            let _ = writeln!(
-                out,
-                "server: admitted {} shed {} quota-denied {} accepted {} \
-                 conn-rejected {} queue-shed {} conns {}/{} queue-hw {}",
-                s.admitted,
-                s.shed,
-                s.quota_denied,
-                s.accepted,
-                s.conn_rejected,
-                s.queue_shed,
-                s.connections,
-                s.connections_high_water,
-                s.queue_depth_high_water
-            );
-        }
-        if !self.tenants.is_empty() {
-            out.push_str("tenants\n");
-            let rows: Vec<Vec<String>> = self
-                .tenants
-                .iter()
-                .map(|t| {
-                    vec![
-                        t.tenant.clone(),
-                        t.admitted.to_string(),
-                        t.shed.to_string(),
-                        t.quota_denied.to_string(),
-                        format!("{}/{}", t.sessions, t.sessions_high_water),
-                        format!("{:.2}", t.fees_cents),
-                    ]
-                })
-                .collect();
-            table(
-                &mut out,
-                &[
-                    "tenant",
-                    "admitted",
-                    "shed",
-                    "quota-denied",
-                    "sessions",
-                    "fees",
-                ],
-                &rows,
-            );
-        }
-        if !self.breakers.is_empty() {
-            out.push_str("breakers\n");
-            let rows: Vec<Vec<String>> = self
-                .breakers
-                .iter()
-                .map(|b| vec![b.metric.clone(), b.state.clone()])
-                .collect();
-            table(&mut out, &["breaker", "state"], &rows);
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms\n");
-            let rows: Vec<Vec<String>> = self
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    vec![
-                        k.clone(),
-                        h.count.to_string(),
-                        fmt_ns(h.mean as u64),
-                        fmt_ns(h.p50),
-                        fmt_ns(h.p90),
-                        fmt_ns(h.p99),
-                        fmt_ns(h.max),
-                    ]
-                })
-                .collect();
-            table(
-                &mut out,
-                &["name", "count", "mean", "p50", "p90", "p99", "max"],
-                &rows,
-            );
-        }
-        if !self.counters.is_empty() || !self.float_counters.is_empty() {
-            out.push_str("counters\n");
-            let mut rows: Vec<Vec<String>> = self
-                .counters
-                .iter()
-                .map(|(k, v)| vec![k.clone(), v.to_string()])
-                .collect();
-            rows.extend(
-                self.float_counters
-                    .iter()
-                    .map(|(k, v)| vec![k.clone(), format!("{v:.2}")]),
-            );
-            table(&mut out, &["name", "value"], &rows);
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges\n");
-            let rows: Vec<Vec<String>> = self
-                .gauges
-                .iter()
-                .map(|(k, v, hw)| vec![k.clone(), v.to_string(), hw.to_string()])
-                .collect();
-            table(&mut out, &["name", "value", "high-water"], &rows);
-        }
-        out
-    }
-
-    /// Renders the snapshot as a JSON document.
+    /// Renders the snapshot as a JSON document: `counters`,
+    /// `float_counters`, `gauges` (`value`, `high_water`), `histograms`
+    /// (`count`, `mean`, `p50`, `p90`, `p99`, `max`), `breakers`,
+    /// `cache_hit_ratio`, `shard_imbalance_pct`, `tenants` (`admitted`,
+    /// `shed`, `quota_denied`, `sessions`, `sessions_high_water`,
+    /// `fees_cents`) and `server`; an absent ratio, percentage or server
+    /// section is `null`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn json_f64(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{v}", json::quote(k));
-        }
-        out.push_str("},\"float_counters\":{");
-        for (i, (k, v)) in self.float_counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json::quote(k), json_f64(*v));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v, hw)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{{\"value\":{v},\"high_water\":{hw}}}",
-                json::quote(k)
-            );
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{{\"count\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-                json::quote(k),
-                h.count,
-                json_f64(h.mean),
-                h.p50,
-                h.p90,
-                h.p99,
-                h.max
-            );
-        }
-        out.push_str("},\"breakers\":{");
-        for (i, b) in self.breakers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json::quote(&b.metric), json::quote(&b.state));
-        }
-        out.push('}');
-        match self.cache_hit_ratio {
-            Some(r) => {
-                let _ = write!(out, ",\"cache_hit_ratio\":{}", json_f64(r));
-            }
-            None => out.push_str(",\"cache_hit_ratio\":null"),
-        }
-        match self.shard_imbalance_pct {
-            Some(p) => {
-                let _ = write!(out, ",\"shard_imbalance_pct\":{p}");
-            }
-            None => out.push_str(",\"shard_imbalance_pct\":null"),
-        }
-        out.push_str(",\"tenants\":{");
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{{\"admitted\":{},\"shed\":{},\"quota_denied\":{},\
-                 \"sessions\":{},\"sessions_high_water\":{},\"fees_cents\":{}}}",
-                json::quote(&t.tenant),
-                t.admitted,
-                t.shed,
-                t.quota_denied,
-                t.sessions,
-                t.sessions_high_water,
-                json_f64(t.fees_cents)
-            );
-        }
-        out.push('}');
-        match &self.server {
-            Some(s) => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{{\"admitted\":{},\"shed\":{},\"quota_denied\":{},\
-                     \"accepted\":{},\"conn_rejected\":{},\"queue_shed\":{},\
-                     \"connections\":{},\"connections_high_water\":{},\
-                     \"queue_depth_high_water\":{}}}",
-                    s.admitted,
-                    s.shed,
-                    s.quota_denied,
-                    s.accepted,
-                    s.conn_rejected,
-                    s.queue_shed,
-                    s.connections,
-                    s.connections_high_water,
-                    s.queue_depth_high_water
-                );
-            }
-            None => out.push_str(",\"server\":null"),
-        }
-        out.push('}');
-        out
+        let n = |v: u64| JsonValue::Number(v as f64);
+        let histogram = |h: &HistogramHealth| {
+            object([
+                ("count", n(h.count)),
+                ("mean", JsonValue::Number(h.mean)),
+                ("p50", n(h.p50)),
+                ("p90", n(h.p90)),
+                ("p99", n(h.p99)),
+                ("max", n(h.max)),
+            ])
+        };
+        let tenant = |t: &TenantHealth| {
+            object([
+                ("admitted", n(t.admitted)),
+                ("shed", n(t.shed)),
+                ("quota_denied", n(t.quota_denied)),
+                ("sessions", n(t.sessions)),
+                ("sessions_high_water", n(t.sessions_high_water)),
+                ("fees_cents", JsonValue::Number(t.fees_cents)),
+            ])
+        };
+        let server = |s: &ServerHealth| {
+            object([
+                ("admitted", n(s.admitted)),
+                ("shed", n(s.shed)),
+                ("quota_denied", n(s.quota_denied)),
+                ("accepted", n(s.accepted)),
+                ("conn_rejected", n(s.conn_rejected)),
+                ("queue_shed", n(s.queue_shed)),
+                ("connections", n(s.connections)),
+                ("connections_high_water", n(s.connections_high_water)),
+                ("queue_depth_high_water", n(s.queue_depth_high_water)),
+            ])
+        };
+        let doc = object([
+            (
+                "counters",
+                object(self.counters.iter().map(|(k, v)| (k.as_str(), n(*v)))),
+            ),
+            (
+                "float_counters",
+                object(
+                    self.float_counters
+                        .iter()
+                        .map(|(k, v)| (k.as_str(), JsonValue::Number(*v))),
+                ),
+            ),
+            (
+                "gauges",
+                object(self.gauges.iter().map(|(k, v, hw)| {
+                    (
+                        k.as_str(),
+                        object([("value", n(*v)), ("high_water", n(*hw))]),
+                    )
+                })),
+            ),
+            (
+                "histograms",
+                object(
+                    self.histograms
+                        .iter()
+                        .map(|(k, h)| (k.as_str(), histogram(h))),
+                ),
+            ),
+            (
+                "breakers",
+                object(
+                    self.breakers
+                        .iter()
+                        .map(|b| (b.metric.as_str(), JsonValue::String(b.state.clone()))),
+                ),
+            ),
+            (
+                "cache_hit_ratio",
+                self.cache_hit_ratio
+                    .map_or(JsonValue::Null, JsonValue::Number),
+            ),
+            (
+                "shard_imbalance_pct",
+                self.shard_imbalance_pct.map_or(JsonValue::Null, n),
+            ),
+            (
+                "tenants",
+                object(self.tenants.iter().map(|t| (t.tenant.as_str(), tenant(t)))),
+            ),
+            (
+                "server",
+                self.server.as_ref().map_or(JsonValue::Null, server),
+            ),
+        ]);
+        json::render(&doc)
     }
 }
 
-/// Background writer that keeps a health file fresh.
-///
-/// Writes `path` with the JSON snapshot every `interval` (when one is
-/// given), and always once more when stopped or dropped — so even a
-/// short run leaves a final snapshot behind. The companion text render
-/// goes to `path` with `.txt` appended.
-pub struct HealthReporter {
-    obs: Collector,
-    path: PathBuf,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl HealthReporter {
-    /// Starts the reporter. `interval = None` means "final snapshot
-    /// only" — no background thread is spawned.
-    #[must_use]
-    pub fn start(obs: &Collector, path: PathBuf, interval: Option<Duration>) -> HealthReporter {
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = interval.map(|period| {
-            let obs = obs.clone();
-            let path = path.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("vcad-health".to_string())
-                .spawn(move || {
-                    // Tick in small slices so stop() is prompt even for
-                    // long intervals.
-                    let slice = Duration::from_millis(25).min(period);
-                    let mut elapsed = Duration::ZERO;
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(slice);
-                        elapsed += slice;
-                        if elapsed >= period {
-                            elapsed = Duration::ZERO;
-                            write_snapshot(&obs, &path);
-                        }
-                    }
-                })
-                .expect("spawn health reporter")
-        });
-        HealthReporter {
-            obs: obs.clone(),
-            path,
-            stop,
-            handle,
-        }
-    }
-
-    /// Stops the background thread (if any) and writes the final
-    /// snapshot.
-    pub fn stop(mut self) {
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        write_snapshot(&self.obs, &self.path);
-    }
-}
-
-impl Drop for HealthReporter {
-    fn drop(&mut self) {
-        if self.handle.is_some() || !self.stop.load(Ordering::Relaxed) {
-            self.finish();
-        }
-    }
-}
-
-fn write_snapshot(obs: &Collector, path: &std::path::Path) {
-    let snap = HealthSnapshot::of(obs);
-    // Health files are advisory; an unwritable path must not kill a run.
-    let _ = std::fs::write(path, snap.to_json());
-    let mut txt = path.as_os_str().to_owned();
-    txt.push(".txt");
-    let _ = std::fs::write(txt, snap.to_text());
+/// A JSON object from `(key, value)` pairs.
+fn object<'a>(members: impl IntoIterator<Item = (&'a str, JsonValue)>) -> JsonValue {
+    JsonValue::Object(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -624,7 +418,10 @@ mod tests {
             .unwrap();
         assert_eq!(hist.get("count").unwrap().as_u64(), Some(4));
         assert!(hist.get("p99").unwrap().as_u64().unwrap() >= 1);
-        assert!(s.to_text().contains("cache hit ratio: 75.0%"));
+        let counters = doc.get("counters").unwrap();
+        assert_eq!(counters.get("cache.hits").unwrap().as_u64(), Some(3));
+        let gauge = doc.get("gauges").unwrap().get("rmi.breaker.state").unwrap();
+        assert_eq!(gauge.get("high_water").unwrap().as_u64(), Some(1));
     }
 
     #[test]
@@ -674,10 +471,10 @@ mod tests {
                 .as_u64(),
             Some(0)
         );
-        let text = s.to_text();
-        assert!(text.contains("tenants"));
-        assert!(text.contains("zeta.co"));
-        assert!(text.contains("server: admitted 45"));
+        let zeta = doc.get("tenants").unwrap().get("zeta.co").unwrap();
+        assert_eq!(zeta.get("quota_denied").unwrap().as_u64(), Some(1));
+        let server = doc.get("server").unwrap();
+        assert_eq!(server.get("admitted").unwrap().as_u64(), Some(45));
     }
 
     #[test]
@@ -685,49 +482,5 @@ mod tests {
         let s = HealthSnapshot::of(&Collector::disabled());
         let doc = json::parse(&s.to_json()).unwrap();
         assert_eq!(doc.get("cache_hit_ratio"), Some(&json::JsonValue::Null));
-    }
-
-    #[test]
-    fn reporter_writes_final_snapshot() {
-        let dir = std::env::temp_dir().join(format!("vcad-health-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("health.json");
-        let c = sample_collector();
-        let r = HealthReporter::start(&c, path.clone(), None);
-        r.stop();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(json::parse(&body).is_ok());
-        assert!(
-            path.with_extension("json.txt").exists() || {
-                let mut t = path.clone().into_os_string();
-                t.push(".txt");
-                std::path::PathBuf::from(t).exists()
-            }
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn periodic_reporter_refreshes_the_file() {
-        let dir = std::env::temp_dir().join(format!("vcad-health-p-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("health.json");
-        let c = sample_collector();
-        let r = HealthReporter::start(&c, path.clone(), Some(Duration::from_millis(30)));
-        std::thread::sleep(Duration::from_millis(120));
-        assert!(path.exists(), "periodic write happened");
-        c.metrics().counter("cache.hits").add(100);
-        r.stop();
-        let body = std::fs::read_to_string(&path).unwrap();
-        let doc = json::parse(&body).unwrap();
-        assert_eq!(
-            doc.get("counters")
-                .unwrap()
-                .get("cache.hits")
-                .unwrap()
-                .as_u64(),
-            Some(103)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

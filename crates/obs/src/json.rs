@@ -5,9 +5,13 @@
 //! No dependency is available offline, so this is hand-rolled — once.
 //! The parser supports exactly the JSON the exporters produce (objects,
 //! arrays, strings with `\uXXXX` escapes, finite numbers, booleans, null)
-//! and rejects everything else with a byte-offset error message;
-//! exporters that format their documents by hand still emit every string
-//! through [`write_str`], so what one side writes the other side reads.
+//! and rejects everything else with a byte-offset error message.
+//!
+//! Documents are written by building a [`JsonValue`] tree and calling
+//! [`render`]. Two writers format by hand and emit their strings through
+//! [`write_str`] / [`quote`]: the Chrome trace exporter (the trace format
+//! is its own layout) and the campaign report (its bytes are pinned), so
+//! what one side writes the other side reads.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -371,7 +375,8 @@ pub fn quote(s: &str) -> String {
 
 /// Serializes a [`JsonValue`] back to text. Objects render in key order
 /// (`BTreeMap`), so output is deterministic; integral numbers up to 2^53
-/// print without a fraction and everything else uses Rust's shortest
+/// print without a fraction, NaN and the infinities (which JSON cannot
+/// spell) print as `null`, and everything else uses Rust's shortest
 /// round-trip `f64` form.
 #[must_use]
 pub fn render(value: &JsonValue) -> String {
@@ -387,6 +392,7 @@ fn render_into(value: &JsonValue, indent: usize, out: &mut String) {
         JsonValue::Bool(b) => {
             let _ = write!(out, "{b}");
         }
+        JsonValue::Number(n) if !n.is_finite() => out.push_str("null"),
         JsonValue::Number(n) => {
             if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
                 let _ = write!(out, "{}", *n as i64);
@@ -492,8 +498,18 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_numbers_render_as_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(parse(&render(&JsonValue::Number(n))), Ok(JsonValue::Null));
+        }
+    }
+
+    #[test]
     fn deep_nesting_bounded() {
         let doc = format!("{}1{}", "[".repeat(200), "]".repeat(200));
         assert!(parse(&doc).is_err());
+        // An unclosed 100 000-deep array: without the depth cap the
+        // recursive descent overflows the stack before reaching the end.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 }

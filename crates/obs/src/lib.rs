@@ -49,7 +49,7 @@ pub mod summary;
 
 pub use collector::{ArgValue, Collector, EventKind, SpanGuard, Trace, TraceEvent, TracedSpan};
 pub use context::TraceContext;
-pub use health::{HealthReporter, HealthSnapshot, ServerHealth, TenantHealth};
+pub use health::{HealthSnapshot, ServerHealth, TenantHealth};
 pub use metrics::{
     Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
