@@ -20,7 +20,7 @@
 //!   delays) behind the resilience layer; the results are unchanged
 //!   while the `rmi.chaos.*` / `rmi.retry.*` counters report the injected
 //!   turbulence.
-//! * `--cache` — memoize provider calls client-side (`vcad_ip::IpCache`):
+//! * `--cache` — memoize provider calls client-side (`vcad_rmi::Cache`):
 //!   each scenario then runs twice, a cold pass filling the cache and a
 //!   warm pass that must stay entirely local and fee-free.
 //! * `--lint` — statically analyse each scenario's design and exit

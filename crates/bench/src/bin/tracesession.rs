@@ -23,13 +23,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vcad_bench::cli;
-use vcad_cache::CacheConfig;
 use vcad_faults::DetectionTableSource;
-use vcad_ip::{ClientSession, ComponentOffering, IpCache, ProviderServer};
+use vcad_ip::{ClientSession, ComponentOffering, ProviderServer};
 use vcad_logic::LogicVec;
 use vcad_obs::{chrome, Collector};
 use vcad_rmi::{
-    heavy_chaos_stack, MuxServer, MuxServerConfig, TcpTimeouts, TcpTransport, Transport,
+    heavy_chaos_stack, Cache, MuxServer, MuxServerConfig, TcpTimeouts, TcpTransport, Transport,
 };
 
 /// Far above any loopback round trip, far below a CI job timeout.
@@ -45,7 +44,7 @@ fn connect(
     host: &str,
     seed: u64,
     obs: &Collector,
-    cache: Option<Arc<IpCache>>,
+    cache: Option<Arc<Cache>>,
 ) -> ClientSession {
     let raw: Arc<dyn Transport> = Arc::new(
         TcpTransport::connect_with_timeouts_and_collector(
@@ -116,8 +115,7 @@ fn main() {
             .expect("bind provider");
         // The second provider's session memoizes calls client-side, so
         // the dumps also show cache hit spans.
-        let cache = (i == 1)
-            .then(|| Arc::new(IpCache::new(CacheConfig::default()).with_collector(&client_obs)));
+        let cache = (i == 1).then(|| Arc::new(Cache::new(&client_obs)));
         let session = connect(&tcp, host, CHAOS_SEED + i as u64, &client_obs, cache);
         let bill = evaluate(&session, offering, 8);
         println!("{host}: evaluated {offering}, billed {bill:.1}¢");

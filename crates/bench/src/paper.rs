@@ -9,9 +9,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vcad_cache::CacheConfig;
 use vcad_core::{Estimator, ShardPolicy};
-use vcad_ip::IpCache;
 use vcad_logic::LogicVec;
 use vcad_netlist::generators;
 use vcad_obs::Collector;
@@ -19,6 +17,7 @@ use vcad_power::{
     ConstantPowerEstimator, ErrorStats, LinearRegressionPowerEstimator, PowerModel,
     SiliconReference, TogglePowerEstimator,
 };
+use vcad_rmi::Cache;
 
 use crate::scenarios::{self, Scenario, ScenarioRun};
 use crate::workload::{correlated_patterns, random_patterns};
@@ -138,8 +137,7 @@ pub fn table2(
         .map(|&scenario| {
             // One cache per rig: keys include the provider host and
             // object ids, which repeat across independently built rigs.
-            let cache =
-                cached.then(|| Arc::new(IpCache::new(CacheConfig::default()).with_collector(obs)));
+            let cache = cached.then(|| Arc::new(Cache::new(obs)));
             let mut rig = scenarios::build_full(
                 scenario,
                 WIDTH,

@@ -18,11 +18,11 @@ use vcad_core::{
     Design, DesignBuilder, Estimator, Module, ModuleId, Parameter, SetupController, SetupCriterion,
     ShardPolicy, SimulationController,
 };
-use vcad_ip::{ClientSession, ComponentOffering, IpCache, IpComponentModule, ProviderServer};
+use vcad_ip::{ClientSession, ComponentOffering, IpComponentModule, ProviderServer};
 use vcad_netlist::generators;
 use vcad_obs::{Collector, MetricsSnapshot};
 use vcad_power::{PowerModel, TogglePowerEstimator};
-use vcad_rmi::{heavy_chaos_stack, InProcTransport, Transport, TransportStats};
+use vcad_rmi::{heavy_chaos_stack, Cache, InProcTransport, Transport, TransportStats};
 
 /// The three deployment scenarios of Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +64,7 @@ pub struct ScenarioRig {
     controller: SimulationController,
     output: ModuleId,
     obs: Collector,
-    cache: Option<Arc<IpCache>>,
+    cache: Option<Arc<Cache>>,
     // Kept alive for the duration of the rig: the provider process.
     _server: Option<ProviderServer>,
 }
@@ -151,7 +151,7 @@ pub fn build_full(
     buffer: usize,
     obs: Collector,
     chaos_seed: Option<u64>,
-    cache: Option<Arc<IpCache>>,
+    cache: Option<Arc<Cache>>,
 ) -> ScenarioRig {
     let chaos_wrap = |transport: Arc<dyn Transport>| -> Arc<dyn Transport> {
         let Some(seed) = chaos_seed else {

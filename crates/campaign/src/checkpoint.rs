@@ -158,7 +158,7 @@ impl CellRecord {
         Some(CellRecord {
             key,
             outcome,
-            attempts: doc.get("attempts")?.as_u64()? as u32,
+            attempts: u32::try_from(doc.get("attempts")?.as_u64()?).ok()?,
             patterns: doc.get("patterns")?.as_u64()?,
             total_faults: doc.get("total_faults")?.as_u64()?,
             detected: doc.get("detected")?.as_u64()?,
@@ -353,6 +353,20 @@ mod tests {
     fn crc32_known_vector() {
         // The classic check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn attempts_beyond_u32_are_malformed() {
+        let with_attempts = |attempts: f64| {
+            let mut doc = json::parse(&record(1, 1).to_json()).unwrap();
+            if let JsonValue::Object(members) = &mut doc {
+                members.insert("attempts".to_owned(), JsonValue::Number(attempts));
+            }
+            CellRecord::from_json(&doc)
+        };
+        let max = with_attempts(f64::from(u32::MAX)).map(|r| r.attempts);
+        assert_eq!(max, Some(u32::MAX));
+        assert_eq!(with_attempts(4_294_967_296.0), None);
     }
 
     #[test]

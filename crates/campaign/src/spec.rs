@@ -14,10 +14,10 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use vcad_cache::hash::CanonicalHasher;
 use vcad_core::EngineKind;
 use vcad_ip::{ComponentOffering, ModelAvailability, PriceList};
 use vcad_obs::json::{self, JsonValue};
+use vcad_rmi::hash::CanonicalHasher;
 
 /// Version tag mixed into every cell key; bump when cell semantics (not
 /// just the spec grammar) change incompatibly.
@@ -578,7 +578,13 @@ impl CampaignSpec {
                 why: "each seed must be a non-negative integer".into(),
             })?);
         }
-        let attempt_budget = u64_field(chaos_obj, "attempt_budget")? as u32;
+        let attempt_budget =
+            u32::try_from(u64_field(chaos_obj, "attempt_budget")?).map_err(|_| {
+                SpecError::InvalidField {
+                    field: "attempt_budget",
+                    why: format!("at most {} attempts", u32::MAX),
+                }
+            })?;
         if attempt_budget == 0 {
             return Err(SpecError::ZeroAttemptBudget);
         }
@@ -841,6 +847,19 @@ mod tests {
             CampaignSpec::parse(&zero_attempts),
             Err(SpecError::ZeroAttemptBudget)
         );
+        for budget in ["4294967296", "4294967297"] {
+            let huge = SMOKE.replace(
+                "\"attempt_budget\": 2",
+                &format!("\"attempt_budget\": {budget}"),
+            );
+            assert!(matches!(
+                CampaignSpec::parse(&huge),
+                Err(SpecError::InvalidField {
+                    field: "attempt_budget",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

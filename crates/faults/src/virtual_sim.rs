@@ -29,10 +29,6 @@ pub enum VirtualSimError {
     NoBlocks,
     /// No primary outputs were given — nothing is observable.
     NoOutputs,
-    /// A parallelism of zero threads can make no progress.
-    ZeroParallelism,
-    /// An injection worker thread panicked.
-    WorkerPanicked,
     /// A detection table's fault-free configuration, or one of its
     /// rows, does not match the bound block's output width — the source
     /// answered for a different component (or corrupted data survived
@@ -54,8 +50,6 @@ impl fmt::Display for VirtualSimError {
             VirtualSimError::Source(m) => write!(f, "detection-table source failed: {m}"),
             VirtualSimError::NoBlocks => write!(f, "no IP blocks bound"),
             VirtualSimError::NoOutputs => write!(f, "no primary outputs to observe"),
-            VirtualSimError::ZeroParallelism => write!(f, "need at least one injection thread"),
-            VirtualSimError::WorkerPanicked => write!(f, "an injection worker panicked"),
             VirtualSimError::MalformedTable {
                 module,
                 expected,
@@ -326,7 +320,6 @@ pub struct VirtualFaultSim {
     design: Arc<Design>,
     blocks: Vec<IpBlockBinding>,
     outputs: Vec<ModuleId>,
-    parallelism: usize,
     table_cache: bool,
     obs: Collector,
     shards: ShardPolicy,
@@ -355,7 +348,6 @@ impl VirtualFaultSim {
             design,
             blocks,
             outputs,
-            parallelism: 1,
             table_cache: true,
             obs: Collector::disabled(),
             shards: ShardPolicy::Sequential,
@@ -377,20 +369,19 @@ impl VirtualFaultSim {
 
     /// Runs the *good machine* (the fault-free simulation that produces
     /// each pattern's signal configuration) under the given
-    /// [`ShardPolicy`]. Injection runs stay sequential — they are
-    /// single-instant and already parallelised across patterns by
-    /// [`VirtualFaultSim::with_parallelism`]. Coverage results are
-    /// bit-identical to the sequential good machine.
+    /// [`ShardPolicy`]. Injection runs stay sequential — each is a
+    /// single instant. Coverage results are bit-identical to the
+    /// sequential good machine.
     #[must_use]
     pub fn with_shards(mut self, policy: ShardPolicy) -> VirtualFaultSim {
         self.shards = policy;
         self
     }
 
-    /// Routes run-level metrics (`faults.*` counters, per-worker injection
-    /// counts) and a per-run span into `obs`. The thousands of
-    /// single-instant injection schedulers stay uninstrumented — their
-    /// creation is the hot path the paper's figure 5 loop turns on.
+    /// Routes run-level metrics (`faults.*` counters) and a per-run span
+    /// into `obs`. The thousands of single-instant injection schedulers
+    /// stay uninstrumented — their creation is the hot path the paper's
+    /// figure 5 loop turns on.
     #[must_use]
     pub fn with_collector(mut self, obs: Collector) -> VirtualFaultSim {
         self.obs = obs;
@@ -407,23 +398,6 @@ impl VirtualFaultSim {
         self
     }
 
-    /// Runs the injection step of each pattern on up to `threads`
-    /// concurrent schedulers. Injection runs are fully independent —
-    /// each gets its own scheduler over the shared design — so this is
-    /// the paper's parallel-simulation capability applied to
-    /// testability. Results are identical to the serial run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VirtualSimError::ZeroParallelism`] if `threads` is zero.
-    pub fn with_parallelism(mut self, threads: usize) -> Result<VirtualFaultSim, VirtualSimError> {
-        if threads == 0 {
-            return Err(VirtualSimError::ZeroParallelism);
-        }
-        self.parallelism = threads;
-        Ok(self)
-    }
-
     /// Runs the full two-phase virtual fault simulation.
     ///
     /// # Errors
@@ -435,13 +409,6 @@ impl VirtualFaultSim {
             .obs
             .is_enabled()
             .then(|| self.obs.span("faults", "run"));
-        let worker_injections: Vec<vcad_obs::Counter> = (0..self.parallelism)
-            .map(|i| {
-                self.obs
-                    .metrics()
-                    .counter(&format!("faults.worker.{i}.injections"))
-            })
-            .collect();
         // Phase 1: the union of symbolic fault lists.
         let mut remaining: Vec<HashSet<SymbolicFault>> = Vec::new();
         let mut block_cov: Vec<BlockCoverage> = Vec::new();
@@ -539,60 +506,15 @@ impl VirtualFaultSim {
                     .filter(|(_, faults)| faults.iter().any(|f| remaining[bi].contains(f)))
                     .collect();
                 injections += pending.len();
-                let verdicts: Vec<Result<bool, VirtualSimError>> =
-                    if self.parallelism > 1 && pending.len() > 1 {
-                        std::thread::scope(|scope| {
-                            let snapshots = &snapshots;
-                            let good_outputs = &good_outputs;
-                            let worker_injections = &worker_injections;
-                            let overrides = &overrides;
-                            let handles: Vec<_> = pending
-                                .chunks(pending.len().div_ceil(self.parallelism))
-                                .enumerate()
-                                .map(|(worker, chunk)| {
-                                    scope.spawn(move || {
-                                        worker_injections[worker].add(chunk.len() as u64);
-                                        chunk
-                                            .iter()
-                                            .map(|(out, _)| {
-                                                self.inject_and_observe(
-                                                    binding.module,
-                                                    out,
-                                                    snapshots,
-                                                    good_outputs,
-                                                    overrides,
-                                                )
-                                            })
-                                            .collect::<Vec<_>>()
-                                    })
-                                })
-                                .collect();
-                            let mut all = Vec::with_capacity(pending.len());
-                            for h in handles {
-                                match h.join() {
-                                    Ok(vs) => all.extend(vs),
-                                    Err(_) => all.push(Err(VirtualSimError::WorkerPanicked)),
-                                }
-                            }
-                            all
-                        })
-                    } else {
-                        worker_injections[0].add(pending.len() as u64);
-                        pending
-                            .iter()
-                            .map(|(out, _)| {
-                                self.inject_and_observe(
-                                    binding.module,
-                                    out,
-                                    &snapshots,
-                                    &good_outputs,
-                                    &overrides,
-                                )
-                            })
-                            .collect()
-                    };
-                for ((_, faults), verdict) in pending.iter().zip(verdicts) {
-                    if verdict? {
+                for (out, faults) in pending {
+                    let detected = self.inject_and_observe(
+                        binding.module,
+                        out,
+                        &snapshots,
+                        &good_outputs,
+                        &overrides,
+                    )?;
+                    if detected {
                         for f in faults {
                             if remaining[bi].remove(f) {
                                 block_cov[bi].detected.push(f.clone());
@@ -1023,7 +945,7 @@ mod tests {
     }
 
     #[test]
-    fn collector_mirrors_report_counts_across_workers() {
+    fn collector_mirrors_report_counts() {
         let (design, ip, outputs, ip1) = figure4_design(&all_16_patterns());
         let obs = Collector::enabled();
         let sim = VirtualFaultSim::new(
@@ -1035,8 +957,6 @@ mod tests {
             outputs,
         )
         .unwrap()
-        .with_parallelism(3)
-        .unwrap()
         .with_collector(obs.clone());
         let report = sim.run().unwrap();
         let snap = obs.metrics().snapshot();
@@ -1047,11 +967,6 @@ mod tests {
         );
         assert_eq!(snap.counters["faults.cache_hits"], report.cache_hits as u64);
         assert_eq!(snap.counters["faults.injections"], report.injections as u64);
-        // Per-worker counts partition the total.
-        let per_worker: u64 = (0..3)
-            .filter_map(|i| snap.counters.get(&format!("faults.worker.{i}.injections")))
-            .sum();
-        assert_eq!(per_worker, report.injections as u64);
         assert_eq!(obs.trace().events_named("run").len(), 1);
     }
 
@@ -1076,20 +991,6 @@ mod tests {
             .err(),
             Some(VirtualSimError::NoOutputs)
         );
-        let sim = VirtualFaultSim::new(
-            Arc::clone(&design),
-            vec![IpBlockBinding {
-                module: ip,
-                source: Arc::clone(&source),
-            }],
-            outputs.clone(),
-        )
-        .unwrap();
-        assert_eq!(
-            sim.with_parallelism(0).err(),
-            Some(VirtualSimError::ZeroParallelism)
-        );
-
         // A source answering for a different component: its tables are one
         // bit wide while the bound block outputs two. The run must fail
         // closed instead of slicing garbage.

@@ -300,53 +300,6 @@ fn bit_parallel_equals_serial_on_random_circuits() {
 }
 
 #[test]
-fn parallel_injection_equals_serial() {
-    let mut rng = Rng::seed_from_u64(0xfa05);
-    for _ in 0..12 {
-        let ip_seed = rng.gen_range(0u64..10_000);
-        let k1 = rng.next_u64() as u8;
-        let k2 = rng.next_u64() as u8;
-        let threads = rng.gen_range(2usize..5);
-        let s = build_scenario(ip_seed, k1, k2);
-        let serial = VirtualFaultSim::new(
-            Arc::clone(&s.design),
-            vec![IpBlockBinding {
-                module: s.ip_module,
-                source: Arc::new(NetlistDetectionSource::new(Arc::clone(&s.ip))),
-            }],
-            s.outputs.clone(),
-        )
-        .expect("virtual fault sim config")
-        .run()
-        .expect("serial virtual fault simulation");
-        let parallel = VirtualFaultSim::new(
-            Arc::clone(&s.design),
-            vec![IpBlockBinding {
-                module: s.ip_module,
-                source: Arc::new(NetlistDetectionSource::new(Arc::clone(&s.ip))),
-            }],
-            s.outputs.clone(),
-        )
-        .expect("virtual fault sim config")
-        .with_parallelism(threads)
-        .expect("parallelism")
-        .run()
-        .expect("parallel virtual fault simulation");
-        let as_set = |v: &[vcad_faults::SymbolicFault]| {
-            v.iter()
-                .map(|f| f.as_str().to_owned())
-                .collect::<HashSet<_>>()
-        };
-        assert_eq!(
-            as_set(&serial.blocks[0].detected),
-            as_set(&parallel.blocks[0].detected)
-        );
-        assert_eq!(serial.injections, parallel.injections);
-        assert_eq!(serial.patterns, parallel.patterns);
-    }
-}
-
-#[test]
 fn mux_heavy_circuits_fault_simulate_consistently() {
     let mut rng = Rng::seed_from_u64(0xfa06);
     for _ in 0..16 {

@@ -7,10 +7,10 @@ use vcad_core::{Estimator, Module};
 use vcad_faults::{DetectionTable, DetectionTableSource, SymbolicFault, VirtualSimError};
 use vcad_logic::LogicVec;
 use vcad_rmi::{
-    Client, InProcTransport, RemoteRef, RmiError, Sandbox, SecurityManager, Transport, Value,
+    Cache, Client, InProcTransport, RemoteRef, RmiError, Sandbox, SecurityManager, Transport, Value,
 };
 
-use crate::cache::{cacheable_method, IpCache};
+use crate::cache::cacheable_method;
 use crate::estimator::{
     DownloadedConstantPower, DownloadedRegressionPower, DownloadedStaticEstimator,
     RemotePeakPowerEstimator, RemoteToggleEstimator,
@@ -44,7 +44,7 @@ pub struct OfferingInfo {
 pub struct ClientSession {
     client: Client,
     host: String,
-    cache: Option<Arc<IpCache>>,
+    cache: Option<Arc<Cache>>,
 }
 
 impl ClientSession {
@@ -93,10 +93,10 @@ impl ClientSession {
     /// across sessions freely; a successful [`ClientSession::negotiate`]
     /// invalidates this provider's entries only.
     #[must_use]
-    pub fn with_cache(mut self, cache: Arc<IpCache>) -> ClientSession {
+    pub fn with_cache(mut self, cache: Arc<Cache>) -> ClientSession {
         self.client = self
             .client
-            .with_cache(cache.store(), &self.host, cacheable_method);
+            .with_cache(Arc::clone(&cache), &self.host, cacheable_method);
         self.cache = Some(cache);
         self
     }

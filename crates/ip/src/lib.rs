@@ -55,7 +55,7 @@ mod offering;
 mod protocol;
 mod server;
 
-pub use cache::{cacheable_method, IpCache};
+pub use cache::cacheable_method;
 pub use client::{ClientSession, OfferingInfo, RemoteComponent, RemoteDetectionSource};
 pub use estimator::{RemotePeakPowerEstimator, RemoteToggleEstimator};
 pub use modules::{IpComponentModule, PublicPart, RemoteFunctionalModule};

@@ -220,13 +220,6 @@ impl ProviderServer {
         Arc::clone(&self.dispatcher)
     }
 
-    /// Bounds the dispatcher's at-most-once reply cache (see
-    /// [`Dispatcher::set_reply_cache_capacity`]). Zero disables
-    /// deduplication of retried tracked calls.
-    pub fn set_reply_cache_capacity(&self, capacity: usize) {
-        self.dispatcher.set_reply_cache_capacity(capacity);
-    }
-
     /// The exported-object registry (diagnostics).
     #[must_use]
     pub fn registry(&self) -> &Arc<ObjectRegistry> {

@@ -4,18 +4,17 @@
 
 use std::sync::Arc;
 
-use vcad_cache::CacheConfig;
 use vcad_core::{EstimationInput, Parameter, PortSnapshot, SimTime};
 use vcad_faults::DetectionTableSource;
-use vcad_ip::{ClientSession, ComponentOffering, IpCache, NegotiationRequest, ProviderServer};
+use vcad_ip::{ClientSession, ComponentOffering, NegotiationRequest, ProviderServer};
 use vcad_logic::LogicVec;
 use vcad_obs::Collector;
-use vcad_rmi::{InProcTransport, Transport};
+use vcad_rmi::{Cache, InProcTransport, Transport};
 
 type Rig = (
     ProviderServer,
     ClientSession,
-    Arc<IpCache>,
+    Arc<Cache>,
     Arc<dyn Transport>,
 );
 
@@ -30,7 +29,7 @@ fn cached_rig_metered(obs: &Collector) -> Rig {
     let server = ProviderServer::new("cached.example.com");
     server.offer(ComponentOffering::fast_low_power_multiplier());
     let wire: Arc<dyn Transport> = Arc::new(InProcTransport::new(server.dispatcher()));
-    let cache = Arc::new(IpCache::new(CacheConfig::default()).with_collector(obs));
+    let cache = Arc::new(Cache::new(obs));
     let session =
         ClientSession::connect(Arc::clone(&wire), server.host()).with_cache(Arc::clone(&cache));
     (server, session, cache, wire)

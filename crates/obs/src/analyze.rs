@@ -601,7 +601,6 @@ mod tests {
             category: Cow::Owned(cat.to_string()),
             kind: EventKind::Span { dur_ns },
             wall_ns: start_ns,
-            virtual_ns: None,
             thread: 1,
             args,
         }

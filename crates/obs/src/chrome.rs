@@ -6,8 +6,7 @@
 //!
 //! Spans become `ph:"X"` complete events; instants become `ph:"i"`.
 //! Timestamps and durations are microseconds (floats, so nanosecond
-//! resolution survives). The virtual-timeline position, when present,
-//! rides along in `args.virtual_us`.
+//! resolution survives).
 //!
 //! Multi-process traces: [`to_chrome_json_lanes`] renders several
 //! [`Trace`]s into one document, one `pid` lane per trace, each named by
@@ -61,18 +60,12 @@ fn write_event(out: &mut String, e: &TraceEvent, pid: u32) {
         }
     }
     let _ = write!(out, ",\"pid\":{pid},\"tid\":{}", e.thread);
-    if e.virtual_ns.is_some() || !e.args.is_empty() {
+    if !e.args.is_empty() {
         out.push_str(",\"args\":{");
-        let mut first = true;
-        if let Some(v) = e.virtual_ns {
-            let _ = write!(out, "\"virtual_us\":{}", v as f64 / 1_000.0);
-            first = false;
-        }
-        for (k, v) in &e.args {
-            if !first {
+        for (i, (k, v)) in e.args.iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
             json::write_str(out, k);
             out.push(':');
             write_arg_value(out, v);
@@ -142,15 +135,10 @@ pub struct ProcessLane {
     pub events: Vec<TraceEvent>,
 }
 
-fn parse_args(obj: &JsonValue) -> (Option<u64>, Vec<(std::borrow::Cow<'static, str>, ArgValue)>) {
-    let mut virtual_ns = None;
+fn parse_args(obj: &JsonValue) -> Vec<(std::borrow::Cow<'static, str>, ArgValue)> {
     let mut args = Vec::new();
     if let Some(map) = obj.get("args").and_then(JsonValue::as_object) {
         for (k, v) in map {
-            if k == "virtual_us" {
-                virtual_ns = v.as_f64().map(|us| (us * 1_000.0).round() as u64);
-                continue;
-            }
             let arg = match v {
                 JsonValue::Number(_) => match v.as_u64() {
                     Some(n) => ArgValue::U64(n),
@@ -163,7 +151,7 @@ fn parse_args(obj: &JsonValue) -> (Option<u64>, Vec<(std::borrow::Cow<'static, s
             args.push((std::borrow::Cow::Owned(k.clone()), arg));
         }
     }
-    (virtual_ns, args)
+    args
 }
 
 /// An event's `pid` or `tid`: 0 when absent, an error when it is not a
@@ -224,7 +212,7 @@ pub fn parse_chrome_json(input: &str) -> Result<Vec<ProcessLane>, String> {
             _ => continue,
         };
         let ts_us = ev.get("ts").and_then(JsonValue::as_f64).unwrap_or(0.0);
-        let (virtual_ns, args) = parse_args(ev);
+        let args = parse_args(ev);
         lane.events.push(TraceEvent {
             name: std::borrow::Cow::Owned(name.to_string()),
             category: std::borrow::Cow::Owned(
@@ -235,7 +223,6 @@ pub fn parse_chrome_json(input: &str) -> Result<Vec<ProcessLane>, String> {
             ),
             kind,
             wall_ns: (ts_us * 1_000.0).round().max(0.0) as u64,
-            virtual_ns,
             thread,
             args,
         });

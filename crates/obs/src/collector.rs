@@ -1,5 +1,5 @@
-//! The trace collector: spans and instant events with both wall-clock
-//! and virtual-timeline timestamps.
+//! The trace collector: spans and instant events with wall-clock
+//! timestamps.
 //!
 //! A [`Collector`] is a cheap clonable handle. Recording an event when
 //! tracing is disabled costs **one relaxed atomic load** — collectors
@@ -18,8 +18,6 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
-
-use vcad_netsim::VirtualTimeline;
 
 use crate::context::{self, ContextGuard, TraceContext};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -101,9 +99,6 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Start time, nanoseconds since the collector epoch.
     pub wall_ns: u64,
-    /// Position on the attached virtual timeline at the time of the
-    /// event, nanoseconds, when a timeline is attached.
-    pub virtual_ns: Option<u64>,
     /// Recording thread (see [`thread_id`]).
     pub thread: u32,
     /// Attached key/value arguments.
@@ -116,7 +111,6 @@ struct CollectorInner {
     capacity: usize,
     ring: RingBuffer<TraceEvent>,
     metrics: MetricsRegistry,
-    timeline: RwLock<Option<Arc<Mutex<VirtualTimeline>>>>,
     /// Process lane name stamped onto exported traces.
     process: RwLock<String>,
     /// Fallback trace context used by [`Collector::traced_span`] when the
@@ -157,7 +151,6 @@ impl Collector {
                 capacity,
                 ring: RingBuffer::with_capacity(capacity),
                 metrics: MetricsRegistry::new(),
-                timeline: RwLock::new(None),
                 process: RwLock::new(String::from("vcad")),
                 default_context: RwLock::new(None),
                 absorbed_events: Mutex::new(Vec::new()),
@@ -233,23 +226,10 @@ impl Collector {
         self.inner.default_context.read().unwrap().clone()
     }
 
-    /// Attaches the virtual timeline whose position is stamped onto
-    /// every subsequent event.
-    pub fn attach_virtual_timeline(&self, timeline: Arc<Mutex<VirtualTimeline>>) {
-        *self.inner.timeline.write().unwrap() = Some(timeline);
-    }
-
     /// Nanoseconds since this collector's epoch.
     #[must_use]
     pub fn now_ns(&self) -> u64 {
         u64::try_from(self.inner.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    fn virtual_now_ns(&self) -> Option<u64> {
-        let guard = self.inner.timeline.read().unwrap();
-        guard
-            .as_ref()
-            .map(|tl| u64::try_from(tl.lock().unwrap().real_time().as_nanos()).unwrap_or(u64::MAX))
     }
 
     /// Records an instant event. One relaxed load when disabled.
@@ -266,7 +246,6 @@ impl Collector {
             category: category.into(),
             kind: EventKind::Instant,
             wall_ns: self.now_ns(),
-            virtual_ns: self.virtual_now_ns(),
             thread: thread_id(),
             args: Vec::new(),
         });
@@ -287,7 +266,6 @@ impl Collector {
             category: category.into(),
             kind: EventKind::Instant,
             wall_ns: self.now_ns(),
-            virtual_ns: self.virtual_now_ns(),
             thread: thread_id(),
             args,
         });
@@ -384,12 +362,11 @@ impl Collector {
     }
 
     /// An isolated child sharing nothing but configuration (enablement,
-    /// ring capacity, virtual-timeline attachment) — one per concurrent
+    /// ring capacity, process name, default context) — one per concurrent
     /// scheduler. Fold it back with [`Collector::absorb`].
     #[must_use]
     pub fn child(&self) -> Collector {
         let child = Collector::with_enabled(self.is_enabled(), self.inner.capacity);
-        *child.inner.timeline.write().unwrap() = self.inner.timeline.read().unwrap().clone();
         *child.inner.process.write().unwrap() = self.inner.process.read().unwrap().clone();
         *child.inner.default_context.write().unwrap() =
             self.inner.default_context.read().unwrap().clone();
@@ -473,7 +450,6 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(s) = self.state.take() {
             let end = s.collector.now_ns();
-            let virtual_ns = s.collector.virtual_now_ns();
             s.collector.push(TraceEvent {
                 name: s.name,
                 category: s.category,
@@ -481,7 +457,6 @@ impl Drop for SpanGuard {
                     dur_ns: end.saturating_sub(s.start_wall),
                 },
                 wall_ns: s.start_wall,
-                virtual_ns,
                 thread: thread_id(),
                 args: s.args,
             });
@@ -583,19 +558,6 @@ mod tests {
             other => panic!("expected span, got {other:?}"),
         }
         assert_eq!(t.events[0].args[0].0, "n");
-    }
-
-    #[test]
-    fn virtual_timestamps_follow_the_attached_timeline() {
-        let c = Collector::enabled();
-        let tl = Arc::new(Mutex::new(VirtualTimeline::new()));
-        c.attach_virtual_timeline(Arc::clone(&tl));
-        c.event("test", "before");
-        tl.lock().unwrap().add_network(Duration::from_millis(250));
-        c.event("test", "after");
-        let t = c.trace();
-        assert_eq!(t.events[0].virtual_ns, Some(0));
-        assert_eq!(t.events[1].virtual_ns, Some(250_000_000));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! # vcad-obs — tracing & metrics backplane
 //!
 //! A zero-dependency observability layer for the virtual-simulation
-//! workspace: structured spans and events with **both wall-clock and
-//! virtual-timeline timestamps**, a metrics registry of counters,
-//! gauges and log-scale histograms, and exporters for Chrome
-//! trace-event JSON and plain-text summary tables.
+//! workspace: structured spans and events with wall-clock timestamps,
+//! a metrics registry of counters, gauges and log-scale histograms, and
+//! exporters for Chrome trace-event JSON and plain-text summary tables.
 //!
 //! Design constraints, in order:
 //!
@@ -13,11 +12,7 @@
 //!    through a bounded lock-free ring ([`ring::RingBuffer`]) that
 //!    drops (and counts) on overflow rather than ever blocking the
 //!    scheduler's hot loop.
-//! 2. **Two clocks.** The paper's cost model separates wall time from
-//!    the virtual timeline (cpu / network / server, overlapped).
-//!    Events carry both so a trace can show where *modeled* time went,
-//!    not just where the host CPU did.
-//! 3. **Per-scheduler isolation.** Concurrent simulations get isolated
+//! 2. **Per-scheduler isolation.** Concurrent simulations get isolated
 //!    child collectors ([`Collector::child`]) merged back with
 //!    [`Collector::absorb`] — the same isolate-then-merge shape as the
 //!    schedulers' own state stores.

@@ -92,8 +92,6 @@ pub struct TenantQuota {
     /// Lifetime call budget; `None` is unlimited. Exhaustion is a hard
     /// (non-retryable) `QuotaExceeded` denial.
     pub max_calls: Option<u64>,
-    /// Concurrent session cap; `None` is unlimited.
-    pub max_sessions: Option<usize>,
 }
 
 impl TenantQuota {
@@ -104,7 +102,6 @@ impl TenantQuota {
             rate_per_sec: f64::INFINITY,
             burst: f64::INFINITY,
             max_calls: None,
-            max_sessions: None,
         }
     }
 
@@ -116,7 +113,6 @@ impl TenantQuota {
             rate_per_sec,
             burst,
             max_calls: None,
-            max_sessions: None,
         }
     }
 
@@ -124,13 +120,6 @@ impl TenantQuota {
     #[must_use]
     pub fn with_max_calls(mut self, max_calls: u64) -> TenantQuota {
         self.max_calls = Some(max_calls);
-        self
-    }
-
-    /// Caps concurrent sessions.
-    #[must_use]
-    pub fn with_max_sessions(mut self, max_sessions: usize) -> TenantQuota {
-        self.max_sessions = Some(max_sessions);
         self
     }
 }
@@ -296,31 +285,22 @@ impl AdmissionControl {
         }
     }
 
-    /// Registers one session (connection) for `tenant`. Returns `false`
-    /// — and registers nothing — when the tenant is at its session cap.
-    pub fn open_session(&self, tenant: &str) -> bool {
+    /// Registers one session (connection) for `tenant`.
+    pub(crate) fn open_session(&self, tenant: &str) {
         let now = self.clock.now();
         let mut tenants = self.tenants.lock().unwrap();
         let state = tenants
             .entry(tenant.to_owned())
             .or_insert_with(|| TenantState::new(self.default_quota.clone(), now));
-        if state
-            .quota
-            .max_sessions
-            .is_some_and(|max| state.stats.sessions >= max)
-        {
-            return false;
-        }
         state.stats.sessions += 1;
         self.obs
             .metrics()
             .gauge(&format!("tenant.{tenant}.sessions"))
             .set(state.stats.sessions as u64);
-        true
     }
 
     /// Releases one session for `tenant`.
-    pub fn close_session(&self, tenant: &str) {
+    pub(crate) fn close_session(&self, tenant: &str) {
         let mut tenants = self.tenants.lock().unwrap();
         if let Some(state) = tenants.get_mut(tenant) {
             state.stats.sessions = state.stats.sessions.saturating_sub(1);
@@ -447,15 +427,13 @@ mod tests {
     }
 
     #[test]
-    fn session_caps_and_metrics() {
+    fn sessions_are_counted_and_metered() {
         let obs = Collector::enabled();
         let ac = AdmissionControl::with_clock(Arc::new(VirtualClock::new())).with_collector(&obs);
-        ac.set_quota("acme", TenantQuota::unlimited().with_max_sessions(2));
-        assert!(ac.open_session("acme"));
-        assert!(ac.open_session("acme"));
-        assert!(!ac.open_session("acme"));
+        for _ in 0..3 {
+            ac.open_session("acme");
+        }
         ac.close_session("acme");
-        assert!(ac.open_session("acme"));
         assert_eq!(ac.tenant_stats("acme").sessions, 2);
         let snap = obs.metrics().snapshot();
         assert_eq!(

@@ -3,12 +3,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use vcad_cache::hash::CanonicalHasher;
-use vcad_cache::{Cache, CacheOutcome, Fill};
 use vcad_obs::{context, Collector, TracedSpan};
 
+use crate::cache::{Cache, CacheOutcome};
 use crate::error::RmiError;
 use crate::frame::{CallFrame, Frame};
+use crate::hash::CanonicalHasher;
 use crate::security::SecurityManager;
 use crate::transport::Transport;
 use crate::value::{ObjectId, Value};
@@ -18,7 +18,7 @@ use crate::wire::WireWriter;
 /// consulted where the call is still typed, so a hit skips marshalling
 /// altogether and can be reported to the caller for fee accounting.
 struct Memo {
-    cache: Arc<Cache<Value, RmiError>>,
+    cache: Arc<Cache>,
     provider: String,
     cacheable: fn(&str) -> bool,
 }
@@ -59,7 +59,8 @@ pub struct Client {
 }
 
 impl Client {
-    /// Creates a client with the strict (port-data-only) security manager.
+    /// Creates a client with the permissive security manager: every
+    /// argument may cross the wire (see [`Client::with_security`]).
     #[must_use]
     pub fn new(transport: Arc<dyn Transport>) -> Client {
         Client::with_security(transport, SecurityManager::permissive())
@@ -122,7 +123,7 @@ impl Client {
     #[must_use]
     pub fn with_cache(
         mut self,
-        cache: Arc<Cache<Value, RmiError>>,
+        cache: Arc<Cache>,
         provider: &str,
         cacheable: fn(&str) -> bool,
     ) -> Client {
@@ -183,14 +184,13 @@ impl Client {
         let key = memo.key(object, method, &args);
         let (value, outcome) = memo.cache.get_or_join(key, &memo.provider, || {
             self.call_wire(object, method, args, &mut span)
-                .map(Fill::Store)
         })?;
         span.arg(
             "outcome",
             match outcome {
                 CacheOutcome::Hit => "hit",
                 CacheOutcome::Coalesced => "coalesced",
-                CacheOutcome::Miss | CacheOutcome::Bypass => "miss",
+                CacheOutcome::Miss => "miss",
             },
         );
         Ok((value, outcome.avoided_wire_call()))

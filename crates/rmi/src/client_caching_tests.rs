@@ -7,14 +7,11 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    use vcad_cache::{Cache, CacheConfig};
     use vcad_obs::Collector;
 
     use crate::dispatch::{Dispatcher, ObjectRegistry, RemoteObject, ServerCtx};
     use crate::transport::InProcTransport;
-    use crate::{Client, RmiError, Value};
-
-    type ValueCache = Cache<Value, RmiError>;
+    use crate::{Cache, Client, RmiError, Value};
 
     struct Counting {
         served: AtomicU64,
@@ -44,7 +41,7 @@ mod tests {
     /// A counting root object behind a client memoizing `cacheable`
     /// methods into `cache` as `provider`.
     fn rig_on(
-        cache: &Arc<ValueCache>,
+        cache: &Arc<Cache>,
         provider: &str,
         cacheable: fn(&str) -> bool,
     ) -> (Arc<Counting>, Client) {
@@ -62,8 +59,8 @@ mod tests {
         (object, client)
     }
 
-    fn rig() -> (Arc<Counting>, Client, Arc<ValueCache>) {
-        let cache = Arc::new(Cache::new(CacheConfig::default()));
+    fn rig() -> (Arc<Counting>, Client, Arc<Cache>) {
+        let cache = Arc::new(Cache::new(&Collector::disabled()));
         let (object, client) = rig_on(&cache, "unit.example.com", only_pure);
         (object, client, cache)
     }
@@ -105,19 +102,19 @@ mod tests {
             client.root().invoke("mutating", vec![]).unwrap();
         }
         assert_eq!(object.served.load(Ordering::SeqCst), 3);
-        assert!(cache.is_empty());
+        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
     fn error_responses_are_not_cached() {
         // "failing" is not in the usual cacheable set, so force the
         // point with a predicate that admits it.
-        let cache = Arc::new(Cache::new(CacheConfig::default()));
+        let cache = Arc::new(Cache::new(&Collector::disabled()));
         let (object, client) = rig_on(&cache, "unit.example.com", |_| true);
         assert!(client.root().invoke("failing", vec![]).is_err());
         assert!(client.root().invoke("failing", vec![]).is_err());
         assert_eq!(object.served.load(Ordering::SeqCst), 2);
-        assert!(cache.is_empty());
+        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
@@ -170,14 +167,14 @@ mod tests {
             "traced call must be a cache hit, not a second wire call"
         );
         assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]
     fn providers_do_not_share_keys() {
         // Same object id, method and args on two providers must be
         // two distinct cache entries.
-        let cache = Arc::new(Cache::new(CacheConfig::default()));
+        let cache = Arc::new(Cache::new(&Collector::disabled()));
         let rigs =
             ["alpha.example.com", "beta.example.com"].map(|host| rig_on(&cache, host, only_pure));
         for (_, client) in &rigs {
@@ -187,6 +184,6 @@ mod tests {
         for (object, _) in &rigs {
             assert_eq!(object.served.load(Ordering::SeqCst), 1);
         }
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().entries, 2);
     }
 }

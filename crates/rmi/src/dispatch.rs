@@ -138,47 +138,31 @@ impl ServerCtx {
     }
 }
 
-/// A bounded FIFO cache of tracked-call responses, keyed by request id.
+/// Tracked responses a dispatcher remembers.
+const REPLY_CACHE_CAPACITY: usize = 4096;
+
+/// A bounded FIFO cache of the last [`REPLY_CACHE_CAPACITY`] tracked-call
+/// responses, keyed by request id.
 ///
 /// This is what turns retried non-idempotent calls into at-most-once
 /// execution: a retry of an already-executed call replays the cached
 /// response bytes instead of executing (and billing) again.
+#[derive(Default)]
 struct ReplyCache {
-    capacity: usize,
     replies: HashMap<u128, Vec<u8>>,
     order: VecDeque<u128>,
 }
 
 impl ReplyCache {
-    fn new(capacity: usize) -> ReplyCache {
-        ReplyCache {
-            capacity,
-            replies: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
     fn get(&self, request_id: u128) -> Option<Vec<u8>> {
         self.replies.get(&request_id).cloned()
     }
 
     fn insert(&mut self, request_id: u128, response: Vec<u8>) {
-        if self.capacity == 0 {
-            return;
-        }
         if self.replies.insert(request_id, response).is_none() {
             self.order.push_back(request_id);
         }
-        while self.order.len() > self.capacity {
-            if let Some(evicted) = self.order.pop_front() {
-                self.replies.remove(&evicted);
-            }
-        }
-    }
-
-    fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        while self.order.len() > self.capacity {
+        if self.order.len() > REPLY_CACHE_CAPACITY {
             if let Some(evicted) = self.order.pop_front() {
                 self.replies.remove(&evicted);
             }
@@ -189,9 +173,6 @@ impl ReplyCache {
         self.order.len()
     }
 }
-
-/// Default number of tracked responses a dispatcher remembers.
-const DEFAULT_REPLY_CACHE_CAPACITY: usize = 4096;
 
 /// Decodes call frames, dispatches them to exported objects and encodes
 /// the responses. One dispatcher serves any number of transports.
@@ -208,13 +189,7 @@ impl Dispatcher {
     /// legitimately return detection tables, which are maps).
     #[must_use]
     pub fn new(registry: Arc<ObjectRegistry>) -> Dispatcher {
-        Dispatcher {
-            registry,
-            security: SecurityManager::permissive(),
-            obs: Collector::disabled(),
-            replies: Mutex::new(ReplyCache::new(DEFAULT_REPLY_CACHE_CAPACITY)),
-            admission: None,
-        }
+        Dispatcher::with_security(registry, SecurityManager::permissive())
     }
 
     /// Creates a dispatcher that also polices outgoing results.
@@ -224,13 +199,14 @@ impl Dispatcher {
             registry,
             security,
             obs: Collector::disabled(),
-            replies: Mutex::new(ReplyCache::new(DEFAULT_REPLY_CACHE_CAPACITY)),
+            replies: Mutex::default(),
             admission: None,
         }
     }
 
-    /// Routes dispatch metrics (`rmi.dispatch.*`, per-method counters and
-    /// latency histograms) and per-call spans into `obs`.
+    /// Routes dispatch metrics (`rmi.dispatch.*`, and per-method counters
+    /// and latency histograms for the methods objects answer) and
+    /// per-call spans into `obs`.
     #[must_use]
     pub fn with_collector(mut self, obs: Collector) -> Dispatcher {
         self.obs = obs;
@@ -258,12 +234,6 @@ impl Dispatcher {
     #[must_use]
     pub fn registry(&self) -> &Arc<ObjectRegistry> {
         &self.registry
-    }
-
-    /// Resizes the tracked-call reply cache (0 disables deduplication —
-    /// retried calls may then execute more than once).
-    pub fn set_reply_cache_capacity(&self, capacity: usize) {
-        self.replies.lock().unwrap().set_capacity(capacity);
     }
 
     /// Tracked responses currently cached.
@@ -311,12 +281,24 @@ impl Dispatcher {
         if result.is_err() {
             metrics.counter("rmi.dispatch.errors").inc();
         }
-        metrics
-            .counter(&format!("rmi.method.{}.calls", call.method))
-            .inc();
-        metrics
-            .histogram(&format!("rmi.method.{}.latency_ns", call.method))
-            .record_duration(started.elapsed());
+        // The method name is the peer's choice: only a method an object
+        // answered gets metrics of its own, so unknown names cannot grow
+        // the registry.
+        let unanswered = matches!(
+            result,
+            Err(RmiError::Remote {
+                kind: RemoteErrorKind::UnknownObject | RemoteErrorKind::UnknownMethod,
+                ..
+            })
+        );
+        if !unanswered {
+            metrics
+                .counter(&format!("rmi.method.{}.calls", call.method))
+                .inc();
+            metrics
+                .histogram(&format!("rmi.method.{}.latency_ns", call.method))
+                .record_duration(started.elapsed());
+        }
         span.arg("object", call.object.0);
         span.arg("ok", u64::from(result.is_ok()));
         drop(span);
@@ -541,12 +523,25 @@ mod tests {
         assert_eq!(snap.counters.get("rmi.dispatch.calls"), Some(&3));
         assert_eq!(snap.counters.get("rmi.dispatch.errors"), Some(&1));
         assert_eq!(snap.counters.get("rmi.method.echo.calls"), Some(&2));
-        assert_eq!(snap.counters.get("rmi.method.nope.calls"), Some(&1));
+        assert_eq!(snap.counters.get("rmi.method.nope.calls"), None);
         let h = snap.histograms.get("rmi.method.echo.latency_ns").unwrap();
         assert_eq!(h.count, 2);
         // One span per handled call.
         let trace = obs.trace();
         assert_eq!(trace.events_named("dispatch:").len(), 3);
+        // Names a peer makes up cost an error count each, no new metric.
+        let keys = |snap: &vcad_obs::MetricsSnapshot| {
+            snap.counters.len()
+                + snap.float_counters.len()
+                + snap.gauges.len()
+                + snap.histograms.len()
+        };
+        for i in 0..10_000 {
+            let _ = d.handle(&call(&format!("probe{i}"), vec![]));
+        }
+        let after = obs.metrics().snapshot();
+        assert_eq!(keys(&after), keys(&snap));
+        assert_eq!(after.counter("rmi.dispatch.errors"), 10_001);
     }
 
     #[test]
@@ -612,20 +607,21 @@ mod tests {
         use crate::frame::tracked_call as encode_tracked_call;
         let reg = Arc::new(ObjectRegistry::new());
         reg.register_root(Arc::new(Echo));
-        let d = Dispatcher::new(reg);
-        d.set_reply_cache_capacity(4);
+        let obs = Collector::disabled();
+        let d = Dispatcher::new(reg).with_collector(obs.clone());
         let inner = Frame::Call(call("echo", vec![])).encode();
-        for id in 0..10u128 {
+        let overflow = 10;
+        for id in 0..(REPLY_CACHE_CAPACITY + overflow) as u128 {
             let _ = d.handle_bytes(&encode_tracked_call(id, &inner));
         }
-        assert_eq!(d.reply_cache_len(), 4);
-        // Shrinking evicts the oldest survivors too.
-        d.set_reply_cache_capacity(2);
-        assert_eq!(d.reply_cache_len(), 2);
-        // Capacity 0 disables caching entirely.
-        d.set_reply_cache_capacity(0);
-        let _ = d.handle_bytes(&encode_tracked_call(99, &inner));
-        assert_eq!(d.reply_cache_len(), 0);
+        assert_eq!(d.reply_cache_len(), REPLY_CACHE_CAPACITY);
+        let executed = || obs.metrics().snapshot().counter("rmi.dispatch.calls");
+        let before = executed();
+        // The newest replay; the oldest were evicted and execute again.
+        let _ = d.handle_bytes(&encode_tracked_call(REPLY_CACHE_CAPACITY as u128, &inner));
+        assert_eq!(executed(), before);
+        let _ = d.handle_bytes(&encode_tracked_call(0, &inner));
+        assert_eq!(executed(), before + 1);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   objects implementing [`RemoteObject`], addressed by [`ObjectId`];
 //! * [`Client`] + [`RemoteRef`] — the client side: typed handles that
 //!   marshal calls through a transport (the "stub" half of RMI), with an
-//!   optional content-addressed memo of pure calls ([`Client::with_cache`],
-//!   backed by [`vcad_cache`]: single-flight deduplication, provider-epoch
+//!   optional content-addressed memo of pure calls ([`Client::with_cache`]
+//!   into a [`Cache`]: single-flight deduplication, provider-epoch
 //!   invalidation) consulted before anything is marshalled;
 //! * [`SecurityManager`], [`MarshalPolicy`], [`Sandbox`] — the IP
 //!   protection boundary: what may be serialised, and what downloaded
@@ -72,6 +72,7 @@
 //! ```
 
 mod admission;
+mod cache;
 #[cfg(test)]
 #[path = "client_caching_tests.rs"]
 mod caching;
@@ -80,6 +81,7 @@ mod client;
 mod dispatch;
 mod error;
 mod frame;
+pub mod hash;
 mod mux;
 mod resilience;
 mod security;
@@ -88,6 +90,7 @@ mod value;
 mod wire;
 
 pub use admission::{AdmissionControl, ShedReason, TenantQuota, TenantStats, TokenBucket};
+pub use cache::{Cache, CacheStats};
 pub use chaos::{heavy_chaos_stack, FaultConfig, FaultDecision, FaultPlan, FaultyTransport};
 pub use client::{Client, RemoteRef};
 pub use dispatch::{Dispatcher, ObjectRegistry, RemoteObject, ServerCtx};

@@ -450,9 +450,7 @@ fn register_session(shared: &Arc<Shared>, conn: &mut Conn, bytes: &[u8]) {
     let Some(tenant) = Request::decode(bytes).and_then(|r| frame::peek_tenant(r.frame)) else {
         return;
     };
-    // Session-cap overflow is not fatal: the connection stays usable,
-    // only unregistered — per-call admission still applies.
-    let _ = admission.open_session(tenant);
+    admission.open_session(tenant);
     conn.tenant = Some(tenant.to_owned());
 }
 

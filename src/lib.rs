@@ -13,17 +13,16 @@
 //! * [`netlist`] — gate-level netlists, generators and evaluation;
 //! * [`netsim`] — network condition models and virtual timelines;
 //! * [`rmi`] — the distributed-object layer (wire format, transports,
-//!   registry, stubs, security);
+//!   registry, stubs, security) and the client cache: content-addressed
+//!   memoization of remote IP calls (sharded LRU, single-flight dedup,
+//!   per-provider epoch invalidation);
 //! * [`core`] — the event-driven simulation backplane and estimation
 //!   framework (the JavaCAD Foundation Packages analogue);
 //! * [`power`] — the gate-level power engine and estimator tiers;
 //! * [`faults`] — stuck-at faults, detection tables and virtual fault
 //!   simulation;
-//! * [`cache`] — content-addressed memoization of remote IP calls
-//!   (sharded LRU, single-flight dedup, per-provider epoch
-//!   invalidation);
 //! * [`ip`] — provider servers, component packaging and client sessions;
-//! * [`obs`] — the tracing & metrics backplane (spans with wall + virtual
+//! * [`obs`] — the tracing & metrics backplane (spans with wall-clock
 //!   timestamps, counters/gauges/histograms, Chrome trace export);
 //! * [`lint`] — static design analysis: connectivity, combinational
 //!   loops, metadata sanity and the wire-privacy audit, gated into
@@ -40,7 +39,6 @@
 //! `quickstart.rs`, which builds the paper's Figure 2 circuit: two random
 //! 16-bit inputs feeding registers and a remote IP multiplier.
 
-pub use vcad_cache as cache;
 pub use vcad_campaign as campaign;
 pub use vcad_core as core;
 pub use vcad_faults as faults;

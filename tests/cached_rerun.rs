@@ -8,15 +8,12 @@
 
 use std::sync::Arc;
 
-use vcad::cache::CacheConfig;
 use vcad::core::stdlib::{CaptureState, PrimaryOutput, RandomInput};
 use vcad::core::{DesignBuilder, Parameter, SetupController, SetupCriterion, SimulationController};
-use vcad::ip::{
-    ClientSession, ComponentOffering, IpCache, ModelAvailability, PriceList, ProviderServer,
-};
+use vcad::ip::{ClientSession, ComponentOffering, ModelAvailability, PriceList, ProviderServer};
 use vcad::netlist::generators;
 use vcad::obs::Collector;
-use vcad::rmi::{heavy_chaos_stack, InProcTransport, Transport};
+use vcad::rmi::{heavy_chaos_stack, Cache, InProcTransport, Transport};
 
 #[test]
 fn cached_rerun_is_bit_identical_and_stays_local() {
@@ -49,7 +46,7 @@ fn cold_then_warm(chaos: Option<(u64, &Collector)>) {
 
     // One cache shared by both sessions: keys are provider-scoped, so
     // the two providers never collide in it.
-    let cache = Arc::new(IpCache::new(CacheConfig::default()));
+    let cache = Arc::new(Cache::new(&Collector::disabled()));
     let wire1: Arc<dyn Transport> = Arc::new(InProcTransport::new(p1.dispatcher()));
     let wire2: Arc<dyn Transport> = Arc::new(InProcTransport::new(p2.dispatcher()));
     let link = |wire: &Arc<dyn Transport>, nth: u64| match chaos {
