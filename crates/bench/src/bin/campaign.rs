@@ -17,22 +17,21 @@
 //!   exit with status 10 (deterministic interruption; the CI resume gate
 //!   and kill-tolerance tests build on it).
 //! * `--json <path>` — write the deterministic JSON report.
-//! * `--lint` — instead of running, print one static
-//!   testability lint report per provider (SCOAP-proven untestable
-//!   fault sites as stable-ID Warn diagnostics) and exit. Pairs with
-//!   the spec's `"testability"` knob: the report names exactly the
-//!   faults `prune` would drop.
+//! * `--lint` — instead of running, print one static testability
+//!   report per provider (SCOAP-proven untestable fault sites with their
+//!   proofs, then the unobservable nets) and exit. Pairs with the spec's
+//!   `"testability"` knob: the report names exactly the faults `prune`
+//!   would drop.
 //!
-//! Exit status: 0 on a complete campaign, 10 when interrupted by
-//! `--max-cells`, 2 on a rejected spec or usage error, 1 on journal I/O
-//! failures or Deny-level lint findings.
+//! Exit status: 0 on a complete campaign or a printed `--lint` report,
+//! 10 when interrupted by `--max-cells`, 2 on a rejected spec or usage
+//! error, 1 on journal I/O failures.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use vcad_bench::cli;
 use vcad_campaign::{CampaignError, CampaignSpec, Orchestrator};
-use vcad_lint::cli::print_reports;
 
 /// Exit status for a run stopped by `--max-cells` before grid exhaustion.
 const EXIT_INTERRUPTED: i32 = 10;
@@ -57,12 +56,15 @@ fn main() {
             eprintln!("campaign spec rejected: {e}");
             std::process::exit(2);
         });
-        let labels = spec
-            .providers
-            .iter()
-            .map(|p| format!("{} ({})", p.host, p.offering));
-        let deny = print_reports(labels.zip(&reports));
-        std::process::exit(i32::from(deny));
+        for (provider, report) in spec.providers.iter().zip(&reports) {
+            println!("— {} ({})", provider.host, provider.offering);
+            print!("{}", report.render());
+            match report.unobservable_nets() {
+                [] => println!("  unobservable nets: none"),
+                nets => println!("  unobservable nets: {}", nets.join(", ")),
+            }
+        }
+        return;
     }
 
     let checkpoint = cli::path_flag("--checkpoint")

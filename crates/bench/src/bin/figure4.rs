@@ -3,7 +3,10 @@
 //! `(IIP1, IIP2) = (1, 0)` — printed alongside the paper's walk-through
 //! of patterns `ABCD = 1100` and `1101`.
 //!
-//! Run with `cargo run -p vcad-bench --bin figure4`.
+//! Run with `cargo run -p vcad-bench --bin figure4`. The bin asserts the
+//! figure's shape: the fault-free `(carry,sum)` is `01`, the table has a
+//! non-empty carry-flip row `11` and a non-empty sum-flip row `00`, and
+//! no fault appears in two rows.
 
 use std::sync::Arc;
 
@@ -31,6 +34,28 @@ fn main() {
     // The paper's case: IIP1 = 1, IIP2 = 0.
     let inputs: vcad_logic::LogicVec = "01".parse().expect("valid pattern");
     let table = source.detection_table(&inputs).expect("local source");
+    assert_eq!(
+        table.fault_free().to_string(),
+        "01",
+        "fault-free (carry,sum)"
+    );
+    let row = |out: &str| {
+        table
+            .rows()
+            .iter()
+            .find(|(o, _)| o.to_string() == out)
+            .map(|(_, faults)| faults)
+            .filter(|faults| !faults.is_empty())
+            .unwrap_or_else(|| panic!("no non-empty detection row {out}"))
+    };
+    row("11"); // the carry-flip row
+    let sum_flip = row("00");
+    let mut seen = std::collections::HashSet::new();
+    for (_, faults) in table.rows() {
+        for f in faults {
+            assert!(seen.insert(f), "fault {f} appears in two rows");
+        }
+    }
     let rows: Vec<Vec<String>> = table
         .rows()
         .iter()
@@ -59,17 +84,11 @@ fn main() {
     );
 
     // Walk the paper's propagation argument.
-    let sum_flip = table
-        .rows()
-        .iter()
-        .find(|(out, _)| out.to_string() == "00")
-        .expect("sum-flip row");
     println!(
         "\nWith ABCD = 1100 the faulty value on OIP1 (sum) does not \
          propagate to O1 because D = 0; pattern 1101 detects every fault \
          in the sum-flip row: {}.",
         sum_flip
-            .1
             .iter()
             .map(|f| f.as_str().to_owned())
             .collect::<Vec<_>>()

@@ -23,8 +23,6 @@
 //! * `--cache` — memoize provider calls client-side (`vcad_rmi::Cache`):
 //!   each scenario then runs twice, a cold pass filling the cache and a
 //!   warm pass that must stay entirely local and fee-free.
-//! * `--lint` — statically analyse each scenario's design and exit
-//!   instead of measuring.
 //! * `--shards <n>` — run every scenario's scheduler under
 //!   `ShardPolicy::Auto(n)` (a no-op for the single-component Figure 2
 //!   circuit, asserted bit-identical by the golden test) and, for
@@ -42,9 +40,6 @@ use vcad_bench::paper;
 use vcad_bench::report::{modeled_real_time, print_table, secs};
 use vcad_bench::scenarios::{self, MultiRun, Scenario, ScenarioRun};
 use vcad_core::ShardPolicy;
-use vcad_lint::cli::print_reports;
-use vcad_lint::graph::LintGraph;
-use vcad_lint::Linter;
 use vcad_netsim::NetworkModel;
 use vcad_obs::Collector;
 
@@ -95,21 +90,6 @@ fn main() {
     let chaos_seed = cli::parsed_flag::<u64>("--chaos-seed", "an unsigned integer");
     let cached = cli::flag_present("--cache");
     let shards = cli::positive_flag("--shards");
-
-    // Under --lint, statically analyse each scenario's design (and the
-    // wire protocol's frames) and exit instead of measuring.
-    if cli::flag_present("--lint") {
-        let reports: Vec<_> = Scenario::ALL
-            .iter()
-            .map(|&s| {
-                let rig = scenarios::build(s, paper::WIDTH, paper::PATTERNS, paper::BUFFER);
-                let graph = LintGraph::from_design(rig.design()).with_builtin_frames();
-                (s.label(), Linter::new().check_graph(&graph))
-            })
-            .collect();
-        let deny = print_reports(reports.iter().map(|(label, r)| (*label, r)));
-        std::process::exit(i32::from(deny));
-    }
 
     // A traced run records hundreds of thousands of events (one per
     // scheduler instant and RMI call); give the ring room.

@@ -6,8 +6,8 @@
 //! symbolic fault list over a clean link, and fails the campaign closed
 //! when a location range reaches past the list, a (model × range)
 //! intersection is empty — a cell that would vacuously report 100%
-//! coverage — or the provider's fault metadata does not survive the
-//! vcad-lint fault-model audit.
+//! coverage — or the provider's fault metadata names a fault outside
+//! the component's collapsed universe.
 //!
 //! Preflight also runs the static testability analysis
 //! ([`vcad_faults::TestabilityAnalysis`]) once per provider. The audit
@@ -18,9 +18,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use vcad_faults::{DetectionTableSource, FaultUniverse, SymbolicFault, TestabilityAnalysis};
+use vcad_faults::{
+    DetectionTable, DetectionTableSource, FaultUniverse, SymbolicFault, TestabilityAnalysis,
+    TestabilityReport,
+};
 use vcad_ip::{ClientSession, ProviderServer};
-use vcad_lint::Severity;
 use vcad_logic::LogicVec;
 
 use crate::spec::{
@@ -104,19 +106,20 @@ pub fn validate_against_providers(spec: &CampaignSpec) -> Result<Vec<ProviderAud
             return Err(unavailable("provider published an empty fault list".into()));
         }
 
-        // The provider's metadata must survive the fault-model audit: a
-        // denied finding (wrong table width, unknown fault names) means
-        // every coverage number downstream would be garbage. The audit
-        // baseline is the component's full collapsed fault universe —
-        // detection tables legitimately name boundary (input-pin) classes
-        // the published fault list omits, because per the paper those
-        // belong to the surrounding design, not the provider.
+        // The provider's metadata must name only real faults: an unknown
+        // fault name means every coverage number downstream would be
+        // garbage (a table too narrow for its fault-free response never
+        // decodes). The baseline is the component's full collapsed fault
+        // universe — detection tables legitimately name boundary
+        // (input-pin) classes the published fault list omits, because
+        // per the paper those belong to the surrounding design, not the
+        // provider.
         let analysis = TestabilityAnalysis::analyze(&netlist);
         let mut collapsed = FaultUniverse::collapsed(&netlist);
         collapsed.apply_testability(&netlist, &analysis);
         let mut untestable = BTreeSet::new();
         let mut scores = BTreeMap::new();
-        let mut universe: Vec<SymbolicFault> = Vec::with_capacity(collapsed.class_count());
+        let mut known: HashSet<SymbolicFault> = HashSet::with_capacity(collapsed.class_count());
         for class in collapsed.classes() {
             let name = class.representative.name(&netlist);
             scores.insert(
@@ -126,9 +129,8 @@ pub fn validate_against_providers(spec: &CampaignSpec) -> Result<Vec<ProviderAud
             if !class.is_testable() {
                 untestable.insert(name.clone());
             }
-            universe.push(name);
+            known.insert(name);
         }
-        let known: HashSet<&SymbolicFault> = universe.iter().collect();
         if let Some(foreign) = faults.iter().find(|f| !known.contains(f)) {
             return Err(SpecError::FaultModelLint {
                 provider: provider.host.clone(),
@@ -141,18 +143,7 @@ pub fn validate_against_providers(spec: &CampaignSpec) -> Result<Vec<ProviderAud
         let table = source
             .detection_table(&LogicVec::zeros(in_bits))
             .map_err(|e| unavailable(e.to_string()))?;
-        let diagnostics = vcad_lint::lint_fault_model(&provider.offering, &universe, &table);
-        let denied: Vec<String> = diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Deny)
-            .map(ToString::to_string)
-            .collect();
-        if !denied.is_empty() {
-            return Err(SpecError::FaultModelLint {
-                provider: provider.host.clone(),
-                diagnostics: denied.join("\n"),
-            });
-        }
+        check_detection_rows(provider, &table, &known)?;
 
         for range in &spec.location_ranges {
             if range.start + range.len > faults.len() {
@@ -192,21 +183,52 @@ pub fn validate_against_providers(spec: &CampaignSpec) -> Result<Vec<ProviderAud
     Ok(audits)
 }
 
-/// One testability lint report per provider, in spec order: the
-/// component netlists scored by [`vcad_lint::TestabilityReport`] and
-/// wrapped as stable-ID Warn diagnostics. This is what the campaign
+/// Refuses a detection table that names a fault outside `known`, one
+/// line per offending entry.
+fn check_detection_rows(
+    provider: &ProviderSpec,
+    table: &DetectionTable,
+    known: &HashSet<SymbolicFault>,
+) -> Result<(), SpecError> {
+    let unknown: Vec<String> = table
+        .rows()
+        .iter()
+        .enumerate()
+        .flat_map(|(row, (_, faults))| {
+            faults.iter().filter(|f| !known.contains(*f)).map(move |f| {
+                format!(
+                    "deny: [faults/unknown-fault] {}: detection row {row} names fault `{}` \
+                     which is not in the fault list",
+                    provider.offering,
+                    f.as_str()
+                )
+            })
+        })
+        .collect();
+    if unknown.is_empty() {
+        Ok(())
+    } else {
+        Err(SpecError::FaultModelLint {
+            provider: provider.host.clone(),
+            diagnostics: unknown.join("\n"),
+        })
+    }
+}
+
+/// One testability report per provider, in spec order: the component
+/// netlists scored by [`TestabilityReport`]. This is what the campaign
 /// binary's `--lint` flag prints before a run.
 ///
 /// # Errors
 ///
 /// Returns [`SpecError::UnknownOffering`] when a provider names an
 /// unregistered offering.
-pub fn lint_reports(spec: &CampaignSpec) -> Result<Vec<vcad_lint::LintReport>, SpecError> {
+pub fn lint_reports(spec: &CampaignSpec) -> Result<Vec<TestabilityReport>, SpecError> {
     let mut out = Vec::with_capacity(spec.providers.len());
     for provider in &spec.providers {
         let offering = registered_offering(&provider.offering)?;
         let netlist = offering.instantiate(provider.width);
-        out.push(vcad_lint::TestabilityReport::analyze(&netlist, 10).to_lint_report());
+        out.push(TestabilityReport::analyze(&netlist, 10));
     }
     Ok(out)
 }
@@ -323,8 +345,57 @@ mod tests {
         let (spec, _) = demo_spec(TestabilityMode::Off);
         let reports = lint_reports(&spec).unwrap();
         assert_eq!(reports.len(), 1);
-        assert!(reports[0].warn_count() > 0, "demo plants untestable sites");
-        assert!(!reports[0].has_deny());
+        assert!(
+            !reports[0].unobservable_nets().is_empty(),
+            "demo plants untestable sites"
+        );
+    }
+
+    /// A one-row table over two input bits and a one-bit response, in
+    /// the wire form (the only way to name arbitrary faults).
+    fn table_naming(fault: &str) -> DetectionTable {
+        let bits = |s: &str| vcad_rmi::Value::Vec(s.parse().unwrap());
+        DetectionTable::from_value(&vcad_rmi::Value::Map(vec![
+            ("inputs".into(), bits("00")),
+            ("fault_free".into(), bits("0")),
+            (
+                "rows".into(),
+                vcad_rmi::Value::List(vec![vcad_rmi::Value::Map(vec![
+                    ("output".into(), bits("1")),
+                    (
+                        "faults".into(),
+                        vcad_rmi::Value::List(vec![vcad_rmi::Value::Str(fault.into())]),
+                    ),
+                ])]),
+            ),
+        ]))
+        .unwrap()
+    }
+
+    #[test]
+    fn detection_rows_inside_the_universe_pass() {
+        let provider = &smoke_spec().providers[0];
+        let known = HashSet::from([SymbolicFault("a-sa0".into())]);
+        assert!(check_detection_rows(provider, &table_naming("a-sa0"), &known).is_ok());
+    }
+
+    #[test]
+    fn a_detection_row_naming_an_unknown_fault_fails_closed() {
+        let provider = &smoke_spec().providers[0];
+        let known = HashSet::from([SymbolicFault("a-sa0".into())]);
+        let Err(SpecError::FaultModelLint { diagnostics, .. }) =
+            check_detection_rows(provider, &table_naming("ghost"), &known)
+        else {
+            panic!("unknown fault accepted");
+        };
+        assert_eq!(
+            diagnostics,
+            format!(
+                "deny: [faults/unknown-fault] {}: detection row 0 names fault `ghost` \
+                 which is not in the fault list",
+                provider.offering
+            )
+        );
     }
 
     #[test]

@@ -83,7 +83,8 @@ pub enum SpecError {
         /// Range length.
         len: usize,
     },
-    /// The provider's fault-list metadata failed the vcad-lint audit.
+    /// The provider's fault metadata names a fault outside the
+    /// component's collapsed universe.
     FaultModelLint {
         /// The offending provider host.
         provider: String,

@@ -147,14 +147,15 @@ pub trait Module: Send + Sync {
     /// on the input may cause an emission on the output *in the same
     /// simulated instant*.
     ///
-    /// Static analysis (`vcad-lint`) walks these couplings across
-    /// connectors to find combinational loops before a scheduler burns
-    /// its event budget discovering one dynamically. The default is
-    /// deliberately conservative — every input feeds every output — so
-    /// a module that breaks the zero-delay path (a register, a delay
-    /// line) must override this to declare itself sequential. A false
-    /// "combinational" claim only costs a spurious loop report; a false
-    /// "sequential" claim would hide a real loop.
+    /// [`DesignBuilder::build`](crate::DesignBuilder::build) walks these
+    /// couplings across connectors and refuses a combinational loop
+    /// before a scheduler burns its event budget discovering one
+    /// dynamically. The default is deliberately conservative — every
+    /// input feeds every output — so a module that breaks the zero-delay
+    /// path (a register, a delay line) must override this to declare
+    /// itself sequential. A false "combinational" claim refuses a design
+    /// that would have run; a false "sequential" claim would hide a real
+    /// loop.
     fn combinational_deps(&self) -> Vec<(usize, usize)> {
         let ports = self.ports();
         let mut deps = Vec::new();

@@ -31,8 +31,7 @@ pub enum SimulationError {
     ///
     /// Reported at the injection site — before the token enters the
     /// queue — so the diagnostic points at the malformed reference
-    /// rather than at a later dispatch. `vcad-lint` catches the same
-    /// class of defect before any scheduler exists.
+    /// rather than at a later dispatch.
     MalformedInjection {
         /// What was wrong, with the offending reference.
         reason: String,

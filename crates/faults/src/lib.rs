@@ -12,7 +12,8 @@
 //!   reduction.
 //! * [`TestabilityAnalysis`] — static SCOAP controllability/observability
 //!   scores plus sound untestability proofs; [`FaultUniverse`] classes a
-//!   proof covers are skipped by simulation and accounted separately.
+//!   proof covers are skipped by simulation and accounted separately;
+//!   [`TestabilityReport`] renders them for a person.
 //! * [`DetectionTable`] — the paper's key data structure: for one input
 //!   pattern, every erroneous output configuration with the symbolic
 //!   faults that cause it, built on the compiled engine (up to 64 fault
@@ -49,7 +50,9 @@ pub use eval::{FaultyEvaluator, SerialFaultSim};
 pub use fault::{Fault, FaultSite, StuckAt, SymbolicFault};
 pub use parallel::BitParallelSim;
 pub use patterns::{grow_random_patterns, PatternError, PatternGrowth};
-pub use testability::{FaultStatus, NetScores, TestabilityAnalysis, UNREACHABLE};
+pub use testability::{
+    reference_reports, FaultStatus, NetScores, TestabilityAnalysis, TestabilityReport,
+};
 pub use virtual_sim::{
     BlockCoverage, CoverageReport, DetectionTableSource, IpBlockBinding, NetlistDetectionSource,
     VirtualFaultSim, VirtualSimError,

@@ -25,38 +25,30 @@
 //! contrast, are heuristic difficulty estimates — useful for ranking,
 //! never for pruning.
 
-use vcad_logic::{Logic, LogicVec};
-use vcad_netlist::{ExecPlan, GateId, GateKind, NetId, Netlist, OutputSource, PlanOp};
+use std::fmt::Write as _;
 
+use vcad_logic::{Logic, LogicVec};
+use vcad_netlist::{generators, ExecPlan, GateId, GateKind, NetId, Netlist, OutputSource, PlanOp};
+
+use crate::collapse::FaultUniverse;
 use crate::fault::{Fault, FaultSite, StuckAt};
 
 /// The sentinel cost meaning "provably impossible".
 ///
 /// Saturating arithmetic keeps it absorbing: any cost chain through an
 /// unreachable term stays unreachable.
-pub const UNREACHABLE: u32 = u32::MAX;
+pub(crate) const UNREACHABLE: u32 = u32::MAX;
 
 /// SCOAP scores of one net.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NetScores {
-    /// Cost of driving the net to logic 0 ([`UNREACHABLE`] if tied to 1).
+    /// Cost of driving the net to logic 0 (`u32::MAX` if tied to 1).
     pub cc0: u32,
-    /// Cost of driving the net to logic 1 ([`UNREACHABLE`] if tied to 0).
+    /// Cost of driving the net to logic 1 (`u32::MAX` if tied to 0).
     pub cc1: u32,
-    /// Cost of observing the net at a primary output ([`UNREACHABLE`]
-    /// if no sensitizable path exists).
+    /// Cost of observing the net at a primary output (`u32::MAX` if no
+    /// sensitizable path exists).
     pub co: u32,
-}
-
-impl NetScores {
-    /// Cost of driving the net to the given value.
-    #[must_use]
-    pub fn controllability(&self, value: StuckAt) -> u32 {
-        match value {
-            StuckAt::Zero => self.cc0,
-            StuckAt::One => self.cc1,
-        }
-    }
 }
 
 /// The static verdict on one fault.
@@ -95,7 +87,7 @@ impl FaultStatus {
 /// # Examples
 ///
 /// ```
-/// use vcad_faults::{FaultStatus, TestabilityAnalysis, UNREACHABLE};
+/// use vcad_faults::{FaultStatus, TestabilityAnalysis};
 /// use vcad_netlist::generators;
 ///
 /// let nl = generators::half_adder_nand();
@@ -103,7 +95,7 @@ impl FaultStatus {
 /// // Primary inputs cost 1 to control and every net is observable.
 /// let a = nl.find_net("a").unwrap();
 /// assert_eq!(t.scores(a).cc0, 1);
-/// assert_ne!(t.scores(a).co, UNREACHABLE);
+/// assert_ne!(t.scores(a).co, u32::MAX);
 /// ```
 #[derive(Clone, Debug)]
 pub struct TestabilityAnalysis {
@@ -221,7 +213,7 @@ impl TestabilityAnalysis {
 
     /// The SCOAP detection-difficulty estimate for one fault: cost of
     /// exciting the site to the *opposite* of the stuck value plus the
-    /// cost of observing the site. [`UNREACHABLE`] iff the fault is
+    /// cost of observing the site. `u32::MAX` iff the fault is
     /// statically untestable.
     #[must_use]
     pub fn fault_score(&self, netlist: &Netlist, fault: &Fault) -> u32 {
@@ -243,7 +235,7 @@ impl TestabilityAnalysis {
     /// A one-line human-readable proof for an untestable verdict, or
     /// `None` when the fault is (statically) testable.
     #[must_use]
-    pub fn proof(&self, netlist: &Netlist, fault: &Fault) -> Option<String> {
+    pub(crate) fn proof(&self, netlist: &Netlist, fault: &Fault) -> Option<String> {
         let site = Self::site_net(netlist, fault);
         match self.classify(netlist, fault) {
             FaultStatus::Testable => None,
@@ -381,6 +373,212 @@ fn gate_pin_cost(
         GateKind::Const0 | GateKind::Const1 => UNREACHABLE,
     };
     cost.saturating_add(1)
+}
+
+/// SCOAP scores of one net, by name.
+#[derive(Clone, Debug)]
+struct NetRow {
+    net: String,
+    cc0: u32,
+    cc1: u32,
+    co: u32,
+}
+
+impl NetRow {
+    fn difficulty(&self) -> u64 {
+        u64::from(self.cc0) + u64::from(self.cc1) + u64::from(self.co)
+    }
+}
+
+/// One ranked fault: its symbolic name and SCOAP difficulty estimate.
+#[derive(Clone, Debug)]
+struct FaultRow {
+    fault: String,
+    score: u32,
+}
+
+/// One statically untestable fault class with its proof.
+#[derive(Clone, Debug)]
+struct UntestableRow {
+    fault: String,
+    status: FaultStatus,
+    proof: String,
+}
+
+/// The human-readable testability report of one netlist: the hardest
+/// nets and faults a pattern budget will be spent on, and the
+/// statically untestable fault sites (with their proofs) that no budget
+/// can ever cover.
+///
+/// # Examples
+///
+/// ```
+/// use vcad_faults::TestabilityReport;
+/// use vcad_netlist::generators;
+///
+/// let report = TestabilityReport::analyze(&generators::untestable_demo(2), 5);
+/// assert!(!report.unobservable_nets().is_empty());
+/// assert!(report.render().contains("untestable faults:\n"));
+/// ```
+#[derive(Clone, Debug)]
+pub struct TestabilityReport {
+    design: String,
+    net_count: usize,
+    tied_count: usize,
+    class_count: usize,
+    total_faults: usize,
+    hardest_nets: Vec<NetRow>,
+    hardest_faults: Vec<FaultRow>,
+    untestable: Vec<UntestableRow>,
+    unobservable_nets: Vec<String>,
+}
+
+impl TestabilityReport {
+    /// Analyzes `netlist` and keeps the `top_n` hardest nets and faults.
+    #[must_use]
+    pub fn analyze(netlist: &Netlist, top_n: usize) -> TestabilityReport {
+        let analysis = TestabilityAnalysis::analyze(netlist);
+        let mut universe = FaultUniverse::collapsed(netlist);
+        universe.apply_testability(netlist, &analysis);
+
+        let mut tied_count = 0;
+        let mut hardest_nets = Vec::new();
+        let mut unobservable_nets = Vec::new();
+        for (id, net) in netlist.nets() {
+            let s = analysis.scores(id);
+            if analysis.tied(id).is_some() {
+                tied_count += 1;
+            }
+            if s.co == UNREACHABLE {
+                unobservable_nets.push(net.name().to_owned());
+            }
+            // Nets with an unreachable component belong to the
+            // untestable story, not the difficulty ranking.
+            if s.cc0 != UNREACHABLE && s.cc1 != UNREACHABLE && s.co != UNREACHABLE {
+                hardest_nets.push(NetRow {
+                    net: net.name().to_owned(),
+                    cc0: s.cc0,
+                    cc1: s.cc1,
+                    co: s.co,
+                });
+            }
+        }
+        hardest_nets.sort_by(|a, b| {
+            b.difficulty()
+                .cmp(&a.difficulty())
+                .then_with(|| a.net.cmp(&b.net))
+        });
+        hardest_nets.truncate(top_n);
+        unobservable_nets.sort();
+
+        let mut hardest_faults = Vec::new();
+        let mut untestable = Vec::new();
+        for class in universe.classes() {
+            let name = class.representative.name(netlist).as_str().to_owned();
+            if class.is_testable() {
+                hardest_faults.push(FaultRow {
+                    fault: name,
+                    score: analysis.fault_score(netlist, &class.representative),
+                });
+            } else {
+                untestable.push(UntestableRow {
+                    fault: name,
+                    status: class.status,
+                    proof: analysis
+                        .proof(netlist, &class.representative)
+                        .unwrap_or_else(|| "untestable".to_owned()),
+                });
+            }
+        }
+        hardest_faults.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.fault.cmp(&b.fault)));
+        hardest_faults.truncate(top_n);
+        untestable.sort_by(|a, b| a.fault.cmp(&b.fault));
+
+        TestabilityReport {
+            design: netlist.name().to_owned(),
+            net_count: netlist.net_count(),
+            tied_count,
+            class_count: universe.class_count(),
+            total_faults: universe.total_faults(),
+            hardest_nets,
+            hardest_faults,
+            untestable,
+            unobservable_nets,
+        }
+    }
+
+    /// The nets with no sensitizable path to any primary output, sorted:
+    /// logic feeding them is dead weight for testing purposes.
+    #[must_use]
+    pub fn unobservable_nets(&self) -> &[String] {
+        &self.unobservable_nets
+    }
+
+    /// Renders the human-readable report.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let score = |v: u32| -> String {
+            if v == UNREACHABLE {
+                "inf".to_owned()
+            } else {
+                v.to_string()
+            }
+        };
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "testability of `{}`: {} nets ({} tied), {} fault classes ({} faults), {} untestable",
+            self.design,
+            self.net_count,
+            self.tied_count,
+            self.class_count,
+            self.total_faults,
+            self.untestable.len()
+        );
+        let _ = writeln!(out, "  hardest nets (CC0/CC1/CO):");
+        for n in &self.hardest_nets {
+            let _ = writeln!(
+                out,
+                "    {:<24} {:>5} {:>5} {:>5}",
+                n.net,
+                score(n.cc0),
+                score(n.cc1),
+                score(n.co)
+            );
+        }
+        let _ = writeln!(out, "  hardest faults:");
+        for f in &self.hardest_faults {
+            let _ = writeln!(out, "    {:<24} {:>5}", f.fault, score(f.score));
+        }
+        if self.untestable.is_empty() {
+            let _ = writeln!(out, "  untestable faults: none");
+        } else {
+            let _ = writeln!(out, "  untestable faults:");
+            for u in &self.untestable {
+                let _ = writeln!(
+                    out,
+                    "    {:<24} [{}] {}",
+                    u.fault,
+                    u.status.label(),
+                    u.proof
+                );
+            }
+        }
+        out
+    }
+}
+
+/// The reference reports the repository golden test pins
+/// (`testability_report.golden`): the two component netlists of the
+/// reference two-provider design (Figure 1) plus the planted-untestable
+/// fixture.
+#[must_use]
+pub fn reference_reports() -> Vec<TestabilityReport> {
+    vec![
+        TestabilityReport::analyze(&generators::wallace_multiplier(8), 10),
+        TestabilityReport::analyze(&generators::ripple_adder(16), 10),
+        TestabilityReport::analyze(&generators::untestable_demo(4), 10),
+    ]
 }
 
 #[cfg(test)]
@@ -539,6 +737,38 @@ mod tests {
         for w in nets.windows(2) {
             assert!(t.scores(w[1]).cc0 > t.scores(w[0]).cc0.min(t.scores(w[0]).cc1));
             assert!(t.scores(w[0]).co > t.scores(w[1]).co);
+        }
+    }
+
+    #[test]
+    fn untestable_demo_reports_its_untestable_faults_and_unobservable_nets() {
+        let report = TestabilityReport::analyze(&generators::untestable_demo(2), 8);
+        assert!(!report.untestable.is_empty());
+        assert!(!report.unobservable_nets().is_empty());
+        let text = report.render();
+        for row in &report.untestable {
+            assert!(text.contains(&row.fault), "{} missing:\n{text}", row.fault);
+        }
+    }
+
+    #[test]
+    fn clean_designs_produce_no_findings() {
+        let report = TestabilityReport::analyze(&generators::c17(), 8);
+        assert!(report.untestable.is_empty());
+        assert!(report.unobservable_nets().is_empty());
+        assert!(report.render().contains("untestable faults: none"));
+    }
+
+    #[test]
+    fn hardest_lists_are_ranked_and_bounded() {
+        let report = TestabilityReport::analyze(&generators::ripple_adder(8), 5);
+        assert!(report.hardest_faults.len() <= 5);
+        assert!(report.hardest_nets.len() <= 5);
+        for w in report.hardest_faults.windows(2) {
+            assert!(w[0].score >= w[1].score);
+        }
+        for w in report.hardest_nets.windows(2) {
+            assert!(w[0].difficulty() >= w[1].difficulty());
         }
     }
 }

@@ -27,7 +27,7 @@ use crate::protocol::{catalog, component};
 /// The list is an explicit allowlist: an unknown method is assumed
 /// impure, so protocol extensions stay correct by default.
 #[must_use]
-pub fn cacheable_method(method: &str) -> bool {
+pub(crate) fn cacheable_method(method: &str) -> bool {
     matches!(
         method,
         catalog::LIST

@@ -85,7 +85,7 @@ impl ClientSession {
         self
     }
 
-    /// Memoizes the protocol's pure methods ([`cacheable_method`]) in
+    /// Memoizes the protocol's pure, deterministic read methods in
     /// `cache`, keyed to this provider: every stub this session hands out
     /// — estimators, detection sources, remote modules, raw
     /// [`RemoteComponent::stub`]s — serves a repeat call locally and
@@ -142,16 +142,14 @@ impl ClientSession {
                     name: item
                         .get("name")
                         .and_then(Value::as_str)
+                        .filter(|name| !name.is_empty())
                         .ok_or_else(|| RmiError::application("offering without a name"))?
                         .to_owned(),
                     functional: field_i("functional"),
                     power: field_i("power"),
                     timing: field_i("timing"),
                     area: field_i("area"),
-                    toggle_fee_cents: item
-                        .get("toggle_fee")
-                        .and_then(Value::as_f64)
-                        .unwrap_or(0.0),
+                    toggle_fee_cents: crate::negotiate::advertised(item, "toggle_fee", 0.0)?,
                 })
             })
             .collect()
@@ -504,6 +502,61 @@ mod tests {
         );
     }
 
+    /// Every estimator the workspace ships advertises a non-empty name,
+    /// a finite non-negative fee and an error within 0–100 %, and one
+    /// catalog never lists a (name, parameter) pair twice: setup
+    /// criteria compare these numbers and the ledger sums the fees.
+    #[test]
+    fn every_shipped_estimator_declares_sane_metadata() {
+        use vcad_core::{ActivityEstimator, NullEstimator, Parameter};
+        use vcad_power::{
+            ConstantPowerEstimator, LinearRegressionPowerEstimator, PeakPowerEstimator, PowerModel,
+            SiliconReference, TogglePowerEstimator,
+        };
+        let (_server, session) = rig();
+        let comp = session.instantiate("MultFastLowPower", 4).unwrap();
+        let catalog: Vec<_> = comp
+            .estimator_catalog()
+            .unwrap()
+            .iter()
+            .map(|e| e.info())
+            .collect();
+        let advertised =
+            crate::negotiate::advertised_estimators(&crate::offering::PriceList::default());
+        let nl = Arc::new(vcad_netlist::generators::wallace_multiplier(4));
+        let reference = SiliconReference::with_default_residual(PowerModel::default(), 11);
+        let train: Vec<LogicVec> = (0..8)
+            .map(|i| LogicVec::from_u64(8, i * 37 % 256))
+            .collect();
+        let provider_side = vec![
+            ConstantPowerEstimator::characterize(&reference, &nl, &train).info(),
+            LinearRegressionPowerEstimator::fit(&reference, &nl, &train, vec![0, 1]).info(),
+            TogglePowerEstimator::new(Arc::clone(&nl), PowerModel::default(), vec![0, 1], true)
+                .info(),
+            PeakPowerEstimator::new(nl, PowerModel::default(), vec![0, 1], true).info(),
+            NullEstimator::new(Parameter::AvgPower).info(),
+            ActivityEstimator::new().info(),
+        ];
+        for group in [&catalog, &advertised, &provider_side] {
+            for info in group.iter() {
+                assert!(!info.name.trim().is_empty(), "{info:?}");
+                let fee = info.cost_per_pattern_cents;
+                assert!(fee.is_finite() && fee >= 0.0, "{info:?}");
+                let error = info.expected_error_pct;
+                assert!((0.0..=100.0).contains(&error), "{info:?}");
+            }
+        }
+        for group in [&catalog, &advertised] {
+            let mut keys: Vec<_> = group
+                .iter()
+                .map(|i| (&i.name, i.parameter.to_string()))
+                .collect();
+            keys.sort();
+            keys.dedup();
+            assert_eq!(keys.len(), group.len(), "duplicate estimator in {group:?}");
+        }
+    }
+
     #[test]
     fn functional_module_multiplies_locally() {
         let (server, session) = rig();
@@ -533,6 +586,35 @@ mod tests {
     fn unknown_offering_is_an_error() {
         let (_server, session) = rig();
         assert!(session.instantiate("NoSuchBlock", 8).is_err());
+    }
+
+    /// A provider whose catalog lists one offering with the given name
+    /// and toggle fee.
+    struct Advertiser(&'static str, f64);
+
+    impl vcad_rmi::RemoteObject for Advertiser {
+        fn invoke(&self, _: &str, _: &[Value], _: &vcad_rmi::ServerCtx) -> Result<Value, RmiError> {
+            Ok(Value::List(vec![Value::Map(vec![
+                ("name".into(), Value::Str(self.0.into())),
+                ("toggle_fee".into(), Value::F64(self.1)),
+            ])]))
+        }
+    }
+
+    fn catalog_of(name: &'static str, fee: f64) -> Result<Vec<OfferingInfo>, RmiError> {
+        let registry = Arc::new(vcad_rmi::ObjectRegistry::new());
+        registry.register_root(Arc::new(Advertiser(name, fee)));
+        let dispatcher = Arc::new(vcad_rmi::Dispatcher::new(registry));
+        ClientSession::connect(Arc::new(InProcTransport::new(dispatcher)), "advertiser").catalog()
+    }
+
+    #[test]
+    fn catalog_with_a_bad_fee_or_name_is_refused() {
+        assert_eq!(catalog_of("IP", 0.25).unwrap()[0].toggle_fee_cents, 0.25);
+        for bad in [f64::NAN, -0.5, f64::INFINITY] {
+            assert!(catalog_of("IP", bad).is_err(), "toggle fee {bad}");
+        }
+        assert!(catalog_of("", 0.25).is_err());
     }
 
     #[test]

@@ -184,6 +184,21 @@ pub(crate) fn encode_outcome(outcome: &NegotiationOutcome) -> Value {
     Value::Map(entries)
 }
 
+/// Reads a fee or an error a provider advertises under `key`, `default`
+/// when absent. The number becomes estimator metadata that setup
+/// criteria compare and the ledger sums, so a non-finite or negative
+/// value refuses the whole reply.
+pub(crate) fn advertised(item: &Value, key: &str, default: f64) -> Result<f64, RmiError> {
+    let v = item.get(key).and_then(Value::as_f64).unwrap_or(default);
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(RmiError::application(format!(
+            "provider advertised `{key}` = {v}; want a finite, non-negative number"
+        )))
+    }
+}
+
 /// Client-side decoding of one outcome.
 pub(crate) fn decode_outcome(value: &Value) -> Result<NegotiationOutcome, RmiError> {
     let parameter = value
@@ -191,18 +206,19 @@ pub(crate) fn decode_outcome(value: &Value) -> Result<NegotiationOutcome, RmiErr
         .and_then(Value::as_str)
         .and_then(|s| s.parse::<Parameter>().ok())
         .ok_or_else(|| RmiError::application("malformed negotiation outcome"))?;
-    let offer = value
-        .get("name")
-        .and_then(Value::as_str)
-        .map(|name| EstimatorOffer {
+    let offer = match value.get("name").and_then(Value::as_str) {
+        None => None,
+        Some("") => return Err(RmiError::application("offered estimator has an empty name")),
+        Some(name) => Some(EstimatorOffer {
             name: name.to_owned(),
-            expected_error_pct: value.get("error").and_then(Value::as_f64).unwrap_or(100.0),
-            fee_cents_per_pattern: value.get("fee").and_then(Value::as_f64).unwrap_or(0.0),
+            expected_error_pct: advertised(value, "error", 100.0)?,
+            fee_cents_per_pattern: advertised(value, "fee", 0.0)?,
             remote: value
                 .get("remote")
                 .and_then(Value::as_bool)
                 .unwrap_or(false),
-        });
+        }),
+    };
     Ok(NegotiationOutcome { parameter, offer })
 }
 
@@ -255,6 +271,33 @@ mod tests {
             offer: None,
         };
         assert_eq!(decode_outcome(&encode_outcome(&refusal)).unwrap(), refusal);
+    }
+
+    #[test]
+    fn outcome_with_a_bad_fee_error_or_name_is_refused() {
+        let outcome = |name: &str, error: f64, fee: f64| {
+            encode_outcome(&NegotiationOutcome {
+                parameter: Parameter::AvgPower,
+                offer: Some(EstimatorOffer {
+                    name: name.into(),
+                    expected_error_pct: error,
+                    fee_cents_per_pattern: fee,
+                    remote: true,
+                }),
+            })
+        };
+        assert!(decode_outcome(&outcome("power/x", 10.0, 0.1)).is_ok());
+        for bad in [f64::NAN, -0.5, f64::INFINITY] {
+            assert!(
+                decode_outcome(&outcome("power/x", 10.0, bad)).is_err(),
+                "fee {bad}"
+            );
+            assert!(
+                decode_outcome(&outcome("power/x", bad, 0.1)).is_err(),
+                "error {bad}"
+            );
+        }
+        assert!(decode_outcome(&outcome("", 10.0, 0.1)).is_err());
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub struct TraceContext {
     /// Identifies this span; children carry it as their parent.
     pub span_id: u64,
     /// Small opaque key/value labels (session, provider, method). Never
-    /// structural design data — see the wire-privacy audit in vcad-lint.
+    /// structural design data — `tests/trace_propagation.rs` audits the
+    /// baggage that crosses the wire.
     pub baggage: Vec<(String, String)>,
 }
 

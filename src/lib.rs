@@ -24,9 +24,6 @@
 //! * [`ip`] — provider servers, component packaging and client sessions;
 //! * [`obs`] — the tracing & metrics backplane (spans with wall-clock
 //!   timestamps, counters/gauges/histograms, Chrome trace export);
-//! * [`lint`] — static design analysis: connectivity, combinational
-//!   loops, metadata sanity and the wire-privacy audit, gated into
-//!   elaboration via [`lint::Elaborate`];
 //! * [`campaign`] — resumable fault-injection campaigns: a JSON spec
 //!   expands into content-addressed cells, a bounded worker pool executes
 //!   them against chaos-shaped provider links, and an append-only
@@ -43,7 +40,6 @@ pub use vcad_campaign as campaign;
 pub use vcad_core as core;
 pub use vcad_faults as faults;
 pub use vcad_ip as ip;
-pub use vcad_lint as lint;
 pub use vcad_logic as logic;
 pub use vcad_netlist as netlist;
 pub use vcad_netsim as netsim;

@@ -229,15 +229,13 @@ fn shard_bench_workload_matches_golden() {
     check_golden("shard_bench.golden", &rendered);
 }
 
-/// The static testability reports of the reference netlists — the same
-/// renders `lintgate testability` prints, from the one shared
-/// `reference_reports()` source, so the CI binary and this golden file
-/// cannot drift apart. SCOAP scores, fault rankings and untestable
-/// proofs are pure functions of the netlists.
+/// The static testability reports of the reference netlists, from the
+/// one shared `reference_reports()` source. SCOAP scores, fault rankings
+/// and untestable proofs are pure functions of the netlists.
 #[test]
 fn testability_reports_match_golden() {
     let mut rendered = String::new();
-    for report in vcad_lint::testability::reference_reports() {
+    for report in vcad_faults::reference_reports() {
         rendered.push_str(&report.render());
         rendered.push('\n');
     }
