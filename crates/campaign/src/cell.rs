@@ -13,7 +13,7 @@ use vcad_core::{Design, DesignBuilder, Module, ModuleId};
 use vcad_faults::{
     DetectionTableSource, IpBlockBinding, SymbolicFault, VirtualFaultSim, VirtualSimError,
 };
-use vcad_ip::{ClientSession, ProviderServer};
+use vcad_ip::{ClientSession, ComponentOffering, ProviderServer};
 use vcad_logic::LogicVec;
 use vcad_netlist::{GateKind, Netlist, NetlistBuilder};
 use vcad_obs::Collector;
@@ -256,6 +256,7 @@ fn run_attempt(
     spec: &CampaignSpec,
     cell: &CellSpec,
     subset: &[SymbolicFault],
+    offering: Option<&ComponentOffering>,
     attempt: u32,
 ) -> Result<AttemptResult, CellError> {
     // Counters only: the record reads two of them, and a disabled
@@ -263,11 +264,15 @@ fn run_attempt(
     let obs = Collector::disabled();
     let clock = Arc::new(VirtualClock::new());
 
-    let server = ProviderServer::new(&cell.provider.host);
-    server.offer(
-        registered_offering(&cell.provider.offering)
+    // A server of its own per attempt, whatever it is offered: object
+    // ids, the fee ledger and so the chaos schedule start fresh.
+    let offering = match offering {
+        Some(shared) => shared.clone(),
+        None => registered_offering(&cell.provider.offering)
             .map_err(|e| CellError::Connect(e.to_string()))?,
-    );
+    };
+    let server = ProviderServer::new(&cell.provider.host);
+    server.offer(offering);
 
     let (policy, breaker) = retry_policy(spec.chaos.profile);
     let inproc: Arc<dyn Transport> = Arc::new(InProcTransport::new(server.dispatcher()));
@@ -318,12 +323,27 @@ fn run_attempt(
 /// campaign's attempt budget, then recorded as
 /// [`CellOutcome::Failed`] rather than aborting the campaign. Never
 /// panics — a panicking attempt is caught and counts as a failed attempt.
+///
+/// This is the cold path: every attempt stands its provider up from a
+/// fresh offering. [`Orchestrator`](crate::Orchestrator) runs its cells
+/// on the offerings preflight stood up instead; the records are the same.
 #[must_use]
 pub fn run_cell(spec: &CampaignSpec, cell: &CellSpec, subset: &[SymbolicFault]) -> CellRecord {
+    run_cell_on(spec, cell, subset, None)
+}
+
+/// [`run_cell`], each attempt's provider offering a clone of `offering`
+/// when one is given, so the attempts share its characterisation.
+pub(crate) fn run_cell_on(
+    spec: &CampaignSpec,
+    cell: &CellSpec,
+    subset: &[SymbolicFault],
+    offering: Option<&ComponentOffering>,
+) -> CellRecord {
     let mut last_error = String::new();
     for attempt in 1..=spec.chaos.attempt_budget {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_attempt(spec, cell, subset, attempt)
+            run_attempt(spec, cell, subset, offering, attempt)
         }));
         match outcome {
             Ok(Ok(a)) => {

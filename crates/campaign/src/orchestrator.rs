@@ -16,9 +16,10 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use vcad_faults::SymbolicFault;
+use vcad_ip::ComponentOffering;
 use vcad_obs::Collector;
 
-use crate::cell::run_cell;
+use crate::cell::run_cell_on;
 use crate::checkpoint::{CellOutcome, CellRecord, Journal, JournalError};
 use crate::preflight::validate_against_providers;
 use crate::report::CampaignReport;
@@ -162,8 +163,12 @@ impl Orchestrator {
             .count() as u64;
 
         // Pending work in grid order, each cell paired with its
-        // preflight-validated fault subset.
-        let pending: Vec<(CellSpec, Vec<SymbolicFault>)> = cells
+        // preflight-validated fault subset and the offering preflight
+        // stood up: every attempt at every cell of one provider shares
+        // its characterisation, so each detection table is simulated
+        // once per run. Preflight refused repeated hosts, so the host
+        // finds the cell's own provider.
+        let pending: Vec<(CellSpec, Vec<SymbolicFault>, &ComponentOffering)> = cells
             .iter()
             .filter(|c| !records.contains_key(&c.key))
             .map(|c| {
@@ -171,7 +176,7 @@ impl Orchestrator {
                     .iter()
                     .find(|a| a.provider.host == c.provider.host)
                     .expect("expansion only references audited providers");
-                (c.clone(), audit.subset_for(c))
+                (c.clone(), audit.subset_for(c), &audit.offering)
             })
             .collect();
         let to_run = self
@@ -194,8 +199,8 @@ impl Orchestrator {
                     scope.spawn(move || loop {
                         let job = job_rx.lock().expect("job queue lock").recv();
                         let Ok(index) = job else { break };
-                        let (cell, subset) = &pending[index];
-                        let record = run_cell(spec, cell, subset);
+                        let (cell, subset, offering) = &pending[index];
+                        let record = run_cell_on(spec, cell, subset, Some(offering));
                         if result_tx.send(record).is_err() {
                             break;
                         }
@@ -343,6 +348,35 @@ mod tests {
         );
         cleanup(&clean_path);
         cleanup(&staged_path);
+    }
+
+    /// The orchestrator runs its cells on the offerings preflight stood
+    /// up, sharing their characterisations and remembered tables; every
+    /// record must equal the cold `run_cell`'s, attempts, retries, chaos
+    /// draws and fees included.
+    #[test]
+    fn shared_offering_cells_equal_cold_cells() {
+        let path = temp_path("shared");
+        cleanup(&path);
+        let spec = CampaignSpec::parse(include_str!("../../../examples/specs/campaign_ci.json"))
+            .expect("CI spec parses");
+        let report = Orchestrator::new(spec.clone(), &path)
+            .with_workers(2)
+            .run()
+            .unwrap()
+            .report
+            .expect("complete");
+        let audits = validate_against_providers(&spec).unwrap();
+        assert_eq!(report.rows.len(), spec.expand().len());
+        for row in &report.rows {
+            let audit = audits
+                .iter()
+                .find(|a| a.provider.host == row.cell.provider.host)
+                .unwrap();
+            let cold = crate::cell::run_cell(&spec, &row.cell, &audit.subset_for(&row.cell));
+            assert_eq!(row.record, cold, "cell {}", row.cell.index);
+        }
+        cleanup(&path);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use vcad_faults::{
     DetectionTable, DetectionTableSource, FaultUniverse, SymbolicFault, TestabilityAnalysis,
     TestabilityReport,
 };
-use vcad_ip::{ClientSession, ProviderServer};
+use vcad_ip::{ClientSession, ComponentOffering, ProviderServer};
 use vcad_logic::LogicVec;
 
 use crate::spec::{
@@ -43,6 +43,10 @@ pub struct ProviderAudit {
     pub untestable: BTreeSet<SymbolicFault>,
     /// Per-fault SCOAP difficulty estimate, by representative name.
     pub scores: BTreeMap<SymbolicFault, u32>,
+    /// The offering preflight stood up. The orchestrator offers it to
+    /// every cell attempt, so they share its characterisation and the
+    /// detection tables it remembers.
+    pub(crate) offering: ComponentOffering,
 }
 
 impl ProviderAudit {
@@ -78,10 +82,19 @@ impl ProviderAudit {
 ///
 /// # Errors
 ///
-/// Returns [`SpecError::ProviderUnavailable`],
+/// Returns [`SpecError::InvalidField`] for a host listed twice (the host
+/// names the provider: cells find their audit by it),
+/// [`SpecError::ProviderUnavailable`],
 /// [`SpecError::LocationOutOfRange`], [`SpecError::EmptyCellUniverse`] or
 /// [`SpecError::FaultModelLint`] — all before any cell executes.
 pub fn validate_against_providers(spec: &CampaignSpec) -> Result<Vec<ProviderAudit>, SpecError> {
+    let mut hosts = HashSet::with_capacity(spec.providers.len());
+    if let Some(repeated) = spec.providers.iter().find(|p| !hosts.insert(&p.host)) {
+        return Err(SpecError::InvalidField {
+            field: "providers",
+            why: format!("host `{}` is listed twice", repeated.host),
+        });
+    }
     let mut audits = Vec::with_capacity(spec.providers.len());
     for provider in &spec.providers {
         let unavailable = |why: String| SpecError::ProviderUnavailable {
@@ -92,7 +105,7 @@ pub fn validate_against_providers(spec: &CampaignSpec) -> Result<Vec<ProviderAud
         let netlist = offering.instantiate(provider.width);
         let in_bits = netlist.input_count();
         let server = ProviderServer::new(&provider.host);
-        server.offer(offering);
+        server.offer(offering.clone());
         let session =
             ClientSession::connect_in_process(&server).map_err(|e| unavailable(e.to_string()))?;
         let component = session
@@ -178,6 +191,7 @@ pub fn validate_against_providers(spec: &CampaignSpec) -> Result<Vec<ProviderAud
             faults,
             untestable,
             scores,
+            offering,
         });
     }
     Ok(audits)
@@ -247,6 +261,33 @@ mod tests {
         let faults = &audits[0].faults;
         assert!(!faults.is_empty());
         assert!(faults.windows(2).all(|w| w[0] <= w[1]), "sorted");
+    }
+
+    /// Two offerings on one host: the host is the provider's identity,
+    /// and a cell of the second would be paired with the first's audit
+    /// (its fault subset, its offering), so the spec fails closed.
+    #[test]
+    fn a_host_listed_twice_fails_closed() {
+        let mut spec = smoke_spec();
+        spec.providers = vec![
+            ProviderSpec {
+                host: "mult.example.com".into(),
+                offering: "MultFastLowPower".into(),
+                width: 4,
+            },
+            ProviderSpec {
+                host: "mult.example.com".into(),
+                offering: "AdderRipple".into(),
+                width: 8,
+            },
+        ];
+        assert!(matches!(
+            validate_against_providers(&spec),
+            Err(SpecError::InvalidField { field: "providers", why })
+                if why.contains("`mult.example.com`")
+        ));
+        spec.providers[1].host = "adder.example.com".into();
+        assert_eq!(validate_against_providers(&spec).unwrap().len(), 2);
     }
 
     #[test]

@@ -77,52 +77,8 @@ impl DetectionTable {
         inputs: &LogicVec,
     ) -> DetectionTable {
         let testable = testable_representatives(universe);
-        DetectionTable::transpose(compiled, inputs, &testable, |i| testable[i].name(netlist))
-    }
-
-    /// The table of `faults` under `inputs`, naming only the faults that
-    /// differ (fault `i` as `name(i)`). Rows are hashed by the lane's
-    /// outputs, two rail bits per output transposed out of each pass: one
-    /// probe per fault, one [`LogicVec`] per row, rows in first-seen order.
-    pub(crate) fn transpose(
-        compiled: &CompiledNetlist,
-        inputs: &LogicVec,
-        faults: &[Fault],
-        mut name: impl FnMut(usize) -> SymbolicFault,
-    ) -> DetectionTable {
-        let mut rows: Vec<(LogicVec, Vec<SymbolicFault>)> = Vec::new();
-        let mut row_of: HashMap<Vec<u64>, usize> = HashMap::new();
-        let mut keys = Vec::new();
-        let mut eval = compiled.evaluator();
-        let fault_free =
-            one_pattern_all_faults(compiled, &mut eval, inputs, faults, |pass, out, mask| {
-                let words = (2 * out.width()).div_ceil(64);
-                keys.resize(64 * words, 0);
-                for word in 0..words {
-                    let mut rails = [0u64; 64];
-                    for (j, bit) in (32 * word..out.width().min(32 * word + 32)).enumerate() {
-                        (rails[2 * j], rails[2 * j + 1]) = (out.word(bit).one, out.word(bit).zero);
-                    }
-                    transpose64(&mut rails);
-                    for (lane, key) in rails.into_iter().enumerate() {
-                        keys[lane * words + word] = key;
-                    }
-                }
-                for lane in lanes(mask) {
-                    let key = &keys[lane * words..][..words];
-                    let row = row_of.get(key).copied().unwrap_or_else(|| {
-                        rows.push((out.lane(lane), Vec::new()));
-                        row_of.insert(key.to_vec(), rows.len() - 1);
-                        rows.len() - 1
-                    });
-                    rows[row].1.push(name(pass[lane]));
-                }
-            });
-        DetectionTable {
-            inputs: inputs.clone(),
-            fault_free,
-            rows,
-        }
+        FaultRows::simulate(compiled, inputs, &testable)
+            .named(inputs, |i| testable[i].name(netlist))
     }
 
     /// The input configuration the table was built for.
@@ -239,6 +195,139 @@ impl DetectionTable {
             fault_free,
             rows,
         })
+    }
+}
+
+/// A detection table as the provider keeps it: the faults are indices
+/// into the fault slice the table was simulated over, four bytes a
+/// fault instead of a name, in one buffer grouped by row. A reply names
+/// them ([`FaultRows::named`]).
+#[derive(Debug)]
+pub(crate) struct FaultRows {
+    fault_free: LogicVec,
+    /// Each row's erroneous output, rows in first-seen order.
+    outputs: Vec<LogicVec>,
+    /// Where each row's faults start in `faults`.
+    starts: Vec<u32>,
+    /// The faults that differ, each row's in simulation order.
+    faults: Vec<u32>,
+}
+
+impl FaultRows {
+    /// The rows of `faults` under `inputs`, listing only the faults that
+    /// differ. Rows are hashed by the lane's outputs, two rail bits per
+    /// output transposed out of each pass: one probe per fault, one
+    /// [`LogicVec`] per row, rows in first-seen order.
+    pub(crate) fn simulate(
+        compiled: &CompiledNetlist,
+        inputs: &LogicVec,
+        faults: &[Fault],
+    ) -> FaultRows {
+        let index = |i: usize| u32::try_from(i).expect("fewer than 2^32 faults");
+        let mut outputs: Vec<LogicVec> = Vec::new();
+        let mut row_of: HashMap<Vec<u64>, u32> = HashMap::new();
+        // (row, fault) per differing fault, in simulation order.
+        let mut hits: Vec<(u32, u32)> = Vec::new();
+        let mut keys = Vec::new();
+        let mut eval = compiled.evaluator();
+        let fault_free =
+            one_pattern_all_faults(compiled, &mut eval, inputs, faults, |pass, out, mask| {
+                let words = (2 * out.width()).div_ceil(64);
+                keys.resize(64 * words, 0);
+                for word in 0..words {
+                    let mut rails = [0u64; 64];
+                    for (j, bit) in (32 * word..out.width().min(32 * word + 32)).enumerate() {
+                        (rails[2 * j], rails[2 * j + 1]) = (out.word(bit).one, out.word(bit).zero);
+                    }
+                    transpose64(&mut rails);
+                    for (lane, key) in rails.into_iter().enumerate() {
+                        keys[lane * words + word] = key;
+                    }
+                }
+                for lane in lanes(mask) {
+                    let key = &keys[lane * words..][..words];
+                    let row = row_of.get(key).copied().unwrap_or_else(|| {
+                        outputs.push(out.lane(lane));
+                        row_of.insert(key.to_vec(), index(outputs.len() - 1));
+                        index(outputs.len() - 1)
+                    });
+                    hits.push((row, index(pass[lane])));
+                }
+            });
+        // Group the hits by row, keeping each row's order (a counting
+        // sort): `starts` holds each row's end, then, filled backwards,
+        // its start.
+        let mut starts = vec![0u32; outputs.len()];
+        for &(row, _) in &hits {
+            starts[row as usize] += 1;
+        }
+        let mut end = 0;
+        for start in &mut starts {
+            end += *start;
+            *start = end;
+        }
+        let mut grouped = vec![0u32; hits.len()];
+        for &(row, fault) in hits.iter().rev() {
+            let at = &mut starts[row as usize];
+            *at -= 1;
+            grouped[*at as usize] = fault;
+        }
+        FaultRows {
+            fault_free,
+            outputs,
+            starts,
+            faults: grouped,
+        }
+    }
+
+    /// The table for `inputs`, naming fault `i` as `name(i)`.
+    pub(crate) fn named(
+        &self,
+        inputs: &LogicVec,
+        mut name: impl FnMut(usize) -> SymbolicFault,
+    ) -> DetectionTable {
+        let rows = self.outputs.iter().enumerate().map(|(row, out)| {
+            let faults = self.row(row).iter().map(|&i| name(i as usize)).collect();
+            (out.clone(), faults)
+        });
+        DetectionTable {
+            inputs: inputs.clone(),
+            fault_free: self.fault_free.clone(),
+            rows: rows.collect(),
+        }
+    }
+
+    /// The faults of row `row`.
+    fn row(&self, row: usize) -> &[u32] {
+        let end = self
+            .starts
+            .get(row + 1)
+            .map_or(self.faults.len(), |&s| s as usize);
+        &self.faults[self.starts[row] as usize..end]
+    }
+
+    /// Drops the spare capacity the outputs grew while being simulated
+    /// (the index buffers are allocated to size).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.outputs.shrink_to_fit();
+    }
+
+    /// The heap bytes the rows hold, counted from their capacities.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let outputs = self.outputs.capacity() * size_of::<LogicVec>()
+            + self.outputs.iter().map(logic_heap_bytes).sum::<usize>();
+        let indices = (self.starts.capacity() + self.faults.capacity()) * size_of::<u32>();
+        logic_heap_bytes(&self.fault_free) + outputs + indices
+    }
+}
+
+/// The heap bytes of a [`LogicVec`]: none up to one 64-bit limb, which
+/// it stores inline, then a value plane and a meta plane of limbs.
+pub(crate) fn logic_heap_bytes(v: &LogicVec) -> usize {
+    if v.width() <= 64 {
+        0
+    } else {
+        2 * v.width().div_ceil(64) * size_of::<u64>()
     }
 }
 

@@ -5,7 +5,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use vcad_core::{
     Design, Module, ModuleCtx, ModuleId, PortSpec, ShardPolicy, SimEngine, SimulationError, Value,
@@ -15,7 +15,7 @@ use vcad_netlist::Netlist;
 use vcad_obs::Collector;
 
 use crate::collapse::FaultUniverse;
-use crate::detect::{testable_representatives, DetectionTable};
+use crate::detect::{logic_heap_bytes, testable_representatives, DetectionTable, FaultRows};
 use crate::fault::{Fault, SymbolicFault};
 
 /// Virtual-fault-simulation failures.
@@ -100,9 +100,21 @@ pub trait DetectionTableSource: Send + Sync {
     }
 }
 
+/// The bytes of tables one [`NetlistDetectionSource`] remembers.
+const MEMO_BYTES: usize = 256 * 1024;
+
 /// The provider-side (or fully local) detection-table source: owns the
 /// protected netlist, compiled once, and computes tables on demand via
 /// the parallel-fault transpose (64 fault classes per pass).
+///
+/// A table depends on nothing but the netlist and the inputs, so the
+/// source remembers the tables it has simulated, in index form, and
+/// answers a repeated input configuration without simulating it again;
+/// concurrent requests for one configuration share one simulation. The
+/// memo fills until the next table would take it past 256 KiB (counted
+/// from capacities) and evicts nothing: asked for more distinct inputs
+/// than fit, the source keeps the first ones and simulates the rest on
+/// every request.
 pub struct NetlistDetectionSource {
     netlist: Arc<Netlist>,
     universe: FaultUniverse,
@@ -110,6 +122,60 @@ pub struct NetlistDetectionSource {
     /// The testable representatives every table simulates, with their
     /// names: computed by the first table, reset by `with_testability`.
     interned: OnceLock<(Vec<Fault>, Vec<SymbolicFault>)>,
+    /// Tables by input configuration, indexing into `interned`: reset
+    /// with it.
+    memo: Mutex<TableMemo>,
+}
+
+/// The tables a [`NetlistDetectionSource`] has simulated, each in a
+/// cell that is claimed before its simulation starts: a concurrent
+/// request for the same inputs waits for that simulation instead of
+/// running a second one.
+#[derive(Default)]
+struct TableMemo {
+    tables: HashMap<LogicVec, Arc<OnceLock<FaultRows>>>,
+    /// What the filled cells hold, by [`TableMemo::entry_bytes`]; at
+    /// most [`MEMO_BYTES`].
+    bytes: usize,
+    /// Set when a table did not fit: no cell is claimed after that.
+    full: bool,
+}
+
+impl TableMemo {
+    /// The cell for `inputs`: the one already claimed, or a new one
+    /// while the memo is not full.
+    fn claim(&mut self, inputs: &LogicVec) -> Option<Arc<OnceLock<FaultRows>>> {
+        if let Some(cell) = self.tables.get(inputs) {
+            return Some(Arc::clone(cell));
+        }
+        (!self.full).then(|| {
+            let cell = Arc::default();
+            self.tables.insert(inputs.clone(), Arc::clone(&cell));
+            cell
+        })
+    }
+
+    /// Counts the table just simulated into the cell of `inputs`, or
+    /// gives the cell up and closes the memo if it does not fit.
+    fn count(&mut self, inputs: &LogicVec, rows: &FaultRows) {
+        let bytes = TableMemo::entry_bytes(inputs, rows);
+        if self.bytes + bytes <= MEMO_BYTES {
+            self.bytes += bytes;
+        } else {
+            self.tables.remove(inputs);
+            self.full = true;
+        }
+    }
+
+    /// One entry's bytes: its map slot, the `Arc`'s allocation (two
+    /// counts and the cell) and the heap both hold.
+    fn entry_bytes(inputs: &LogicVec, rows: &FaultRows) -> usize {
+        size_of::<(LogicVec, Arc<OnceLock<FaultRows>>)>()
+            + 2 * size_of::<usize>()
+            + size_of::<OnceLock<FaultRows>>()
+            + logic_heap_bytes(inputs)
+            + rows.heap_bytes()
+    }
 }
 
 impl NetlistDetectionSource {
@@ -127,6 +193,7 @@ impl NetlistDetectionSource {
             universe,
             compiled,
             interned: OnceLock::new(),
+            memo: Mutex::default(),
         }
     }
 
@@ -140,6 +207,7 @@ impl NetlistDetectionSource {
         let analysis = crate::testability::TestabilityAnalysis::analyze(&self.netlist);
         self.universe.apply_testability(&self.netlist, &analysis);
         self.interned = OnceLock::new();
+        self.memo = Mutex::default();
         self
     }
 
@@ -147,6 +215,12 @@ impl NetlistDetectionSource {
     #[must_use]
     pub fn universe(&self) -> &FaultUniverse {
         &self.universe
+    }
+
+    /// The memo, whole even if a panicking thread held it: no update
+    /// runs code that can panic between its steps.
+    fn memo(&self) -> MutexGuard<'_, TableMemo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether a class consists solely of stem faults on the component's
@@ -187,12 +261,28 @@ impl DetectionTableSource for NetlistDetectionSource {
             let names = faults.iter().map(|f| f.name(&self.netlist)).collect();
             (faults, names)
         });
-        Ok(DetectionTable::transpose(
-            &self.compiled,
-            inputs,
-            faults,
-            |i| names[i].clone(),
-        ))
+        let name = |i: usize| names[i].clone();
+        let simulate = || {
+            let mut rows = FaultRows::simulate(&self.compiled, inputs, faults);
+            rows.shrink_to_fit();
+            rows
+        };
+        // The cell is claimed before the simulation, so that what the
+        // memo keeps is allocated before the reply's short-lived names,
+        // not among them: on `vfs_tcp` that kept 0.6 MiB off the
+        // provider process's peak resident memory.
+        let Some(cell) = self.memo().claim(inputs) else {
+            return Ok(simulate().named(inputs, name));
+        };
+        let mut simulated = false;
+        let rows = cell.get_or_init(|| {
+            simulated = true;
+            simulate()
+        });
+        if simulated {
+            self.memo().count(inputs, rows);
+        }
+        Ok(rows.named(inputs, name))
     }
 }
 
@@ -672,6 +762,121 @@ mod tests {
         assert_eq!(faults.len(), source.universe().testable_class_count());
         assert!(faults.len() < all);
         assert_eq!(names.len(), faults.len());
+    }
+
+    /// Every input of a 4-bit multiplier, asked twice: the first answer
+    /// is simulated, the second is served from the memo where the table
+    /// fitted, and both encode byte for byte as a fresh build does.
+    /// `with_testability` changes the simulated fault slice, so it must
+    /// start an empty memo.
+    #[test]
+    fn memo_served_tables_encode_like_a_fresh_build() {
+        let nl = Arc::new(generators::wallace_multiplier(4));
+        let universe = FaultUniverse::collapsed(&nl);
+        let fresh: Vec<Vec<u8>> = (0..256u64)
+            .map(|p| {
+                let inputs = LogicVec::from_u64(8, p);
+                DetectionTable::build(&nl, &universe, &inputs)
+                    .to_value()
+                    .encode()
+            })
+            .collect();
+        let ask_all_twice = |source: &NetlistDetectionSource| {
+            for round in 0..2 {
+                for (p, fresh) in fresh.iter().enumerate() {
+                    let inputs = LogicVec::from_u64(8, p as u64);
+                    let table = source.detection_table(&inputs).unwrap();
+                    assert_eq!(table.to_value().encode(), *fresh, "{inputs}, round {round}");
+                }
+            }
+            let memo = source.memo();
+            assert!(!memo.tables.is_empty() && memo.bytes <= MEMO_BYTES);
+        };
+        let source = NetlistDetectionSource::new(Arc::clone(&nl));
+        ask_all_twice(&source);
+        let source = source.with_testability();
+        assert!(source.memo().tables.is_empty() && source.memo().bytes == 0);
+        ask_all_twice(&source);
+    }
+
+    /// Two threads released together ask for the same table: one cell,
+    /// counted once, and both get the fresh build's table whichever
+    /// simulated it.
+    #[test]
+    fn concurrent_requests_share_one_cell() {
+        let nl = Arc::new(generators::wallace_multiplier(4));
+        let source = NetlistDetectionSource::new(Arc::clone(&nl));
+        let inputs = LogicVec::from_u64(8, 0xA7);
+        let fresh = DetectionTable::build(&nl, &FaultUniverse::collapsed(&nl), &inputs);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    assert_eq!(source.detection_table(&inputs).unwrap(), fresh);
+                });
+            }
+        });
+        let memo = source.memo();
+        let cell = memo.tables.get(&inputs).expect("remembered");
+        let rows = cell.get().expect("filled");
+        assert_eq!(memo.tables.len(), 1);
+        assert_eq!(memo.bytes, TableMemo::entry_bytes(&inputs, rows));
+    }
+
+    /// A remembered table is answered from the memo, not simulated
+    /// again: rows planted in the memo come back as the reply.
+    #[test]
+    fn a_remembered_table_is_not_simulated_again() {
+        let nl = Arc::new(generators::wallace_multiplier(4));
+        let source = NetlistDetectionSource::new(nl);
+        let inputs = LogicVec::from_u64(8, 0x35);
+        assert!(!source.detection_table(&inputs).unwrap().rows().is_empty());
+        let planted = FaultRows::simulate(&source.compiled, &inputs, &[]);
+        source
+            .memo()
+            .tables
+            .insert(inputs.clone(), Arc::new(OnceLock::from(planted)));
+        assert!(source.detection_table(&inputs).unwrap().rows().is_empty());
+    }
+
+    /// Ten bounds' worth of distinct inputs to a 10-bit multiplier: the
+    /// memo stops at its bound, and every table, remembered or not, is
+    /// the one a fresh build gives.
+    #[test]
+    fn the_memo_stays_within_its_bound() {
+        let nl = Arc::new(generators::wallace_multiplier(10));
+        let universe = FaultUniverse::collapsed(&nl);
+        let compiled = vcad_engine::CompiledNetlist::compile(&nl);
+        let source = NetlistDetectionSource::new(Arc::clone(&nl));
+        let mut state = 0x5EED_u64;
+        let (mut offered, mut inputs) = (0, Vec::new());
+        while offered < 10 * MEMO_BYTES {
+            let x = LogicVec::from_u64(20, vcad_prng::splitmix64(&mut state) & 0xF_FFFF);
+            let table = source.detection_table(&x).unwrap();
+            assert_eq!(
+                table,
+                DetectionTable::build_compiled(&compiled, &nl, &universe, &x)
+            );
+            assert!(
+                source.memo().bytes <= MEMO_BYTES,
+                "after {} inputs",
+                inputs.len()
+            );
+            let mut rows = FaultRows::simulate(&compiled, &x, &source.interned.get().unwrap().0);
+            rows.shrink_to_fit();
+            offered += TableMemo::entry_bytes(&x, &rows);
+            inputs.push(x);
+        }
+        let memo_len = source.memo().tables.len();
+        assert!(memo_len > 0 && memo_len < inputs.len() / 5, "{memo_len}");
+        for x in &inputs {
+            assert_eq!(
+                source.detection_table(x).unwrap(),
+                DetectionTable::build_compiled(&compiled, &nl, &universe, x)
+            );
+        }
+        assert_eq!(source.memo().tables.len(), memo_len, "nothing evicted");
     }
 
     /// Builds the paper's Figure 4 circuit around IP1 (a NAND-style half

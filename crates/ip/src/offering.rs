@@ -1,9 +1,12 @@
 //! Component offerings: what a provider publishes.
 
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use vcad_netlist::{generators, Netlist};
+
+use crate::server::Characterisation;
 
 /// Which models a provider makes available for a component, and at what
 /// fidelity — the per-provider "setup" of the paper's Figure 1
@@ -88,6 +91,13 @@ impl Default for PriceList {
 ///
 /// The generator runs only on the provider's server; nothing it produces
 /// is ever serialised.
+///
+/// Clones share one characterisation per width: the netlist, the trained
+/// estimators and the detection-table source (with the tables it
+/// remembers) are built by the first component instantiated at that
+/// width and reused by every later one, on any server the clones are
+/// offered by, for as long as a clone lives. None of it is per-session
+/// state: names, prices and the fee ledger stay with each component.
 #[derive(Clone)]
 pub struct ComponentOffering {
     name: String,
@@ -95,6 +105,7 @@ pub struct ComponentOffering {
     models: ModelAvailability,
     prices: PriceList,
     public_behavior: String,
+    characterised: Arc<Mutex<BTreeMap<usize, Arc<Characterisation>>>>,
 }
 
 impl ComponentOffering {
@@ -113,6 +124,7 @@ impl ComponentOffering {
             models,
             prices,
             public_behavior: "word-multiplier".into(),
+            characterised: Arc::default(),
         }
     }
 
@@ -180,6 +192,22 @@ impl ComponentOffering {
     #[must_use]
     pub fn instantiate(&self, width: usize) -> Arc<Netlist> {
         (self.generator)(width)
+    }
+
+    /// The characterisation at `width` that every clone shares, built on
+    /// first use. A concurrent caller waits for it rather than building
+    /// a second one.
+    pub(crate) fn characterise(&self, width: usize) -> Arc<Characterisation> {
+        // A characterisation that panics inserts nothing, so a poisoned
+        // map is still whole.
+        let mut characterised = self
+            .characterised
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let shared = characterised
+            .entry(width)
+            .or_insert_with(|| Arc::new(Characterisation::new(self, width)));
+        Arc::clone(shared)
     }
 }
 

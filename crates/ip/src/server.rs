@@ -369,32 +369,25 @@ impl RemoteObject for CatalogObject {
     }
 }
 
-/// One instantiated component: the private part.
-///
-/// Holds everything the provider refuses to disclose and answers the
-/// protocol methods with derived, port-level data only.
-struct ComponentObject {
-    name: String,
-    public_behavior: String,
-    width: usize,
+/// What the provider derives from one offering at one width, shared by
+/// the clones of that offering (see [`ComponentOffering`]): the private
+/// netlist, the four trained estimators and, from the first `FAULT_LIST`
+/// or `DETECTION_TABLE` call on, the detection-table source. The
+/// estimators hold no interior mutability, so sharing them changes no
+/// answer; the source's table memo only skips re-simulating a table.
+pub(crate) struct Characterisation {
     netlist: Arc<Netlist>,
-    prices: crate::offering::PriceList,
     constant: ConstantPowerEstimator,
     regression: LinearRegressionPowerEstimator,
     toggle: TogglePowerEstimator,
     peak: PeakPowerEstimator,
-    /// Built by the first `FAULT_LIST` or `DETECTION_TABLE` call, so a
-    /// component only evaluated functionally never collapses its faults.
+    /// Built by the first call that needs it, so a component only
+    /// evaluated functionally never collapses its faults.
     detection: OnceLock<NetlistDetectionSource>,
-    ledger: Arc<ServerLedger>,
 }
 
-impl ComponentObject {
-    fn new(
-        offering: ComponentOffering,
-        width: usize,
-        ledger: Arc<ServerLedger>,
-    ) -> ComponentObject {
+impl Characterisation {
+    pub(crate) fn new(offering: &ComponentOffering, width: usize) -> Characterisation {
         let netlist = offering.instantiate(width);
         let model = PowerModel::default();
         // The provider's silicon characterisation: deterministic per
@@ -417,18 +410,13 @@ impl ComponentObject {
             LinearRegressionPowerEstimator::fit(&reference, &netlist, &training, ports.clone());
         let toggle = TogglePowerEstimator::new(Arc::clone(&netlist), model, ports.clone(), true);
         let peak = PeakPowerEstimator::new(Arc::clone(&netlist), model, ports, true);
-        ComponentObject {
-            name: offering.name().to_owned(),
-            public_behavior: offering.public_behavior().to_owned(),
-            width,
-            prices: offering.prices(),
+        Characterisation {
             netlist,
             constant,
             regression,
             toggle,
             peak,
             detection: OnceLock::new(),
-            ledger,
         }
     }
 
@@ -438,8 +426,41 @@ impl ComponentObject {
     }
 }
 
+/// One instantiated component: the private part.
+///
+/// Holds everything the provider refuses to disclose and answers the
+/// protocol methods with derived, port-level data only. Its own state is
+/// per session (name, width, prices, ledger); the characterisation is
+/// the offering's.
+struct ComponentObject {
+    name: String,
+    public_behavior: String,
+    width: usize,
+    prices: crate::offering::PriceList,
+    characterised: Arc<Characterisation>,
+    ledger: Arc<ServerLedger>,
+}
+
+impl ComponentObject {
+    fn new(
+        offering: ComponentOffering,
+        width: usize,
+        ledger: Arc<ServerLedger>,
+    ) -> ComponentObject {
+        ComponentObject {
+            name: offering.name().to_owned(),
+            public_behavior: offering.public_behavior().to_owned(),
+            width,
+            prices: offering.prices(),
+            characterised: offering.characterise(width),
+            ledger,
+        }
+    }
+}
+
 impl RemoteObject for ComponentObject {
     fn invoke(&self, method: &str, args: &[Value], ctx: &ServerCtx) -> Result<Value, RmiError> {
+        let part = &*self.characterised;
         match method {
             component::DESCRIBE => Ok(Value::Map(vec![
                 ("name".into(), Value::Str(self.name.clone())),
@@ -451,11 +472,11 @@ impl RemoteObject for ComponentObject {
                     Value::Str(self.public_behavior.clone()),
                 ),
             ])),
-            component::AREA => Ok(Value::F64(self.netlist.stats().area)),
-            component::DELAY => Ok(Value::F64(self.netlist.critical_path_delay())),
-            component::POWER_CONSTANT => Ok(Value::F64(self.constant.mean_power_w())),
+            component::AREA => Ok(Value::F64(part.netlist.stats().area)),
+            component::DELAY => Ok(Value::F64(part.netlist.critical_path_delay())),
+            component::POWER_CONSTANT => Ok(Value::F64(part.constant.mean_power_w())),
             component::POWER_REGRESSION => {
-                let (a, b) = self.regression.coefficients();
+                let (a, b) = part.regression.coefficients();
                 Ok(Value::List(vec![Value::F64(a), Value::F64(b)]))
             }
             component::POWER_TOGGLE => {
@@ -467,7 +488,7 @@ impl RemoteObject for ComponentObject {
                     ));
                 }
                 for p in &patterns {
-                    if p.width() != self.netlist.input_count() {
+                    if p.width() != part.netlist.input_count() {
                         return Err(RmiError::application("pattern width mismatch"));
                     }
                 }
@@ -483,7 +504,7 @@ impl RemoteObject for ComponentObject {
                 span.arg("patterns", patterns.len());
                 let total: f64 = patterns
                     .windows(2)
-                    .map(|w| self.toggle.predict_transition(&w[0], &w[1]))
+                    .map(|w| part.toggle.predict_transition(&w[0], &w[1]))
                     .sum();
                 Ok(Value::F64(total / (patterns.len() - 1) as f64))
             }
@@ -496,7 +517,7 @@ impl RemoteObject for ComponentObject {
                     ));
                 }
                 for p in &patterns {
-                    if p.width() != self.netlist.input_count() {
+                    if p.width() != part.netlist.input_count() {
                         return Err(RmiError::application("pattern width mismatch"));
                     }
                 }
@@ -523,7 +544,7 @@ impl RemoteObject for ComponentObject {
                         })
                         .collect(),
                 );
-                self.peak
+                part.peak
                     .estimate(&input)
                     .map_err(|e| RmiError::application(e.to_string()))
             }
@@ -532,7 +553,7 @@ impl RemoteObject for ComponentObject {
                     .first()
                     .and_then(Value::as_logic_vec)
                     .ok_or_else(|| RmiError::bad_args(method))?;
-                if inputs.width() != self.netlist.input_count() {
+                if inputs.width() != part.netlist.input_count() {
                     return Err(RmiError::application("input width mismatch"));
                 }
                 self.ledger.charge(
@@ -544,11 +565,11 @@ impl RemoteObject for ComponentObject {
                     .ledger
                     .collector()
                     .traced_span("ip", format!("estimate:{method}"));
-                let out = vcad_netlist::Evaluator::new(&self.netlist).outputs(inputs);
+                let out = vcad_netlist::Evaluator::new(&part.netlist).outputs(inputs);
                 Ok(Value::Vec(out))
             }
             component::FAULT_LIST => Ok(Value::List(
-                self.detection()
+                part.detection()
                     .fault_list()
                     .into_iter()
                     .map(|f| Value::Str(f.0))
@@ -559,7 +580,7 @@ impl RemoteObject for ComponentObject {
                     .first()
                     .and_then(Value::as_logic_vec)
                     .ok_or_else(|| RmiError::bad_args(method))?;
-                if inputs.width() != self.netlist.input_count() {
+                if inputs.width() != part.netlist.input_count() {
                     return Err(RmiError::application("input width mismatch"));
                 }
                 self.ledger.charge(
@@ -571,7 +592,7 @@ impl RemoteObject for ComponentObject {
                     .ledger
                     .collector()
                     .traced_span("ip", format!("estimate:{method}"));
-                let table: DetectionTable = self
+                let table: DetectionTable = part
                     .detection()
                     .detection_table(inputs)
                     .map_err(|e| RmiError::application(e.to_string()))?;
@@ -872,14 +893,72 @@ mod tests {
             4,
             Arc::new(ServerLedger::new()),
         );
+        let part = &object.characterised;
         // Instantiation (all a functional_eval provider needs) collapses
         // no faults.
-        assert!(object.detection.get().is_none());
-        let first: *const NetlistDetectionSource = object.detection();
-        assert!(std::ptr::eq(first, object.detection()), "built once");
+        assert!(part.detection.get().is_none());
+        let first: *const NetlistDetectionSource = part.detection();
+        assert!(std::ptr::eq(first, part.detection()), "built once");
         assert_eq!(
-            object.detection().universe().class_count(),
-            vcad_faults::FaultUniverse::collapsed(&object.netlist).class_count()
+            part.detection().universe().class_count(),
+            vcad_faults::FaultUniverse::collapsed(&part.netlist).class_count()
         );
+    }
+
+    #[test]
+    fn clones_of_an_offering_share_one_characterisation_per_width() {
+        let offering = ComponentOffering::fast_low_power_multiplier();
+        let object = |offering: &ComponentOffering, width| {
+            ComponentObject::new(offering.clone(), width, Arc::new(ServerLedger::new()))
+                .characterised
+        };
+        let four = object(&offering, 4);
+        assert!(Arc::ptr_eq(&four, &object(&offering.clone(), 4)));
+        assert!(!Arc::ptr_eq(&four, &object(&offering, 5)), "one per width");
+        let unrelated = ComponentOffering::fast_low_power_multiplier();
+        assert!(!Arc::ptr_eq(&four, &object(&unrelated, 4)), "clones only");
+    }
+
+    /// Two servers offer clones of one offering; a third offers its own.
+    /// The clones' sessions share one detection source (which simulates
+    /// each input once, see `vcad-faults`), yet every reply is byte for
+    /// byte the unshared provider's and every call is charged.
+    #[test]
+    fn a_shared_characterisation_is_invisible_on_the_wire_and_in_fees() {
+        let offering = ComponentOffering::fast_low_power_multiplier();
+        let replies = |offered: ComponentOffering| {
+            let server = ProviderServer::new("p.example.com");
+            server.offer(offered);
+            let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new(server.dispatcher()));
+            let comp = Client::new(transport)
+                .root()
+                .invoke_object(
+                    catalog::INSTANTIATE,
+                    vec![Value::Str("MultFastLowPower".into()), Value::I64(4)],
+                )
+                .unwrap();
+            let stream: Vec<Vec<u8>> = (0..32u64)
+                .map(|p| {
+                    let inputs = Value::Vec(LogicVec::from_u64(8, p * 37 % 256));
+                    let reply = comp.invoke(component::DETECTION_TABLE, vec![inputs]);
+                    reply.unwrap().encode()
+                })
+                .collect();
+            (stream, server)
+        };
+        let first = replies(offering.clone());
+        let second = replies(offering.clone());
+        let unshared = replies(ComponentOffering::fast_low_power_multiplier());
+        // The offering's map, both live components and this handle.
+        let shared = offering.characterise(4);
+        assert_eq!(Arc::strong_count(&shared), 4, "one characterisation");
+        assert!(shared.detection.get().is_some());
+        assert_eq!(first.0, unshared.0);
+        assert_eq!(second.0, unshared.0);
+        let fees = 32.0 * crate::offering::PriceList::default().detection_table;
+        for (_, server) in [first, second, unshared] {
+            assert_eq!(server.ledger().entry_count(), 32, "every call charged");
+            assert!((server.ledger().total_cents() - fees).abs() < 1e-9);
+        }
     }
 }
