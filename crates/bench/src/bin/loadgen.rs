@@ -42,7 +42,7 @@ use vcad_logic::LogicVec;
 use vcad_obs::{chrome, Collector, HealthSnapshot};
 use vcad_rmi::{
     AdmissionControl, MuxServerConfig, ResilientTransport, RetryPolicy, TcpTimeouts, TcpTransport,
-    TenantQuota, Transport, Value,
+    TenantQuota, Transport,
 };
 
 /// Far above any loopback round trip, far below a CI job timeout.
@@ -121,13 +121,9 @@ fn run_session(
 
     for k in 0..calls {
         let inputs = LogicVec::from_u64(2 * WIDTH, (k as u64 * 37) & 0xff);
-        let out = component
-            .stub()
-            .invoke("functional_eval", vec![Value::Vec(inputs)])
+        component
+            .functional_eval(inputs)
             .map_err(|e| format!("functional_eval {k}: {e}"))?;
-        if !matches!(out, Value::Vec(_)) {
-            return Err(format!("functional_eval {k}: non-vector reply"));
-        }
     }
     Ok(())
 }

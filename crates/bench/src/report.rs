@@ -47,11 +47,10 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
-    use vcad_netsim::VirtualTimeline;
+    use std::sync::Arc;
     use vcad_rmi::{
         Client, Dispatcher, InProcTransport, ObjectRegistry, RemoteObject, RmiError, ServerCtx,
-        ShapedTransport, Transport, Value,
+        Transport, Value,
     };
 
     #[test]
@@ -96,42 +95,46 @@ mod tests {
     }
 
     /// Table 2's real-time column applies the closed form to a run's
-    /// transport counters; it must equal what a `ShapedTransport`
-    /// accounts call by call on the virtual timeline. Each leg's
-    /// `Duration` is rounded on its own, so allow 1 ns per leg.
+    /// transport counters; it must equal the per-call oracle — every
+    /// round trip's `NetworkModel::round_trip`, summed — on the same
+    /// traffic. Each leg's `Duration` is rounded on its own, so allow
+    /// 1 ns per leg.
     #[test]
     fn closed_form_matches_the_virtual_timeline() {
+        let registry = Arc::new(ObjectRegistry::new());
+        registry.register_root(Arc::new(Echo));
+        let transport = Arc::new(InProcTransport::new(Arc::new(Dispatcher::new(registry))));
+        let client = Client::new(Arc::clone(&transport) as Arc<dyn Transport>);
+        let mut frames = Vec::new();
+        for len in [0, 1, 17, 512, 4096, 65_536] {
+            let before = transport.stats();
+            let payload = Value::Bytes(vec![0xa5; len]);
+            assert_eq!(
+                client.root().invoke("echo", vec![payload.clone()]).unwrap(),
+                payload
+            );
+            let after = transport.stats();
+            frames.push((
+                (after.bytes_sent - before.bytes_sent) as usize,
+                (after.bytes_received - before.bytes_received) as usize,
+            ));
+        }
+        let stats = transport.stats();
+        assert_eq!(stats.calls, frames.len() as u64);
         for model in [
             NetworkModel::local_host(),
             NetworkModel::lan_1999(),
             NetworkModel::wan_1999(),
         ] {
-            let registry = Arc::new(ObjectRegistry::new());
-            registry.register_root(Arc::new(Echo));
-            let timeline = Arc::new(Mutex::new(VirtualTimeline::new()));
-            let transport = Arc::new(ShapedTransport::virtual_time(
-                Arc::new(InProcTransport::new(Arc::new(Dispatcher::new(registry)))),
-                model.clone(),
-                Arc::clone(&timeline),
-            ));
-            let client = Client::new(Arc::clone(&transport) as Arc<dyn Transport>);
-            let sizes = [0, 1, 17, 512, 4096, 65_536];
-            for len in sizes {
-                let payload = Value::Bytes(vec![0xa5; len]);
-                assert_eq!(
-                    client.root().invoke("echo", vec![payload.clone()]).unwrap(),
-                    payload
-                );
-            }
-
-            let stats = transport.stats();
-            assert_eq!(stats.calls, sizes.len() as u64);
+            let summed: Duration = frames
+                .iter()
+                .map(|&(request, response)| model.round_trip(request, response))
+                .sum();
             let closed = modeled_network_time(&stats, &model).as_nanos();
-            let summed = timeline.lock().unwrap().network_time().as_nanos();
             let legs = 2 * u128::from(stats.calls);
             assert!(
-                closed.abs_diff(summed) <= legs,
-                "{}: closed form {closed} ns vs timeline {summed} ns",
+                closed.abs_diff(summed.as_nanos()) <= legs,
+                "{}: closed form {closed} ns vs per-call sum {summed:?}",
                 model.name()
             );
         }

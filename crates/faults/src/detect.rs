@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use vcad_engine::CompiledNetlist;
 use vcad_logic::LogicVec;
 use vcad_netlist::Netlist;
-use vcad_rmi::Value;
+use vcad_rmi::{RmiError, Value, Wire, WireError};
 
 use crate::collapse::FaultUniverse;
 use crate::fault::{Fault, SymbolicFault};
@@ -126,24 +126,34 @@ impl DetectionTable {
         self.rows.iter().flat_map(|(_, fs)| fs.iter()).collect()
     }
 
-    /// Encodes the table as a wire [`Value`] for RMI transmission.
+    /// Encodes the table as a wire [`Value`] for RMI transmission
+    /// (copying it; [`Wire::into_value`] moves it).
     #[must_use]
     pub fn to_value(&self) -> Value {
         self.clone().into_value()
     }
 
-    /// [`DetectionTable::to_value`], moving the configurations and fault
-    /// names into the [`Value`] instead of copying them.
+    /// Decodes a table from its wire [`Value`] form (copying it;
+    /// [`Wire::from_value`] moves it and says what is wrong).
+    ///
+    /// Returns `None` when the value is not a well-formed table.
     #[must_use]
-    pub fn into_value(self) -> Value {
+    pub fn from_value(value: &Value) -> Option<DetectionTable> {
+        <DetectionTable as Wire>::from_value(value.clone()).ok()
+    }
+}
+
+/// The table moves onto the wire and off it without a copy: the
+/// configurations and fault names are moved into (out of) the [`Value`].
+impl Wire for DetectionTable {
+    fn into_value(self) -> Value {
         let rows = self
             .rows
             .into_iter()
             .map(|(out, faults)| {
-                let faults = faults.into_iter().map(|f| Value::Str(f.0)).collect();
                 Value::Map(vec![
                     ("output".into(), Value::Vec(out)),
-                    ("faults".into(), Value::List(faults)),
+                    ("faults".into(), faults.into_value()),
                 ])
             })
             .collect();
@@ -154,43 +164,27 @@ impl DetectionTable {
         ])
     }
 
-    /// Decodes a table from its wire [`Value`] form.
-    ///
-    /// Returns `None` when the value is not a well-formed table; a row
-    /// whose output is not as wide as the fault-free configuration is
-    /// malformed (consumers slice rows by the component's port widths).
-    #[must_use]
-    pub fn from_value(value: &Value) -> Option<DetectionTable> {
-        DetectionTable::from_owned_value(value.clone())
-    }
-
-    /// [`DetectionTable::from_value`], moving the configurations and
-    /// fault names out of `value` instead of copying them.
-    #[must_use]
-    pub fn from_owned_value(value: Value) -> Option<DetectionTable> {
-        let Value::Map(mut table) = value else {
-            return None;
+    /// A row whose output is not as wide as the fault-free configuration
+    /// is malformed (consumers slice rows by the component's port widths).
+    fn from_value(mut table: Value) -> Result<DetectionTable, RmiError> {
+        let inputs = LogicVec::from_value(table.take("inputs"))?;
+        let fault_free = LogicVec::from_value(table.take("fault_free"))?;
+        let Value::List(rows) = table.take("rows") else {
+            return Err(WireError::BadValue("detection table rows").into());
         };
-        let inputs = take_vec(&mut table, "inputs")?;
-        let fault_free = take_vec(&mut table, "fault_free")?;
-        let rows = take_list(&mut table, "rows")?
+        let rows = rows
             .into_iter()
-            .map(|row| {
-                let Value::Map(mut row) = row else {
-                    return None;
-                };
-                let out = take_vec(&mut row, "output")?;
-                let faults = take_list(&mut row, "faults")?
-                    .into_iter()
-                    .map(|f| match f {
-                        Value::Str(name) => Some(SymbolicFault(name)),
-                        _ => None,
-                    })
-                    .collect::<Option<Vec<_>>>()?;
-                (out.width() == fault_free.width()).then_some((out, faults))
+            .map(|mut row| {
+                let out = LogicVec::from_value(row.take("output"))?;
+                let faults = Vec::from_value(row.take("faults"))?;
+                if out.width() == fault_free.width() {
+                    Ok((out, faults))
+                } else {
+                    Err(WireError::BadValue("detection table row width").into())
+                }
             })
-            .collect::<Option<Vec<_>>>()?;
-        Some(DetectionTable {
+            .collect::<Result<_, RmiError>>()?;
+        Ok(DetectionTable {
             inputs,
             fault_free,
             rows,
@@ -353,28 +347,6 @@ fn transpose64(m: &mut [u64; 64]) {
 pub(crate) fn testable_representatives(universe: &FaultUniverse) -> Vec<Fault> {
     let testable = universe.classes().iter().filter(|c| c.is_testable());
     testable.map(|c| c.representative).collect()
-}
-
-/// Moves out the first entry named `key` (the one [`Value::get`] finds)
-/// if it is a [`Value::Vec`].
-fn take_vec(entries: &mut [(String, Value)], key: &str) -> Option<LogicVec> {
-    match take(entries, key)? {
-        Value::Vec(v) => Some(v),
-        _ => None,
-    }
-}
-
-/// [`take_vec`] for a [`Value::List`].
-fn take_list(entries: &mut [(String, Value)], key: &str) -> Option<Vec<Value>> {
-    match take(entries, key)? {
-        Value::List(items) => Some(items),
-        _ => None,
-    }
-}
-
-fn take(entries: &mut [(String, Value)], key: &str) -> Option<Value> {
-    let at = entries.iter().position(|(k, _)| k == key)?;
-    Some(std::mem::replace(&mut entries[at].1, Value::Null))
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@ use std::fmt;
 
 use vcad_logic::Logic;
 use vcad_netlist::{GateId, NetId, Netlist};
+use vcad_rmi::{RmiError, Value, Wire};
 
 /// The stuck polarity of a fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -135,6 +136,17 @@ impl fmt::Display for SymbolicFault {
 impl From<&str> for SymbolicFault {
     fn from(s: &str) -> SymbolicFault {
         SymbolicFault(s.to_owned())
+    }
+}
+
+/// A fault name crosses the wire as its text.
+impl Wire for SymbolicFault {
+    fn into_value(self) -> Value {
+        Value::Str(self.0)
+    }
+
+    fn from_value(value: Value) -> Result<SymbolicFault, RmiError> {
+        String::from_value(value).map(SymbolicFault)
     }
 }
 

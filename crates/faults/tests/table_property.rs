@@ -16,7 +16,7 @@ use vcad_logic::{Logic, LogicVec};
 use vcad_netlist::generators::{self, RandomCircuitSpec};
 use vcad_netlist::Netlist;
 use vcad_prng::Rng;
-use vcad_rmi::Value;
+use vcad_rmi::{Value, Wire};
 
 mod oracle;
 
@@ -94,7 +94,7 @@ fn check_table(
         "{context}: into_value bytes"
     );
     assert_eq!(
-        DetectionTable::from_owned_value(owned).as_ref(),
+        <DetectionTable as Wire>::from_value(owned).ok().as_ref(),
         Some(served),
         "{context}: owning decode"
     );
@@ -207,7 +207,11 @@ fn owning_decode_equals_from_value_on_every_shape() {
     for (what, value) in shapes {
         let borrowed = DetectionTable::from_value(&value);
         accepted += usize::from(borrowed.is_some());
-        assert_eq!(DetectionTable::from_owned_value(value), borrowed, "{what}");
+        assert_eq!(
+            <DetectionTable as Wire>::from_value(value).ok(),
+            borrowed,
+            "{what}"
+        );
     }
     // The well-formed table and the two duplicate/extra-key shapes.
     assert_eq!(accepted, 3);

@@ -15,34 +15,12 @@
 //! provider, and only that provider's.
 //!
 //! Which methods are safe to memoize is decided by
-//! [`cacheable_method`]: the pure, deterministic read side of the
-//! protocol. Session-mutating methods (`instantiate`, `release`,
-//! `negotiate`) and fee-observing ones (`bill`) always cross the wire.
+//! [`cacheable_method`], generated from the protocol declaration: the
+//! methods declared `pure`, the deterministic read side of the protocol.
+//! Session-mutating methods (`instantiate`, `release`, `negotiate`) and
+//! fee-observing ones (`bill`) always cross the wire.
 
-use crate::protocol::{catalog, component};
-
-/// True for protocol methods whose result is a pure function of the
-/// target object and arguments — safe to serve from a cache.
-///
-/// The list is an explicit allowlist: an unknown method is assumed
-/// impure, so protocol extensions stay correct by default.
-#[must_use]
-pub(crate) fn cacheable_method(method: &str) -> bool {
-    matches!(
-        method,
-        catalog::LIST
-            | component::DESCRIBE
-            | component::AREA
-            | component::DELAY
-            | component::POWER_CONSTANT
-            | component::POWER_REGRESSION
-            | component::POWER_TOGGLE
-            | component::POWER_PEAK
-            | component::FUNCTIONAL_EVAL
-            | component::FAULT_LIST
-            | component::DETECTION_TABLE
-    )
-}
+pub(crate) use crate::protocol::cacheable_method;
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,8 @@ use vcad_core::{Estimator, Module};
 use vcad_faults::{DetectionTable, DetectionTableSource, SymbolicFault, VirtualSimError};
 use vcad_logic::LogicVec;
 use vcad_rmi::{
-    Cache, Client, InProcTransport, RemoteRef, RmiError, Sandbox, SecurityManager, Transport, Value,
+    Cache, Client, InProcTransport, RemoteRef, RmiError, Sandbox, SecurityManager, Transport,
+    Value, Wire,
 };
 
 use crate::cache::cacheable_method;
@@ -34,6 +35,36 @@ pub struct OfferingInfo {
     pub area: i64,
     /// Fee per pattern for the remote gate-level power estimator, cents.
     pub toggle_fee_cents: f64,
+}
+
+/// An offering crosses the wire as a map; a missing model level reads as
+/// 0 (unavailable), while a missing name or a bad fee refuses the reply.
+impl Wire for OfferingInfo {
+    fn into_value(self) -> Value {
+        Value::Map(vec![
+            ("name".into(), Value::Str(self.name)),
+            ("functional".into(), Value::I64(self.functional)),
+            ("power".into(), Value::I64(self.power)),
+            ("timing".into(), Value::I64(self.timing)),
+            ("area".into(), Value::I64(self.area)),
+            ("toggle_fee".into(), Value::F64(self.toggle_fee_cents)),
+        ])
+    }
+
+    fn from_value(mut item: Value) -> Result<OfferingInfo, RmiError> {
+        let level = |k: &str| item.get(k).and_then(Value::as_i64).unwrap_or(0);
+        Ok(OfferingInfo {
+            functional: level("functional"),
+            power: level("power"),
+            timing: level("timing"),
+            area: level("area"),
+            toggle_fee_cents: crate::negotiate::advertised(&item, "toggle_fee", 0.0)?,
+            name: String::from_value(item.take("name"))
+                .ok()
+                .filter(|name| !name.is_empty())
+                .ok_or_else(|| RmiError::application("offering without a name"))?,
+        })
+    }
 }
 
 /// A connection from an IP user to one provider.
@@ -130,29 +161,7 @@ impl ClientSession {
     ///
     /// Returns [`RmiError`] on transport or protocol failures.
     pub fn catalog(&self) -> Result<Vec<OfferingInfo>, RmiError> {
-        let list = self.client.root().invoke(catalog::LIST, vec![])?;
-        let items = list
-            .as_list()
-            .ok_or_else(|| RmiError::application("catalog is not a list"))?;
-        items
-            .iter()
-            .map(|item| {
-                let field_i = |k: &str| item.get(k).and_then(Value::as_i64).unwrap_or(0);
-                Ok(OfferingInfo {
-                    name: item
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .filter(|name| !name.is_empty())
-                        .ok_or_else(|| RmiError::application("offering without a name"))?
-                        .to_owned(),
-                    functional: field_i("functional"),
-                    power: field_i("power"),
-                    timing: field_i("timing"),
-                    area: field_i("area"),
-                    toggle_fee_cents: crate::negotiate::advertised(item, "toggle_fee", 0.0)?,
-                })
-            })
-            .collect()
+        self.root().list()
     }
 
     /// Instantiates a component on the provider's server and downloads its
@@ -163,16 +172,9 @@ impl ClientSession {
     /// Returns [`RmiError`] when the offering does not exist or the
     /// transport fails.
     pub fn instantiate(&self, name: &str, width: usize) -> Result<RemoteComponent, RmiError> {
-        let stub = self.client.root().invoke_object(
-            catalog::INSTANTIATE,
-            vec![Value::Str(name.to_owned()), Value::I64(width as i64)],
-        )?;
-        let description = stub.invoke(component::DESCRIBE, vec![])?;
-        let behavior = description
-            .get("public_behavior")
-            .and_then(Value::as_str)
-            .ok_or_else(|| RmiError::application("component has no public part"))?
-            .to_owned();
+        let id = self.root().instantiate(name.to_owned(), width as i64)?;
+        let stub = component::Stub(self.client.object(id));
+        let behavior = stub.describe()?.public_behavior;
         let toggle_fee = self
             .catalog()?
             .into_iter()
@@ -203,19 +205,7 @@ impl ClientSession {
         name: &str,
         requests: &[crate::NegotiationRequest],
     ) -> Result<Vec<crate::NegotiationOutcome>, RmiError> {
-        let reply = self.client.root().invoke(
-            catalog::NEGOTIATE,
-            vec![
-                Value::Str(name.to_owned()),
-                crate::negotiate::encode_requests(requests),
-            ],
-        )?;
-        let outcomes: Result<Vec<crate::NegotiationOutcome>, RmiError> = reply
-            .as_list()
-            .ok_or_else(|| RmiError::application("malformed negotiation reply"))?
-            .iter()
-            .map(crate::negotiate::decode_outcome)
-            .collect();
+        let outcomes = self.root().negotiate(name.to_owned(), requests.to_vec());
         // A successful renegotiation can change prices and models, so
         // everything previously memoized from this provider is suspect:
         // flip its epoch and let the cache lazily re-fetch.
@@ -233,9 +223,12 @@ impl ClientSession {
     ///
     /// Returns [`RmiError`] on transport failures.
     pub fn bill(&self) -> Result<f64, RmiError> {
-        let v = self.client.root().invoke(catalog::BILL, vec![])?;
-        v.as_f64()
-            .ok_or_else(|| RmiError::application("bill is not a number"))
+        self.root().bill()
+    }
+
+    /// The catalog's typed stub.
+    fn root(&self) -> catalog::Stub {
+        catalog::Stub(self.client.root())
     }
 }
 
@@ -244,7 +237,7 @@ impl ClientSession {
 pub struct RemoteComponent {
     name: String,
     width: usize,
-    stub: RemoteRef,
+    stub: component::Stub,
     public: PublicPart,
     toggle_fee_cents: f64,
 }
@@ -271,7 +264,7 @@ impl RemoteComponent {
     /// The raw stub (for custom protocol extensions).
     #[must_use]
     pub fn stub(&self) -> &RemoteRef {
-        &self.stub
+        &self.stub.0
     }
 
     /// Provider-computed area estimate, in equivalent gates.
@@ -280,7 +273,7 @@ impl RemoteComponent {
     ///
     /// Returns [`RmiError`] on transport failures.
     pub fn area(&self) -> Result<f64, RmiError> {
-        self.call_f64(component::AREA)
+        self.stub.area()
     }
 
     /// Provider-computed critical-path delay, in picoseconds.
@@ -289,7 +282,7 @@ impl RemoteComponent {
     ///
     /// Returns [`RmiError`] on transport failures.
     pub fn delay(&self) -> Result<f64, RmiError> {
-        self.call_f64(component::DELAY)
+        self.stub.delay()
     }
 
     /// The datasheet constant power figure, in watts.
@@ -298,7 +291,7 @@ impl RemoteComponent {
     ///
     /// Returns [`RmiError`] on transport failures.
     pub fn constant_power(&self) -> Result<f64, RmiError> {
-        self.call_f64(component::POWER_CONSTANT)
+        self.stub.power_constant()
     }
 
     /// Downloads the regression power model's `(intercept, slope)`.
@@ -307,15 +300,18 @@ impl RemoteComponent {
     ///
     /// Returns [`RmiError`] on transport or protocol failures.
     pub fn regression_coefficients(&self) -> Result<(f64, f64), RmiError> {
-        let v = self.stub.invoke(component::POWER_REGRESSION, vec![])?;
-        let list = v
-            .as_list()
-            .filter(|l| l.len() == 2)
-            .ok_or_else(|| RmiError::application("bad regression coefficients"))?;
-        match (list[0].as_f64(), list[1].as_f64()) {
-            (Some(a), Some(b)) => Ok((a, b)),
-            _ => Err(RmiError::application("bad regression coefficients")),
-        }
+        self.stub.power_regression()
+    }
+
+    /// Evaluates one input configuration on the provider (the MR
+    /// scenario's per-event call): the component's outputs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RmiError`] on transport failures or when `inputs` is not
+    /// as wide as the component's inputs.
+    pub fn functional_eval(&self, inputs: LogicVec) -> Result<LogicVec, RmiError> {
+        self.stub.functional_eval(inputs)
     }
 
     /// The component's estimator catalog as the user sees it: static
@@ -347,12 +343,12 @@ impl RemoteComponent {
                 input_ports: vec![0, 1],
             }),
             Arc::new(RemoteToggleEstimator::new(
-                self.stub.clone(),
+                self.stub.0.clone(),
                 vec![0, 1],
                 self.toggle_fee_cents,
             )),
             Arc::new(RemotePeakPowerEstimator::new(
-                self.stub.clone(),
+                self.stub.0.clone(),
                 vec![0, 1],
                 self.toggle_fee_cents,
             )),
@@ -386,7 +382,7 @@ impl RemoteComponent {
         Ok(Arc::new(RemoteFunctionalModule::new(
             instance,
             self.width,
-            self.stub.clone(),
+            self.stub.0.clone(),
             self.estimator_catalog()?,
         )))
     }
@@ -399,8 +395,7 @@ impl RemoteComponent {
     ///
     /// Returns [`RmiError`] on transport failures.
     pub fn release(self) -> Result<(), RmiError> {
-        self.stub.invoke(component::RELEASE, vec![])?;
-        Ok(())
+        self.stub.release()
     }
 
     /// The component's testability oracle for virtual fault simulation.
@@ -413,43 +408,22 @@ impl RemoteComponent {
             stub: self.stub.clone(),
         })
     }
-
-    fn call_f64(&self, method: &str) -> Result<f64, RmiError> {
-        let v = self.stub.invoke(method, vec![])?;
-        v.as_f64()
-            .ok_or_else(|| RmiError::application(format!("`{method}` did not return a number")))
-    }
 }
 
 /// A [`DetectionTableSource`] whose answers come from the provider over
 /// RMI — the remote half of the paper's virtual fault simulation.
 pub struct RemoteDetectionSource {
-    stub: RemoteRef,
+    stub: component::Stub,
 }
 
 impl DetectionTableSource for RemoteDetectionSource {
     fn fault_list(&self) -> Vec<SymbolicFault> {
-        self.stub
-            .invoke(component::FAULT_LIST, vec![])
-            .ok()
-            .and_then(|v| {
-                v.as_list().map(|items| {
-                    items
-                        .iter()
-                        .filter_map(|i| i.as_str().map(SymbolicFault::from))
-                        .collect()
-                })
-            })
-            .unwrap_or_default()
+        self.stub.fault_list().unwrap_or_default()
     }
 
     fn detection_table(&self, inputs: &LogicVec) -> Result<DetectionTable, VirtualSimError> {
-        let value = self
-            .stub
-            .invoke(component::DETECTION_TABLE, vec![Value::Vec(inputs.clone())])
-            .map_err(|e| VirtualSimError::Source(e.to_string()))?;
-        DetectionTable::from_owned_value(value)
-            .ok_or_else(|| VirtualSimError::Source("malformed detection table".into()))
+        let table = self.stub.detection_table(inputs.clone());
+        table.map_err(|e| VirtualSimError::Source(e.to_string()))
     }
 }
 

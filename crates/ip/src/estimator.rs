@@ -8,18 +8,21 @@ use vcad_core::{
 use vcad_logic::LogicVec;
 use vcad_rmi::{RemoteRef, RmiError};
 
-use crate::protocol::{component, encode_patterns};
+use crate::protocol::component;
 
-/// Maps a failed remote estimation call onto [`EstimateError`]:
-/// unreachability (transport failure, exhausted retries, open breaker)
+/// A remote estimation call's watts and memo flag as an [`Estimate`].
+/// Unreachability (transport failure, exhausted retries, open breaker)
 /// becomes [`EstimateError::Unavailable`] — the controller's signal to
-/// degrade to the null estimator — while everything else stays a plain
-/// remote failure.
-fn remote_error(e: &RmiError) -> EstimateError {
-    if e.is_unavailability() {
-        EstimateError::Unavailable(e.to_string())
-    } else {
-        EstimateError::Remote(e.to_string())
+/// degrade to the null estimator — while every other failure stays a
+/// plain remote one.
+fn remote_estimate(reply: Result<(f64, bool), RmiError>) -> Result<Estimate, EstimateError> {
+    match reply {
+        Ok((watts, cached)) => Ok(Estimate {
+            value: Value::F64(watts),
+            cached,
+        }),
+        Err(e) if e.is_unavailability() => Err(EstimateError::Unavailable(e.to_string())),
+        Err(e) => Err(EstimateError::Remote(e.to_string())),
     }
 }
 
@@ -134,7 +137,7 @@ impl Estimator for DownloadedStaticEstimator {
 /// RMI overhead the paper's Figure 3 sweeps against the pattern buffer
 /// size.
 pub struct RemoteToggleEstimator {
-    component: RemoteRef,
+    component: component::Stub,
     input_ports: Vec<usize>,
     fee_cents_per_pattern: f64,
 }
@@ -148,7 +151,7 @@ impl RemoteToggleEstimator {
         fee_cents_per_pattern: f64,
     ) -> RemoteToggleEstimator {
         RemoteToggleEstimator {
-            component,
+            component: component::Stub(component),
             input_ports,
             fee_cents_per_pattern,
         }
@@ -159,7 +162,7 @@ impl RemoteToggleEstimator {
 /// [`RemoteToggleEstimator`], but returning the worst single-transition
 /// power in the buffer.
 pub struct RemotePeakPowerEstimator {
-    component: RemoteRef,
+    component: component::Stub,
     input_ports: Vec<usize>,
     fee_cents_per_pattern: f64,
 }
@@ -173,7 +176,7 @@ impl RemotePeakPowerEstimator {
         fee_cents_per_pattern: f64,
     ) -> RemotePeakPowerEstimator {
         RemotePeakPowerEstimator {
-            component,
+            component: component::Stub(component),
             input_ports,
             fee_cents_per_pattern,
         }
@@ -203,10 +206,7 @@ impl Estimator for RemotePeakPowerEstimator {
                 "peak power needs at least two buffered patterns".into(),
             ));
         }
-        self.component
-            .invoke_with_meta(component::POWER_PEAK, vec![encode_patterns(&patterns)])
-            .map(|(value, cached)| Estimate { value, cached })
-            .map_err(|e| remote_error(&e))
+        remote_estimate(self.component.metered().power_peak(patterns))
     }
 }
 
@@ -233,9 +233,6 @@ impl Estimator for RemoteToggleEstimator {
                 "toggle counting needs at least two buffered patterns".into(),
             ));
         }
-        self.component
-            .invoke_with_meta(component::POWER_TOGGLE, vec![encode_patterns(&patterns)])
-            .map(|(value, cached)| Estimate { value, cached })
-            .map_err(|e| remote_error(&e))
+        remote_estimate(self.component.metered().power_toggle(patterns))
     }
 }

@@ -122,7 +122,7 @@ impl Module for IpComponentModule {
 pub struct RemoteFunctionalModule {
     name: String,
     ports: Vec<PortSpec>,
-    component: RemoteRef,
+    component: component::Stub,
     estimators: Vec<Arc<dyn Estimator>>,
 }
 
@@ -170,7 +170,7 @@ impl RemoteFunctionalModule {
         RemoteFunctionalModule {
             name: instance.into(),
             ports,
-            component,
+            component: component::Stub(component),
             estimators,
         }
     }
@@ -203,9 +203,8 @@ impl Module for RemoteFunctionalModule {
         // for the MR scenario.
         let result = if inputs.is_binary() {
             self.component
-                .invoke(component::FUNCTIONAL_EVAL, vec![Value::Vec(inputs)])
+                .functional_eval(inputs)
                 .ok()
-                .and_then(|v| v.as_logic_vec().cloned())
                 .filter(|v| v.width() == out_width)
                 .unwrap_or_else(|| LogicVec::unknown(out_width))
         } else {

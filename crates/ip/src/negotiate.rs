@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use vcad_core::{EstimatorInfo, Parameter};
-use vcad_rmi::{RmiError, Value};
+use vcad_rmi::{RmiError, Value, Wire};
 
 /// One per-parameter constraint the user sends.
 #[derive(Clone, Debug, PartialEq)]
@@ -129,59 +129,75 @@ pub(crate) fn resolve(
         .map(EstimatorOffer::from)
 }
 
-/// Encodes requests for the wire: a list of `[name, max_fee, max_err]`
-/// triples — plain port-data scalars, so the strict marshalling policy
-/// admits them.
-#[must_use]
-pub(crate) fn encode_requests(requests: &[NegotiationRequest]) -> Value {
-    Value::List(
-        requests
-            .iter()
-            .map(|r| {
-                Value::List(vec![
-                    Value::Str(r.parameter.to_string()),
-                    Value::F64(r.max_fee_cents_per_pattern),
-                    Value::F64(r.max_error_pct),
-                ])
-            })
-            .collect(),
-    )
-}
+/// A request crosses the wire as a `[name, max_fee, max_err]` triple —
+/// plain port-data scalars, so the strict marshalling policy admits it.
+impl Wire for NegotiationRequest {
+    fn into_value(self) -> Value {
+        Value::List(vec![
+            Value::Str(self.parameter.to_string()),
+            Value::F64(self.max_fee_cents_per_pattern),
+            Value::F64(self.max_error_pct),
+        ])
+    }
 
-/// Server-side decoding of one request triple.
-pub(crate) fn decode_request(value: &Value) -> Result<NegotiationRequest, RmiError> {
-    let triple = value
-        .as_list()
-        .filter(|l| l.len() == 3)
-        .ok_or_else(|| RmiError::application("malformed negotiation request"))?;
-    let parameter = triple[0]
-        .as_str()
-        .and_then(|s| s.parse::<Parameter>().ok())
-        .ok_or_else(|| RmiError::application("unknown negotiation parameter"))?;
-    match (triple[1].as_f64(), triple[2].as_f64()) {
-        (Some(max_fee), Some(max_err)) => Ok(NegotiationRequest {
-            parameter,
-            max_fee_cents_per_pattern: max_fee,
-            max_error_pct: max_err,
-        }),
-        _ => Err(RmiError::application("malformed negotiation bounds")),
+    fn from_value(value: Value) -> Result<NegotiationRequest, RmiError> {
+        let triple = value
+            .as_list()
+            .filter(|l| l.len() == 3)
+            .ok_or_else(|| RmiError::application("malformed negotiation request"))?;
+        let parameter = triple[0]
+            .as_str()
+            .and_then(|s| s.parse::<Parameter>().ok())
+            .ok_or_else(|| RmiError::application("unknown negotiation parameter"))?;
+        match (triple[1].as_f64(), triple[2].as_f64()) {
+            (Some(max_fee), Some(max_err)) => Ok(NegotiationRequest {
+                parameter,
+                max_fee_cents_per_pattern: max_fee,
+                max_error_pct: max_err,
+            }),
+            _ => Err(RmiError::application("malformed negotiation bounds")),
+        }
     }
 }
 
-/// Encodes one outcome (server → client).
-#[must_use]
-pub(crate) fn encode_outcome(outcome: &NegotiationOutcome) -> Value {
-    let mut entries = vec![(
-        "parameter".to_owned(),
-        Value::Str(outcome.parameter.to_string()),
-    )];
-    if let Some(offer) = &outcome.offer {
-        entries.push(("name".into(), Value::Str(offer.name.clone())));
-        entries.push(("error".into(), Value::F64(offer.expected_error_pct)));
-        entries.push(("fee".into(), Value::F64(offer.fee_cents_per_pattern)));
-        entries.push(("remote".into(), Value::Bool(offer.remote)));
+/// An outcome crosses the wire as a map: `parameter`, and for an offer
+/// its `name`, `error`, `fee` and `remote` flag.
+impl Wire for NegotiationOutcome {
+    fn into_value(self) -> Value {
+        let mut entries = vec![(
+            "parameter".to_owned(),
+            Value::Str(self.parameter.to_string()),
+        )];
+        if let Some(offer) = self.offer {
+            entries.push(("name".into(), Value::Str(offer.name)));
+            entries.push(("error".into(), Value::F64(offer.expected_error_pct)));
+            entries.push(("fee".into(), Value::F64(offer.fee_cents_per_pattern)));
+            entries.push(("remote".into(), Value::Bool(offer.remote)));
+        }
+        Value::Map(entries)
     }
-    Value::Map(entries)
+
+    fn from_value(value: Value) -> Result<NegotiationOutcome, RmiError> {
+        let parameter = value
+            .get("parameter")
+            .and_then(Value::as_str)
+            .and_then(|s| s.parse::<Parameter>().ok())
+            .ok_or_else(|| RmiError::application("malformed negotiation outcome"))?;
+        let offer = match value.get("name").and_then(Value::as_str) {
+            None => None,
+            Some("") => return Err(RmiError::application("offered estimator has an empty name")),
+            Some(name) => Some(EstimatorOffer {
+                name: name.to_owned(),
+                expected_error_pct: advertised(&value, "error", 100.0)?,
+                fee_cents_per_pattern: advertised(&value, "fee", 0.0)?,
+                remote: value
+                    .get("remote")
+                    .and_then(Value::as_bool)
+                    .unwrap_or(false),
+            }),
+        };
+        Ok(NegotiationOutcome { parameter, offer })
+    }
 }
 
 /// Reads a fee or an error a provider advertises under `key`, `default`
@@ -197,29 +213,6 @@ pub(crate) fn advertised(item: &Value, key: &str, default: f64) -> Result<f64, R
             "provider advertised `{key}` = {v}; want a finite, non-negative number"
         )))
     }
-}
-
-/// Client-side decoding of one outcome.
-pub(crate) fn decode_outcome(value: &Value) -> Result<NegotiationOutcome, RmiError> {
-    let parameter = value
-        .get("parameter")
-        .and_then(Value::as_str)
-        .and_then(|s| s.parse::<Parameter>().ok())
-        .ok_or_else(|| RmiError::application("malformed negotiation outcome"))?;
-    let offer = match value.get("name").and_then(Value::as_str) {
-        None => None,
-        Some("") => return Err(RmiError::application("offered estimator has an empty name")),
-        Some(name) => Some(EstimatorOffer {
-            name: name.to_owned(),
-            expected_error_pct: advertised(value, "error", 100.0)?,
-            fee_cents_per_pattern: advertised(value, "fee", 0.0)?,
-            remote: value
-                .get("remote")
-                .and_then(Value::as_bool)
-                .unwrap_or(false),
-        }),
-    };
-    Ok(NegotiationOutcome { parameter, offer })
 }
 
 #[cfg(test)]
@@ -250,8 +243,7 @@ mod tests {
             max_fee_cents_per_pattern: 0.25,
             max_error_pct: 15.0,
         };
-        let encoded = encode_requests(std::slice::from_ref(&req));
-        let back = decode_request(&encoded.as_list().unwrap()[0]).unwrap();
+        let back = NegotiationRequest::from_value(req.clone().into_value()).unwrap();
         assert_eq!(back, req);
 
         let outcome = NegotiationOutcome {
@@ -263,20 +255,21 @@ mod tests {
                 remote: true,
             }),
         };
-        let decoded = decode_outcome(&encode_outcome(&outcome)).unwrap();
+        let decoded = NegotiationOutcome::from_value(outcome.clone().into_value()).unwrap();
         assert_eq!(decoded, outcome);
 
         let refusal = NegotiationOutcome {
             parameter: Parameter::Area,
             offer: None,
         };
-        assert_eq!(decode_outcome(&encode_outcome(&refusal)).unwrap(), refusal);
+        let decoded = NegotiationOutcome::from_value(refusal.clone().into_value());
+        assert_eq!(decoded.unwrap(), refusal);
     }
 
     #[test]
     fn outcome_with_a_bad_fee_error_or_name_is_refused() {
         let outcome = |name: &str, error: f64, fee: f64| {
-            encode_outcome(&NegotiationOutcome {
+            let outcome = NegotiationOutcome {
                 parameter: Parameter::AvgPower,
                 offer: Some(EstimatorOffer {
                     name: name.into(),
@@ -284,20 +277,15 @@ mod tests {
                     fee_cents_per_pattern: fee,
                     remote: true,
                 }),
-            })
+            };
+            NegotiationOutcome::from_value(outcome.into_value())
         };
-        assert!(decode_outcome(&outcome("power/x", 10.0, 0.1)).is_ok());
+        assert!(outcome("power/x", 10.0, 0.1).is_ok());
         for bad in [f64::NAN, -0.5, f64::INFINITY] {
-            assert!(
-                decode_outcome(&outcome("power/x", 10.0, bad)).is_err(),
-                "fee {bad}"
-            );
-            assert!(
-                decode_outcome(&outcome("power/x", bad, 0.1)).is_err(),
-                "error {bad}"
-            );
+            assert!(outcome("power/x", 10.0, bad).is_err(), "fee {bad}");
+            assert!(outcome("power/x", bad, 0.1).is_err(), "error {bad}");
         }
-        assert!(decode_outcome(&outcome("", 10.0, 0.1)).is_err());
+        assert!(outcome("", 10.0, 0.1).is_err());
     }
 
     #[test]
@@ -316,7 +304,7 @@ mod tests {
             },
         ];
         MarshalPolicy::port_data_only()
-            .check(&encode_requests(&reqs))
+            .check(&reqs.into_value())
             .expect("negotiation traffic is port-data shaped");
     }
 }

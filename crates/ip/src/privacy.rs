@@ -3,9 +3,11 @@
 //! Every method declares what each direction of its payload may carry
 //! and whether it is a pure read; [`audit`] refuses a structural payload
 //! in either direction and a cache allowlist that disagrees with purity.
-//! The manifest is a declaration, not a runtime path, so the module is
-//! compiled for tests only: `protocol`'s tests hold the shipped protocol
-//! to it, and the tests below check that the audit catches each breach.
+//! The manifest is generated from the protocol declaration (one row per
+//! method of `remote_interfaces!`) and is read by no runtime path, so
+//! the module is compiled for tests only: the tests below audit the
+//! shipped manifest and check, on manifests the same macro generates,
+//! that the audit catches each breach.
 
 /// Classification of one direction of a protocol method's payload, for
 /// the wire-privacy [`audit`].
@@ -50,7 +52,9 @@ impl PayloadKind {
 /// [`audit`] holds a table of these to the privacy rule, and cross-checks
 /// the cache layer's [`cacheable_method`](crate::cache::cacheable_method)
 /// allowlist against `pure` so a mutating method can never be served from
-/// a cache and a pure one is not silently left uncached.
+/// a cache and a pure one is not silently left uncached. The shipped
+/// table and the allowlist are both generated from the protocol
+/// declaration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct MethodManifest {
     /// The method selector.
@@ -63,109 +67,13 @@ pub(crate) struct MethodManifest {
     pub(crate) pure: bool,
 }
 
-/// The complete manifest of the shipped wire protocol, one entry per
-/// method selector in the `catalog` and `component` modules.
-///
-/// Kept exhaustive by `protocol`'s `manifest_covers_every_selector`
-/// test: adding a protocol method without classifying its payloads is a
-/// test failure, which is the point — the zero-disclosure property stays
-/// a checked invariant instead of a convention.
+/// The complete manifest of the shipped wire protocol: one entry per
+/// row of the `remote_interfaces!` declaration in `protocol`, so every
+/// method is classified by construction — declaring a method means
+/// declaring its payloads, and the zero-disclosure property stays a
+/// checked invariant instead of a convention.
 pub(crate) fn protocol_manifest() -> &'static [MethodManifest] {
-    use crate::protocol::{catalog, component};
-    use PayloadKind::{Empty, ObjectRef, PortLocal, Scalar};
-    const MANIFEST: &[MethodManifest] = &[
-        MethodManifest {
-            method: catalog::LIST,
-            request: Empty,
-            response: Scalar,
-            pure: true,
-        },
-        MethodManifest {
-            method: catalog::INSTANTIATE,
-            request: Scalar,
-            response: ObjectRef,
-            pure: false,
-        },
-        MethodManifest {
-            method: catalog::BILL,
-            request: Empty,
-            response: Scalar,
-            pure: false,
-        },
-        MethodManifest {
-            method: catalog::NEGOTIATE,
-            request: Scalar,
-            response: Scalar,
-            pure: false,
-        },
-        MethodManifest {
-            method: component::DESCRIBE,
-            request: Empty,
-            response: Scalar,
-            pure: true,
-        },
-        MethodManifest {
-            method: component::AREA,
-            request: Empty,
-            response: Scalar,
-            pure: true,
-        },
-        MethodManifest {
-            method: component::DELAY,
-            request: Empty,
-            response: Scalar,
-            pure: true,
-        },
-        MethodManifest {
-            method: component::POWER_CONSTANT,
-            request: Empty,
-            response: Scalar,
-            pure: true,
-        },
-        MethodManifest {
-            method: component::POWER_REGRESSION,
-            request: Empty,
-            response: Scalar,
-            pure: true,
-        },
-        MethodManifest {
-            method: component::POWER_TOGGLE,
-            request: PortLocal,
-            response: Scalar,
-            pure: true,
-        },
-        MethodManifest {
-            method: component::POWER_PEAK,
-            request: PortLocal,
-            response: Scalar,
-            pure: true,
-        },
-        MethodManifest {
-            method: component::FUNCTIONAL_EVAL,
-            request: PortLocal,
-            response: PortLocal,
-            pure: true,
-        },
-        MethodManifest {
-            method: component::FAULT_LIST,
-            request: Empty,
-            response: Scalar,
-            pure: true,
-        },
-        MethodManifest {
-            method: component::DETECTION_TABLE,
-            request: PortLocal,
-            response: PortLocal,
-            pure: true,
-        },
-        MethodManifest {
-            method: component::RELEASE,
-            request: Empty,
-            response: Empty,
-            pure: false,
-        },
-    ];
-    MANIFEST
+    crate::protocol::MANIFEST
 }
 
 /// Every rule `manifest` breaks, one line per finding, given the cache
@@ -190,19 +98,17 @@ pub(crate) fn audit(manifest: &[MethodManifest], cacheable: impl Fn(&str) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use PayloadKind::{Empty, Scalar, Structural};
 
-    fn entry(
-        method: &'static str,
-        request: PayloadKind,
-        response: PayloadKind,
-        pure: bool,
-    ) -> MethodManifest {
-        MethodManifest {
-            method,
-            request,
-            response,
-            pure,
+    /// A protocol extension that ships structure both ways: the same
+    /// macro as the shipped protocol, so its manifest is generated too.
+    mod hostile {
+        crate::protocol::remote_interfaces! {
+            #[allow(dead_code)]
+            leaky {
+                UPLOAD_NETLIST = fn upload_netlist(netlist: String) -> f64;
+                    impure, Structural => Scalar;
+                FETCH_GATES = fn fetch_gates() -> Vec<String>; pure, Empty => Structural;
+            }
         }
     }
 
@@ -217,11 +123,7 @@ mod tests {
 
     #[test]
     fn structural_payloads_are_deny() {
-        let manifest = [
-            entry("upload_netlist", Structural, Scalar, false),
-            entry("fetch_gates", Empty, Structural, true),
-        ];
-        let findings = audit(&manifest, |m| m == "fetch_gates");
+        let findings = audit(hostile::MANIFEST, hostile::cacheable_method);
         assert_eq!(
             findings,
             [
@@ -231,16 +133,20 @@ mod tests {
         );
     }
 
+    /// The generated allowlist always agrees with the declared purity;
+    /// an allowlist that caches `bill` and nothing else is caught on
+    /// every row it gets wrong.
     #[test]
     fn cache_purity_cross_checks() {
-        let manifest = [
-            entry("bump", Empty, Scalar, false),
-            entry("peek", Empty, Scalar, true),
-        ];
-        let findings = audit(&manifest, |m| m == "bump");
-        assert_eq!(
-            findings,
-            ["`bump` is cached but impure", "`peek` is pure but uncached"]
-        );
+        let findings = audit(protocol_manifest(), |m| m == "bill");
+        let mut expect = vec!["`bill` is cached but impure".to_owned()];
+        for m in protocol_manifest().iter().filter(|m| m.pure) {
+            expect.push(format!("`{}` is pure but uncached", m.method));
+        }
+        expect.sort();
+        let mut findings = findings;
+        findings.sort();
+        assert_eq!(findings, expect);
+        assert_eq!(expect.len(), 12);
     }
 }

@@ -3,21 +3,23 @@
 use std::sync::{Arc, Mutex, OnceLock};
 
 use vcad_core::{EstimationInput, Estimator, PortSnapshot, SimTime};
-use vcad_faults::{DetectionTable, DetectionTableSource, NetlistDetectionSource};
+use vcad_faults::{DetectionTable, DetectionTableSource, NetlistDetectionSource, SymbolicFault};
 use vcad_logic::LogicVec;
 use vcad_netlist::Netlist;
-use vcad_obs::Collector;
+use vcad_obs::{Collector, TracedSpan};
 use vcad_power::{
     ConstantPowerEstimator, LinearRegressionPowerEstimator, PeakPowerEstimator, PowerModel,
     SiliconReference, TogglePowerEstimator,
 };
 use vcad_rmi::{
-    AdmissionControl, Dispatcher, MuxServer, MuxServerConfig, ObjectRegistry, RemoteObject,
-    RmiError, ServerCtx, Value,
+    AdmissionControl, Dispatcher, MuxServer, MuxServerConfig, ObjectId, ObjectRegistry,
+    RemoteObject, RmiError, ServerCtx, Value, Wire,
 };
 
+use crate::client::OfferingInfo;
+use crate::negotiate::{advertised_estimators, resolve, NegotiationOutcome, NegotiationRequest};
 use crate::offering::ComponentOffering;
-use crate::protocol::{catalog, component, decode_patterns};
+use crate::protocol::{catalog, component, Description};
 
 /// The provider's fee ledger: every chargeable call appends an entry.
 ///
@@ -257,115 +259,85 @@ struct CatalogObject {
     obs: Collector,
 }
 
+impl CatalogObject {
+    fn offering(&self, name: &str) -> Result<ComponentOffering, RmiError> {
+        let offerings = self.offerings.lock().unwrap();
+        let offering = offerings.iter().find(|o| o.name() == name);
+        offering
+            .cloned()
+            .ok_or_else(|| RmiError::application(format!("no offering named `{name}`")))
+    }
+}
+
 impl RemoteObject for CatalogObject {
     fn invoke(&self, method: &str, args: &[Value], ctx: &ServerCtx) -> Result<Value, RmiError> {
-        match method {
-            catalog::LIST => {
-                let offerings = self.offerings.lock().unwrap();
-                Ok(Value::List(
-                    offerings
-                        .iter()
-                        .map(|o| {
-                            Value::Map(vec![
-                                ("name".into(), Value::Str(o.name().to_owned())),
-                                (
-                                    "functional".into(),
-                                    Value::I64(i64::from(o.models().functional)),
-                                ),
-                                ("power".into(), Value::I64(i64::from(o.models().power))),
-                                ("timing".into(), Value::I64(i64::from(o.models().timing))),
-                                ("area".into(), Value::I64(i64::from(o.models().area))),
-                                (
-                                    "toggle_fee".into(),
-                                    Value::F64(o.prices().toggle_power_per_pattern),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ))
-            }
-            catalog::INSTANTIATE => {
-                let name = args
-                    .first()
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| RmiError::bad_args(method))?;
-                let width =
-                    args.get(1)
-                        .and_then(Value::as_i64)
-                        .filter(|w| (1..=32).contains(w))
-                        .ok_or_else(|| RmiError::bad_args(method))? as usize;
-                let offering = {
-                    let offerings = self.offerings.lock().unwrap();
-                    offerings
-                        .iter()
-                        .find(|o| o.name() == name)
-                        .cloned()
-                        .ok_or_else(|| {
-                            RmiError::application(format!("no offering named `{name}`"))
-                        })?
-                };
-                self.ledger.charge(
-                    ctx.tenant(),
-                    format_args!("instantiate {name}"),
-                    offering.prices().instantiation,
-                );
-                self.obs.metrics().counter("ip.instantiations").inc();
-                let object = ComponentObject::new(offering, width, Arc::clone(&self.ledger));
-                Ok(Value::ObjectRef(ctx.export(Arc::new(object))))
-            }
-            catalog::BILL => Ok(Value::F64(self.ledger.total_cents())),
-            catalog::NEGOTIATE => {
-                let name = args
-                    .first()
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| RmiError::bad_args(method))?;
-                let requests = args
-                    .get(1)
-                    .and_then(Value::as_list)
-                    .ok_or_else(|| RmiError::bad_args(method))?;
-                let offering = {
-                    let offerings = self.offerings.lock().unwrap();
-                    offerings
-                        .iter()
-                        .find(|o| o.name() == name)
-                        .cloned()
-                        .ok_or_else(|| {
-                            RmiError::application(format!("no offering named `{name}`"))
-                        })?
-                };
-                let advertised = crate::negotiate::advertised_estimators(&offering.prices());
-                let metrics = self.obs.metrics();
-                let mut outcomes = Vec::with_capacity(requests.len());
-                for request in requests {
-                    let request = crate::negotiate::decode_request(request)?;
-                    let offer = crate::negotiate::resolve(
-                        &advertised,
-                        &request.parameter,
-                        request.max_fee_cents_per_pattern,
-                        request.max_error_pct,
-                    );
-                    metrics
-                        .counter(if offer.is_some() {
-                            "ip.negotiations.offered"
-                        } else {
-                            "ip.negotiations.refused"
-                        })
-                        .inc();
-                    outcomes.push(crate::negotiate::encode_outcome(
-                        &crate::negotiate::NegotiationOutcome {
-                            parameter: request.parameter,
-                            offer,
-                        },
-                    ));
-                }
-                Ok(Value::List(outcomes))
-            }
-            _ => Err(RmiError::unknown_method("Catalog", method)),
-        }
+        catalog::skeleton(self, "Catalog", method, args, ctx)
     }
 
     fn describe(&self) -> &str {
         "IP provider catalog"
+    }
+}
+
+impl catalog::Provider for CatalogObject {
+    fn list(&self, _: &ServerCtx) -> Result<Vec<OfferingInfo>, RmiError> {
+        let offerings = self.offerings.lock().unwrap();
+        let info = |o: &ComponentOffering| OfferingInfo {
+            name: o.name().to_owned(),
+            functional: o.models().functional.into(),
+            power: o.models().power.into(),
+            timing: o.models().timing.into(),
+            area: o.models().area.into(),
+            toggle_fee_cents: o.prices().toggle_power_per_pattern,
+        };
+        Ok(offerings.iter().map(info).collect())
+    }
+
+    fn instantiate(&self, ctx: &ServerCtx, name: String, width: i64) -> Result<ObjectId, RmiError> {
+        if !(1..=32).contains(&width) {
+            return Err(RmiError::bad_args(catalog::INSTANTIATE));
+        }
+        let offering = self.offering(&name)?;
+        self.ledger.charge(
+            ctx.tenant(),
+            format_args!("instantiate {name}"),
+            offering.prices().instantiation,
+        );
+        self.obs.metrics().counter("ip.instantiations").inc();
+        let object = ComponentObject::new(offering, width as usize, Arc::clone(&self.ledger));
+        Ok(ctx.export(Arc::new(object)))
+    }
+
+    fn bill(&self, _: &ServerCtx) -> Result<f64, RmiError> {
+        Ok(self.ledger.total_cents())
+    }
+
+    fn negotiate(
+        &self,
+        _: &ServerCtx,
+        name: String,
+        requests: Vec<NegotiationRequest>,
+    ) -> Result<Vec<NegotiationOutcome>, RmiError> {
+        let advertised = advertised_estimators(&self.offering(&name)?.prices());
+        let metrics = self.obs.metrics();
+        let outcomes = requests.into_iter().map(|request| {
+            let offer = resolve(
+                &advertised,
+                &request.parameter,
+                request.max_fee_cents_per_pattern,
+                request.max_error_pct,
+            );
+            let counter = match offer {
+                Some(_) => "ip.negotiations.offered",
+                None => "ip.negotiations.refused",
+            };
+            metrics.counter(counter).inc();
+            NegotiationOutcome {
+                parameter: request.parameter,
+                offer,
+            }
+        });
+        Ok(outcomes.collect())
     }
 }
 
@@ -456,158 +428,139 @@ impl ComponentObject {
             ledger,
         }
     }
+
+    /// Charges `cents` for one `method` call and opens its
+    /// `estimate:{method}` span.
+    fn charge(&self, ctx: &ServerCtx, method: &str, cents: f64) -> TracedSpan {
+        let what = format_args!("{} {method}", self.name);
+        self.ledger.charge(ctx.tenant(), what, cents);
+        let span = format!("estimate:{method}");
+        self.ledger.collector().traced_span("ip", span)
+    }
+
+    /// Checks a buffered pattern sequence — at least two patterns, each
+    /// as wide as the inputs — and charges its transitions; `what` names
+    /// the estimate in the error.
+    fn charge_transitions(
+        &self,
+        ctx: &ServerCtx,
+        method: &str,
+        what: &str,
+        patterns: &[LogicVec],
+    ) -> Result<TracedSpan, RmiError> {
+        if patterns.len() < 2 {
+            return Err(RmiError::application(format!(
+                "{what} needs at least two patterns"
+            )));
+        }
+        if patterns.iter().any(|p| p.width() != self.input_width()) {
+            return Err(RmiError::application("pattern width mismatch"));
+        }
+        let fee = self.prices.toggle_power_per_pattern * (patterns.len() - 1) as f64;
+        let mut span = self.charge(ctx, method, fee);
+        span.arg("patterns", patterns.len());
+        Ok(span)
+    }
+
+    /// Checks one input configuration's width.
+    fn check_inputs(&self, inputs: &LogicVec) -> Result<(), RmiError> {
+        if inputs.width() == self.input_width() {
+            Ok(())
+        } else {
+            Err(RmiError::application("input width mismatch"))
+        }
+    }
+
+    fn input_width(&self) -> usize {
+        self.characterised.netlist.input_count()
+    }
 }
 
 impl RemoteObject for ComponentObject {
     fn invoke(&self, method: &str, args: &[Value], ctx: &ServerCtx) -> Result<Value, RmiError> {
-        let part = &*self.characterised;
-        match method {
-            component::DESCRIBE => Ok(Value::Map(vec![
-                ("name".into(), Value::Str(self.name.clone())),
-                ("width".into(), Value::I64(self.width as i64)),
-                // The "public part": which registered behaviour the client
-                // should instantiate locally as the functional model.
-                (
-                    "public_behavior".into(),
-                    Value::Str(self.public_behavior.clone()),
-                ),
-            ])),
-            component::AREA => Ok(Value::F64(part.netlist.stats().area)),
-            component::DELAY => Ok(Value::F64(part.netlist.critical_path_delay())),
-            component::POWER_CONSTANT => Ok(Value::F64(part.constant.mean_power_w())),
-            component::POWER_REGRESSION => {
-                let (a, b) = part.regression.coefficients();
-                Ok(Value::List(vec![Value::F64(a), Value::F64(b)]))
-            }
-            component::POWER_TOGGLE => {
-                let patterns =
-                    decode_patterns(args.first().ok_or_else(|| RmiError::bad_args(method))?)?;
-                if patterns.len() < 2 {
-                    return Err(RmiError::application(
-                        "toggle power needs at least two patterns",
-                    ));
-                }
-                for p in &patterns {
-                    if p.width() != part.netlist.input_count() {
-                        return Err(RmiError::application("pattern width mismatch"));
-                    }
-                }
-                self.ledger.charge(
-                    ctx.tenant(),
-                    format_args!("{} power_toggle", self.name),
-                    self.prices.toggle_power_per_pattern * (patterns.len() - 1) as f64,
-                );
-                let mut span = self
-                    .ledger
-                    .collector()
-                    .traced_span("ip", format!("estimate:{method}"));
-                span.arg("patterns", patterns.len());
-                let total: f64 = patterns
-                    .windows(2)
-                    .map(|w| part.toggle.predict_transition(&w[0], &w[1]))
-                    .sum();
-                Ok(Value::F64(total / (patterns.len() - 1) as f64))
-            }
-            component::POWER_PEAK => {
-                let patterns =
-                    decode_patterns(args.first().ok_or_else(|| RmiError::bad_args(method))?)?;
-                if patterns.len() < 2 {
-                    return Err(RmiError::application(
-                        "peak power needs at least two patterns",
-                    ));
-                }
-                for p in &patterns {
-                    if p.width() != part.netlist.input_count() {
-                        return Err(RmiError::application("pattern width mismatch"));
-                    }
-                }
-                self.ledger.charge(
-                    ctx.tenant(),
-                    format_args!("{} power_peak", self.name),
-                    self.prices.toggle_power_per_pattern * (patterns.len() - 1) as f64,
-                );
-                let mut span = self
-                    .ledger
-                    .collector()
-                    .traced_span("ip", format!("estimate:{method}"));
-                span.arg("patterns", patterns.len());
-                // Reuse the estimator over a synthetic snapshot buffer: one
-                // single-port snapshot per pattern, matching the estimator's
-                // pre-concatenated input convention.
-                let input = EstimationInput::new(
-                    patterns
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, p)| PortSnapshot {
-                            time: SimTime::new(i as u64),
-                            ports: vec![p],
-                        })
-                        .collect(),
-                );
-                part.peak
-                    .estimate(&input)
-                    .map_err(|e| RmiError::application(e.to_string()))
-            }
-            component::FUNCTIONAL_EVAL => {
-                let inputs = args
-                    .first()
-                    .and_then(Value::as_logic_vec)
-                    .ok_or_else(|| RmiError::bad_args(method))?;
-                if inputs.width() != part.netlist.input_count() {
-                    return Err(RmiError::application("input width mismatch"));
-                }
-                self.ledger.charge(
-                    ctx.tenant(),
-                    format_args!("{} functional_eval", self.name),
-                    self.prices.functional_eval,
-                );
-                let _span = self
-                    .ledger
-                    .collector()
-                    .traced_span("ip", format!("estimate:{method}"));
-                let out = vcad_netlist::Evaluator::new(&part.netlist).outputs(inputs);
-                Ok(Value::Vec(out))
-            }
-            component::FAULT_LIST => Ok(Value::List(
-                part.detection()
-                    .fault_list()
-                    .into_iter()
-                    .map(|f| Value::Str(f.0))
-                    .collect(),
-            )),
-            component::DETECTION_TABLE => {
-                let inputs = args
-                    .first()
-                    .and_then(Value::as_logic_vec)
-                    .ok_or_else(|| RmiError::bad_args(method))?;
-                if inputs.width() != part.netlist.input_count() {
-                    return Err(RmiError::application("input width mismatch"));
-                }
-                self.ledger.charge(
-                    ctx.tenant(),
-                    format_args!("{} detection_table", self.name),
-                    self.prices.detection_table,
-                );
-                let _span = self
-                    .ledger
-                    .collector()
-                    .traced_span("ip", format!("estimate:{method}"));
-                let table: DetectionTable = part
-                    .detection()
-                    .detection_table(inputs)
-                    .map_err(|e| RmiError::application(e.to_string()))?;
-                Ok(table.into_value())
-            }
-            component::RELEASE => {
-                ctx.withdraw_self();
-                Ok(Value::Null)
-            }
-            _ => Err(RmiError::unknown_method(&self.name, method)),
-        }
+        component::skeleton(self, &self.name, method, args, ctx)
     }
 
     fn describe(&self) -> &str {
         "IP component instance"
+    }
+}
+
+impl component::Provider for ComponentObject {
+    fn describe(&self, _: &ServerCtx) -> Result<Description, RmiError> {
+        Ok(Description {
+            name: self.name.clone(),
+            width: self.width as i64,
+            public_behavior: self.public_behavior.clone(),
+        })
+    }
+
+    fn area(&self, _: &ServerCtx) -> Result<f64, RmiError> {
+        Ok(self.characterised.netlist.stats().area)
+    }
+
+    fn delay(&self, _: &ServerCtx) -> Result<f64, RmiError> {
+        Ok(self.characterised.netlist.critical_path_delay())
+    }
+
+    fn power_constant(&self, _: &ServerCtx) -> Result<f64, RmiError> {
+        Ok(self.characterised.constant.mean_power_w())
+    }
+
+    fn power_regression(&self, _: &ServerCtx) -> Result<(f64, f64), RmiError> {
+        Ok(self.characterised.regression.coefficients())
+    }
+
+    fn power_toggle(&self, ctx: &ServerCtx, patterns: Vec<LogicVec>) -> Result<f64, RmiError> {
+        let _span =
+            self.charge_transitions(ctx, component::POWER_TOGGLE, "toggle power", &patterns)?;
+        let toggle = &self.characterised.toggle;
+        let total: f64 = patterns
+            .windows(2)
+            .map(|w| toggle.predict_transition(&w[0], &w[1]))
+            .sum();
+        Ok(total / (patterns.len() - 1) as f64)
+    }
+
+    fn power_peak(&self, ctx: &ServerCtx, patterns: Vec<LogicVec>) -> Result<f64, RmiError> {
+        let _span = self.charge_transitions(ctx, component::POWER_PEAK, "peak power", &patterns)?;
+        // Reuse the estimator over a synthetic snapshot buffer: one
+        // single-port snapshot per pattern, matching the estimator's
+        // pre-concatenated input convention.
+        let snapshots = patterns.into_iter().enumerate().map(|(i, p)| PortSnapshot {
+            time: SimTime::new(i as u64),
+            ports: vec![p],
+        });
+        let input = EstimationInput::new(snapshots.collect());
+        let peak = self.characterised.peak.estimate(&input);
+        f64::from_value(peak.map_err(|e| RmiError::application(e.to_string()))?)
+    }
+
+    fn functional_eval(&self, ctx: &ServerCtx, inputs: LogicVec) -> Result<LogicVec, RmiError> {
+        self.check_inputs(&inputs)?;
+        let _span = self.charge(ctx, component::FUNCTIONAL_EVAL, self.prices.functional_eval);
+        Ok(vcad_netlist::Evaluator::new(&self.characterised.netlist).outputs(&inputs))
+    }
+
+    fn fault_list(&self, _: &ServerCtx) -> Result<Vec<SymbolicFault>, RmiError> {
+        Ok(self.characterised.detection().fault_list())
+    }
+
+    fn detection_table(
+        &self,
+        ctx: &ServerCtx,
+        inputs: LogicVec,
+    ) -> Result<DetectionTable, RmiError> {
+        self.check_inputs(&inputs)?;
+        let _span = self.charge(ctx, component::DETECTION_TABLE, self.prices.detection_table);
+        let detection = self.characterised.detection();
+        let table = detection.detection_table(&inputs);
+        table.map_err(|e| RmiError::application(e.to_string()))
+    }
+
+    fn release(&self, ctx: &ServerCtx) -> Result<(), RmiError> {
+        ctx.withdraw_self();
+        Ok(())
     }
 }
 
@@ -694,10 +647,7 @@ mod tests {
             .unwrap();
         let patterns: Vec<LogicVec> = (0..10u64).map(|i| LogicVec::from_u64(8, i * 11)).collect();
         let power = comp
-            .invoke(
-                component::POWER_TOGGLE,
-                vec![crate::protocol::encode_patterns(&patterns)],
-            )
+            .invoke(component::POWER_TOGGLE, vec![patterns.clone().into_value()])
             .unwrap()
             .as_f64()
             .unwrap();
@@ -754,10 +704,7 @@ mod tests {
             .unwrap();
         let patterns: Vec<LogicVec> = (0..5u64).map(|i| LogicVec::from_u64(8, i * 7)).collect();
         let _ = comp
-            .invoke(
-                component::POWER_TOGGLE,
-                vec![crate::protocol::encode_patterns(&patterns)],
-            )
+            .invoke(component::POWER_TOGGLE, vec![patterns.clone().into_value()])
             .unwrap();
         let snap = obs.metrics().snapshot();
         assert_eq!(snap.counters["ip.instantiations"], 1);

@@ -9,7 +9,7 @@
 //! are as reproducible as fault-free ones.
 //!
 //! The injector composes with every transport in the crate
-//! (`InProcTransport`, `TcpTransport`, `ShapedTransport`) and is meant
+//! (`InProcTransport`, `TcpTransport`) and is meant
 //! to sit *under* a
 //! [`ResilientTransport`](crate::ResilientTransport), which must make all
 //! of this invisible to the caller.

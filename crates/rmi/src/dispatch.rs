@@ -1,6 +1,7 @@
 //! The server side: exported objects and call dispatch.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -29,7 +30,8 @@ pub trait RemoteObject: Send + Sync {
     ///
     /// Implementations return [`RmiError`] for unknown methods, bad
     /// arguments or domain failures; the dispatcher converts the error
-    /// into a response frame.
+    /// into a response frame. A panic is caught by the dispatcher and
+    /// answered as [`RemoteErrorKind::Internal`] (`rmi.dispatch.panics`).
     fn invoke(&self, method: &str, args: &[Value], ctx: &ServerCtx) -> Result<Value, RmiError>;
 
     /// A short human-readable description for diagnostics.
@@ -387,7 +389,18 @@ impl Dispatcher {
             self_id: call.object,
             tenant: call.tenant.clone(),
         };
-        let result = object.invoke(&call.method, &call.args, &ctx)?;
+        // A panicking object costs its caller this one call, never the
+        // server: the worker that runs it lives on to serve the next.
+        let invoked = panic::catch_unwind(AssertUnwindSafe(|| {
+            object.invoke(&call.method, &call.args, &ctx)
+        }));
+        let result = invoked.unwrap_or_else(|_| {
+            self.obs.metrics().counter("rmi.dispatch.panics").inc();
+            Err(RmiError::Remote {
+                kind: RemoteErrorKind::Internal,
+                message: format!("`{}` panicked", call.method),
+            })
+        })?;
         self.security.check_result(&result)?;
         Ok(result)
     }
@@ -406,6 +419,7 @@ mod tests {
                 "spawn" => Ok(Value::ObjectRef(ctx.export(Arc::new(Echo)))),
                 "leak" => Ok(Value::Bytes(vec![1, 2, 3])),
                 "whoami" => Ok(ctx.tenant().map_or(Value::Null, |t| Value::Str(t.into()))),
+                "panic" => panic!("provider bug"),
                 _ => Err(RmiError::unknown_method("Echo", method)),
             }
         }
@@ -575,6 +589,38 @@ mod tests {
         assert_eq!(snap.counter("rmi.dispatch.dedup_hits"), 1);
         // The inner frame dispatched once.
         assert_eq!(snap.counter("rmi.dispatch.calls"), 1);
+    }
+
+    /// A panicking object answers `Internal`, and the reply is memoized
+    /// like any other: a retry under the same id replays it instead of
+    /// panicking again.
+    #[test]
+    fn a_panic_is_one_internal_reply_and_is_not_rerun_on_retry() {
+        use crate::frame::{open_tracked_reply, tracked_call, TrackedResponse};
+        let reg = Arc::new(ObjectRegistry::new());
+        reg.register_root(Arc::new(Echo));
+        let obs = Collector::disabled();
+        let d = Dispatcher::new(reg).with_collector(obs.clone());
+        let tracked = tracked_call(0xC3, &Frame::Call(call("panic", vec![])).encode());
+        let first = d.handle_bytes(&tracked);
+        assert_eq!(d.handle_bytes(&tracked), first);
+        let TrackedResponse::Ok(payload) = open_tracked_reply(&first).unwrap() else {
+            panic!("expected ok envelope");
+        };
+        match Frame::decode(payload).unwrap() {
+            Frame::Response(r) => assert!(
+                matches!(&r.result, Err((RemoteErrorKind::Internal, m)) if m.contains("panic")),
+                "{:?}",
+                r.result
+            ),
+            Frame::Call(_) => panic!("expected response"),
+        }
+        let snap = obs.metrics().snapshot();
+        assert_eq!(snap.counter("rmi.dispatch.panics"), 1);
+        assert_eq!(snap.counter("rmi.dispatch.dedup_hits"), 1);
+        // The object still answers.
+        let echo = d.handle(&call("echo", vec![Value::I64(9)]));
+        assert_eq!(echo.result, Ok(Value::I64(9)));
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //!   a canonical binary encoding ([`Value::encode`] / [`Value::decode`])
 //!   covering the simulation value domain (`Logic`, `LogicVec`, `Word`)
 //!   and remote object references;
+//! * [`Wire`] — the typed form of a remote method's argument or result:
+//!   one fixed [`Value`] shape per Rust type, encoded and decoded in one
+//!   impl (the protocol declarations of `vcad-ip` are built on it);
 //! * [`Frame`] — call and response frames carrying a call id, target
 //!   object, method name and arguments;
 //! * [`Transport`] — the pluggable request/response channel, with
-//!   in-process ([`InProcTransport`]), real TCP ([`TcpTransport`] to a
-//!   [`MuxServer`]) and network-model-shaped ([`ShapedTransport`])
-//!   implementations;
+//!   in-process ([`InProcTransport`]) and real TCP ([`TcpTransport`] to a
+//!   [`MuxServer`]) implementations;
 //! * [`ObjectRegistry`] + [`Dispatcher`] — the server side: exported
 //!   objects implementing [`RemoteObject`], addressed by [`ObjectId`];
 //! * [`Client`] + [`RemoteRef`] — the client side: typed handles that
@@ -102,8 +104,6 @@ pub use resilience::{
     RetryPolicy, VirtualClock,
 };
 pub use security::{Capability, MarshalPolicy, Sandbox, SecurityManager};
-pub use transport::{
-    InProcTransport, ShapedTransport, TcpTimeouts, TcpTransport, Transport, TransportStats,
-};
-pub use value::{ObjectId, Value};
+pub use transport::{InProcTransport, TcpTimeouts, TcpTransport, Transport, TransportStats};
+pub use value::{ObjectId, Value, Wire};
 pub use wire::WireError;

@@ -1,15 +1,15 @@
 //! Request/response transports.
 //!
-//! Three implementations cover the paper's deployment spectrum:
+//! Two implementations cover the paper's deployment spectrum:
 //!
 //! * [`InProcTransport`] — direct dispatch, no copies beyond marshalling;
 //!   isolates pure RMI overhead (the paper's "local host" control).
 //! * [`TcpTransport`] — length-prefixed frames over a real socket to a
 //!   [`MuxServer`](crate::MuxServer) (loopback in tests).
-//! * [`ShapedTransport`] — wraps any transport with a
-//!   [`NetworkModel`](vcad_netsim::NetworkModel), accounting each round
-//!   trip's modeled delay on a
-//!   [`VirtualTimeline`](vcad_netsim::VirtualTimeline).
+//!
+//! The paper's 1999 LAN and WAN are not transports: their modeled time
+//! is a closed form over the call and byte counters below (`vcad-bench`'s
+//! `modeled_network_time` with a `vcad_netsim::NetworkModel`).
 //!
 //! All transports count calls and bytes into a
 //! [`vcad_obs`] metrics registry ([`Transport::stats`] is a view over
@@ -24,7 +24,6 @@ use std::time::Instant;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use vcad_netsim::{NetworkModel, VirtualTimeline};
 use vcad_obs::{Collector, Counter, Histogram};
 
 use crate::dispatch::Dispatcher;
@@ -337,51 +336,6 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Wraps a transport with a [`NetworkModel`], turning byte counts into
-/// latency — the substitution for the paper's real LAN/WAN environments.
-/// Each round trip's modeled delay is added to a shared virtual timeline;
-/// nothing sleeps.
-pub struct ShapedTransport {
-    inner: Arc<dyn Transport>,
-    model: NetworkModel,
-    timeline: Arc<Mutex<VirtualTimeline>>,
-}
-
-impl ShapedTransport {
-    /// Shapes `inner` with `model`, accounting delays on `timeline`.
-    #[must_use]
-    pub fn virtual_time(
-        inner: Arc<dyn Transport>,
-        model: NetworkModel,
-        timeline: Arc<Mutex<VirtualTimeline>>,
-    ) -> ShapedTransport {
-        ShapedTransport {
-            inner,
-            model,
-            timeline,
-        }
-    }
-
-    /// The network model applied to each call.
-    #[must_use]
-    pub fn model(&self) -> &NetworkModel {
-        &self.model
-    }
-}
-
-impl Transport for ShapedTransport {
-    fn call(&self, request: &[u8]) -> Result<Vec<u8>, RmiError> {
-        let response = self.inner.call(request)?;
-        let delay = self.model.round_trip(request.len(), response.len());
-        self.timeline.lock().unwrap().add_network(delay);
-        Ok(response)
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.inner.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,22 +405,6 @@ mod tests {
             c2.root().invoke("ping", vec![Value::I64(2)]).unwrap(),
             Value::I64(2)
         );
-    }
-
-    #[test]
-    fn shaped_virtual_time_accumulates() {
-        let timeline = Arc::new(Mutex::new(VirtualTimeline::new()));
-        let t = Arc::new(ShapedTransport::virtual_time(
-            Arc::new(InProcTransport::new(dispatcher())),
-            NetworkModel::wan_1999(),
-            Arc::clone(&timeline),
-        ));
-        let c = Client::new(t as Arc<dyn Transport>);
-        c.root().invoke("ping", vec![Value::I64(0)]).unwrap();
-        let after_one = timeline.lock().unwrap().network_time();
-        assert!(after_one > std::time::Duration::ZERO);
-        c.root().invoke("ping", vec![Value::I64(0)]).unwrap();
-        assert!(timeline.lock().unwrap().network_time() > after_one);
     }
 
     #[test]

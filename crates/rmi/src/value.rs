@@ -4,6 +4,7 @@ use std::fmt;
 
 use vcad_logic::{Logic, LogicVec, Word};
 
+use crate::error::RmiError;
 use crate::wire::{WireError, WireReader, WireWriter, MAX_FIELD};
 
 /// Identifier of an object exported through an
@@ -355,6 +356,159 @@ impl Value {
             Value::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// Moves out the entry [`Value::get`] would find, leaving
+    /// [`Value::Null`] in its place; [`Value::Null`] if there is none.
+    /// How a [`Wire`] impl decodes a map's fields without copying them.
+    pub fn take(&mut self, key: &str) -> Value {
+        match self {
+            Value::Map(entries) => entries
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map_or(Value::Null, |(_, v)| std::mem::replace(v, Value::Null)),
+            _ => Value::Null,
+        }
+    }
+}
+
+/// A Rust type with one fixed [`Value`] shape: the typed form of a remote
+/// method's argument or result.
+///
+/// Each shape is encoded and decoded in one impl, so a typed stub and the
+/// skeleton it calls cannot disagree on it. Both directions take the value
+/// by ownership: nothing is copied on the way in or out.
+///
+/// # Examples
+///
+/// ```
+/// use vcad_rmi::{Value, Wire};
+///
+/// let pair = (0.5, 2.0).into_value();
+/// assert_eq!(pair, Value::List(vec![Value::F64(0.5), Value::F64(2.0)]));
+/// assert_eq!(<(f64, f64)>::from_value(pair)?, (0.5, 2.0));
+/// assert!(String::from_value(Value::I64(3)).is_err());
+/// # Ok::<(), vcad_rmi::RmiError>(())
+/// ```
+pub trait Wire: Sized {
+    /// The value this crosses the wire as.
+    fn into_value(self) -> Value;
+
+    /// Decodes a value of this type's shape.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RmiError::Wire`] (or, for a shape with domain rules, the
+    /// error its impl names) when `value` is not of this shape. Never
+    /// panics.
+    fn from_value(value: Value) -> Result<Self, RmiError>;
+}
+
+fn misshapen(what: &'static str) -> RmiError {
+    RmiError::Wire(WireError::BadValue(what))
+}
+
+impl Wire for f64 {
+    fn into_value(self) -> Value {
+        Value::F64(self)
+    }
+
+    /// Accepts an exact [`Value::I64`] too, as [`Value::as_f64`] does.
+    fn from_value(value: Value) -> Result<f64, RmiError> {
+        value.as_f64().ok_or_else(|| misshapen("expected a number"))
+    }
+}
+
+impl Wire for i64 {
+    fn into_value(self) -> Value {
+        Value::I64(self)
+    }
+
+    fn from_value(value: Value) -> Result<i64, RmiError> {
+        value
+            .as_i64()
+            .ok_or_else(|| misshapen("expected an integer"))
+    }
+}
+
+impl Wire for String {
+    fn into_value(self) -> Value {
+        Value::Str(self)
+    }
+
+    fn from_value(value: Value) -> Result<String, RmiError> {
+        match value {
+            Value::Str(s) => Ok(s),
+            _ => Err(misshapen("expected a string")),
+        }
+    }
+}
+
+impl Wire for LogicVec {
+    fn into_value(self) -> Value {
+        Value::Vec(self)
+    }
+
+    fn from_value(value: Value) -> Result<LogicVec, RmiError> {
+        match value {
+            Value::Vec(v) => Ok(v),
+            _ => Err(misshapen("expected a logic vector")),
+        }
+    }
+}
+
+impl Wire for ObjectId {
+    fn into_value(self) -> Value {
+        Value::ObjectRef(self)
+    }
+
+    fn from_value(value: Value) -> Result<ObjectId, RmiError> {
+        value
+            .as_object()
+            .ok_or_else(|| misshapen("expected an object reference"))
+    }
+}
+
+/// No result: [`Value::Null`].
+impl Wire for () {
+    fn into_value(self) -> Value {
+        Value::Null
+    }
+
+    fn from_value(value: Value) -> Result<(), RmiError> {
+        match value {
+            Value::Null => Ok(()),
+            _ => Err(misshapen("expected null")),
+        }
+    }
+}
+
+/// A sequence — a pattern buffer, a fault list — as a [`Value::List`].
+impl<T: Wire> Wire for Vec<T> {
+    fn into_value(self) -> Value {
+        Value::List(self.into_iter().map(T::into_value).collect())
+    }
+
+    fn from_value(value: Value) -> Result<Vec<T>, RmiError> {
+        match value {
+            Value::List(items) => items.into_iter().map(T::from_value).collect(),
+            _ => Err(misshapen("expected a list")),
+        }
+    }
+}
+
+/// A pair as a two-element [`Value::List`].
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn into_value(self) -> Value {
+        Value::List(vec![self.0.into_value(), self.1.into_value()])
+    }
+
+    fn from_value(value: Value) -> Result<(A, B), RmiError> {
+        let Value::List(items) = value else {
+            return Err(misshapen("expected a pair"));
+        };
+        let [a, b]: [Value; 2] = items.try_into().map_err(|_| misshapen("expected a pair"))?;
+        Ok((A::from_value(a)?, B::from_value(b)?))
     }
 }
 

@@ -11,7 +11,7 @@
 //!
 //! * [`logic`] — four-valued logic, packed vectors, RT-level words;
 //! * [`netlist`] — gate-level netlists, generators and evaluation;
-//! * [`netsim`] — network condition models and virtual timelines;
+//! * [`netsim`] — network condition models;
 //! * [`rmi`] — the distributed-object layer (wire format, transports,
 //!   registry, stubs, security) and the client cache: content-addressed
 //!   memoization of remote IP calls (sharded LRU, single-flight dedup,

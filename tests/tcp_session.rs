@@ -1,9 +1,9 @@
 //! A full IP user/provider session over real TCP sockets (loopback),
-//! optionally shaped with the network models.
+//! optionally costed with the network models.
 //!
 //! Test hygiene: no assertion here depends on the wall clock — the one
-//! timing check reads the *virtual* network timeline, which is a pure
-//! function of the modeled RTT. Real sockets still block, though, so
+//! timing check reads the *modeled* network time, a pure function of the
+//! session's call and byte counts. Real sockets still block, though, so
 //! every connection carries a generous explicit budget: a wedged
 //! provider fails the test in seconds instead of hanging CI forever
 //! (the library default, [`TcpTimeouts::none`], blocks indefinitely).
@@ -15,7 +15,8 @@ use std::time::Duration;
 use vcad::faults::DetectionTableSource;
 use vcad::ip::{ClientSession, ComponentOffering, ProviderServer};
 use vcad::netsim::NetworkModel;
-use vcad::rmi::{MuxServerConfig, ShapedTransport, TcpTimeouts, TcpTransport, Transport};
+use vcad::rmi::{MuxServerConfig, TcpTimeouts, TcpTransport, Transport};
+use vcad_bench::report::modeled_network_time;
 
 /// Far above any loopback round trip, far below a CI job timeout.
 const SOCKET_BUDGET: Duration = Duration::from_secs(10);
@@ -76,26 +77,20 @@ fn two_clients_share_one_tcp_server() {
 
 #[test]
 fn shaped_tcp_session_accumulates_virtual_network_time() {
-    use std::sync::Mutex;
-    use vcad::netsim::VirtualTimeline;
-
     let server = provider();
     let tcp = server
         .serve_mux("127.0.0.1:0", MuxServerConfig::default())
         .unwrap();
     let raw = connect(tcp.addr());
-    let timeline = Arc::new(Mutex::new(VirtualTimeline::new()));
-    let shaped: Arc<dyn Transport> = Arc::new(ShapedTransport::virtual_time(
-        raw,
-        NetworkModel::wan_1999(),
-        Arc::clone(&timeline),
-    ));
-    let session = ClientSession::connect(shaped, server.host());
+    let session = ClientSession::connect(Arc::clone(&raw), server.host());
     let component = session.instantiate("MultFastLowPower", 4).unwrap();
     let _ = component.constant_power().unwrap();
 
-    let network = timeline.lock().unwrap().network_time();
-    // Several round trips at ≥ 90 ms modeled RTT each.
+    // The closed form over the session's own counters: several round
+    // trips at >= 90 ms modeled WAN RTT each.
+    let stats = raw.stats();
+    assert!(stats.calls >= 3, "{stats:?}");
+    let network = modeled_network_time(&stats, &NetworkModel::wan_1999());
     assert!(
         network.as_millis() >= 200,
         "modeled network time too small: {network:?}"
