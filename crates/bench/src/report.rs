@@ -89,8 +89,8 @@ mod tests {
     struct Echo;
 
     impl RemoteObject for Echo {
-        fn invoke(&self, _: &str, args: &[Value], _: &ServerCtx) -> Result<Value, RmiError> {
-            Ok(args.first().cloned().unwrap_or(Value::Null))
+        fn invoke(&self, _: &str, args: Vec<Value>, _: &ServerCtx) -> Result<Value, RmiError> {
+            Ok(args.into_iter().next().unwrap_or(Value::Null))
         }
     }
 
@@ -98,7 +98,8 @@ mod tests {
     /// transport counters; it must equal the per-call oracle — every
     /// round trip's `NetworkModel::round_trip`, summed — on the same
     /// traffic. Each leg's `Duration` is rounded on its own, so allow
-    /// 1 ns per leg.
+    /// 1 ns per leg. The payloads are logic vectors, the port data a
+    /// client may send, encoding to 9 B up to the 64 KiB argument cap.
     #[test]
     fn closed_form_matches_the_virtual_timeline() {
         let registry = Arc::new(ObjectRegistry::new());
@@ -106,9 +107,12 @@ mod tests {
         let transport = Arc::new(InProcTransport::new(Arc::new(Dispatcher::new(registry))));
         let client = Client::new(Arc::clone(&transport) as Arc<dyn Transport>);
         let mut frames = Vec::new();
-        for len in [0, 1, 17, 512, 4096, 65_536] {
+        for len in [0, 1, 17, 512, 4096, 65_527] {
             let before = transport.stats();
-            let payload = Value::Bytes(vec![0xa5; len]);
+            // A tag, the width, then `len` length-prefixed bytes of four
+            // values each.
+            let payload = Value::Vec(vcad_logic::LogicVec::zeros(4 * len));
+            assert_eq!(payload.encoded_len(), 9 + len);
             assert_eq!(
                 client.root().invoke("echo", vec![payload.clone()]).unwrap(),
                 payload

@@ -6,10 +6,7 @@ use std::sync::Arc;
 use vcad_core::{Estimator, Module};
 use vcad_faults::{DetectionTable, DetectionTableSource, SymbolicFault, VirtualSimError};
 use vcad_logic::LogicVec;
-use vcad_rmi::{
-    Cache, Client, InProcTransport, RemoteRef, RmiError, Sandbox, SecurityManager, Transport,
-    Value, Wire,
-};
+use vcad_rmi::{Cache, Client, InProcTransport, RemoteRef, RmiError, Transport, Value, Wire};
 
 use crate::cache::cacheable_method;
 use crate::estimator::{
@@ -69,9 +66,9 @@ impl Wire for OfferingInfo {
 
 /// A connection from an IP user to one provider.
 ///
-/// The session enforces the strict (port-data-only) marshalling policy on
-/// everything it sends: the user's design structure *cannot* leave the
-/// process. See the [crate example](crate#examples).
+/// Like every [`Client`], the session sends port data only: the user's
+/// design structure *cannot* leave the process. See the [crate
+/// example](crate#examples).
 pub struct ClientSession {
     client: Client,
     host: String,
@@ -83,7 +80,7 @@ impl ClientSession {
     #[must_use]
     pub fn connect(transport: Arc<dyn Transport>, host: impl Into<String>) -> ClientSession {
         ClientSession {
-            client: Client::with_security(transport, SecurityManager::strict()),
+            client: Client::new(transport),
             host: host.into(),
             cache: None,
         }
@@ -185,7 +182,7 @@ impl ClientSession {
             name: name.to_owned(),
             width,
             stub,
-            public: PublicPart::new(behavior, width, Sandbox::for_provider(&self.host)),
+            public: PublicPart::new(behavior, width),
             toggle_fee_cents: toggle_fee,
         })
     }
@@ -556,6 +553,60 @@ mod tests {
         assert_eq!(table.inputs().to_word().unwrap().value(), 0b1001);
     }
 
+    /// The calls this session has put on the wire.
+    fn sent(session: &ClientSession) -> u64 {
+        session.client().transport().stats().calls
+    }
+
+    #[test]
+    fn a_long_name_is_refused_before_it_is_sent() {
+        let (_server, session) = rig();
+        let before = sent(&session);
+        let Err(err) = session.instantiate(&"M".repeat(200), 8) else {
+            panic!("a 200-byte name was sent");
+        };
+        assert!(matches!(err, RmiError::SecurityViolation(_)), "{err}");
+        assert_eq!(sent(&session), before);
+    }
+
+    #[test]
+    fn an_oversize_pattern_buffer_is_refused_before_it_is_sent() {
+        use vcad_core::{EstimateError, EstimationInput, PortSnapshot, SimTime};
+        let (_server, session) = rig();
+        let comp = session.instantiate("MultFastLowPower", 8).unwrap();
+        // 6 000 16-bit patterns encode to about 78 KB, over the 64 KiB cap.
+        let snapshots: Vec<PortSnapshot> = (0..6_000u64)
+            .map(|i| PortSnapshot {
+                time: SimTime::new(i),
+                ports: vec![
+                    LogicVec::from_u64(8, i % 256),
+                    LogicVec::from_u64(8, i / 256),
+                    LogicVec::zeros(16),
+                ],
+            })
+            .collect();
+        let patterns: Vec<LogicVec> = snapshots
+            .iter()
+            .map(|s| s.ports[0].concat(&s.ports[1]))
+            .collect();
+        assert!(patterns.clone().into_value().encoded_len() > 64 << 10);
+        let before = sent(&session);
+        let err = comp.stub.power_toggle(patterns).unwrap_err();
+        assert!(matches!(err, RmiError::SecurityViolation(_)), "{err}");
+        assert_eq!(sent(&session), before);
+        // The estimator the user attaches makes the same call.
+        let toggle = &comp.estimator_catalog().unwrap()[4];
+        let before = sent(&session);
+        let err = toggle
+            .estimate(&EstimationInput::new(snapshots))
+            .unwrap_err();
+        assert!(
+            matches!(&err, EstimateError::Remote(m) if m.contains("marshalling cap")),
+            "{err:?}"
+        );
+        assert_eq!(sent(&session), before);
+    }
+
     #[test]
     fn unknown_offering_is_an_error() {
         let (_server, session) = rig();
@@ -567,7 +618,12 @@ mod tests {
     struct Advertiser(&'static str, f64);
 
     impl vcad_rmi::RemoteObject for Advertiser {
-        fn invoke(&self, _: &str, _: &[Value], _: &vcad_rmi::ServerCtx) -> Result<Value, RmiError> {
+        fn invoke(
+            &self,
+            _: &str,
+            _: Vec<Value>,
+            _: &vcad_rmi::ServerCtx,
+        ) -> Result<Value, RmiError> {
             Ok(Value::List(vec![Value::Map(vec![
                 ("name".into(), Value::Str(self.0.into())),
                 ("toggle_fee".into(), Value::F64(self.1)),

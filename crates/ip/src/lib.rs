@@ -12,11 +12,12 @@
 //! * the **public part** ([`PublicPart`]) — the downloadable functional
 //!   model. Rust cannot ship bytecode, so the provider names one of a set
 //!   of *registered behaviours* plus parameters, and the client library
-//!   instantiates it locally under a [`Sandbox`](vcad_rmi::Sandbox) (see
-//!   `DESIGN.md`, substitution table); functionally this is the same
-//!   contract: an accurate input/output model that reveals no structure;
+//!   instantiates it locally (see `DESIGN.md`, substitution table); an
+//!   unregistered name is refused, so only code the library ships runs.
+//!   Functionally this is the same contract: an accurate input/output
+//!   model that reveals no structure;
 //! * the **stub** — a [`RemoteRef`](vcad_rmi::RemoteRef) through which the
-//!   IP-protected methods are invoked;
+//!   IP-protected methods are invoked, sending port data only;
 //! * the **private part** — the gate-level netlist, the toggle-accurate
 //!   power engine and the fault universe, all of which exist *only* inside
 //!   the provider's process.

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use vcad_core::stdlib::{WordAdder, WordMultiplier};
 use vcad_core::{Estimator, Module, ModuleCtx, PortSpec, Value};
 use vcad_logic::LogicVec;
-use vcad_rmi::{RemoteRef, RmiError, Sandbox};
+use vcad_rmi::{RemoteRef, RmiError};
 
 use crate::protocol::component;
 
@@ -14,23 +14,22 @@ use crate::protocol::component;
 /// Java ships bytecode; Rust cannot, so the provider instead names one of
 /// a fixed set of *registered behaviours* plus its parameters, and the
 /// client library instantiates it locally. The contract is the paper's:
-/// an accurate functional model that reveals nothing structural, running
-/// under a [`Sandbox`] that only allows talking back to its provider.
+/// an accurate functional model that reveals nothing structural. What
+/// confines it is that registry: [`PublicPart::instantiate`] runs only
+/// code this library ships, and refuses any other name.
 #[derive(Clone, Debug)]
 pub struct PublicPart {
     behavior: String,
     width: usize,
-    sandbox: Sandbox,
 }
 
 impl PublicPart {
     /// Creates a public part for a registered behaviour.
     #[must_use]
-    pub fn new(behavior: impl Into<String>, width: usize, sandbox: Sandbox) -> PublicPart {
+    pub fn new(behavior: impl Into<String>, width: usize) -> PublicPart {
         PublicPart {
             behavior: behavior.into(),
             width,
-            sandbox,
         }
     }
 
@@ -38,12 +37,6 @@ impl PublicPart {
     #[must_use]
     pub fn behavior(&self) -> &str {
         &self.behavior
-    }
-
-    /// The sandbox the part runs under.
-    #[must_use]
-    pub fn sandbox(&self) -> &Sandbox {
-        &self.sandbox
     }
 
     /// Instantiates the behaviour as a local module.
@@ -230,11 +223,10 @@ impl Module for RemoteFunctionalModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcad_rmi::Capability;
 
     #[test]
     fn public_part_instantiates_registered_behaviour() {
-        let part = PublicPart::new("word-multiplier", 8, Sandbox::for_provider("p"));
+        let part = PublicPart::new("word-multiplier", 8);
         let module = part.instantiate("MULT").unwrap();
         assert_eq!(module.name(), "MULT");
         assert_eq!(module.ports().len(), 3);
@@ -243,18 +235,7 @@ mod tests {
 
     #[test]
     fn public_part_rejects_unknown_behaviour() {
-        let part = PublicPart::new("backdoor", 8, Sandbox::new());
+        let part = PublicPart::new("backdoor", 8);
         assert!(part.instantiate("X").is_err());
-    }
-
-    #[test]
-    fn public_part_sandbox_is_restrictive() {
-        let part = PublicPart::new("word-multiplier", 8, Sandbox::for_provider("p.example.com"));
-        assert!(part.sandbox().require(&Capability::ReadFiles).is_err());
-        assert!(part.sandbox().require(&Capability::InspectDesign).is_err());
-        assert!(part
-            .sandbox()
-            .require(&Capability::ConnectProvider("p.example.com".into()))
-            .is_ok());
     }
 }

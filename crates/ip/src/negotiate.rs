@@ -290,7 +290,10 @@ mod tests {
 
     #[test]
     fn requests_pass_the_strict_marshalling_policy() {
-        use vcad_rmi::MarshalPolicy;
+        use crate::{ClientSession, ComponentOffering, ProviderServer};
+        let server = ProviderServer::new("p.example.com");
+        server.offer(ComponentOffering::fast_low_power_multiplier());
+        let session = ClientSession::connect_in_process(&server).unwrap();
         let reqs = vec![
             NegotiationRequest {
                 parameter: Parameter::AvgPower,
@@ -303,8 +306,11 @@ mod tests {
                 max_error_pct: 10.0,
             },
         ];
-        MarshalPolicy::port_data_only()
-            .check(&reqs.into_value())
+        // The session's client refuses anything but port data before it
+        // is sent, so an answer means the requests crossed as port data.
+        let outcomes = session
+            .negotiate("MultFastLowPower", &reqs)
             .expect("negotiation traffic is port-data shaped");
+        assert_eq!(outcomes.len(), reqs.len());
     }
 }

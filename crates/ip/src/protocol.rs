@@ -15,8 +15,9 @@
 //!   (for tests) the privacy manifest the wire-privacy audit reads.
 //!
 //! Every argument and result shape is a [`Wire`] type, so each shape is
-//! encoded and decoded in one impl. Client→server payloads obey the
-//! port-data-only marshalling policy.
+//! encoded and decoded in one impl: a reply carries exactly the fields
+//! its result type's `into_value` writes. Client→server payloads also
+//! obey the client's one marshalling rule (port data only).
 
 use vcad_faults::{DetectionTable, SymbolicFault};
 use vcad_logic::LogicVec;
@@ -112,13 +113,13 @@ macro_rules! remote_interfaces {
                     provider: &impl Provider,
                     object: &str,
                     method: &str,
-                    args: &[vcad_rmi::Value],
+                    args: Vec<vcad_rmi::Value>,
                     ctx: &vcad_rmi::ServerCtx,
                 ) -> Result<vcad_rmi::Value, vcad_rmi::RmiError> {
                     match method {
                         $(
                             $selector => {
-                                let mut args = args.iter();
+                                let mut args = args.into_iter();
                                 $(let $arg = $crate::protocol::argument(&mut args, $selector)?;)*
                                 let result = Provider::$method(provider, ctx, $($arg),*)?;
                                 Ok(vcad_rmi::Wire::into_value(result))
@@ -159,14 +160,14 @@ macro_rules! remote_interfaces {
 }
 pub(crate) use remote_interfaces;
 
-/// The next argument as a `T`; a missing or misshapen one is the
-/// caller's bad request.
-pub(crate) fn argument<'a, T: Wire>(
-    args: &mut impl Iterator<Item = &'a Value>,
+/// The next argument, moved out, as a `T`; a missing or misshapen one is
+/// the caller's bad request.
+pub(crate) fn argument<T: Wire>(
+    args: &mut impl Iterator<Item = Value>,
     selector: &str,
 ) -> Result<T, RmiError> {
     args.next()
-        .and_then(|arg| T::from_value(arg.clone()).ok())
+        .and_then(|arg| T::from_value(arg).ok())
         .ok_or_else(|| RmiError::bad_args(selector))
 }
 
@@ -327,6 +328,87 @@ mod tests {
                 "`{}` response would ship structural IP",
                 m.method
             );
+        }
+    }
+
+    /// A map reply's keys, sorted.
+    fn keys(value: &Value) -> Vec<&str> {
+        let Value::Map(entries) = value else {
+            panic!("not a map: {value:?}");
+        };
+        let mut keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Every map-shaped reply carries exactly the fields its type
+    /// declares. The decoders ignore keys they do not know, so a field a
+    /// provider adds (say `gate_count` in `describe`) would otherwise
+    /// cross the wire unnoticed.
+    #[test]
+    fn every_map_reply_has_a_pinned_key_set() {
+        use crate::negotiate::EstimatorOffer;
+        use vcad_core::Parameter;
+        use vcad_faults::FaultUniverse;
+
+        let description = Description {
+            name: "MultFastLowPower".into(),
+            width: 4,
+            public_behavior: "word-multiplier".into(),
+        };
+        assert_eq!(
+            keys(&description.into_value()),
+            ["name", "public_behavior", "width"]
+        );
+
+        let offering = OfferingInfo {
+            name: "MultFastLowPower".into(),
+            functional: 2,
+            power: 2,
+            timing: 1,
+            area: 1,
+            toggle_fee_cents: 0.1,
+        };
+        assert_eq!(
+            keys(&offering.into_value()),
+            [
+                "area",
+                "functional",
+                "name",
+                "power",
+                "timing",
+                "toggle_fee"
+            ]
+        );
+
+        let declined = NegotiationOutcome {
+            parameter: Parameter::Area,
+            offer: None,
+        };
+        assert_eq!(keys(&declined.into_value()), ["parameter"]);
+        let offered = NegotiationOutcome {
+            parameter: Parameter::AvgPower,
+            offer: Some(EstimatorOffer {
+                name: "power/gate-level-toggle".into(),
+                expected_error_pct: 10.0,
+                fee_cents_per_pattern: 0.1,
+                remote: true,
+            }),
+        };
+        assert_eq!(
+            keys(&offered.into_value()),
+            ["error", "fee", "name", "parameter", "remote"]
+        );
+
+        let netlist = vcad_netlist::generators::half_adder();
+        let universe = FaultUniverse::collapsed(&netlist);
+        let table = DetectionTable::build(&netlist, &universe, &"11".parse().unwrap());
+        let table = table.into_value();
+        assert_eq!(keys(&table), ["fault_free", "inputs", "rows"]);
+        let rows = table.get("rows").and_then(Value::as_list).unwrap();
+        assert!(!rows.is_empty());
+        for row in rows {
+            assert_eq!(keys(row), ["faults", "output"]);
         }
     }
 

@@ -270,7 +270,7 @@ impl CatalogObject {
 }
 
 impl RemoteObject for CatalogObject {
-    fn invoke(&self, method: &str, args: &[Value], ctx: &ServerCtx) -> Result<Value, RmiError> {
+    fn invoke(&self, method: &str, args: Vec<Value>, ctx: &ServerCtx) -> Result<Value, RmiError> {
         catalog::skeleton(self, "Catalog", method, args, ctx)
     }
 
@@ -477,7 +477,7 @@ impl ComponentObject {
 }
 
 impl RemoteObject for ComponentObject {
-    fn invoke(&self, method: &str, args: &[Value], ctx: &ServerCtx) -> Result<Value, RmiError> {
+    fn invoke(&self, method: &str, args: Vec<Value>, ctx: &ServerCtx) -> Result<Value, RmiError> {
         component::skeleton(self, &self.name, method, args, ctx)
     }
 

@@ -169,7 +169,7 @@ impl Drop for FlightGuard<'_> {
 ///
 /// struct Area;
 /// impl RemoteObject for Area {
-///     fn invoke(&self, _method: &str, _args: &[Value], _ctx: &ServerCtx)
+///     fn invoke(&self, _method: &str, _args: Vec<Value>, _ctx: &ServerCtx)
 ///         -> Result<Value, RmiError>
 ///     {
 ///         Ok(Value::I64(42))

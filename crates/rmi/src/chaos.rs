@@ -308,8 +308,8 @@ fn corrupt(frame: &mut [u8], position_seed: u64, mask: u8) {
 /// # use vcad_rmi::{RemoteObject, RmiError, ServerCtx, Value};
 /// # struct Echo;
 /// # impl RemoteObject for Echo {
-/// #     fn invoke(&self, _m: &str, args: &[Value], _c: &ServerCtx) -> Result<Value, RmiError> {
-/// #         Ok(args.first().cloned().unwrap_or(Value::Null))
+/// #     fn invoke(&self, _m: &str, args: Vec<Value>, _c: &ServerCtx) -> Result<Value, RmiError> {
+/// #         Ok(args.into_iter().next().unwrap_or(Value::Null))
 /// #     }
 /// # }
 ///
@@ -546,11 +546,11 @@ mod tests {
         fn invoke(
             &self,
             method: &str,
-            args: &[Value],
+            args: Vec<Value>,
             _ctx: &ServerCtx,
         ) -> Result<Value, RmiError> {
             match method {
-                "echo" => Ok(args.first().cloned().unwrap_or(Value::Null)),
+                "echo" => Ok(args.into_iter().next().unwrap_or(Value::Null)),
                 _ => Err(RmiError::unknown_method("Echo", method)),
             }
         }

@@ -9,7 +9,6 @@ use crate::cache::{Cache, CacheOutcome};
 use crate::error::RmiError;
 use crate::frame::{CallFrame, Frame};
 use crate::hash::CanonicalHasher;
-use crate::security::SecurityManager;
 use crate::transport::Transport;
 use crate::value::{ObjectId, Value};
 use crate::wire::WireWriter;
@@ -42,15 +41,65 @@ impl Memo {
     }
 }
 
+/// The largest encoded size of one argument tree.
+const MAX_ARGUMENT_BYTES: usize = 64 << 10;
+
+/// The longest string an argument may hold: room for a selector or a
+/// catalog name, not for a netlist.
+const MAX_STRING_BYTES: usize = 64;
+
+/// The user-side IP protection, applied to every outgoing argument: it
+/// may hold logic values, vectors, words, numbers, short strings, object
+/// references and lists of them. Byte blobs, maps and long strings, the
+/// containers design structure could be smuggled in, are refused, as is
+/// any tree larger than [`MAX_ARGUMENT_BYTES`] on the wire.
+fn check_port_data(arg: &Value) -> Result<(), RmiError> {
+    fn walk(value: &Value) -> Result<(), RmiError> {
+        match value {
+            Value::Null
+            | Value::Bool(_)
+            | Value::I64(_)
+            | Value::F64(_)
+            | Value::Logic(_)
+            | Value::Vec(_)
+            | Value::Word(_)
+            | Value::ObjectRef(_) => Ok(()),
+            Value::Str(s) if s.len() <= MAX_STRING_BYTES => Ok(()),
+            Value::Str(_) => Err(RmiError::SecurityViolation(
+                "string longer than a method selector may carry design data".into(),
+            )),
+            Value::Bytes(_) => Err(RmiError::SecurityViolation(
+                "opaque byte blobs may carry design data".into(),
+            )),
+            Value::Map(_) => Err(RmiError::SecurityViolation(
+                "structured maps may carry design data".into(),
+            )),
+            Value::List(items) => items.iter().try_for_each(walk),
+        }
+    }
+    if arg.encoded_len() > MAX_ARGUMENT_BYTES {
+        return Err(RmiError::SecurityViolation(format!(
+            "argument tree exceeds marshalling cap of {MAX_ARGUMENT_BYTES} bytes"
+        )));
+    }
+    walk(arg)
+}
+
 /// A connection to one server through a [`Transport`].
 ///
-/// `Client` is cheap to clone; clones share the transport, the security
-/// manager and the call-id counter. See the [crate-level
-/// example](crate#examples) for end-to-end usage.
+/// Every call obeys one marshalling rule, the paper's strict argument
+/// marshalling: only port-local data crosses the wire. An argument that
+/// holds a byte blob, a map or a string longer than 64 bytes, or that
+/// encodes to more than 64 KiB, fails the call with
+/// [`RmiError::SecurityViolation`] before the memo or the transport sees
+/// it.
+///
+/// `Client` is cheap to clone; clones share the transport and the
+/// call-id counter. See the [crate-level example](crate#examples) for
+/// end-to-end usage.
 #[derive(Clone)]
 pub struct Client {
     transport: Arc<dyn Transport>,
-    security: Arc<SecurityManager>,
     next_call: Arc<AtomicU64>,
     obs: Collector,
     baggage: Arc<Vec<(String, String)>>,
@@ -59,20 +108,11 @@ pub struct Client {
 }
 
 impl Client {
-    /// Creates a client with the permissive security manager: every
-    /// argument may cross the wire (see [`Client::with_security`]).
+    /// Creates a client that sends port data only through `transport`.
     #[must_use]
     pub fn new(transport: Arc<dyn Transport>) -> Client {
-        Client::with_security(transport, SecurityManager::permissive())
-    }
-
-    /// Creates a client enforcing a specific security manager on outgoing
-    /// arguments — the user-side IP protection of the paper.
-    #[must_use]
-    pub fn with_security(transport: Arc<dyn Transport>, security: SecurityManager) -> Client {
         Client {
             transport,
-            security: Arc::new(security),
             next_call: Arc::new(AtomicU64::new(1)),
             obs: Collector::disabled(),
             baggage: Arc::new(Vec::new()),
@@ -171,7 +211,7 @@ impl Client {
         method: &str,
         args: Vec<Value>,
     ) -> Result<(Value, bool), RmiError> {
-        self.security.check_outgoing(&args)?;
+        args.iter().try_for_each(check_port_data)?;
         // The call span parents under whatever is ambient (a controller
         // run, a scheduler instant); the frame carries its context so the
         // provider's dispatch span parents under this call.
@@ -319,12 +359,17 @@ impl RemoteRef {
 mod tests {
     use super::*;
     use crate::dispatch::{Dispatcher, ObjectRegistry, RemoteObject, ServerCtx};
-    use crate::security::MarshalPolicy;
     use crate::transport::InProcTransport;
+    use vcad_logic::{Logic, LogicVec, Word};
 
     struct Counter;
     impl RemoteObject for Counter {
-        fn invoke(&self, method: &str, args: &[Value], ctx: &ServerCtx) -> Result<Value, RmiError> {
+        fn invoke(
+            &self,
+            method: &str,
+            args: Vec<Value>,
+            ctx: &ServerCtx,
+        ) -> Result<Value, RmiError> {
             match method {
                 "double" => {
                     let v = args[0]
@@ -339,11 +384,18 @@ mod tests {
         }
     }
 
-    fn client() -> Client {
+    fn client_and_transport() -> (Client, Arc<InProcTransport>) {
         let reg = Arc::new(ObjectRegistry::new());
         reg.register_root(Arc::new(Counter));
-        let dispatcher = Arc::new(Dispatcher::new(reg));
-        Client::new(Arc::new(InProcTransport::new(dispatcher)))
+        let transport = Arc::new(InProcTransport::new(Arc::new(Dispatcher::new(reg))));
+        (
+            Client::new(Arc::clone(&transport) as Arc<dyn Transport>),
+            transport,
+        )
+    }
+
+    fn client() -> Client {
+        client_and_transport().0
     }
 
     #[test]
@@ -371,18 +423,59 @@ mod tests {
 
     #[test]
     fn strict_client_blocks_leaky_arguments() {
-        let reg = Arc::new(ObjectRegistry::new());
-        reg.register_root(Arc::new(Counter));
-        let dispatcher = Arc::new(Dispatcher::new(reg));
-        let c = Client::with_security(
-            Arc::new(InProcTransport::new(dispatcher)),
-            SecurityManager::new(MarshalPolicy::port_data_only()),
-        );
+        let (c, transport) = client_and_transport();
         let err = c
             .root()
             .invoke("double", vec![Value::Bytes(vec![0; 10])])
             .unwrap_err();
         assert!(matches!(err, RmiError::SecurityViolation(_)));
+        assert_eq!(transport.stats().calls, 0, "nothing was sent");
+    }
+
+    #[test]
+    fn port_data_accepts_simulation_values() {
+        check_port_data(&Value::Vec(LogicVec::unknown(16))).unwrap();
+        check_port_data(&Value::Word(Word::new(16, 99))).unwrap();
+        check_port_data(&Value::List(vec![Value::Logic(Logic::X)])).unwrap();
+        check_port_data(&Value::Str("estimate".into())).unwrap();
+        check_port_data(&Value::Str("x".repeat(MAX_STRING_BYTES))).unwrap();
+    }
+
+    #[test]
+    fn port_data_rejects_structure_carriers() {
+        let violation =
+            |v: Value| matches!(check_port_data(&v), Err(RmiError::SecurityViolation(_)));
+        assert!(violation(Value::Bytes(vec![0; 8])));
+        assert!(violation(Value::Map(vec![])));
+        assert!(violation(Value::Str("x".repeat(MAX_STRING_BYTES + 1))));
+        // Nested violations are found too.
+        assert!(violation(Value::List(vec![Value::List(vec![
+            Value::Bytes(vec![1])
+        ])])));
+    }
+
+    #[test]
+    fn size_cap_enforced() {
+        // A vector encodes as a tag, its width and length-prefixed bytes
+        // of four elements each: 9 bytes of framing.
+        let at_cap = Value::Vec(LogicVec::zeros((MAX_ARGUMENT_BYTES - 9) * 4));
+        assert_eq!(at_cap.encoded_len(), MAX_ARGUMENT_BYTES);
+        check_port_data(&at_cap).unwrap();
+        let over = Value::Vec(LogicVec::zeros((MAX_ARGUMENT_BYTES - 8) * 4));
+        let err = check_port_data(&over).unwrap_err();
+        assert!(
+            matches!(&err, RmiError::SecurityViolation(m)
+                if m == "argument tree exceeds marshalling cap of 65536 bytes"),
+            "{err}"
+        );
+        // The cap is per argument, not per call.
+        let (c, transport) = client_and_transport();
+        let err = c
+            .root()
+            .invoke("double", vec![Value::I64(1), over])
+            .unwrap_err();
+        assert!(matches!(err, RmiError::SecurityViolation(_)));
+        assert_eq!(transport.stats().calls, 0);
     }
 
     #[test]

@@ -21,12 +21,12 @@ mod tests {
         fn invoke(
             &self,
             method: &str,
-            args: &[Value],
+            args: Vec<Value>,
             _ctx: &ServerCtx,
         ) -> Result<Value, RmiError> {
             self.served.fetch_add(1, Ordering::SeqCst);
             match method {
-                "pure" => Ok(args.first().cloned().unwrap_or(Value::Null)),
+                "pure" => Ok(args.into_iter().next().unwrap_or(Value::Null)),
                 "mutating" => Ok(Value::I64(self.served.load(Ordering::SeqCst) as i64)),
                 "failing" => Err(RmiError::bad_args("failing")),
                 _ => Err(RmiError::unknown_method("Counting", method)),

@@ -12,15 +12,14 @@ use vcad_obs::Collector;
 use crate::admission::AdmissionControl;
 use crate::error::{RemoteErrorKind, RmiError};
 use crate::frame::{corrupt_request_reply, CallFrame, Frame, Request, ResponseFrame};
-use crate::security::SecurityManager;
 use crate::value::{ObjectId, Value};
 
 /// An object exported by a server (the "skeleton"/private-part side of the
 /// distributed-object model).
 ///
-/// Implementations receive the decoded method selector and arguments and
-/// return a marshallable [`Value`]. A method may export further objects
-/// through [`ServerCtx::export`] and hand back their
+/// Implementations receive the decoded method selector and own the
+/// decoded arguments, and return a marshallable [`Value`]. A method may
+/// export further objects through [`ServerCtx::export`] and hand back their
 /// [`Value::ObjectRef`] — the factory pattern the IP provider uses to
 /// instantiate parametric components.
 pub trait RemoteObject: Send + Sync {
@@ -32,7 +31,7 @@ pub trait RemoteObject: Send + Sync {
     /// arguments or domain failures; the dispatcher converts the error
     /// into a response frame. A panic is caught by the dispatcher and
     /// answered as [`RemoteErrorKind::Internal`] (`rmi.dispatch.panics`).
-    fn invoke(&self, method: &str, args: &[Value], ctx: &ServerCtx) -> Result<Value, RmiError>;
+    fn invoke(&self, method: &str, args: Vec<Value>, ctx: &ServerCtx) -> Result<Value, RmiError>;
 
     /// A short human-readable description for diagnostics.
     fn describe(&self) -> &str {
@@ -180,26 +179,19 @@ impl ReplyCache {
 /// the responses. One dispatcher serves any number of transports.
 pub struct Dispatcher {
     registry: Arc<ObjectRegistry>,
-    security: SecurityManager,
     obs: Collector,
     replies: Mutex<ReplyCache>,
     admission: Option<Arc<AdmissionControl>>,
 }
 
 impl Dispatcher {
-    /// Creates a dispatcher with a permissive result policy (servers
-    /// legitimately return detection tables, which are maps).
+    /// Creates a dispatcher over `registry`. A reply's shape is whatever
+    /// the invoked object returns; a typed skeleton shapes it from the
+    /// method's declared result.
     #[must_use]
     pub fn new(registry: Arc<ObjectRegistry>) -> Dispatcher {
-        Dispatcher::with_security(registry, SecurityManager::permissive())
-    }
-
-    /// Creates a dispatcher that also polices outgoing results.
-    #[must_use]
-    pub fn with_security(registry: Arc<ObjectRegistry>, security: SecurityManager) -> Dispatcher {
         Dispatcher {
             registry,
-            security,
             obs: Collector::disabled(),
             replies: Mutex::default(),
             admission: None,
@@ -251,7 +243,7 @@ impl Dispatcher {
     /// and every provider-side span opened beneath it (estimator
     /// compute, fee ledger) — parents under the client's call span.
     #[must_use]
-    pub fn handle(&self, call: &CallFrame) -> ResponseFrame {
+    pub fn handle(&self, call: CallFrame) -> ResponseFrame {
         if let Some(admission) = &self.admission {
             if let Err(e) = admission.admit(call.tenant.as_deref()) {
                 // Shed fast: no span, no object lookup — the whole point
@@ -270,14 +262,17 @@ impl Dispatcher {
             }
         }
         let started = std::time::Instant::now();
-        let _ctx_guard = call
-            .context
-            .as_ref()
-            .map(|ctx| vcad_obs::context::push(ctx.clone()));
-        let mut span = self
-            .obs
-            .traced_span("rmi", format!("dispatch:{}", call.method));
-        let result = self.dispatch(call);
+        let CallFrame {
+            call_id,
+            object,
+            method,
+            args,
+            context,
+            tenant,
+        } = call;
+        let _ctx_guard = context.map(vcad_obs::context::push);
+        let mut span = self.obs.traced_span("rmi", format!("dispatch:{method}"));
+        let result = self.dispatch(object, &method, args, tenant);
         let metrics = self.obs.metrics();
         metrics.counter("rmi.dispatch.calls").inc();
         if result.is_err() {
@@ -294,18 +289,16 @@ impl Dispatcher {
             })
         );
         if !unanswered {
+            metrics.counter(&format!("rmi.method.{method}.calls")).inc();
             metrics
-                .counter(&format!("rmi.method.{}.calls", call.method))
-                .inc();
-            metrics
-                .histogram(&format!("rmi.method.{}.latency_ns", call.method))
+                .histogram(&format!("rmi.method.{method}.latency_ns"))
                 .record_duration(started.elapsed());
         }
-        span.arg("object", call.object.0);
+        span.arg("object", object.0);
         span.arg("ok", u64::from(result.is_ok()));
         drop(span);
         ResponseFrame {
-            call_id: call.call_id,
+            call_id,
             result: result.map_err(|e| match e {
                 RmiError::Remote { kind, message } => (kind, message),
                 RmiError::SecurityViolation(msg) => (RemoteErrorKind::Security, msg),
@@ -364,7 +357,7 @@ impl Dispatcher {
     /// request, or bytes that do not decode, get an error response.
     fn handle_frame(&self, frame: &[u8]) -> ResponseFrame {
         match Frame::decode(frame) {
-            Ok(Frame::Call(call)) => self.handle(&call),
+            Ok(Frame::Call(call)) => self.handle(call),
             Ok(Frame::Response(r)) => ResponseFrame {
                 call_id: r.call_id,
                 result: Err((
@@ -379,45 +372,50 @@ impl Dispatcher {
         }
     }
 
-    fn dispatch(&self, call: &CallFrame) -> Result<Value, RmiError> {
+    fn dispatch(
+        &self,
+        id: ObjectId,
+        method: &str,
+        args: Vec<Value>,
+        tenant: Option<String>,
+    ) -> Result<Value, RmiError> {
         let object = self
             .registry
-            .get(call.object)
-            .ok_or_else(|| RmiError::unknown_object(call.object))?;
+            .get(id)
+            .ok_or_else(|| RmiError::unknown_object(id))?;
         let ctx = ServerCtx {
             registry: Arc::clone(&self.registry),
-            self_id: call.object,
-            tenant: call.tenant.clone(),
+            self_id: id,
+            tenant,
         };
         // A panicking object costs its caller this one call, never the
         // server: the worker that runs it lives on to serve the next.
-        let invoked = panic::catch_unwind(AssertUnwindSafe(|| {
-            object.invoke(&call.method, &call.args, &ctx)
-        }));
-        let result = invoked.unwrap_or_else(|_| {
+        let invoked = panic::catch_unwind(AssertUnwindSafe(|| object.invoke(method, args, &ctx)));
+        invoked.unwrap_or_else(|_| {
             self.obs.metrics().counter("rmi.dispatch.panics").inc();
             Err(RmiError::Remote {
                 kind: RemoteErrorKind::Internal,
-                message: format!("`{}` panicked", call.method),
+                message: format!("`{method}` panicked"),
             })
-        })?;
-        self.security.check_result(&result)?;
-        Ok(result)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::security::MarshalPolicy;
 
     struct Echo;
     impl RemoteObject for Echo {
-        fn invoke(&self, method: &str, args: &[Value], ctx: &ServerCtx) -> Result<Value, RmiError> {
+        fn invoke(
+            &self,
+            method: &str,
+            args: Vec<Value>,
+            ctx: &ServerCtx,
+        ) -> Result<Value, RmiError> {
             match method {
-                "echo" => Ok(args.first().cloned().unwrap_or(Value::Null)),
+                "echo" => Ok(args.into_iter().next().unwrap_or(Value::Null)),
                 "spawn" => Ok(Value::ObjectRef(ctx.export(Arc::new(Echo)))),
-                "leak" => Ok(Value::Bytes(vec![1, 2, 3])),
                 "whoami" => Ok(ctx.tenant().map_or(Value::Null, |t| Value::Str(t.into()))),
                 "panic" => panic!("provider bug"),
                 _ => Err(RmiError::unknown_method("Echo", method)),
@@ -441,7 +439,7 @@ mod tests {
         let reg = Arc::new(ObjectRegistry::new());
         reg.register_root(Arc::new(Echo));
         let d = Dispatcher::new(Arc::clone(&reg));
-        let resp = d.handle(&call("echo", vec![Value::I64(5)]));
+        let resp = d.handle(call("echo", vec![Value::I64(5)]));
         assert_eq!(resp.result, Ok(Value::I64(5)));
     }
 
@@ -453,11 +451,11 @@ mod tests {
         let mut c = call("echo", vec![]);
         c.object = ObjectId(404);
         assert!(matches!(
-            d.handle(&c).result,
+            d.handle(c).result,
             Err((RemoteErrorKind::UnknownObject, _))
         ));
         assert!(matches!(
-            d.handle(&call("nope", vec![])).result,
+            d.handle(call("nope", vec![])).result,
             Err((RemoteErrorKind::UnknownMethod, _))
         ));
     }
@@ -467,29 +465,15 @@ mod tests {
         let reg = Arc::new(ObjectRegistry::new());
         reg.register_root(Arc::new(Echo));
         let d = Dispatcher::new(Arc::clone(&reg));
-        let resp = d.handle(&call("spawn", vec![]));
+        let resp = d.handle(call("spawn", vec![]));
         let id = resp.result.unwrap().as_object().unwrap();
         assert!(reg.get(id).is_some());
         // The new object answers too.
         let mut c = call("echo", vec![Value::Bool(true)]);
         c.object = id;
-        assert_eq!(d.handle(&c).result, Ok(Value::Bool(true)));
+        assert_eq!(d.handle(c).result, Ok(Value::Bool(true)));
         assert!(reg.unregister(id));
         assert!(reg.get(id).is_none());
-    }
-
-    #[test]
-    fn strict_server_blocks_leaky_results() {
-        let reg = Arc::new(ObjectRegistry::new());
-        reg.register_root(Arc::new(Echo));
-        let d = Dispatcher::with_security(
-            Arc::clone(&reg),
-            SecurityManager::new(MarshalPolicy::port_data_only()),
-        );
-        assert!(matches!(
-            d.handle(&call("leak", vec![])).result,
-            Err((RemoteErrorKind::Security, _))
-        ));
     }
 
     #[test]
@@ -530,9 +514,9 @@ mod tests {
         reg.register_root(Arc::new(Echo));
         let obs = Collector::enabled();
         let d = Dispatcher::new(reg).with_collector(obs.clone());
-        let _ = d.handle(&call("echo", vec![Value::I64(1)]));
-        let _ = d.handle(&call("echo", vec![Value::I64(2)]));
-        let _ = d.handle(&call("nope", vec![]));
+        let _ = d.handle(call("echo", vec![Value::I64(1)]));
+        let _ = d.handle(call("echo", vec![Value::I64(2)]));
+        let _ = d.handle(call("nope", vec![]));
         let snap = obs.metrics().snapshot();
         assert_eq!(snap.counters.get("rmi.dispatch.calls"), Some(&3));
         assert_eq!(snap.counters.get("rmi.dispatch.errors"), Some(&1));
@@ -551,7 +535,7 @@ mod tests {
                 + snap.histograms.len()
         };
         for i in 0..10_000 {
-            let _ = d.handle(&call(&format!("probe{i}"), vec![]));
+            let _ = d.handle(call(&format!("probe{i}"), vec![]));
         }
         let after = obs.metrics().snapshot();
         assert_eq!(keys(&after), keys(&snap));
@@ -619,7 +603,7 @@ mod tests {
         assert_eq!(snap.counter("rmi.dispatch.panics"), 1);
         assert_eq!(snap.counter("rmi.dispatch.dedup_hits"), 1);
         // The object still answers.
-        let echo = d.handle(&call("echo", vec![Value::I64(9)]));
+        let echo = d.handle(call("echo", vec![Value::I64(9)]));
         assert_eq!(echo.result, Ok(Value::I64(9)));
     }
 

@@ -25,10 +25,10 @@
 //!   marshal calls through a transport (the "stub" half of RMI), with an
 //!   optional content-addressed memo of pure calls ([`Client::with_cache`]
 //!   into a [`Cache`]: single-flight deduplication, provider-epoch
-//!   invalidation) consulted before anything is marshalled;
-//! * [`SecurityManager`], [`MarshalPolicy`], [`Sandbox`] — the IP
-//!   protection boundary: what may be serialised, and what downloaded
-//!   provider code may do on the user's machine;
+//!   invalidation) consulted before anything is marshalled. Every client
+//!   sends port data only — the IP protection boundary: an argument
+//!   holding a byte blob, a map, a long string or more than 64 KiB is
+//!   refused with [`RmiError::SecurityViolation`] before any byte leaves;
 //! * [`FaultPlan`] + [`FaultyTransport`] — deterministic, seed-driven
 //!   injection of drops, latency, corruption, duplicates, resets and
 //!   blackouts into any transport;
@@ -49,7 +49,7 @@
 //!
 //! struct Adder;
 //! impl RemoteObject for Adder {
-//!     fn invoke(&self, method: &str, args: &[Value], _ctx: &ServerCtx)
+//!     fn invoke(&self, method: &str, args: Vec<Value>, _ctx: &ServerCtx)
 //!         -> Result<Value, RmiError>
 //!     {
 //!         match method {
@@ -86,7 +86,6 @@ mod frame;
 pub mod hash;
 mod mux;
 mod resilience;
-mod security;
 mod transport;
 mod value;
 mod wire;
@@ -103,7 +102,6 @@ pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, RealClock, ResilienceClock, ResilientTransport,
     RetryPolicy, VirtualClock,
 };
-pub use security::{Capability, MarshalPolicy, Sandbox, SecurityManager};
 pub use transport::{InProcTransport, TcpTimeouts, TcpTransport, Transport, TransportStats};
 pub use value::{ObjectId, Value, Wire};
 pub use wire::WireError;

@@ -507,8 +507,8 @@ mod tests {
     /// Echoes its first argument; `blob(n)` answers with `n` bytes.
     struct Ping;
     impl RemoteObject for Ping {
-        fn invoke(&self, method: &str, args: &[Value], _: &ServerCtx) -> Result<Value, RmiError> {
-            let first = args.first().cloned().unwrap_or(Value::Null);
+        fn invoke(&self, method: &str, args: Vec<Value>, _: &ServerCtx) -> Result<Value, RmiError> {
+            let first = args.into_iter().next().unwrap_or(Value::Null);
             match (method, first.as_i64()) {
                 ("blob", Some(n)) => Ok(Value::Bytes(vec![0xAB; n as usize])),
                 _ => Ok(first),
@@ -548,10 +548,19 @@ mod tests {
             peer.write_all(&request).unwrap();
         }
         peer.shutdown(Shutdown::Write).unwrap();
-        // Read nothing while the workers fill the send buffer and start
-        // seeing `WouldBlock` (not needed for the test to pass, only for
-        // it to catch a server that tears frames when that happens).
-        std::thread::sleep(Duration::from_millis(100));
+        // Read nothing until every call is queued, so the workers fill
+        // the send buffer and start seeing `WouldBlock` (not needed for
+        // the test to pass, only for it to catch a server that tears
+        // frames when that happens).
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.stats().enqueued < CALLS {
+            assert!(
+                Instant::now() < deadline,
+                "{} of {CALLS} calls queued",
+                server.stats().enqueued
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let mut received = Vec::new();
         peer.read_to_end(&mut received).expect("read to EOF");
 

@@ -407,8 +407,8 @@ static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 /// # use vcad_rmi::{RemoteObject, RmiError, ServerCtx, Value};
 /// # struct Echo;
 /// # impl RemoteObject for Echo {
-/// #     fn invoke(&self, _m: &str, args: &[Value], _c: &ServerCtx) -> Result<Value, RmiError> {
-/// #         Ok(args.first().cloned().unwrap_or(Value::Null))
+/// #     fn invoke(&self, _m: &str, args: Vec<Value>, _c: &ServerCtx) -> Result<Value, RmiError> {
+/// #         Ok(args.into_iter().next().unwrap_or(Value::Null))
 /// #     }
 /// # }
 ///
@@ -765,11 +765,11 @@ mod tests {
         fn invoke(
             &self,
             method: &str,
-            args: &[Value],
+            args: Vec<Value>,
             _ctx: &ServerCtx,
         ) -> Result<Value, RmiError> {
             match method {
-                "echo" => Ok(args.first().cloned().unwrap_or(Value::Null)),
+                "echo" => Ok(args.into_iter().next().unwrap_or(Value::Null)),
                 _ => Err(RmiError::unknown_method("Echo", method)),
             }
         }
@@ -930,7 +930,7 @@ mod tests {
             hits: AtomicU64,
         }
         impl RemoteObject for CountingObject {
-            fn invoke(&self, _m: &str, _a: &[Value], _c: &ServerCtx) -> Result<Value, RmiError> {
+            fn invoke(&self, _m: &str, _a: Vec<Value>, _c: &ServerCtx) -> Result<Value, RmiError> {
                 Ok(Value::I64(self.hits.fetch_add(1, Ordering::Relaxed) as i64))
             }
         }

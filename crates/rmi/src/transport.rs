@@ -347,11 +347,11 @@ mod tests {
         fn invoke(
             &self,
             method: &str,
-            args: &[Value],
+            args: Vec<Value>,
             _ctx: &ServerCtx,
         ) -> Result<Value, RmiError> {
             match method {
-                "ping" => Ok(args.first().cloned().unwrap_or(Value::Null)),
+                "ping" => Ok(args.into_iter().next().unwrap_or(Value::Null)),
                 _ => Err(RmiError::unknown_method("Ping", method)),
             }
         }

@@ -57,7 +57,7 @@ struct Fixture {
 }
 
 impl RemoteObject for Fixture {
-    fn invoke(&self, method: &str, args: &[Value], ctx: &ServerCtx) -> Result<Value, RmiError> {
+    fn invoke(&self, method: &str, args: Vec<Value>, ctx: &ServerCtx) -> Result<Value, RmiError> {
         match method {
             "AREA" | "echo" => Ok(args.first().cloned().unwrap_or(Value::Null)),
             "count" => Ok(Value::I64(self.hits.fetch_add(1, Ordering::Relaxed))),

@@ -2,9 +2,14 @@
 //! values. Deterministic seeded sampling stands in for the external
 //! property-testing framework the offline build cannot fetch.
 
+use std::sync::Arc;
 use vcad_logic::{Logic, LogicVec, Word};
 use vcad_prng::Rng;
-use vcad_rmi::{CallFrame, Frame, MarshalPolicy, ObjectId, ResponseFrame, Value};
+
+use vcad_rmi::{
+    CallFrame, Client, Dispatcher, Frame, InProcTransport, ObjectId, ObjectRegistry, RemoteObject,
+    ResponseFrame, RmiError, ServerCtx, Transport, Value,
+};
 
 const CASES: usize = 256;
 
@@ -163,24 +168,46 @@ fn truncation_is_always_an_error() {
     }
 }
 
+/// Answers every call with its first argument.
+struct Echo;
+
+impl RemoteObject for Echo {
+    fn invoke(&self, _: &str, args: Vec<Value>, _: &ServerCtx) -> Result<Value, RmiError> {
+        Ok(args.into_iter().next().unwrap_or(Value::Null))
+    }
+}
+
+/// A client of an in-process [`Echo`], and the transport it calls through.
+fn echo_client() -> (Client, Arc<InProcTransport>) {
+    let registry = Arc::new(ObjectRegistry::new());
+    registry.register_root(Arc::new(Echo));
+    let transport = Arc::new(InProcTransport::new(Arc::new(Dispatcher::new(registry))));
+    (
+        Client::new(Arc::clone(&transport) as Arc<dyn Transport>),
+        transport,
+    )
+}
+
 #[test]
 fn port_data_policy_accepts_port_values() {
     let mut rng = Rng::seed_from_u64(0x9a16);
+    let (client, transport) = echo_client();
     for _ in 0..CASES {
-        let policy = MarshalPolicy::port_data_only();
         let n = rng.gen_range(0usize..64);
-        let bits = LogicVec::from_bits((0..n).map(|_| arb_logic(&mut rng)));
-        policy.check(&Value::Vec(bits)).unwrap();
+        let bits = Value::Vec(LogicVec::from_bits((0..n).map(|_| arb_logic(&mut rng))));
         let w = rng.gen_range(0usize..=128);
-        policy
-            .check(&Value::Word(Word::new(w, rng.next_u128())))
-            .unwrap();
+        let word = Value::Word(Word::new(w, rng.next_u128()));
+        for v in [bits, word] {
+            assert_eq!(client.root().invoke("echo", vec![v.clone()]).unwrap(), v);
+        }
     }
+    assert_eq!(transport.stats().calls, 2 * CASES as u64);
 }
 
 #[test]
 fn port_data_policy_rejects_bytes_anywhere() {
     let mut rng = Rng::seed_from_u64(0x9a17);
+    let (client, transport) = echo_client();
     for _ in 0..CASES {
         let depth = rng.gen_range(0usize..4);
         let payload = {
@@ -191,6 +218,8 @@ fn port_data_policy_rejects_bytes_anywhere() {
         for _ in 0..depth {
             v = Value::List(vec![Value::I64(0), v]);
         }
-        assert!(MarshalPolicy::port_data_only().check(&v).is_err());
+        let err = client.root().invoke("echo", vec![v]).unwrap_err();
+        assert!(matches!(err, RmiError::SecurityViolation(_)), "{err}");
     }
+    assert_eq!(transport.stats().calls, 0, "nothing was sent");
 }

@@ -80,7 +80,7 @@ fn server_drop_is_clean_with_no_connections() {
 struct Buggy;
 
 impl RemoteObject for Buggy {
-    fn invoke(&self, method: &str, _: &[Value], _: &ServerCtx) -> Result<Value, RmiError> {
+    fn invoke(&self, method: &str, _: Vec<Value>, _: &ServerCtx) -> Result<Value, RmiError> {
         match method {
             "ping" => Ok(Value::Str("pong".into())),
             "panic" => panic!("provider bug"),

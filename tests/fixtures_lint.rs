@@ -7,8 +7,12 @@ use std::sync::Arc;
 
 use vcad::core::stdlib::{Delay, PrimaryOutput, RandomInput};
 use vcad::core::{DesignBuilder, DesignError};
+use vcad::ip::{ClientSession, ComponentOffering, ProviderServer};
 use vcad::logic::LogicVec;
-use vcad::rmi::{RmiError, SecurityManager, Value};
+use vcad::rmi::{
+    Client, Dispatcher, InProcTransport, ObjectRegistry, RemoteErrorKind, RemoteObject, RmiError,
+    ServerCtx, Transport, Value,
+};
 
 fn source(name: &str, width: usize) -> Arc<RandomInput> {
     Arc::new(RandomInput::new(name, width, 1, 4))
@@ -80,22 +84,49 @@ fn width_mismatch_fixture() {
 
 #[test]
 fn privacy_leak_fixture_flags_both_directions() {
-    // The IP-protecting posture: a client holding it checks what it
-    // sends, a dispatcher holding it checks what it returns.
-    let policy = SecurityManager::strict();
-    let port_values = Value::Vec(LogicVec::from_u64(4, 0b1010));
-    policy
-        .check_outgoing(std::slice::from_ref(&port_values))
-        .unwrap();
-    policy.check_result(&port_values).unwrap();
-
-    // `upload_netlist`: a user's structure in a request.
+    // `upload_netlist`: a user's structure in a request. Every client
+    // sends port data only, so the call fails before a byte is sent.
+    let provider = ProviderServer::new("p.example.com");
+    provider.offer(ComponentOffering::fast_low_power_multiplier());
+    let transport = Arc::new(InProcTransport::new(provider.dispatcher()));
+    let client = Client::new(Arc::clone(&transport) as Arc<dyn Transport>);
     let netlist = Value::Map(vec![("netlist".into(), Value::Str("nand(a,b)".into()))]);
-    let err = policy.check_outgoing(&[netlist]).unwrap_err();
+    let err = client
+        .root()
+        .invoke("upload_netlist", vec![netlist])
+        .unwrap_err();
     assert!(matches!(err, RmiError::SecurityViolation(_)), "{err}");
+    assert_eq!(transport.stats().calls, 0);
+    // Port values pass the rule; the provider then refuses the method.
+    let port_values = Value::Vec(LogicVec::from_u64(4, 0b1010));
+    let err = client
+        .root()
+        .invoke("upload_netlist", vec![port_values])
+        .unwrap_err();
+    assert_eq!(err.remote_kind(), Some(RemoteErrorKind::UnknownMethod));
 
-    // `fetch_gates`: a provider's structure in a response.
-    let gates = Value::Bytes(b"NAND2 NAND2 XOR2".to_vec());
-    let err = policy.check_result(&gates).unwrap_err();
-    assert!(matches!(err, RmiError::SecurityViolation(_)), "{err}");
+    // `fetch_gates`: a provider's structure in a response. `describe` is
+    // declared to return a description, so the typed stub refuses a byte
+    // blob in its place and no component is instantiated.
+    let registry = Arc::new(ObjectRegistry::new());
+    registry.register_root(Arc::new(GateLeaker));
+    let leaker = InProcTransport::new(Arc::new(Dispatcher::new(registry)));
+    let session = ClientSession::connect(Arc::new(leaker), "leaker.example.com");
+    let Err(err) = session.instantiate("MultFastLowPower", 4) else {
+        panic!("a byte blob was accepted as a description");
+    };
+    assert!(matches!(err, RmiError::Wire(_)), "{err}");
+}
+
+/// A provider whose components answer `describe` with their gate list.
+struct GateLeaker;
+
+impl RemoteObject for GateLeaker {
+    fn invoke(&self, method: &str, _: Vec<Value>, ctx: &ServerCtx) -> Result<Value, RmiError> {
+        match method {
+            "instantiate" => Ok(Value::ObjectRef(ctx.export(Arc::new(GateLeaker)))),
+            "describe" => Ok(Value::Bytes(b"NAND2 NAND2 XOR2".to_vec())),
+            _ => Err(RmiError::unknown_method("GateLeaker", method)),
+        }
+    }
 }

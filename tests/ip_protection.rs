@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use vcad::ip::{ClientSession, ComponentOffering, ProviderServer};
 use vcad::rmi::{
-    Capability, Client, InProcTransport, MarshalPolicy, RmiError, Sandbox, SecurityManager,
+    Client, Dispatcher, InProcTransport, ObjectRegistry, RemoteObject, RmiError, ServerCtx,
     Transport, Value,
 };
 
@@ -45,13 +45,12 @@ fn provider_netlist_never_crosses_the_wire() {
 
 #[test]
 fn user_design_structure_cannot_be_marshalled() {
-    // The strict client policy rejects structure-shaped payloads before
-    // they leave the process, even if some component tried to send them.
+    // Every client sends port data only: structure-shaped payloads are
+    // rejected before they leave the process, even if some component
+    // tried to send them.
     let server = provider();
-    let client = Client::with_security(
-        Arc::new(InProcTransport::new(server.dispatcher())) as Arc<dyn Transport>,
-        SecurityManager::new(MarshalPolicy::port_data_only()),
-    );
+    let transport = Arc::new(InProcTransport::new(server.dispatcher()));
+    let client = Client::new(Arc::clone(&transport) as Arc<dyn Transport>);
     // A "netlist dump" disguised as bytes...
     let err = client
         .root()
@@ -73,6 +72,7 @@ fn user_design_structure_cannot_be_marshalled() {
         .invoke("instantiate", vec![Value::Str("g1=AND(n1,n2);".repeat(20))])
         .unwrap_err();
     assert!(matches!(err, RmiError::SecurityViolation(_)));
+    assert_eq!(transport.stats().calls, 0, "nothing was sent");
     // Port data still flows.
     let ok = client.root().invoke(
         "instantiate",
@@ -82,34 +82,46 @@ fn user_design_structure_cannot_be_marshalled() {
 }
 
 #[test]
-fn downloaded_public_parts_run_sandboxed() {
+fn downloaded_public_parts_run_only_registered_behaviours() {
+    // A public part names a behaviour the client library registers; the
+    // library runs nothing else, whatever the provider sends.
     let server = provider();
     let session = ClientSession::connect_in_process(&server).unwrap();
     let component = session.instantiate("MultFastLowPower", 8).unwrap();
-    let sandbox = component.public_part().sandbox();
-    // The standard RMI-security-manager rule: talk only to your own
-    // provider.
-    assert!(sandbox
-        .require(&Capability::ConnectProvider("p.example.com".into()))
-        .is_ok());
-    for denied in [
-        Capability::ReadFiles,
-        Capability::WriteFiles,
-        Capability::InspectDesign,
-        Capability::ConnectProvider("competitor.example.com".into()),
-    ] {
-        let err = sandbox.require(&denied).unwrap_err();
-        assert!(matches!(err, RmiError::SecurityViolation(_)), "{denied:?}");
-    }
+    assert_eq!(component.public_part().behavior(), "word-multiplier");
+    assert!(component.functional_module("MULT").is_ok());
+
+    let registry = Arc::new(ObjectRegistry::new());
+    registry.register_root(Arc::new(Backdoor));
+    let transport = InProcTransport::new(Arc::new(Dispatcher::new(registry)));
+    let session = ClientSession::connect(Arc::new(transport), "backdoor.example.com");
+    let component = session.instantiate("Anything", 8).unwrap();
+    assert_eq!(component.public_part().behavior(), "read-user-files");
+    let Err(err) = component.functional_module("X") else {
+        panic!("an unregistered behaviour ran");
+    };
+    assert!(err.to_string().contains("read-user-files"), "{err}");
 }
 
-#[test]
-fn user_can_explicitly_relax_the_sandbox() {
-    // "The user can choose to relax security requirements."
-    let mut sandbox = Sandbox::for_provider("p.example.com");
-    assert!(sandbox.require(&Capability::ReadFiles).is_err());
-    sandbox.grant(Capability::ReadFiles);
-    assert!(sandbox.require(&Capability::ReadFiles).is_ok());
+/// A provider whose components name a behaviour no client registers.
+struct Backdoor;
+
+impl RemoteObject for Backdoor {
+    fn invoke(&self, method: &str, _: Vec<Value>, ctx: &ServerCtx) -> Result<Value, RmiError> {
+        match method {
+            "instantiate" => Ok(Value::ObjectRef(ctx.export(Arc::new(Backdoor)))),
+            "describe" => Ok(Value::Map(vec![
+                ("name".into(), Value::Str("Anything".into())),
+                ("width".into(), Value::I64(8)),
+                (
+                    "public_behavior".into(),
+                    Value::Str("read-user-files".into()),
+                ),
+            ])),
+            "list" => Ok(Value::List(vec![])),
+            _ => Err(RmiError::unknown_method("Backdoor", method)),
+        }
+    }
 }
 
 #[test]
